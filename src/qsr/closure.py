@@ -1,22 +1,23 @@
-"""Algebraic closure of constraint networks, with storage and revision geared
-to the calculus's actual algebraic properties.
+"""Algebraic closure of constraint networks, with revision geared to the
+calculus's algebraic properties.
 
 The engine enforces strong 2-consistency (each cell intersected with the
 converse of its opposite cell), then drives the triangle refinement
 
     C[i][j] <- C[i][j] & (C[i][k] . C[k][j])
 
-to its greatest fixpoint with a PC-2 style worklist.  Two per-calculus
-properties steer it:
+to its greatest fixpoint with a PC-2 style worklist.  The network always
+stores both directions of every pair; two per-calculus flags steer how a
+revision fills them:
 
-* If the converse table is not an involutive permutation (``ra7_holds`` is
-  false or unknown), opposite cells carry independent information, so the
-  full matrix must be stored and both directions seeded (flag ``s``).
-  Otherwise only i < j cells are authoritative and the opposite direction is
-  reconstructed by converse on lookup.
-* If converse does not distribute over composition (``ra9_holds`` false or
-  unknown) or ``s`` is set, a revision must refine C[j][i] independently and
-  cross-tighten each direction with the converse of the other; optimized
+* If the converse is an involutive permutation (``ra7_holds`` is true),
+  2-consistency leaves C[j][i] = conv(C[i][j]) everywhere, so the worklist
+  holds unordered pairs.  Otherwise (false or unknown) opposite cells carry
+  independent information and ordered pairs are seeded and queued.
+* Only if R7 and converse-composition distributivity R9 (``ra9_holds``)
+  both hold is C[j][i] written as the converse of the revised C[i][j].  In
+  every other case a revision refines C[j][i] independently and
+  cross-tightens each direction with the converse of the other; optimized
   reasoners that skip this produce wrong closures on such calculi.
 
 Inconsistency (an empty cell) is an outcome, not an exception: the result
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .network import FULL, ConstraintNetwork
+from .network import ConstraintNetwork
 
 FIFO = "fifo"
 LIFO = "lifo"
@@ -61,81 +62,6 @@ class ClosureOutcome:
         return self.status is ClosureStatus.CLOSED
 
 
-@dataclass
-class ReviseOutcome:
-    updated: bool
-    empty_pair: Optional[tuple[int, int]] = None
-
-    @property
-    def inconsistent(self) -> bool:
-        return self.empty_pair is not None
-
-
-def lookup(net: ConstraintNetwork, i: int, j: int, s: bool) -> int:
-    """Retrieve the relation mask for (i, j) under storage flag ``s``.
-
-    With full storage (``s`` true) or i < j the cell is read verbatim; in
-    triangular storage the lower half is the converse of the mirror cell.
-    """
-    if i == j:
-        raise ValueError("lookup is defined for off-diagonal pairs only")
-    n = len(net.var_names)
-    if s or i < j:
-        return net.cells[i * n + j]
-    return net.calculus.converse_mask(net.cells[j * n + i])
-
-
-def _store(cells: list[int], n: int, conv, i: int, j: int, mask: int, s: bool) -> None:
-    # dual of lookup: in triangular storage a write to the lower half lands
-    # in the mirror cell as the converse
-    if s or i < j:
-        cells[i * n + j] = mask
-    else:
-        cells[j * n + i] = conv(mask)
-
-
-def revise(net: ConstraintNetwork, i: int, j: int, k: int, s: Optional[bool] = None) -> ReviseOutcome:
-    """Refine the pair (i, j) by composing through the third variable ``k``.
-
-    Mutates ``net`` in place.  When the calculus fails converse-composition
-    distributivity (or full storage is in use), C[j][i] is refined
-    independently and both directions are cross-tightened with each other's
-    converse.  Returns whether anything changed, plus the offending pair if a
-    cell became empty (in which case the write is withheld).
-    """
-    if len({i, j, k}) != 3:
-        raise ValueError("revise needs pairwise distinct i, j, k")
-    calc = net.calculus
-    if s is None:
-        s = calc.flags.ra7_holds is not True
-    ra9 = calc.flags.ra9_holds is True
-    n = len(net.var_names)
-    cells = net.cells
-    conv = calc.converse_mask
-    comp = calc.compose_masks
-
-    old_ij = lookup(net, i, j, s)
-    r = old_ij & comp(lookup(net, i, k, s), lookup(net, k, j, s))
-    updated = False
-    if not ra9 or s:
-        old_ji = lookup(net, j, i, s)
-        rp = old_ji & comp(lookup(net, j, k, s), lookup(net, k, i, s))
-        r &= conv(rp)
-        rp &= conv(r)
-        if rp != old_ji:
-            if rp == 0:
-                return ReviseOutcome(updated=False, empty_pair=(j, i))
-            updated = True
-            _store(cells, n, conv, j, i, rp, s)
-            old_ij = lookup(net, i, j, s)
-    if r != old_ij:
-        if r == 0:
-            return ReviseOutcome(updated=updated, empty_pair=(i, j))
-        updated = True
-        _store(cells, n, conv, i, j, r, s)
-    return ReviseOutcome(updated=updated)
-
-
 def a_closure(
     net: ConstraintNetwork,
     queue_order: str = FIFO,
@@ -153,7 +79,7 @@ def a_closure(
         rng = random.Random(seed)
 
     calc = net.calculus
-    work = net.to_full() if net.storage_mode != FULL else net.copy()
+    work = net.copy()
     n = len(work.var_names)
     cells = work.cells
     conv = calc.converse_mask
@@ -161,20 +87,11 @@ def a_closure(
     revisions = 0
     pops = 0
 
-    mirror_stale = False
-
     def outcome(status: ClosureStatus, pair: Optional[tuple[int, int]]) -> ClosureOutcome:
-        # under triangular discipline only i < j cells were written during the
-        # queue phase; mirror them back so a full-mode result is coherent
-        if mirror_stale:
-            for a in range(n):
-                for b in range(a + 1, n):
-                    cells[b * n + a] = conv(cells[a * n + b])
-        result = work if net.storage_mode == FULL else work.to_triangular()
         names = None
         if pair is not None:
             names = (work.var_names[pair[0]], work.var_names[pair[1]])
-        return ClosureOutcome(status, result, revisions, pops, names)
+        return ClosureOutcome(status, work, revisions, pops, names)
 
     # pre-existing empty cells are already an inconsistency
     for i in range(n):
@@ -201,83 +118,86 @@ def a_closure(
                     revisions += 1
                     changed = True
 
-    s = calc.flags.ra7_holds is not True
-    ra9 = calc.flags.ra9_holds is True
-    mirror_stale = not s
+    # Under R7 every cell now equals the converse of its mirror and each
+    # revision below keeps it so: the worklist holds unordered pairs.
+    unordered = calc.flags.ra7_holds is True
+    derive = unordered and calc.flags.ra9_holds is True
 
-    if s:
-        seed_pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    else:
+    if unordered:
         seed_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    queue: deque[tuple[int, int]] = deque(seed_pairs)
+    else:
+        seed_pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     in_queue = set(seed_pairs)
+    if queue_order == FIFO:
+        queue = deque(seed_pairs)
+        take = queue.popleft
+    else:
+        queue = seed_pairs
+        if queue_order == LIFO:
+            take = queue.pop
+        else:
+            def take() -> tuple[int, int]:
+                # O(1): swap a random entry to the end and pop it
+                idx = rng.randrange(len(queue))
+                queue[idx], queue[-1] = queue[-1], queue[idx]
+                return queue.pop()
 
     def enqueue(i: int, j: int) -> None:
-        if s:
-            # conservative: an update refines both directions, requeue both
-            for p in ((i, j), (j, i)):
-                if p not in in_queue:
-                    in_queue.add(p)
-                    queue.append(p)
-        else:
+        if unordered:
             p = (i, j) if i < j else (j, i)
             if p not in in_queue:
                 in_queue.add(p)
                 queue.append(p)
-
-    def pop() -> tuple[int, int]:
-        if queue_order == FIFO:
-            p = queue.popleft()
-        elif queue_order == LIFO:
-            p = queue.pop()
         else:
-            idx = rng.randrange(len(queue))
-            queue.rotate(-idx)
-            p = queue.popleft()
-            queue.rotate(idx)
-        in_queue.discard(p)
-        return p
+            # an update refines both directions, requeue both
+            for p in ((i, j), (j, i)):
+                if p not in in_queue:
+                    in_queue.add(p)
+                    queue.append(p)
 
-    # inlined revise(): the loop below is the hot path
     def do_revise(i: int, j: int, k: int) -> tuple[bool, Optional[tuple[int, int]]]:
         nonlocal revisions
-        if s or i < j:
-            old_ij = cells[i * n + j]
-        else:
-            old_ij = conv(cells[j * n + i])
-        r = old_ij & comp(
-            cells[i * n + k] if s or i < k else conv(cells[k * n + i]),
-            cells[k * n + j] if s or k < j else conv(cells[j * n + k]),
-        )
+        ij = i * n + j
+        ji = j * n + i
+        old_ij = cells[ij]
+        r = old_ij & comp(cells[i * n + k], cells[k * n + j])
+        if derive:
+            # R7 and R9: conv(C[i][k] . C[k][j]) = C[j][k] . C[k][i], so
+            # C[j][i] follows from C[i][j] by converse
+            if r == old_ij:
+                return False, None
+            if r == 0:
+                return False, (i, j)
+            revisions += 1
+            cells[ij] = r
+            cells[ji] = conv(r)
+            return True, None
+        # refine C[j][i] on its own and cross-tighten both directions
+        old_ji = cells[ji]
+        rp = old_ji & comp(cells[j * n + k], cells[k * n + i])
+        r &= conv(rp)
+        rp &= conv(r)
         updated = False
-        if not ra9 or s:
-            if s or j < i:
-                old_ji = cells[j * n + i]
-            else:
-                old_ji = conv(cells[i * n + j])
-            rp = old_ji & comp(
-                cells[j * n + k] if s or j < k else conv(cells[k * n + j]),
-                cells[k * n + i] if s or k < i else conv(cells[i * n + k]),
-            )
-            r &= conv(rp)
-            rp &= conv(r)
-            if rp != old_ji:
-                if rp == 0:
-                    return False, (j, i)
-                updated = True
-                revisions += 1
-                _store(cells, n, conv, j, i, rp, s)
-                old_ij = cells[i * n + j] if s or i < j else conv(cells[j * n + i])
+        if rp != old_ji:
+            if rp == 0:
+                return False, (j, i)
+            updated = True
+            revisions += 1
+            cells[ji] = rp
         if r != old_ij:
             if r == 0:
                 return updated, (i, j)
+            # under R7, r = conv(rp): both writes revise one unordered pair
+            if not (unordered and updated):
+                revisions += 1
             updated = True
-            revisions += 1
-            _store(cells, n, conv, i, j, r, s)
+            cells[ij] = r
         return updated, None
 
     while queue:
-        i, j = pop()
+        p = take()
+        in_queue.discard(p)
+        i, j = p
         pops += 1
         for k in range(n):
             if k == i or k == j:
@@ -299,11 +219,11 @@ def a_closure(
 def naive_closure(net: ConstraintNetwork) -> ClosureOutcome:
     """Reference closure: sweep all rules over the full matrix until stable.
 
-    Kept deliberately free of worklists, storage tricks and the distributivity
+    Kept deliberately free of worklists and of the converse-derivation
     shortcut so it can serve as an independent check of :func:`a_closure`.
     """
     calc = net.calculus
-    work = net.to_full()
+    work = net.copy()
     n = len(work.var_names)
     cells = work.cells
     conv = calc.converse_mask
@@ -311,10 +231,9 @@ def naive_closure(net: ConstraintNetwork) -> ClosureOutcome:
     revisions = 0
 
     def fail(i: int, j: int) -> ClosureOutcome:
-        result = work if net.storage_mode == FULL else work.to_triangular()
         return ClosureOutcome(
             ClosureStatus.INCONSISTENT,
-            result,
+            work,
             revisions,
             0,
             (work.var_names[i], work.var_names[j]),
@@ -355,5 +274,4 @@ def naive_closure(net: ConstraintNetwork) -> ClosureOutcome:
                         revisions += 1
                         changed = True
 
-    result = work if net.storage_mode == FULL else work.to_triangular()
-    return ClosureOutcome(ClosureStatus.CLOSED, result, revisions, 0)
+    return ClosureOutcome(ClosureStatus.CLOSED, work, revisions, 0)

@@ -6,11 +6,10 @@ cells are fixed to the calculus's identity relation when one is designated,
 else to the universal relation, and are never revised (networks are treated
 as 1-consistent).
 
-Two storage modes exist.  In ``full`` mode every ordered pair is
-authoritative.  In ``triangular`` mode only cells with i < j are
-authoritative and the opposite direction is derived via converse on access;
-this halves storage but is lossless only for calculi whose converse table is
-an involutive permutation.
+Cells live in one row-major n x n list, ``cells[i * n + j]`` for the
+ordered pair (i, j).  Both directions of every pair are stored; no cell is
+derived from its mirror on access, because that is lossless only for
+calculi whose converse is an involutive permutation.
 
 Network files are line oriented with ``#`` comments:
 
@@ -32,9 +31,6 @@ from typing import Iterable, Optional, Sequence
 
 from .core import CalculusError, CalculusMismatchError, CalculusSpec, RelationSet
 
-FULL = "full"
-TRIANGULAR = "triangular"
-
 # a valuation assigns one universe element to every variable
 Valuation = dict[str, str]
 
@@ -46,24 +42,15 @@ class NetworkError(Exception):
 class ConstraintNetwork:
     """A qualitative CSP instance over one calculus."""
 
-    __slots__ = ("calculus", "var_names", "cells", "storage_mode", "name", "_index")
+    __slots__ = ("calculus", "var_names", "cells", "name", "_index")
 
-    def __init__(
-        self,
-        calculus: CalculusSpec,
-        var_names: Sequence[str],
-        storage_mode: str = FULL,
-        name: str = "",
-    ) -> None:
+    def __init__(self, calculus: CalculusSpec, var_names: Sequence[str], name: str = "") -> None:
         if len(set(var_names)) != len(var_names):
             raise NetworkError("variable names must be distinct")
         if len(var_names) < 1:
             raise NetworkError("a network needs at least one variable")
-        if storage_mode not in (FULL, TRIANGULAR):
-            raise NetworkError(f"unknown storage mode {storage_mode!r}")
         self.calculus = calculus
         self.var_names = tuple(var_names)
-        self.storage_mode = storage_mode
         self.name = name
         self._index = {v: i for i, v in enumerate(self.var_names)}
         n = len(self.var_names)
@@ -85,19 +72,13 @@ class ConstraintNetwork:
             raise NetworkError(f"unknown variable {name!r}") from None
 
     def get_mask(self, i: int, j: int) -> int:
-        n = len(self.var_names)
-        if self.storage_mode == TRIANGULAR and i > j:
-            return self.calculus.converse_mask(self.cells[j * n + i])
-        return self.cells[i * n + j]
+        return self.cells[i * len(self.var_names) + j]
 
     def set_mask(self, i: int, j: int, mask: int) -> None:
+        """Assign the (i, j) cell only; the (j, i) cell is left as it is."""
         if i == j:
             raise NetworkError("diagonal cells are fixed and cannot be assigned")
-        n = len(self.var_names)
-        if self.storage_mode == TRIANGULAR and i > j:
-            self.cells[j * n + i] = self.calculus.converse_mask(mask)
-        else:
-            self.cells[i * n + j] = mask
+        self.cells[i * len(self.var_names) + j] = mask
 
     def __getitem__(self, pair: tuple[str, str]) -> RelationSet:
         x, y = pair
@@ -116,33 +97,13 @@ class ConstraintNetwork:
         dup.calculus = self.calculus
         dup.var_names = self.var_names
         dup.cells = list(self.cells)
-        dup.storage_mode = self.storage_mode
         dup.name = self.name
         dup._index = self._index
         return dup
 
     def to_full(self) -> "ConstraintNetwork":
-        """Materialize both directions; derived cells are filled via converse."""
-        dup = self.copy()
-        if self.storage_mode == TRIANGULAR:
-            n = len(self.var_names)
-            conv = self.calculus.converse_mask
-            for i in range(n):
-                for j in range(i + 1, n):
-                    dup.cells[j * n + i] = conv(dup.cells[i * n + j])
-            dup.storage_mode = FULL
-        return dup
-
-    def to_triangular(self) -> "ConstraintNetwork":
-        """Keep only i < j cells as authoritative.
-
-        Lossless exactly when the lower triangle already mirrors the upper
-        one through converse, which a calculus with an involutive converse
-        guarantees for normalized networks.
-        """
-        dup = self.copy()
-        dup.storage_mode = TRIANGULAR
-        return dup
+        """Alias of :meth:`copy`: every network already stores both directions."""
+        return self.copy()
 
     def has_empty_cell(self) -> bool:
         n = len(self.var_names)
@@ -155,15 +116,11 @@ class ConstraintNetwork:
         return self.has_empty_cell()
 
     def is_atomic(self) -> bool:
-        """Every authoritative off-diagonal cell is a single base relation."""
+        """Every off-diagonal cell is a single base relation."""
         n = len(self.var_names)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.cells[i * n + j].bit_count() != 1:
-                    return False
-                if self.storage_mode == FULL and self.cells[j * n + i].bit_count() != 1:
-                    return False
-        return True
+        return all(
+            self.cells[i * n + j].bit_count() == 1 for i in range(n) for j in range(n) if i != j
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConstraintNetwork):
@@ -171,14 +128,13 @@ class ConstraintNetwork:
         return (
             self.calculus is other.calculus
             and self.var_names == other.var_names
-            and self.storage_mode == other.storage_mode
             and self.cells == other.cells
         )
 
     def __repr__(self) -> str:
         return (
             f"ConstraintNetwork({self.name or '<anon>'}, {self.calculus.name}, "
-            f"{len(self.var_names)} vars, {self.storage_mode})"
+            f"{len(self.var_names)} vars)"
         )
 
     # -- export -------------------------------------------------------------
@@ -202,7 +158,6 @@ class ConstraintNetwork:
             "name": self.name,
             "calculus": self.calculus.name,
             "vars": list(self.var_names),
-            "storage_mode": self.storage_mode,
             "matrix": [
                 [list(self.calculus.symbols_of(self.get_mask(i, j))) for j in range(n)]
                 for i in range(n)
@@ -241,7 +196,7 @@ def normalize(
             if y not in seen:
                 seen.append(y)
         var_names = seen
-    net = ConstraintNetwork(calculus, var_names, storage_mode=FULL, name=name)
+    net = ConstraintNetwork(calculus, var_names, name=name)
     n = len(net.var_names)
     for x, rel, y in edges:
         i, j = net.var_index(x), net.var_index(y)
@@ -375,7 +330,7 @@ def random_network(
         rng = random.Random(seed)
 
     names = [f"x{i}" for i in range(n_vars)]
-    net = ConstraintNetwork(calculus, names, storage_mode=FULL, name="random")
+    net = ConstraintNetwork(calculus, names, name="random")
     pairs = [(i, j) for i in range(n_vars) for j in range(i + 1, n_vars)]
     k = round(density * len(pairs))
     chosen = rng.sample(pairs, k) if k < len(pairs) else pairs

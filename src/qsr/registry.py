@@ -5,7 +5,7 @@ Spec files are line oriented, UTF-8, with ``#`` comments:
     calculus "pc1"
     relations < = >
     identity =
-    flags ra7=yes ra9=yes          # optional, overrides computed values
+    flags ra7=no ra9=no            # optional, downgrades computed values
     converse
     < (>)
     = (=)
@@ -249,7 +249,7 @@ def parse_spec(source: str) -> CalculusSpec:
     have_identity_clause = False
     converse: dict[str, tuple[str, ...]] = {}
     composition: dict[tuple[str, str], tuple[str, ...]] = {}
-    flag_overrides: dict[str, bool] = {}
+    flag_overrides: dict[str, tuple[bool, int]] = {}  # flag -> (value, line)
     section: Optional[str] = None
 
     def known(sym: str, lineno: int) -> str:
@@ -299,7 +299,7 @@ def parse_spec(source: str) -> CalculusSpec:
                 key, _, val = tok.partition("=")
                 if key not in ("ra7", "ra9") or val not in ("yes", "no"):
                     raise SpecParseError(f"malformed flag {tok!r}, expected ra7|ra9=yes|no", lineno)
-                flag_overrides[key] = val == "yes"
+                flag_overrides[key] = (val == "yes", lineno)
         elif head == "converse":
             if len(tokens) != 1:
                 raise SpecParseError("converse section header takes no arguments", lineno)
@@ -355,8 +355,14 @@ def parse_spec(source: str) -> CalculusSpec:
         converse=converse,
         composition=composition,
     )
-    spec.flags.ra7_holds = flag_overrides.get("ra7", compute_ra7(spec))
-    spec.flags.ra9_holds = flag_overrides.get("ra9", compute_ra9(spec))
+    # a flag may downgrade a computed property to "no", never claim one the
+    # tables refute: the closure engine's converse derivation trusts it
+    for key, compute in (("ra7", compute_ra7), ("ra9", compute_ra9)):
+        holds = compute(spec)
+        claim, lineno = flag_overrides.get(key, (holds, 0))
+        if claim and not holds:
+            raise SpecParseError(f"flag {key}=yes contradicts the tables, where {key.upper()} fails", lineno)
+        setattr(spec.flags, f"{key}_holds", claim)
     spec.source = CalculusSource(origin="file", raw=source)
     return spec
 

@@ -22,7 +22,7 @@ from typing import Optional
 from .closure import a_closure
 from .core import CalculusSpec
 from .models import FiniteInterpretation, brute_force_solve
-from .network import ConstraintNetwork, FULL
+from .network import ConstraintNetwork
 
 
 class Verdict(Enum):
@@ -65,7 +65,7 @@ def decide(net: ConstraintNetwork) -> Decision:
         out = a_closure(current)
         if not out.closed:
             return None
-        closed = out.network.to_full() if out.network.storage_mode != FULL else out.network
+        closed = out.network
         cell = _pick_cell(closed)
         if cell is None:
             return closed if atomic_decides else _UNKNOWN_LEAF
@@ -133,7 +133,7 @@ def derive_completeness(
     checked = 0
     counterexample = None
     for combo in itertools.product(range(n_syms), repeat=len(pairs)):
-        net = ConstraintNetwork(calculus, names, storage_mode=FULL)
+        net = ConstraintNetwork(calculus, names)
         n = n_vars
         for (i, j), sym_idx in zip(pairs, combo):
             bit = 1 << sym_idx

@@ -1,4 +1,4 @@
-"""Constraint networks: normalization, storage modes, file I/O, generation."""
+"""Constraint networks: normalization, file I/O, generation."""
 
 import json
 
@@ -13,7 +13,7 @@ from qsr import (
     random_network,
     satisfies,
 )
-from qsr.network import ConstraintNetwork, TRIANGULAR
+from qsr.network import ConstraintNetwork
 
 pc1 = builtin("pc1")
 
@@ -83,15 +83,6 @@ def test_diagonal_universal_without_identity():
     free = parse_spec(text)
     net = ConstraintNetwork(free, ["x", "y"])
     assert net["x", "x"] == free.universal_relation
-
-
-def test_triangular_mode_derives_lower_half():
-    net = normalize(pc1, [edge("A", "<", "B")]).to_triangular()
-    assert net.storage_mode == TRIANGULAR
-    assert net["B", "A"].symbols == (">",)
-    net["B", "A"] = pc1.relation("=", ">")
-    assert net["A", "B"].symbols == ("<", "=")
-    assert net.to_full().to_triangular().to_full() == net.to_full()
 
 
 def test_satisfies_examples():

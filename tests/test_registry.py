@@ -176,6 +176,20 @@ def test_flags_override_computed_values():
     assert spec.flags.ra9_holds is False
 
 
+def test_flags_claiming_a_refuted_property_are_rejected():
+    # appendixB2 satisfies R7 but not R9: ra7=yes stays allowed, ra9=yes
+    # would let closure derive cells by converse where that is unsound
+    text = serialize(builtin("appendixB2"))
+    assert parse_spec(text.replace("converse\n", "flags ra7=yes\nconverse\n")).flags.ra7_holds is True
+    bad = text.replace("converse\n", "flags ra7=yes ra9=yes\nconverse\n")
+    with pytest.raises(SpecParseError, match="ra9") as err:
+        parse_spec(bad)
+    assert err.value.line == 4
+    b1 = serialize(builtin("appendixB1")).replace("converse\n", "flags ra7=yes\nconverse\n")
+    with pytest.raises(SpecParseError, match="ra7"):
+        parse_spec(b1)
+
+
 def test_validate_pc1_clean():
     assert validate(builtin("pc1")) == []
 
