@@ -337,7 +337,7 @@ def _check_chunk(spec: CalculusSpec, ids: list[str]) -> list[AxiomRecord]:
 
 
 def classify(spec: CalculusSpec, jobs: int = 1) -> AxiomReport:
-    """Run the full battery, derive the algebra class, cache R7/R9 flags.
+    """Run the full battery and derive the algebra class.
 
     The audit is a pure function of the tables; ``jobs`` > 1 partitions the
     per-axiom work across processes (worthwhile only for large calculi).
@@ -355,8 +355,6 @@ def classify(spec: CalculusSpec, jobs: int = 1) -> AxiomReport:
         records = {a: check_axiom(spec, a) for a in ids}
 
     classification = _derive_classification(records)
-    spec.flags.ra7_holds = records["R7"].holds is True
-    spec.flags.ra9_holds = records["R9"].holds is True
     return AxiomReport(spec.name, records, classification)
 
 

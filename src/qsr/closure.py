@@ -7,13 +7,13 @@ converse of its opposite cell), then drives the triangle refinement
     C[i][j] <- C[i][j] & (C[i][k] . C[k][j])
 
 to its greatest fixpoint with a PC-2 style worklist.  The network always
-stores both directions of every pair; two per-calculus flags steer how a
-revision fills them:
+stores both directions of every pair; two properties derived from the
+calculus's tables (``calc.flags``) steer how a revision fills them:
 
 * If the converse is an involutive permutation (``ra7_holds`` is true),
   2-consistency leaves C[j][i] = conv(C[i][j]) everywhere, so the worklist
-  holds unordered pairs.  Otherwise (false or unknown) opposite cells carry
-  independent information and ordered pairs are seeded and queued.
+  holds unordered pairs.  Otherwise opposite cells carry independent
+  information and ordered pairs are seeded and queued.
 * Only if R7 and converse-composition distributivity R9 (``ra9_holds``)
   both hold is C[j][i] written as the converse of the revised C[i][j].  In
   every other case a revision refines C[j][i] independently and
@@ -120,8 +120,8 @@ def a_closure(
 
     # Under R7 every cell now equals the converse of its mirror and each
     # revision below keeps it so: the worklist holds unordered pairs.
-    unordered = calc.flags.ra7_holds is True
-    derive = unordered and calc.flags.ra9_holds is True
+    unordered = calc.flags.ra7_holds
+    derive = unordered and calc.flags.ra9_holds
 
     if unordered:
         seed_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

@@ -40,27 +40,26 @@ class UnknownSymbolError(CalculusError):
     """A relation symbol that the calculus does not declare."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class CalculusFlags:
-    """Cached per-calculus properties consumed by the reasoning engines.
+    """Read-only properties of a calculus that the reasoning engines act on.
 
-    ``ra7_holds``/``ra9_holds`` are tri-state: ``None`` means unknown, in
-    which case the closure engine takes the safe (slow) branch.
-    ``acl_decides_atomic`` records whether algebraic closure decides
-    consistency of atomic networks: ``"yes"``, ``"no"`` or ``"unknown"``.
+    ``ra7_holds``/``ra9_holds`` are derived from the tables on the first read
+    of ``CalculusSpec.flags``; ``acl_decides_atomic`` (closure decides atomic
+    networks) is fixed at construction, and ``decide`` may override it.
     """
 
-    ra7_holds: Optional[bool] = None
-    ra9_holds: Optional[bool] = None
-    acl_decides_atomic: str = "unknown"
+    ra7_holds: bool
+    ra9_holds: bool
+    acl_decides_atomic: bool
 
 
 class CalculusSpec:
     """A binary qualitative calculus: symbols, identity, converse and composition tables.
 
-    Instances are immutable after construction (except for the ``flags``
-    sidecar, which caches analysis results) and may be shared freely across
-    threads or workers.
+    Instances are immutable after construction and may be shared freely
+    across threads or workers.  ``flags`` is derived data, computed from the
+    tables on first read and cached.
     """
 
     __slots__ = (
@@ -69,10 +68,11 @@ class CalculusSpec:
         "identity_mask",
         "converse_row",
         "composition_row",
-        "flags",
         "notes",
         "source",
         "universal",
+        "_acl_decides_atomic",
+        "_flags",
         "_index",
         "_conv_full",
         "_comp_full",
@@ -86,8 +86,8 @@ class CalculusSpec:
         identity: Optional[Iterable[str]],
         converse: dict[str, Iterable[str]],
         composition: dict[tuple[str, str], Iterable[str]],
-        flags: Optional[CalculusFlags] = None,
         notes: Iterable[str] = (),
+        acl_decides_atomic: bool = False,
     ) -> None:
         self.name = name
         self.symbols: tuple[str, ...] = tuple(symbols)
@@ -124,13 +124,23 @@ class CalculusSpec:
             rows.append(tuple(row))
         self.composition_row: tuple[tuple[int, ...], ...] = tuple(rows)
 
-        self.flags = flags if flags is not None else CalculusFlags()
+        self._acl_decides_atomic = acl_decides_atomic
+        self._flags: Optional[CalculusFlags] = None
         self.notes: tuple[str, ...] = tuple(notes)
         self.source = None  # provenance record, filled in by the registry
 
         self._conv_full: Optional[list[int]] = None
         self._comp_full: Optional[list[list[int]]] = None
         self._comp_cache: dict[tuple[int, int], int] = {}
+
+    @property
+    def flags(self) -> CalculusFlags:
+        flags = self._flags
+        if flags is None:
+            flags = self._flags = CalculusFlags(
+                compute_ra7(self), compute_ra9(self), self._acl_decides_atomic
+            )
+        return flags
 
     # -- symbol/mask plumbing ------------------------------------------------
 
@@ -165,13 +175,13 @@ class CalculusSpec:
             if len(self.symbols) <= _FULL_CONV_LIMIT:
                 full = self._build_conv_full()
             else:
+                # inlined rather than _union_of: this is a hot path
                 out = 0
                 row = self.converse_row
-                m = mask
-                while m:
-                    low = m & -m
+                while mask:
+                    low = mask & -mask
                     out |= row[low.bit_length() - 1]
-                    m ^= low
+                    mask ^= low
                 return out
         return full[mask]
 
@@ -228,18 +238,10 @@ class CalculusSpec:
         m = a
         while m:
             low = m & -m
-            i = low.bit_length() - 1
-            row = rows[i]
             key = (low, b)
             rmask = cache.get(key)
             if rmask is None:
-                rmask = 0
-                bb = b
-                while bb:
-                    lb = bb & -bb
-                    rmask |= row[lb.bit_length() - 1]
-                    bb ^= lb
-                cache[key] = rmask
+                rmask = cache[key] = _union_of(rows[low.bit_length() - 1], b)
             out |= rmask
             m ^= low
         cache[(a, b)] = out
@@ -303,8 +305,8 @@ class CalculusSpec:
                 for i, a in enumerate(self.symbols)
                 for j, b in enumerate(self.symbols)
             },
-            "flags": self.flags,
             "notes": self.notes,
+            "acl_decides_atomic": self._acl_decides_atomic,
         }
 
     def __setstate__(self, state) -> None:
@@ -420,6 +422,16 @@ def compose(r: RelationSet, s: RelationSet) -> RelationSet:
     return r.compose(s)
 
 
+def _union_of(row: tuple[int, ...], mask: int) -> int:
+    """Union of ``row[k]`` over the bits ``k`` of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= row[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def compute_ra7(spec: CalculusSpec) -> bool:
     """Converse involution on base symbols: conv(conv({r})) == {r} for all r.
 
@@ -427,19 +439,25 @@ def compute_ra7(spec: CalculusSpec) -> bool:
     symbols, converse distributes over intersection, and a reasoner may store
     only one direction of each constraint.
     """
-    for i in range(len(spec.symbols)):
-        if spec.converse_mask(spec.converse_row[i]) != 1 << i:
-            return False
-    return True
+    conv = spec.converse_row
+    return all(_union_of(conv, conv[i]) == 1 << i for i in range(len(conv)))
 
 
 def compute_ra9(spec: CalculusSpec) -> bool:
-    """Converse-composition distributivity on base pairs: conv(r.s) == conv(s).conv(r)."""
-    n = len(spec.symbols)
-    for i in range(n):
-        for j in range(n):
-            lhs = spec.converse_mask(spec.composition_row[i][j])
-            rhs = spec.compose_masks(spec.converse_row[j], spec.converse_row[i])
-            if lhs != rhs:
+    """Converse-composition distributivity on base pairs: conv(r.s) == conv(s).conv(r).
+
+    Reads the tables directly, leaving the composition cache empty; the right
+    side unions over all converse symbols, so it stays exact when R7 fails.
+    """
+    conv = spec.converse_row
+    rows = spec.composition_row
+    for j, conv_s in enumerate(conv):
+        # composition rows of the symbols in conv(s), with s the j-th symbol
+        conv_s_rows = [row for p, row in enumerate(rows) if conv_s >> p & 1]
+        for i, conv_r in enumerate(conv):
+            rhs = 0
+            for row in conv_s_rows:
+                rhs |= _union_of(row, conv_r)
+            if _union_of(conv, rows[i][j]) != rhs:
                 return False
     return True

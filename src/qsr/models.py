@@ -23,6 +23,7 @@ but probing broken tables is allowed).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import shlex
 from dataclasses import dataclass, field
@@ -495,24 +496,15 @@ BUILTIN_MODEL_NAMES = (
     "appendixB-remark",
 )
 
-_MODEL_CACHE: dict[str, FiniteInterpretation] = {}
-
-
+@functools.cache
 def builtin_model(name: str) -> FiniteInterpretation:
-    """Bundled finite interpretations for the built-in calculi."""
-    model = _MODEL_CACHE.get(name)
-    if model is not None:
-        return model
-    if name.startswith("pc1-chain"):
-        size = int(name.removeprefix("pc1-chain"))
-        model = _chain_model(size)
-    elif name == "cycb-compass4":
-        model = _compass_model()
-    elif name in ("appendixB1", "appendixB2", "appendixB-remark"):
-        model = _fixture_model(name)
-    else:
+    """Bundled finite interpretations for the built-in calculi (cached)."""
+    if name not in BUILTIN_MODEL_NAMES:
         raise KeyError(
             f"unknown builtin model {name!r}; available: {', '.join(BUILTIN_MODEL_NAMES)}"
         )
-    _MODEL_CACHE[name] = model
-    return model
+    if name.startswith("pc1-chain"):
+        return _chain_model(int(name.removeprefix("pc1-chain")))
+    if name == "cycb-compass4":
+        return _compass_model()
+    return _fixture_model(name)

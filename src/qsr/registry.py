@@ -5,7 +5,6 @@ Spec files are line oriented, UTF-8, with ``#`` comments:
     calculus "pc1"
     relations < = >
     identity =
-    flags ra7=no ra9=no            # optional, downgrades computed values
     converse
     < (>)
     = (=)
@@ -23,8 +22,9 @@ converse section for every base relation.  ``serialize`` emits the canonical
 form: symbols in declaration order, composition cells in row-major order.
 
 Relation symbols are whitespace-delimited tokens; the directive keywords
-(``calculus``, ``relations``, ``identity``, ``flags``, ``converse``,
-``composition``) are reserved and rejected as symbol names.
+(``calculus``, ``relations``, ``identity``, ``converse``, ``composition``)
+and ``flags`` are reserved.  Properties are derived from the tables, so the
+retired ``flags`` directive of older files is an error.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import shlex
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import CalculusFlags, CalculusSpec, compute_ra7, compute_ra9
+from .core import CalculusSpec
 
 BUILTIN_NAMES = ("pc1", "rcc5", "cycb", "appendixB1", "appendixB2", "appendixB-remark")
 
@@ -78,7 +78,7 @@ def _make_pc1() -> CalculusSpec:
             "=": {"<": "<", "=": "=", ">": ">"},
             ">": {"<": u, "=": ">", ">": ">"},
         }),
-        flags=CalculusFlags(acl_decides_atomic="yes"),
+        acl_decides_atomic=True,
     )
 
 
@@ -96,8 +96,8 @@ def _make_rcc5() -> CalculusSpec:
             "PP": {"EQ": "PP", "DC": "DC", "PO": "DC PO PP", "PP": "PP", "PPi": u},
             "PPi": {"EQ": "PPi", "DC": "DC PO PPi", "PO": "PO PPi", "PP": "EQ PO PP PPi", "PPi": "PPi"},
         }),
-        flags=CalculusFlags(acl_decides_atomic="yes"),
         notes=(_RCC5_NOTE,),
+        acl_decides_atomic=True,
     )
 
 
@@ -189,8 +189,8 @@ _CACHE: dict[str, CalculusSpec] = {}
 def builtin(name: str) -> CalculusSpec:
     """Return the built-in calculus registered under ``name``.
 
-    Instances are cached: repeated calls return the same object, so flag
-    updates (completeness metadata) persist across lookups.
+    Instances are cached: repeated calls return the same object, whose
+    derived ``flags`` are then computed only once.
     """
     try:
         factory = _FACTORIES[name]
@@ -201,8 +201,6 @@ def builtin(name: str) -> CalculusSpec:
     spec = _CACHE.get(name)
     if spec is None:
         spec = factory()
-        spec.flags.ra7_holds = compute_ra7(spec)
-        spec.flags.ra9_holds = compute_ra9(spec)
         spec.source = CalculusSource(origin="builtin")
         _CACHE[name] = spec
     return spec
@@ -249,7 +247,6 @@ def parse_spec(source: str) -> CalculusSpec:
     have_identity_clause = False
     converse: dict[str, tuple[str, ...]] = {}
     composition: dict[tuple[str, str], tuple[str, ...]] = {}
-    flag_overrides: dict[str, tuple[bool, int]] = {}  # flag -> (value, line)
     section: Optional[str] = None
 
     def known(sym: str, lineno: int) -> str:
@@ -292,14 +289,6 @@ def parse_spec(source: str) -> CalculusSpec:
                 raise SpecParseError("duplicate identity clause", lineno)
             have_identity_clause = True
             identity = [known(s, lineno) for s in tokens[1:]]
-        elif head == "flags":
-            for tok in tokens[1:]:
-                if "=" not in tok:
-                    raise SpecParseError(f"malformed flag {tok!r}, expected name=yes|no", lineno)
-                key, _, val = tok.partition("=")
-                if key not in ("ra7", "ra9") or val not in ("yes", "no"):
-                    raise SpecParseError(f"malformed flag {tok!r}, expected ra7|ra9=yes|no", lineno)
-                flag_overrides[key] = (val == "yes", lineno)
         elif head == "converse":
             if len(tokens) != 1:
                 raise SpecParseError("converse section header takes no arguments", lineno)
@@ -308,6 +297,9 @@ def parse_spec(source: str) -> CalculusSpec:
             if len(tokens) != 1:
                 raise SpecParseError("composition section header takes no arguments", lineno)
             section = "composition"
+        elif head in _RESERVED:
+            # a leftover ``flags`` line; the other keywords matched above
+            raise SpecParseError(f"unexpected directive {head!r}", lineno)
         elif section == "converse":
             sym = known(head, lineno)
             if sym in converse:
@@ -355,14 +347,6 @@ def parse_spec(source: str) -> CalculusSpec:
         converse=converse,
         composition=composition,
     )
-    # a flag may downgrade a computed property to "no", never claim one the
-    # tables refute: the closure engine's converse derivation trusts it
-    for key, compute in (("ra7", compute_ra7), ("ra9", compute_ra9)):
-        holds = compute(spec)
-        claim, lineno = flag_overrides.get(key, (holds, 0))
-        if claim and not holds:
-            raise SpecParseError(f"flag {key}=yes contradicts the tables, where {key.upper()} fails", lineno)
-        setattr(spec.flags, f"{key}_holds", claim)
     spec.source = CalculusSource(origin="file", raw=source)
     return spec
 

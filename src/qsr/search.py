@@ -2,10 +2,10 @@
 
 Composite labels are split down to base relations in a depth-first search
 with algebraic closure as the propagation step.  Closure alone is sound but
-not complete: a closed atomic network proves consistency only for calculi
-whose ``acl_decides_atomic`` flag says so.  With the flag unset or ``no``,
-an atomic closed leaf yields the verdict ``closed_unknown``; an exhausted
-search yields ``inconsistent`` regardless of the flag.
+not complete: a closed atomic network proves consistency only if closure
+decides atomic networks, which ``decide`` takes as ``acl_decides_atomic``
+(by default the calculus's fixed flag).  Otherwise an atomic closed leaf
+yields ``closed_unknown``; an exhausted search yields ``inconsistent``.
 
 Branching picks the smallest non-singleton cell first (ties by lowest pair
 index) and tries base relations in declaration order, so node counts are
@@ -53,10 +53,15 @@ def _pick_cell(net: ConstraintNetwork) -> Optional[tuple[int, int]]:
     return best
 
 
-def decide(net: ConstraintNetwork) -> Decision:
-    """Depth-first refinement search over ``net``; the input is not modified."""
+def decide(net: ConstraintNetwork, acl_decides_atomic: Optional[bool] = None) -> Decision:
+    """Depth-first refinement search over ``net``; the input is not modified.
+
+    ``acl_decides_atomic`` says whether a closed atomic network is
+    consistent; ``None`` takes the calculus's ``flags.acl_decides_atomic``.
+    """
     calc = net.calculus
-    atomic_decides = calc.flags.acl_decides_atomic == "yes"
+    if acl_decides_atomic is None:
+        acl_decides_atomic = calc.flags.acl_decides_atomic
     nodes = 0
 
     def search(current: ConstraintNetwork):
@@ -68,7 +73,7 @@ def decide(net: ConstraintNetwork) -> Decision:
         closed = out.network
         cell = _pick_cell(closed)
         if cell is None:
-            return closed if atomic_decides else _UNKNOWN_LEAF
+            return closed if acl_decides_atomic else _UNKNOWN_LEAF
         i, j = cell
         n = len(closed.var_names)
         mask = closed.cells[i * n + j]
@@ -76,28 +81,21 @@ def decide(net: ConstraintNetwork) -> Decision:
         bit = 1
         while bit <= mask:
             if mask & bit:
-                child = closed.copy()
-                child.cells[i * n + j] = bit
-                child.cells[j * n + i] = conv(bit)
-                found = search(child)
+                # a_closure copies its input: split this node's network in place
+                closed.cells[i * n + j] = bit
+                closed.cells[j * n + i] = conv(bit)
+                found = search(closed)
                 if found is not None:
                     return found
             bit <<= 1
         return None
 
-    result = search(net.copy())
+    result = search(net)
     if result is None:
         return Decision(Verdict.INCONSISTENT, None, nodes)
     if result is _UNKNOWN_LEAF:
         return Decision(Verdict.CLOSED_UNKNOWN, None, nodes)
     return Decision(Verdict.CONSISTENT, result, nodes)
-
-
-def set_completeness(calculus: CalculusSpec, flag: str) -> None:
-    """Record whether algebraic closure decides atomic networks of ``calculus``."""
-    if flag not in ("yes", "no", "unknown"):
-        raise ValueError("completeness flag must be 'yes', 'no' or 'unknown'")
-    calculus.flags.acl_decides_atomic = flag
 
 
 @dataclass
@@ -112,7 +110,6 @@ def derive_completeness(
     model: FiniteInterpretation,
     n_vars: int,
     budget: int = 2_000_000,
-    apply: bool = False,
 ) -> CompletenessResult:
     """Check, exhaustively, whether every closed atomic ``n_vars``-variable
     network is satisfiable in ``model``.
@@ -120,8 +117,8 @@ def derive_completeness(
     Enumerates all |Rel| ** (n_vars choose 2) atomic networks, closes each,
     and brute-forces the survivors against the model.  The answer is specific
     to the model and the variable count: a calculus complete over its usual
-    infinite universe can fail over a small finite one.  With ``apply`` the
-    derived flag is stored on the calculus.
+    infinite universe can fail over a small finite one.  Pass
+    ``flag == "yes"`` to ``decide`` as its ``acl_decides_atomic`` to use it.
     """
     n_syms = len(calculus.symbols)
     pairs = [(i, j) for i in range(n_vars) for j in range(i + 1, n_vars)]
@@ -148,6 +145,4 @@ def derive_completeness(
             break
 
     flag = "no" if counterexample is not None else "yes"
-    if apply:
-        set_completeness(calculus, flag)
     return CompletenessResult(flag, checked, counterexample)

@@ -114,7 +114,7 @@ def test_closure_matches_reference_on_random_calculi():
     # them, not just the curated builtins
     import random as _random
 
-    from qsr.core import CalculusSpec, compute_ra7, compute_ra9
+    from qsr.core import CalculusSpec
 
     rng = _random.Random(20240809)
     for trial in range(80):
@@ -132,8 +132,6 @@ def test_closure_matches_reference_on_random_calculi():
                 comp[(a, b)] = [syms[k] for k in range(n_syms) if mask >> k & 1]
         ident = [rng.choice(syms)] if rng.random() < 0.7 else None
         spec = CalculusSpec(f"rand{trial}", syms, ident, conv, comp)
-        spec.flags.ra7_holds = compute_ra7(spec)
-        spec.flags.ra9_holds = compute_ra9(spec)
         for n_vars in (2, 4):
             net = random_network(spec, n_vars, rng.choice((0.4, 0.8, 1.0)), seed=trial)
             ref = naive_closure(net)
@@ -156,25 +154,27 @@ def test_closure_two_variable_network_on_broken_converse():
         assert got.network.to_full().cells == ref.network.to_full().cells
 
 
-def test_closure_takes_the_safe_branch_when_flags_unknown():
-    # without cached algebra flags the engine must queue ordered pairs and
-    # revise both directions; the fixpoint is the same
-    for name in ("rcc5", "appendixB2"):
-        calc = builtin(name)
-        saved = (calc.flags.ra7_holds, calc.flags.ra9_holds)
-        try:
-            for seed in range(25):
-                net = random_network(calc, 5, 0.6, seed=seed)
-                calc.flags.ra7_holds, calc.flags.ra9_holds = saved
-                ref = naive_closure(net)
-                calc.flags.ra7_holds = None
-                calc.flags.ra9_holds = None
-                got = a_closure(net)
-                assert got.status == ref.status
-                if got.closed:
-                    assert got.network.to_full().cells == ref.network.to_full().cells
-        finally:
-            calc.flags.ra7_holds, calc.flags.ra9_holds = saved
+def test_directly_built_calculus_does_the_same_work_as_the_builtin():
+    # the branch follows from the tables, not from how the calculus was made
+    from qsr.core import CalculusSpec
+    from qsr.network import ConstraintNetwork
+
+    rcc5 = builtin("rcc5")
+    state = rcc5.__getstate__()
+    twin = CalculusSpec(state["name"], state["symbols"], state["identity"],
+                        state["converse"], state["composition"])
+    closed = 0
+    for seed in range(12):
+        net = random_network(rcc5, 10, 0.4, seed=seed)
+        want = a_closure(net)
+        same = ConstraintNetwork(twin, net.var_names)
+        same.cells[:] = net.cells
+        got = a_closure(same)
+        assert got.status == want.status, seed
+        assert got.network.cells == want.network.cells, seed
+        assert (got.queue_pops, got.revisions) == (want.queue_pops, want.revisions), seed
+        closed += want.closed
+    assert closed > 0
 
 
 def test_closure_sound_on_finite_model():

@@ -100,3 +100,76 @@ def test_large_calculus_falls_back_to_sparse_tables():
     r = big.relation("s0", "s7", "s19")
     assert r.compose(big.universal_relation) == r
     assert r.converse() == r
+
+
+def _random_tables(rng, n_syms):
+    syms = [f"s{i}" for i in range(n_syms)]
+    u = (1 << n_syms) - 1
+    conv = {s: [syms[b] for b in range(n_syms) if rng.randrange(1, u + 1) >> b & 1] for s in syms}
+    if rng.random() < 0.5:
+        # an involutive permutation, so that R7 holds and R9 is the open question
+        perm = list(range(n_syms))
+        for k in range(0, n_syms - 1, 2):
+            if rng.random() < 0.5:
+                perm[k], perm[k + 1] = k + 1, k
+        conv = {s: [syms[perm[i]]] for i, s in enumerate(syms)}
+    comp = {
+        (a, b): [syms[k] for k in range(n_syms) if rng.randrange(0, u + 1) >> k & 1]
+        for a in syms
+        for b in syms
+    }
+    return syms, conv, comp
+
+
+def _cyclic_group(n):
+    # Z_n as a calculus: i.j = i + j, conv(i) = -i; an RA, so R7 and R9 hold
+    syms = [f"z{i}" for i in range(n)]
+    conv = {syms[i]: [syms[-i % n]] for i in range(n)}
+    comp = {(syms[i], syms[j]): [syms[(i + j) % n]] for i in range(n) for j in range(n)}
+    return CalculusSpec(f"Z{n}", syms, [syms[0]], conv, comp)
+
+
+def test_compute_ra9_leaves_the_composition_cache_empty():
+    from qsr.core import compute_ra9
+
+    spec = _cyclic_group(12)
+    assert compute_ra9(spec) is True
+    assert spec.flags.ra9_holds is True
+    assert spec._comp_cache == {}
+
+
+def test_compute_ra9_matches_the_axiom_check():
+    import random
+
+    from qsr import BUILTIN_NAMES, check_axiom
+    from qsr.core import compute_ra7, compute_ra9
+
+    specs = [builtin(name) for name in BUILTIN_NAMES] + [_cyclic_group(9), _cyclic_group(10)]
+    rng = random.Random(20261018)
+    for trial in range(120):
+        syms, conv, comp = _random_tables(rng, rng.randint(2, 10))
+        specs.append(CalculusSpec(f"rand{trial}", syms, None, conv, comp))
+    seen = set()
+    for spec in specs:
+        ra7, ra9 = compute_ra7(spec), compute_ra9(spec)
+        assert ra7 is check_axiom(spec, "R7").holds, spec.name
+        assert ra9 is check_axiom(spec, "R9").holds, spec.name
+        seen.add((ra7, ra9))
+    assert {(False, False), (True, False), (True, True)} <= seen
+
+
+def test_directly_built_calculus_derives_its_flags():
+    state = builtin("appendixB2").__getstate__()
+    spec = CalculusSpec(state["name"], state["symbols"], state["identity"],
+                        state["converse"], state["composition"])
+    assert spec.flags.ra7_holds is True
+    assert spec.flags.ra9_holds is False
+    assert spec.flags.acl_decides_atomic is False
+
+
+def test_public_names_resolve_once():
+    import qsr
+
+    assert len(qsr.__all__) == len(set(qsr.__all__))
+    for name in qsr.__all__:
+        assert getattr(qsr, name) is not None, name

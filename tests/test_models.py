@@ -247,3 +247,9 @@ def test_seriality_is_a_model_property():
     assert check_seriality(builtin_model("pc1-chain3")) == {"<": False, "=": True, ">": False}
     # rotations are serial everywhere
     assert all(check_seriality(builtin_model("cycb-compass4")).values())
+
+
+def test_builtin_model_rejects_unknown_names():
+    for name in ("pc1-chainx", "pc1-chain", "pc1-chain0", "pc1-chain7", "nope"):
+        with pytest.raises(KeyError, match="available"):
+            builtin_model(name)

@@ -128,8 +128,7 @@ def test_serialize_round_trip_all_builtins(name):
     spec = builtin(name)
     again = parse_spec(serialize(spec))
     assert again == spec
-    assert again.flags.ra7_holds == spec.flags.ra7_holds
-    assert again.flags.ra9_holds == spec.flags.ra9_holds
+    assert (again.flags.ra7_holds, again.flags.ra9_holds) == (spec.flags.ra7_holds, spec.flags.ra9_holds)
 
 
 def test_missing_composition_row_is_an_error():
@@ -169,25 +168,39 @@ def test_identity_clause_optional():
     assert parse_spec(text).identity_mask is None
 
 
-def test_flags_override_computed_values():
-    text = PC1_SPEC.replace("identity =", "identity =\nflags ra7=no ra9=no")
-    spec = parse_spec(text)
-    assert spec.flags.ra7_holds is False
-    assert spec.flags.ra9_holds is False
+def test_flags_line_is_rejected():
+    # properties are derived from the tables: a downgrade may not be
+    # declared, before or inside a section
+    text = serialize(builtin("appendixB2")).replace("converse\n", "flags ra7=no ra9=no\nconverse\n")
+    with pytest.raises(SpecParseError, match="unexpected directive 'flags'") as err:
+        parse_spec(text)
+    assert err.value.line == 4
+    text = PC1_SPEC.replace("composition\n", "composition\nflags ra7=no\n")
+    with pytest.raises(SpecParseError, match="unexpected directive 'flags'") as err:
+        parse_spec(text)
+    assert text.splitlines()[err.value.line - 1] == "flags ra7=no"
 
 
 def test_flags_claiming_a_refuted_property_are_rejected():
-    # appendixB2 satisfies R7 but not R9: ra7=yes stays allowed, ra9=yes
-    # would let closure derive cells by converse where that is unsound
-    text = serialize(builtin("appendixB2"))
-    assert parse_spec(text.replace("converse\n", "flags ra7=yes\nconverse\n")).flags.ra7_holds is True
-    bad = text.replace("converse\n", "flags ra7=yes ra9=yes\nconverse\n")
-    with pytest.raises(SpecParseError, match="ra9") as err:
-        parse_spec(bad)
+    # appendixB2 satisfies R7 but not R9, appendixB1 not R7: a claim the
+    # tables refute is rejected at its line like any other flags line
+    text = serialize(builtin("appendixB2")).replace("converse\n", "flags ra7=yes ra9=yes\nconverse\n")
+    with pytest.raises(SpecParseError, match="unexpected directive 'flags'") as err:
+        parse_spec(text)
     assert err.value.line == 4
     b1 = serialize(builtin("appendixB1")).replace("converse\n", "flags ra7=yes\nconverse\n")
-    with pytest.raises(SpecParseError, match="ra7"):
+    with pytest.raises(SpecParseError, match="unexpected directive 'flags'") as err:
         parse_spec(b1)
+    assert err.value.line == 4
+
+
+def test_flags_are_read_only():
+    rcc5 = builtin("rcc5")
+    with pytest.raises(AttributeError):
+        setattr(rcc5.flags, "ra7_holds", False)
+    with pytest.raises(AttributeError):
+        rcc5.flags = None
+    assert rcc5.flags.ra7_holds is True
 
 
 def test_validate_pc1_clean():

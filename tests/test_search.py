@@ -12,7 +12,6 @@ from qsr import (
     derive_completeness,
     normalize,
     random_network,
-    set_completeness,
 )
 
 pc1 = builtin("pc1")
@@ -71,25 +70,48 @@ def test_decide_cycb_left_chain():
         cycb,
         [("x", cycb.relation("l"), "y"), ("y", cycb.relation("l"), "z"), ("x", cycb.relation("o"), "z")],
     )
-    set_completeness(cycb, "yes")
-    assert decide(opposite).verdict is Verdict.CONSISTENT
+    assert decide(opposite, acl_decides_atomic=True).verdict is Verdict.CONSISTENT
 
 
 def test_closed_unknown_without_completeness():
-    set_completeness(cycb, "unknown")
     net = normalize(cycb, [("x", cycb.relation("l"), "y"), ("y", cycb.relation("l"), "z")])
-    decision = decide(net)
+    decision = decide(net, acl_decides_atomic=False)
     assert decision.verdict is Verdict.CLOSED_UNKNOWN
     assert decision.witness is None
 
 
-def test_set_completeness_persists_on_the_registry_instance():
-    set_completeness(cycb, "yes")
-    assert builtin("cycb").flags.acl_decides_atomic == "yes"
-    set_completeness(cycb, "unknown")
-    assert builtin("cycb").flags.acl_decides_atomic == "unknown"
-    with pytest.raises(ValueError):
-        set_completeness(cycb, "maybe")
+def test_completeness_is_a_decide_argument_not_a_writable_flag():
+    before = builtin("cycb").flags
+    assert before.acl_decides_atomic is False
+    with pytest.raises(AttributeError):
+        setattr(builtin("cycb").flags, "acl_decides_atomic", True)
+    net = normalize(cycb, [("x", cycb.relation("l"), "y"), ("y", cycb.relation("l"), "z")])
+    assert decide(net, acl_decides_atomic=True).verdict is Verdict.CONSISTENT
+    assert decide(net).verdict is Verdict.CLOSED_UNKNOWN
+    assert builtin("cycb").flags == before
+    assert builtin("pc1").flags.acl_decides_atomic is True
+    assert builtin("rcc5").flags.acl_decides_atomic is True
+
+
+def test_decide_copies_each_node_once_and_leaves_the_input_alone(monkeypatch):
+    from qsr.network import ConstraintNetwork
+
+    copies = 0
+    orig = ConstraintNetwork.copy
+
+    def counting_copy(self):
+        nonlocal copies
+        copies += 1
+        return orig(self)
+
+    monkeypatch.setattr(ConstraintNetwork, "copy", counting_copy)
+    for seed in range(20):
+        net = random_network(rcc5, 7, 0.5, seed=seed)
+        before = list(net.cells)
+        copies = 0
+        decision = decide(net)
+        assert copies == decision.nodes_explored
+        assert net.cells == before
 
 
 def test_atomic_network_explores_one_node():
@@ -142,18 +164,13 @@ def test_derive_completeness_detects_finite_domain_failure():
     assert brute_force_solve(result.counterexample, chain3) is None
 
 
-def test_derive_completeness_apply_updates_flag():
-    chain3 = builtin_model("pc1-chain3")
-    derive_completeness(pc1, chain3, n_vars=4, apply=True)
-    assert pc1.flags.acl_decides_atomic == "no"
-
-
 def test_decide_agrees_with_brute_force_on_small_networks():
     chain3 = builtin_model("pc1-chain3")
-    assert derive_completeness(pc1, chain3, n_vars=3, apply=True).flag == "yes"
+    derived = derive_completeness(pc1, chain3, n_vars=3)
+    assert derived.flag == "yes"
     for seed in range(100):
         net = random_network(pc1, 3, 0.7, seed=seed)
         has_solution = brute_force_solve(net, chain3) is not None
-        verdict = decide(net).verdict
+        verdict = decide(net, acl_decides_atomic=derived.flag == "yes").verdict
         assert verdict in (Verdict.CONSISTENT, Verdict.INCONSISTENT)
         assert (verdict is Verdict.CONSISTENT) == has_solution
