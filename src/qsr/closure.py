@@ -23,6 +23,16 @@ calculus's tables (``calc.flags``) steer how a revision fills them:
 Inconsistency (an empty cell) is an outcome, not an exception: the result
 carries the offending pair.
 
+``a_closure(net, changed=(i, j))`` is the incremental form used by
+refinement search.  Its precondition: ``net`` is closed except in the cells
+(i, j) and (j, i), which were tightened since (as by a search split).  Only
+those two cells are then checked for emptiness and made 2-consistent, and
+the worklist starts from that pair alone instead of from all O(n^2) pairs.
+Without R7 a split's mirror cell conv(b) need not be tighter than the cell
+it replaced, so there the cells of the pair may hold any relation and the
+pair is first revised against every third variable.  The result equals the
+full closure of ``net``: the greatest fixpoint below a network is unique.
+
 ``naive_closure`` is an independent reference: it iterates the refinement
 rule over all ordered triples and both cell directions, together with the
 2-consistency rule, until nothing changes.  Both algorithms compute the same
@@ -67,20 +77,33 @@ def a_closure(
     queue_order: str = FIFO,
     rng: Optional[random.Random] = None,
     seed: Optional[int] = None,
+    *,
+    changed: Optional[tuple[int, int]] = None,
 ) -> ClosureOutcome:
     """Close ``net`` under the triangle refinement rule; pure, input untouched.
 
     ``queue_order`` selects the worklist discipline (``fifo``, ``lifo`` or
     ``shuffled``); the fixpoint is the same for all of them.
+
+    ``changed=(i, j)`` (variable indices, ``i != j``) states that ``net`` is
+    closed except in cells (i, j) and (j, i), which were tightened (or, for
+    a calculus without R7, changed in any way).  The closure then starts
+    from that pair alone.  The precondition is not checked; if it fails,
+    the result need not be closed.  An out-of-range or diagonal pair raises
+    ``ValueError``.
     """
     if queue_order not in (FIFO, LIFO, SHUFFLED):
         raise ValueError(f"unknown queue order {queue_order!r}")
+    n = len(net.var_names)
+    if changed is not None:
+        ci, cj = changed
+        if not (0 <= ci < n and 0 <= cj < n) or ci == cj:
+            raise ValueError(f"changed pair {changed!r} is not an off-diagonal pair of {n} variables")
     if queue_order == SHUFFLED and rng is None:
         rng = random.Random(seed)
 
     calc = net.calculus
     work = net.copy()
-    n = len(work.var_names)
     cells = work.cells
     conv = calc.converse_mask
     comp = calc.compose_masks
@@ -93,37 +116,57 @@ def a_closure(
             names = (work.var_names[pair[0]], work.var_names[pair[1]])
         return ClosureOutcome(status, work, revisions, pops, names)
 
-    # pre-existing empty cells are already an inconsistency
-    for i in range(n):
-        for j in range(n):
-            if i != j and cells[i * n + j] == 0:
-                return outcome(ClosureStatus.INCONSISTENT, (i, j))
-
-    # Strong 2-consistency: intersect each cell with the converse of its
-    # mirror, repeated to fixpoint (a single sweep suffices only when the
-    # converse is an involutive permutation).
-    changed = True
-    while changed:
-        changed = False
+    if changed is None:
+        # pre-existing empty cells are already an inconsistency
         for i in range(n):
-            base = i * n
             for j in range(n):
-                if i == j:
-                    continue
-                tight = cells[base + j] & conv(cells[j * n + i])
-                if tight != cells[base + j]:
+                if i != j and cells[i * n + j] == 0:
+                    return outcome(ClosureStatus.INCONSISTENT, (i, j))
+
+        # Strong 2-consistency: intersect each cell with the converse of its
+        # mirror, repeated to fixpoint (a single sweep suffices only when the
+        # converse is an involutive permutation).
+        tightened = True
+        while tightened:
+            tightened = False
+            for i in range(n):
+                base = i * n
+                for j in range(n):
+                    if i == j:
+                        continue
+                    tight = cells[base + j] & conv(cells[j * n + i])
+                    if tight != cells[base + j]:
+                        if tight == 0:
+                            return outcome(ClosureStatus.INCONSISTENT, (i, j))
+                        cells[base + j] = tight
+                        revisions += 1
+                        tightened = True
+    else:
+        # every other pair is still closed: check and 2-tighten this one only
+        changed_pairs = ((ci, cj), (cj, ci))
+        for i, j in changed_pairs:
+            if cells[i * n + j] == 0:
+                return outcome(ClosureStatus.INCONSISTENT, (i, j))
+        tightened = True
+        while tightened:
+            tightened = False
+            for i, j in changed_pairs:
+                tight = cells[i * n + j] & conv(cells[j * n + i])
+                if tight != cells[i * n + j]:
                     if tight == 0:
                         return outcome(ClosureStatus.INCONSISTENT, (i, j))
-                    cells[base + j] = tight
+                    cells[i * n + j] = tight
                     revisions += 1
-                    changed = True
+                    tightened = True
 
     # Under R7 every cell now equals the converse of its mirror and each
     # revision below keeps it so: the worklist holds unordered pairs.
     unordered = calc.flags.ra7_holds
     derive = unordered and calc.flags.ra9_holds
 
-    if unordered:
+    if changed is not None:
+        seed_pairs = [(min(changed), max(changed))] if unordered else list(changed_pairs)
+    elif unordered:
         seed_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     else:
         seed_pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
@@ -176,7 +219,14 @@ def a_closure(
         old_ji = cells[ji]
         rp = old_ji & comp(cells[j * n + k], cells[k * n + i])
         r &= conv(rp)
-        rp &= conv(r)
+        tight = rp & conv(r)
+        # without R7 one exchange need not leave the pair 2-consistent:
+        # repeat while it still tightens C[j][i]
+        while not unordered and tight != rp:
+            rp = tight
+            r &= conv(rp)
+            tight = rp & conv(r)
+        rp = tight
         updated = False
         if rp != old_ji:
             if rp == 0:
@@ -193,6 +243,16 @@ def a_closure(
             updated = True
             cells[ij] = r
         return updated, None
+
+    if changed is not None and not unordered:
+        # the pair may have been loosened (see the module docstring), so it
+        # can violate triangles whose other sides did not change; both its
+        # directions are queued already
+        for k in range(n):
+            if k != ci and k != cj:
+                _, empty = do_revise(ci, cj, k)
+                if empty is not None:
+                    return outcome(ClosureStatus.INCONSISTENT, empty)
 
     while queue:
         p = take()

@@ -243,6 +243,7 @@ def parse_spec(source: str) -> CalculusSpec:
     """Parse a calculus spec file into a validated :class:`CalculusSpec`."""
     name: Optional[str] = None
     symbols: list[str] = []
+    symbol_set: set[str] = set()  # membership tests; ``symbols`` keeps the order
     identity: Optional[list[str]] = None
     have_identity_clause = False
     converse: dict[str, tuple[str, ...]] = {}
@@ -250,7 +251,7 @@ def parse_spec(source: str) -> CalculusSpec:
     section: Optional[str] = None
 
     def known(sym: str, lineno: int) -> str:
-        if sym not in symbols:
+        if sym not in symbol_set:
             raise SpecParseError(f"unknown symbol {sym!r}", lineno)
         return sym
 
@@ -279,9 +280,10 @@ def parse_spec(source: str) -> CalculusSpec:
                     raise SpecParseError(
                         f"symbol {s!r} collides with a directive keyword", lineno
                     )
-                if s in symbols:
+                if s in symbol_set:
                     raise SpecParseError(f"duplicate symbol {s!r}", lineno)
                 symbols.append(s)
+                symbol_set.add(s)
         elif head == "identity":
             if not symbols:
                 raise SpecParseError("identity clause before relations clause", lineno)

@@ -10,6 +10,13 @@ yields ``closed_unknown``; an exhausted search yields ``inconsistent``.
 Branching picks the smallest non-singleton cell first (ties by lowest pair
 index) and tries base relations in declaration order, so node counts are
 reproducible.
+
+Only the root is closed from all pairs.  A child differs from its closed
+parent in the split pair alone, so its closure is seeded with that pair
+(``a_closure(..., changed=(i, j))``, as in GQR) and reaches the same
+fixpoint in work proportional to what the split actually propagates.  The
+search runs on an explicit stack of open nodes, one frame per level, so
+its depth is not bounded by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -38,9 +45,6 @@ class Decision:
     nodes_explored: int
 
 
-_UNKNOWN_LEAF = object()
-
-
 def _pick_cell(net: ConstraintNetwork) -> Optional[tuple[int, int]]:
     n = len(net.var_names)
     best: Optional[tuple[int, int]] = None
@@ -62,40 +66,37 @@ def decide(net: ConstraintNetwork, acl_decides_atomic: Optional[bool] = None) ->
     calc = net.calculus
     if acl_decides_atomic is None:
         acl_decides_atomic = calc.flags.acl_decides_atomic
-    nodes = 0
-
-    def search(current: ConstraintNetwork):
-        nonlocal nodes
+    conv = calc.converse_mask
+    n = len(net.var_names)
+    nodes = 1
+    out = a_closure(net)
+    # one frame per open node: its closed network, the cell being split and
+    # the base relations of that cell not tried yet
+    stack: list[list] = []
+    while True:
+        if out.closed:
+            closed = out.network
+            cell = _pick_cell(closed)
+            if cell is None:
+                if acl_decides_atomic:
+                    return Decision(Verdict.CONSISTENT, closed, nodes)
+                return Decision(Verdict.CLOSED_UNKNOWN, None, nodes)
+            i, j = cell
+            stack.append([closed, i, j, closed.cells[i * n + j]])
+        while stack and not stack[-1][3]:
+            stack.pop()
+        if not stack:
+            return Decision(Verdict.INCONSISTENT, None, nodes)
+        frame = stack[-1]
+        closed, i, j, untried = frame
+        bit = untried & -untried
+        frame[3] = untried ^ bit
+        # a_closure copies its input: split the open node's network in place;
+        # only pair (i, j) changed since it was closed
+        closed.cells[i * n + j] = bit
+        closed.cells[j * n + i] = conv(bit)
         nodes += 1
-        out = a_closure(current)
-        if not out.closed:
-            return None
-        closed = out.network
-        cell = _pick_cell(closed)
-        if cell is None:
-            return closed if acl_decides_atomic else _UNKNOWN_LEAF
-        i, j = cell
-        n = len(closed.var_names)
-        mask = closed.cells[i * n + j]
-        conv = calc.converse_mask
-        bit = 1
-        while bit <= mask:
-            if mask & bit:
-                # a_closure copies its input: split this node's network in place
-                closed.cells[i * n + j] = bit
-                closed.cells[j * n + i] = conv(bit)
-                found = search(closed)
-                if found is not None:
-                    return found
-            bit <<= 1
-        return None
-
-    result = search(net)
-    if result is None:
-        return Decision(Verdict.INCONSISTENT, None, nodes)
-    if result is _UNKNOWN_LEAF:
-        return Decision(Verdict.CLOSED_UNKNOWN, None, nodes)
-    return Decision(Verdict.CONSISTENT, result, nodes)
+        out = a_closure(closed, changed=(i, j))
 
 
 @dataclass

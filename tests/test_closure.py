@@ -197,3 +197,82 @@ def test_closure_counts_pops_and_revisions():
     out = a_closure(net)
     assert out.queue_pops >= 3
     assert out.revisions == 1
+
+
+@pytest.mark.parametrize("changed", [(0, 0), (2, 2), (0, 3), (-1, 1), (1, 7)])
+def test_changed_pair_must_be_an_off_diagonal_pair(changed):
+    net = pc1_net(("A", "<", "B"), ("B", "<", "C"))
+    with pytest.raises(ValueError):
+        a_closure(net, changed=changed)
+
+
+def test_incremental_closure_matches_reference_on_split_networks(random_calculus):
+    # split a closed network down to a leaf, closing each level with
+    # ``changed=`` from the level above; every level must equal the naive
+    # closure of the split network from scratch.  Random calculi cover the
+    # ordered-pair path, where a split's mirror cell can be looser than the
+    # cell it replaces.
+    import random as _random
+
+    rng = _random.Random(4242)
+    calcs = [builtin(name) for name in
+             ("pc1", "rcc5", "cycb", "appendixB1", "appendixB2", "appendixB-remark")]
+    calcs += [random_calculus(rng, rng.choice((3, 4, 9, 10)), f"rand{t}") for t in range(40)]
+    levels = 0
+    for calc in calcs:
+        for seed in range(8):
+            n = rng.choice((4, 5, 6))
+            out = a_closure(random_network(calc, n, rng.choice((0.4, 0.8, 1.0)), seed=seed))
+            while out.closed:
+                closed = out.network
+                # split as decide does: pairs i < j, each split makes one atomic
+                open_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                              if closed.cells[i * n + j].bit_count() > 1]
+                if not open_pairs:
+                    break
+                i, j = rng.choice(open_pairs)
+                mask = closed.cells[i * n + j]
+                bit = rng.choice([1 << b for b in range(mask.bit_length()) if mask >> b & 1])
+                split = closed.copy()
+                split.cells[i * n + j] = bit
+                split.cells[j * n + i] = calc.converse_mask(bit)
+                ref = naive_closure(split)
+                for order in ("fifo", "lifo", "shuffled"):
+                    got = a_closure(split, queue_order=order, seed=seed, changed=(i, j))
+                    assert got.status == ref.status, (calc.name, seed, order)
+                    if got.closed:
+                        assert got.network.cells == ref.network.cells, (calc.name, seed, order)
+                assert split.cells[i * n + j] == bit  # input untouched
+                levels += 1
+                out = got
+    assert levels > 500
+
+
+def test_revised_pair_is_left_2_consistent_without_involutive_converse():
+    # conv(conv(s0)) = {s0, s1, s2}: one exchange of converses between C[i][j]
+    # and C[j][i] after a revision can leave the pair not 2-consistent.  The
+    # incremental closure has no later pops that would repair it, so it must
+    # settle the pair in place; the split below is inconsistent.
+    from qsr.core import CalculusSpec
+    from qsr.network import ConstraintNetwork
+
+    s = ("s0", "s1", "s2")
+    calc = CalculusSpec(
+        "conv-not-involutive", s, None,
+        {"s0": ["s0", "s1"], "s1": ["s2"], "s2": ["s0"]},
+        {("s0", "s0"): ["s1"], ("s0", "s1"): ["s0", "s1"], ("s0", "s2"): ["s0", "s2"],
+         ("s1", "s0"): ["s0", "s1"], ("s1", "s1"): ["s2"], ("s1", "s2"): ["s0", "s2"],
+         ("s2", "s0"): ["s1", "s2"], ("s2", "s1"): ["s1"], ("s2", "s2"): ["s2"]},
+    )
+    closed = ConstraintNetwork(calc, ["x", "y", "z"])
+    closed.cells[:] = [7, 5, 7, 3, 7, 7, 7, 7, 7]
+    assert naive_closure(closed).network.cells == closed.cells
+    split = closed.copy()
+    split.cells[1 * 3 + 2] = 1
+    split.cells[2 * 3 + 1] = calc.converse_mask(1)
+    ref = naive_closure(split)
+    assert ref.status is ClosureStatus.INCONSISTENT
+    for order in ("fifo", "lifo", "shuffled"):
+        for changed in ((1, 2), None):
+            got = a_closure(split, queue_order=order, seed=0, changed=changed)
+            assert got.status is ClosureStatus.INCONSISTENT, (order, changed)

@@ -1,8 +1,11 @@
 """Refinement search: verdicts, witnesses, completeness metadata."""
 
+import random
+
 import pytest
 
 from qsr import (
+    ConstraintNetwork,
     Verdict,
     a_closure,
     brute_force_solve,
@@ -10,6 +13,7 @@ from qsr import (
     builtin_model,
     decide,
     derive_completeness,
+    naive_closure,
     normalize,
     random_network,
 )
@@ -174,3 +178,106 @@ def test_decide_agrees_with_brute_force_on_small_networks():
         verdict = decide(net, acl_decides_atomic=derived.flag == "yes").verdict
         assert verdict in (Verdict.CONSISTENT, Verdict.INCONSISTENT)
         assert (verdict is Verdict.CONSISTENT) == has_solution
+
+
+def _reference_decide(net, acl_decides_atomic):
+    """Recursive search with decide's cell choice and bit order that closes
+    every node from scratch with ``naive_closure``."""
+    calc = net.calculus
+    n = len(net.var_names)
+    nodes = 0
+
+    def search(current):
+        nonlocal nodes
+        nodes += 1
+        out = naive_closure(current)
+        if not out.closed:
+            return None
+        closed = out.network
+        open_cells = [(closed.cells[i * n + j].bit_count(), i, j)
+                      for i in range(n) for j in range(i + 1, n)
+                      if closed.cells[i * n + j].bit_count() > 1]
+        if not open_cells:
+            return closed if acl_decides_atomic else "unknown"
+        _, i, j = min(open_cells)
+        mask = closed.cells[i * n + j]
+        for b in range(mask.bit_length()):
+            if mask >> b & 1:
+                child = closed.copy()
+                child.cells[i * n + j] = 1 << b
+                child.cells[j * n + i] = calc.converse_mask(1 << b)
+                found = search(child)
+                if found is not None:
+                    return found
+        return None
+
+    found = search(net)
+    if found is None:
+        return Verdict.INCONSISTENT, None, nodes
+    if found == "unknown":
+        return Verdict.CLOSED_UNKNOWN, None, nodes
+    return Verdict.CONSISTENT, found.cells, nodes
+
+
+def test_decide_matches_a_search_that_closes_every_node_from_scratch(random_calculus):
+    # appendixB1 (converse not involutive) seeds ordered pairs and can loosen
+    # a split's mirror cell, appendixB2 (R9 fails) takes the cross-tightening
+    # branch, the random 9- and 10-relation calculi take the large path
+    rng = random.Random(90125)
+    calcs = [builtin(name) for name in
+             ("pc1", "rcc5", "cycb", "appendixB1", "appendixB2", "appendixB-remark")]
+    calcs += [random_calculus(rng, rng.choice((9, 10)), f"rand{t}") for t in range(16)]
+    searched = 0
+    for calc in calcs:
+        # random tables make wide search trees: keep their networks small
+        sizes = (4,) if calc.name.startswith("rand") else (5, 6, 7)
+        for seed in range(12):
+            net = random_network(calc, rng.choice(sizes), rng.choice((0.3, 0.6, 1.0)), seed=seed)
+            for acl in (True, False):
+                want = _reference_decide(net, acl)
+                got = decide(net, acl_decides_atomic=acl)
+                witness = got.witness.cells if got.witness is not None else None
+                assert (got.verdict, witness, got.nodes_explored) == want, (calc.name, seed, acl)
+                searched += want[2] > 1
+    assert searched > 100
+
+
+def test_child_closures_pop_only_what_the_split_propagates(monkeypatch):
+    # each child closure starts from the split pair alone, so every pop past
+    # that pair (two ordered pairs without R7) is paid for by a revision;
+    # re-seeding all O(n^2) pairs per node breaks this bound
+    import qsr.search
+
+    calls = []
+    orig = qsr.search.a_closure
+
+    def recording(net, *args, **kwargs):
+        out = orig(net, *args, **kwargs)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(qsr.search, "a_closure", recording)
+    children = 0
+    for name in ("rcc5", "appendixB1"):
+        calc = builtin(name)
+        for seed in range(12):
+            calls.clear()
+            decide(random_network(calc, 8, 0.5, seed=seed))
+            for out in calls[1:]:
+                assert out.queue_pops <= 2 + 2 * out.revisions, (name, seed)
+            children += len(calls) - 1
+    assert children > 50
+
+
+def test_deep_search_has_no_recursion_limit():
+    # 1,770 split levels on a complete 60-variable network
+    n = 60
+    net = ConstraintNetwork(rcc5, [f"x{i}" for i in range(n)])
+    label = rcc5.mask_of(("DC", "PO"))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                net.cells[i * n + j] = label
+    decision = decide(net)
+    assert decision.verdict is Verdict.CONSISTENT
+    assert decision.nodes_explored == 1771
