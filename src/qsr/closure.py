@@ -20,6 +20,21 @@ calculus's tables (``calc.flags``) steer how a revision fills them:
   cross-tightens each direction with the converse of the other; optimized
   reasoners that skip this produce wrong closures on such calculi.
 
+Under R7 and R9 each popped pair (i, j) is revised in one fused pass with
+no call per triangle.  C[i][j] and C[j][i] do not change while their pair
+is revised, so their composition rows (``CalculusSpec.compose_row``) are
+read once per pop, and for every third variable k the pass does
+
+    C[i][k] <- C[i][k] & row_ij[C[j][k]]
+    C[j][k] <- C[j][k] & row_ji[C[i][k]]
+
+The second line is the converse of C[k][j] <- C[k][j] & C[k][i].C[i][j]:
+converse is a permutation, so it distributes over &, and R9 turns
+conv(C[k][i].C[i][j]) into C[j][i].C[i][k], since every cell is the
+converse of its mirror.  It tightens the same cells in the same order as
+that revision, so revisions, queue pops and reported pairs are unchanged.
+The other branches revise through one general routine.
+
 Inconsistency (an empty cell) is an outcome, not an exception: the result
 carries the offending pair.
 
@@ -107,6 +122,7 @@ def a_closure(
     cells = work.cells
     conv = calc.converse_mask
     comp = calc.compose_masks
+    comp_row = calc.compose_row
     revisions = 0
     pops = 0
 
@@ -199,23 +215,13 @@ def a_closure(
                     queue.append(p)
 
     def do_revise(i: int, j: int, k: int) -> tuple[bool, Optional[tuple[int, int]]]:
+        # the safe branches: refine C[j][i] on its own and cross-tighten
+        # both directions
         nonlocal revisions
         ij = i * n + j
         ji = j * n + i
         old_ij = cells[ij]
         r = old_ij & comp(cells[i * n + k], cells[k * n + j])
-        if derive:
-            # R7 and R9: conv(C[i][k] . C[k][j]) = C[j][k] . C[k][i], so
-            # C[j][i] follows from C[i][j] by converse
-            if r == old_ij:
-                return False, None
-            if r == 0:
-                return False, (i, j)
-            revisions += 1
-            cells[ij] = r
-            cells[ji] = conv(r)
-            return True, None
-        # refine C[j][i] on its own and cross-tighten both directions
         old_ji = cells[ji]
         rp = old_ji & comp(cells[j * n + k], cells[k * n + i])
         r &= conv(rp)
@@ -259,6 +265,38 @@ def a_closure(
         in_queue.discard(p)
         i, j = p
         pops += 1
+        if derive:
+            # the fused pass: C[i][j] does not change while its pair is
+            # revised, so both composition rows are read once per pop
+            bi = i * n
+            bj = j * n
+            row_ij = comp_row(cells[bi + j])
+            row_ji = comp_row(cells[bj + i])
+            for k in range(n):
+                if k == i or k == j:
+                    continue
+                c_ik = cells[bi + k]
+                c_jk = cells[bj + k]
+                # C[i][k] <- C[i][k] & C[i][j].C[j][k]
+                r = c_ik & row_ij[c_jk]
+                if r != c_ik:
+                    if r == 0:
+                        return outcome(ClosureStatus.INCONSISTENT, (i, k))
+                    revisions += 1
+                    cells[bi + k] = c_ik = r
+                    cells[k * n + i] = conv(r)
+                    enqueue(i, k)
+                # C[j][k] <- C[j][k] & C[j][i].C[i][k], the converse of
+                # C[k][j] <- C[k][j] & C[k][i].C[i][j]
+                r = c_jk & row_ji[c_ik]
+                if r != c_jk:
+                    if r == 0:
+                        return outcome(ClosureStatus.INCONSISTENT, (k, j))
+                    revisions += 1
+                    cells[bj + k] = r
+                    cells[k * n + j] = conv(r)
+                    enqueue(k, j)
+            continue
         for k in range(n):
             if k == i or k == j:
                 continue

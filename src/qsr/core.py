@@ -194,6 +194,23 @@ class CalculusSpec:
                 return self._compose_large(a, b)
         return full[a][b]
 
+    def compose_row(self, a: int) -> list[int] | dict[int, int]:
+        """The composition row of ``a``: ``row[b] == compose_masks(a, b)`` for every mask ``b``.
+
+        For |Rel| <= 8 this is the row of the dense composite table, built on
+        first use as ``compose_masks`` builds it.  For larger calculi it is a
+        fresh dict that calls ``compose_masks(a, b)`` on the first read of
+        each ``b`` and keeps the result, so a caller that reads many cells of
+        one row pays one call per distinct right argument.
+        """
+        full = self._comp_full
+        if full is None:
+            if len(self.symbols) <= _FULL_COMP_LIMIT:
+                full = self._build_comp_full()
+            else:
+                return _ComposeRow(self, a)
+        return full[a]
+
     def complement_mask(self, mask: int) -> int:
         return self.universal & ~mask
 
@@ -311,6 +328,21 @@ class CalculusSpec:
 
     def __setstate__(self, state) -> None:
         self.__init__(**state)
+
+
+class _ComposeRow(dict):
+    """A lazily filled composition row of a large calculus (see ``compose_row``)."""
+
+    __slots__ = ("_spec", "_a")
+
+    def __init__(self, spec: CalculusSpec, a: int) -> None:
+        super().__init__()
+        self._spec = spec
+        self._a = a
+
+    def __missing__(self, b: int) -> int:
+        out = self[b] = self._spec.compose_masks(self._a, b)
+        return out
 
 
 class RelationSet:

@@ -319,6 +319,8 @@ def random_network(
     a constraint; the rest stay universal.  ``label_size`` selects the label
     distribution: ``"uniform"`` draws uniformly among non-empty proper
     composite relations, ``"singletons"`` draws a single base relation.
+    A one-relation calculus has no uniform label to draw: asking for one
+    raises ``NetworkError``.
     """
     if n_vars < 2:
         raise NetworkError("random networks need at least 2 variables")
@@ -337,6 +339,10 @@ def random_network(
     n = n_vars
     u = calculus.universal
     nsyms = len(calculus.symbols)
+    if label_size == "uniform" and nsyms == 1 and chosen:
+        raise NetworkError(
+            f"calculus {calculus.name!r} has a single base relation: no label is non-empty and proper"
+        )
     for i, j in sorted(chosen):
         if label_size == "singletons":
             mask = 1 << rng.randrange(nsyms)

@@ -47,12 +47,18 @@ class Decision:
 
 def _pick_cell(net: ConstraintNetwork) -> Optional[tuple[int, int]]:
     n = len(net.var_names)
+    cells = net.cells
     best: Optional[tuple[int, int]] = None
     best_size = 0
     for i in range(n):
+        base = i * n
         for j in range(i + 1, n):
-            size = net.cells[i * n + j].bit_count()
+            size = cells[base + j].bit_count()
             if size > 1 and (best is None or size < best_size):
+                if size == 2:
+                    # no non-singleton cell is smaller, and ties go to the
+                    # lowest pair index: the scan can stop here
+                    return i, j
                 best, best_size = (i, j), size
     return best
 

@@ -24,6 +24,41 @@ def _draw_calculus(rng, n_syms, name):
     return CalculusSpec(name, syms, ident, conv, comp)
 
 
+def _cyclic_group(n):
+    # Z_n as a calculus: i.j = i + j, conv(i) = -i; an RA, so R7 and R9 hold
+    syms = [f"z{i}" for i in range(n)]
+    conv = {syms[i]: [syms[-i % n]] for i in range(n)}
+    comp = {(syms[i], syms[j]): [syms[(i + j) % n]] for i in range(n) for j in range(n)}
+    return CalculusSpec(f"Z{n}", syms, [syms[0]], conv, comp)
+
+
+def _dihedral_group(m):
+    # D_m, the 2m symmetries of a regular m-gon, as a calculus: a group
+    # relation algebra like Z_n, but not commutative
+    elems = [(k, f) for f in (0, 1) for k in range(m)]
+    syms = [f"{'s' if f else 'r'}{k}" for k, f in elems]
+    name = dict(zip(elems, syms))
+
+    def mul(x, y):
+        return ((x[0] + (-y[0] if x[1] else y[0])) % m, x[1] ^ y[1])
+
+    conv = {name[x]: [name[(-x[0] % m, 0) if not x[1] else x]] for x in elems}
+    comp = {(name[x], name[y]): [name[mul(x, y)]] for x in elems for y in elems}
+    return CalculusSpec(f"D{m}", syms, [name[(0, 0)]], conv, comp)
+
+
+@pytest.fixture
+def cyclic_group():
+    """``cyclic_group(n)`` builds Z_n, a relation algebra with n base relations."""
+    return _cyclic_group
+
+
+@pytest.fixture
+def dihedral_group():
+    """``dihedral_group(m)`` builds D_m, a non-commutative relation algebra with 2m base relations."""
+    return _dihedral_group
+
+
 @pytest.fixture
 def random_calculus():
     """``random_calculus(rng, n_syms, name)`` draws a calculus with random tables."""

@@ -163,6 +163,15 @@ def test_gen_deterministic_and_loadable(capsys):
     assert len(net.var_names) == 6
 
 
+def test_gen_on_one_relation_calculus_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "one.spec"
+    path.write_text('calculus "one"\nrelations e\nidentity e\nconverse\ne (e)\ncomposition\ne e (e)\n')
+    code, out, err = run(capsys, "gen", "--spec", str(path), "--vars", "3", "--density", "1.0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "single base relation" in err
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "closure", "--builtin", "nope", "--network", "x.net")
     assert code == 2

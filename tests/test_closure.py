@@ -276,3 +276,102 @@ def test_revised_pair_is_left_2_consistent_without_involutive_converse():
         for changed in ((1, 2), None):
             got = a_closure(split, queue_order=order, seed=0, changed=changed)
             assert got.status is ClosureStatus.INCONSISTENT, (order, changed)
+
+
+def test_fused_pass_matches_reference_on_large_relation_algebras(cyclic_group, dihedral_group):
+    # Z9, Z10 and D5 satisfy R7 and R9 with more than 8 base relations, so
+    # the fused pass reads the lazy composition rows of the large path (D5
+    # is not commutative, so argument order matters there).  Every
+    # network and every level of a split chain closed with ``changed=`` must
+    # equal the naive closure, in all three queue orders.
+    import random as _random
+
+    from qsr.network import ConstraintNetwork
+
+    rng = _random.Random(9090)
+    statuses = set()
+    levels = 0
+    for calc in (cyclic_group(9), cyclic_group(10), dihedral_group(5)):
+        assert calc.flags.ra7_holds and calc.flags.ra9_holds
+        for seed in range(100):
+            n = rng.randint(3, 8)
+            net = ConstraintNetwork(calc, [f"x{k}" for k in range(n)])
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < 0.6:
+                        mask = 0
+                        for _ in range(rng.randint(1, 4)):
+                            mask |= 1 << rng.randrange(len(calc))
+                        net.cells[i * n + j] = mask
+                        net.cells[j * n + i] = calc.converse_mask(mask)
+            ref = naive_closure(net)
+            statuses.add(ref.status)
+            for order in ("fifo", "lifo", "shuffled"):
+                got = a_closure(net, queue_order=order, seed=seed)
+                assert got.status == ref.status, (calc.name, seed, order)
+                if got.closed:
+                    assert got.network.cells == ref.network.cells, (calc.name, seed, order)
+            out = ref
+            while out.closed:
+                closed = out.network
+                open_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                              if closed.cells[i * n + j].bit_count() > 1]
+                if not open_pairs:
+                    break
+                i, j = rng.choice(open_pairs)
+                mask = closed.cells[i * n + j]
+                bit = rng.choice([1 << b for b in range(mask.bit_length()) if mask >> b & 1])
+                split = closed.copy()
+                split.cells[i * n + j] = bit
+                split.cells[j * n + i] = calc.converse_mask(bit)
+                out = naive_closure(split)
+                statuses.add(out.status)
+                for order in ("fifo", "lifo", "shuffled"):
+                    got = a_closure(split, queue_order=order, seed=seed, changed=(i, j))
+                    assert got.status == out.status, (calc.name, seed, order)
+                    if got.closed:
+                        assert got.network.cells == out.network.cells, (calc.name, seed, order)
+                levels += 1
+    assert statuses == {ClosureStatus.CLOSED, ClosureStatus.INCONSISTENT}
+    assert levels > 100
+
+
+def test_closure_work_counts_are_pinned():
+    # queue pops, revisions and the reported empty pair of a seeded batch,
+    # as recorded before the R7/R9 branch was fused into one loop per pop: a
+    # kernel change must not silently change the work done or the pair named.
+    # sym3 has R7 and R9 but is no relation algebra (the cycle law fails),
+    # so there the second revision of a triangle can be the one that empties
+    # a cell; in rcc5 and pc1 the first one always does.
+    from qsr.core import CalculusSpec
+
+    syms = ("a", "b", "c")
+    comp = {("a", "a"): ["b"], ("a", "b"): ["a", "c"], ("a", "c"): syms,
+            ("b", "b"): syms, ("b", "c"): syms, ("c", "c"): ["a"]}
+    comp.update({(y, x): v for (x, y), v in list(comp.items())})
+    sym3 = CalculusSpec("sym3", syms, None, {s: [s] for s in syms}, comp)
+    assert sym3.flags.ra7_holds and sym3.flags.ra9_holds
+    pops = revisions = 0
+    empties = []
+    for calc in (builtin("rcc5"), builtin("pc1"), sym3):
+        for seed in range(12):
+            net = random_network(calc, 6 + seed % 8, (0.3, 0.6, 0.9)[seed % 3], seed=seed)
+            for order in ("fifo", "lifo", "shuffled"):
+                out = a_closure(net, queue_order=order, seed=seed)
+                pops += out.queue_pops
+                revisions += out.revisions
+                empties.append("-".join(out.empty_pair) if out.empty_pair else ".")
+    assert (pops, revisions) == (1583, 513)
+    assert " ".join(empties) == (
+        # rcc5
+        ". . . x0-x5 x2-x0 x0-x5 x1-x5 x5-x2 x5-x2 . . . x3-x8 x4-x3 x3-x4 "
+        "x1-x7 x8-x2 x6-x8 . . . x0-x7 x9-x5 x0-x3 x2-x4 x3-x2 x4-x2 . . . "
+        # pc1
+        ". . . x0-x3 x6-x1 x1-x5 . . . x0-x4 x4-x2 x4-x2 x0-x2 x6-x1 x6-x1 "
+        ". . . x0-x9 x6-x2 x2-x9 x0-x4 x8-x2 x4-x5 x0-x5 x10-x0 x0-x5 x0-x5 "
+        "x10-x0 x5-x0 x1-x2 x3-x2 x1-x4 . . . x0-x4 x6-x2 x3-x2 x0-x3 x7-x2 x4-x8 "
+        # sym3
+        ". . . x5-x2 x1-x0 x2-x5 x5-x2 x6-x5 x6-x5 . . . x1-x7 x7-x1 x1-x7 "
+        "x0-x4 x8-x5 x4-x9 . . . x0-x10 x0-x12 x5-x9 x3-x1 x2-x1 x0-x1 . . . "
+        ". . . x3-x1 x6-x8 x6-x8"
+    )

@@ -121,30 +121,22 @@ def _random_tables(rng, n_syms):
     return syms, conv, comp
 
 
-def _cyclic_group(n):
-    # Z_n as a calculus: i.j = i + j, conv(i) = -i; an RA, so R7 and R9 hold
-    syms = [f"z{i}" for i in range(n)]
-    conv = {syms[i]: [syms[-i % n]] for i in range(n)}
-    comp = {(syms[i], syms[j]): [syms[(i + j) % n]] for i in range(n) for j in range(n)}
-    return CalculusSpec(f"Z{n}", syms, [syms[0]], conv, comp)
-
-
-def test_compute_ra9_leaves_the_composition_cache_empty():
+def test_compute_ra9_leaves_the_composition_cache_empty(cyclic_group):
     from qsr.core import compute_ra9
 
-    spec = _cyclic_group(12)
+    spec = cyclic_group(12)
     assert compute_ra9(spec) is True
     assert spec.flags.ra9_holds is True
     assert spec._comp_cache == {}
 
 
-def test_compute_ra9_matches_the_axiom_check():
+def test_compute_ra9_matches_the_axiom_check(cyclic_group):
     import random
 
     from qsr import BUILTIN_NAMES, check_axiom
     from qsr.core import compute_ra7, compute_ra9
 
-    specs = [builtin(name) for name in BUILTIN_NAMES] + [_cyclic_group(9), _cyclic_group(10)]
+    specs = [builtin(name) for name in BUILTIN_NAMES] + [cyclic_group(9), cyclic_group(10)]
     rng = random.Random(20261018)
     for trial in range(120):
         syms, conv, comp = _random_tables(rng, rng.randint(2, 10))
@@ -173,3 +165,26 @@ def test_public_names_resolve_once():
     assert len(qsr.__all__) == len(set(qsr.__all__))
     for name in qsr.__all__:
         assert getattr(qsr, name) is not None, name
+
+
+def test_compose_row_reads_as_compose_masks(cyclic_group, dihedral_group):
+    import random
+
+    from qsr import BUILTIN_NAMES
+
+    for name in BUILTIN_NAMES:
+        spec = builtin(name)
+        for a in range(spec.universal + 1):
+            row = spec.compose_row(a)
+            assert all(row[b] == spec.compose_masks(a, b) for b in range(spec.universal + 1)), (name, a)
+    rng = random.Random(5)
+    for spec in (cyclic_group(9), cyclic_group(10), dihedral_group(5)):
+        masks = [0, spec.universal] + [1 << k for k in range(len(spec))]
+        masks += [rng.randrange(spec.universal + 1) for _ in range(40)]
+        for a in masks:
+            row = spec.compose_row(a)
+            # a fresh row per call, filled only by reads
+            assert row is not spec.compose_row(a) and len(row) == 0
+            for b in masks + masks:
+                assert row[b] == spec.compose_masks(a, b), (spec.name, a, b)
+        assert spec._comp_full is None

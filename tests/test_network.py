@@ -194,3 +194,14 @@ def test_random_network_parameter_validation():
         random_network(pc1, 4, 1.5)
     with pytest.raises(NetworkError):
         random_network(pc1, 4, 0.5, label_size="gaussian")
+
+
+def test_random_network_rejects_uniform_labels_on_one_relation_calculus():
+    from qsr.core import CalculusSpec
+
+    one = CalculusSpec("one", ["e"], ["e"], {"e": ["e"]}, {("e", "e"): ["e"]})
+    with pytest.raises(NetworkError, match="single base relation"):
+        random_network(one, 3, 1.0, seed=1)
+    # nothing to draw: no constrained pair, or singleton labels
+    assert random_network(one, 3, 0.0, seed=1).cells == [1] * 9
+    assert random_network(one, 3, 1.0, label_size="singletons", seed=1).cells == [1] * 9
