@@ -28,11 +28,6 @@ from .core import (
     CalculusSpec,
     RelationSet,
     UnknownSymbolError,
-    complement,
-    compose,
-    converse,
-    intersect,
-    union,
 )
 from .models import (
     BudgetExceededError,
@@ -116,14 +111,10 @@ __all__ = [
     "check_seriality",
     "classify",
     "classify_operation",
-    "complement",
-    "compose",
-    "converse",
     "decide",
     "derive_completeness",
     "domain_compose",
     "domain_converse",
-    "intersect",
     "load_model",
     "load_network",
     "load_spec",
@@ -136,6 +127,5 @@ __all__ = [
     "random_network",
     "satisfies",
     "serialize",
-    "union",
     "validate",
 ]

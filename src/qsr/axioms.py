@@ -255,17 +255,21 @@ _AXIOMS: dict[str, _Axiom] = {
 }
 
 
-def _side_of(axiom_id: str) -> tuple[str, Optional[str]]:
-    """Split 'R4⊆' into ('R4', '⊆'); PL uses '-right'/'-left'."""
+def _axiom_of(axiom_id: str) -> tuple[_Axiom, Optional[str]]:
+    """Look up 'R4⊆' as (R4, '⊆'); PL uses '-right'/'-left'."""
+    base, side = axiom_id, None
     if axiom_id.endswith(SUB):
-        return axiom_id[:-1], SUB
-    if axiom_id.endswith(SUP):
-        return axiom_id[:-1], SUP
-    if axiom_id == "PL-right":
-        return "PL", "right"
-    if axiom_id == "PL-left":
-        return "PL", "left"
-    return axiom_id, None
+        base, side = axiom_id[:-1], SUB
+    elif axiom_id.endswith(SUP):
+        base, side = axiom_id[:-1], SUP
+    elif axiom_id == "PL-right":
+        base, side = "PL", "right"
+    elif axiom_id == "PL-left":
+        base, side = "PL", "left"
+    try:
+        return _AXIOMS[base], side
+    except KeyError:
+        raise CalculusError(f"unknown axiom {axiom_id!r}") from None
 
 
 def _evaluator_and_test(
@@ -293,11 +297,7 @@ def _base_tuples(n: int, arity: int) -> Iterable[tuple[int, ...]]:
 
 def check_axiom(spec: CalculusSpec, axiom_id: str) -> AxiomRecord:
     """Evaluate one axiom (or one side, e.g. ``"R9⊆"``) over all base tuples."""
-    base, side = _side_of(axiom_id)
-    try:
-        ax = _AXIOMS[base]
-    except KeyError:
-        raise CalculusError(f"unknown axiom {axiom_id!r}") from None
+    ax, side = _axiom_of(axiom_id)
     if ax.needs_id and spec.identity_mask is None:
         return AxiomRecord(axiom_id, holds=None, violations=0, universe=0)
 
@@ -389,8 +389,7 @@ def check_axiom_composite(
     tuples when their count stays below ``limit`` (the space has
     2**|Rel| ** arity elements, so this is for small calculi only).
     """
-    base, side = _side_of(axiom_id)
-    ax = _AXIOMS[base]
+    ax, side = _axiom_of(axiom_id)
     if ax.needs_id and spec.identity_mask is None:
         return AxiomRecord(axiom_id, holds=None, violations=0, universe=0)
     size = spec.universal + 1

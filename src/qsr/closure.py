@@ -40,13 +40,15 @@ carries the offending pair.
 
 ``a_closure(net, changed=(i, j))`` is the incremental form used by
 refinement search.  Its precondition: ``net`` is closed except in the cells
-(i, j) and (j, i), which were tightened since (as by a search split).  Only
-those two cells are then checked for emptiness and made 2-consistent, and
-the worklist starts from that pair alone instead of from all O(n^2) pairs.
-Without R7 a split's mirror cell conv(b) need not be tighter than the cell
-it replaced, so there the cells of the pair may hold any relation and the
-pair is first revised against every third variable.  The result equals the
-full closure of ``net``: the greatest fixpoint below a network is unique.
+(i, j) and (j, i), which were only tightened since (as by a search split).
+Only those two cells are then checked for emptiness and made 2-consistent,
+and the worklist starts from that pair alone instead of from all O(n^2)
+pairs.  This holds for every calculus: a triangle that bounds a cell of the
+pair by two unchanged cells still holds after the cell shrank, so only the
+triangles that compose with the pair can fail, and popping it revises
+those.  The result equals the full closure of ``net``: the greatest
+fixpoint below a network is unique.  Full and incremental closure differ
+only in the pairs they start from.
 
 ``naive_closure`` is an independent reference: it iterates the refinement
 rule over all ordered triples and both cell directions, together with the
@@ -56,6 +58,7 @@ greatest fixpoint regardless of worklist discipline.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -101,19 +104,23 @@ def a_closure(
     ``shuffled``); the fixpoint is the same for all of them.
 
     ``changed=(i, j)`` (variable indices, ``i != j``) states that ``net`` is
-    closed except in cells (i, j) and (j, i), which were tightened (or, for
-    a calculus without R7, changed in any way).  The closure then starts
-    from that pair alone.  The precondition is not checked; if it fails,
-    the result need not be closed.  An out-of-range or diagonal pair raises
-    ``ValueError``.
+    closed except in cells (i, j) and (j, i), which were only tightened.
+    The closure then starts from that pair alone.  The precondition is not
+    checked; if it fails, the result need not be closed.  An out-of-range
+    or diagonal pair raises ``ValueError``.
     """
     if queue_order not in (FIFO, LIFO, SHUFFLED):
         raise ValueError(f"unknown queue order {queue_order!r}")
     n = len(net.var_names)
-    if changed is not None:
+    if changed is None:
+        # every ordered off-diagonal pair, row by row
+        pairs = list(itertools.permutations(range(n), 2))
+    else:
         ci, cj = changed
         if not (0 <= ci < n and 0 <= cj < n) or ci == cj:
             raise ValueError(f"changed pair {changed!r} is not an off-diagonal pair of {n} variables")
+        # every other pair is still closed: check and 2-tighten this one only
+        pairs = [(ci, cj), (cj, ci)]
     if queue_order == SHUFFLED and rng is None:
         rng = random.Random(seed)
 
@@ -132,60 +139,33 @@ def a_closure(
             names = (work.var_names[pair[0]], work.var_names[pair[1]])
         return ClosureOutcome(status, work, revisions, pops, names)
 
-    if changed is None:
-        # pre-existing empty cells are already an inconsistency
-        for i in range(n):
-            for j in range(n):
-                if i != j and cells[i * n + j] == 0:
-                    return outcome(ClosureStatus.INCONSISTENT, (i, j))
+    # pre-existing empty cells are already an inconsistency
+    for i, j in pairs:
+        if cells[i * n + j] == 0:
+            return outcome(ClosureStatus.INCONSISTENT, (i, j))
 
-        # Strong 2-consistency: intersect each cell with the converse of its
-        # mirror, repeated to fixpoint (a single sweep suffices only when the
-        # converse is an involutive permutation).
-        tightened = True
-        while tightened:
-            tightened = False
-            for i in range(n):
-                base = i * n
-                for j in range(n):
-                    if i == j:
-                        continue
-                    tight = cells[base + j] & conv(cells[j * n + i])
-                    if tight != cells[base + j]:
-                        if tight == 0:
-                            return outcome(ClosureStatus.INCONSISTENT, (i, j))
-                        cells[base + j] = tight
-                        revisions += 1
-                        tightened = True
-    else:
-        # every other pair is still closed: check and 2-tighten this one only
-        changed_pairs = ((ci, cj), (cj, ci))
-        for i, j in changed_pairs:
-            if cells[i * n + j] == 0:
-                return outcome(ClosureStatus.INCONSISTENT, (i, j))
-        tightened = True
-        while tightened:
-            tightened = False
-            for i, j in changed_pairs:
-                tight = cells[i * n + j] & conv(cells[j * n + i])
-                if tight != cells[i * n + j]:
-                    if tight == 0:
-                        return outcome(ClosureStatus.INCONSISTENT, (i, j))
-                    cells[i * n + j] = tight
-                    revisions += 1
-                    tightened = True
+    # Strong 2-consistency: intersect each cell with the converse of its
+    # mirror, repeated to fixpoint (a single sweep suffices only when the
+    # converse is an involutive permutation).
+    tightened = True
+    while tightened:
+        tightened = False
+        for i, j in pairs:
+            ij = i * n + j
+            tight = cells[ij] & conv(cells[j * n + i])
+            if tight != cells[ij]:
+                if tight == 0:
+                    return outcome(ClosureStatus.INCONSISTENT, (i, j))
+                cells[ij] = tight
+                revisions += 1
+                tightened = True
 
     # Under R7 every cell now equals the converse of its mirror and each
     # revision below keeps it so: the worklist holds unordered pairs.
     unordered = calc.flags.ra7_holds
     derive = unordered and calc.flags.ra9_holds
 
-    if changed is not None:
-        seed_pairs = [(min(changed), max(changed))] if unordered else list(changed_pairs)
-    elif unordered:
-        seed_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    else:
-        seed_pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    seed_pairs = [p for p in pairs if p[0] < p[1]] if unordered else pairs
     in_queue = set(seed_pairs)
     if queue_order == FIFO:
         queue = deque(seed_pairs)
@@ -249,16 +229,6 @@ def a_closure(
             updated = True
             cells[ij] = r
         return updated, None
-
-    if changed is not None and not unordered:
-        # the pair may have been loosened (see the module docstring), so it
-        # can violate triangles whose other sides did not change; both its
-        # directions are queued already
-        for k in range(n):
-            if k != ci and k != cj:
-                _, empty = do_revise(ci, cj, k)
-                if empty is not None:
-                    return outcome(ClosureStatus.INCONSISTENT, empty)
 
     while queue:
         p = take()

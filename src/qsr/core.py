@@ -432,28 +432,6 @@ class RelationSet:
         return f"RelationSet({self.calculus.name}:{self.calculus.format_mask(self.bits)})"
 
 
-# Operation-style aliases used throughout the toolkit and the docs.
-
-def union(a: RelationSet, b: RelationSet) -> RelationSet:
-    return a | b
-
-
-def intersect(a: RelationSet, b: RelationSet) -> RelationSet:
-    return a & b
-
-
-def complement(a: RelationSet) -> RelationSet:
-    return ~a
-
-
-def converse(r: RelationSet) -> RelationSet:
-    return r.converse()
-
-
-def compose(r: RelationSet, s: RelationSet) -> RelationSet:
-    return r.compose(s)
-
-
 def _union_of(row: tuple[int, ...], mask: int) -> int:
     """Union of ``row[k]`` over the bits ``k`` of ``mask``."""
     out = 0

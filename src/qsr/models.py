@@ -362,7 +362,7 @@ def parse_model(text: str, calculus: Optional[CalculusSpec] = None) -> FiniteInt
     """Parse model-file text; the calculus is resolved like in network files."""
     from . import registry
 
-    name = ""
+    name: Optional[str] = None
     declared: Optional[str] = None
     universe: Optional[list[str]] = None
     raw_phi: dict[str, list[Pair]] = {}
@@ -375,6 +375,8 @@ def parse_model(text: str, calculus: Optional[CalculusSpec] = None) -> FiniteInt
         tokens = line.split()
         head = tokens[0]
         if head == "model":
+            if name is not None:
+                raise NetworkError(f"line {lineno}: duplicate model clause")
             try:
                 parts = shlex.split(line)
             except ValueError as exc:
@@ -383,10 +385,14 @@ def parse_model(text: str, calculus: Optional[CalculusSpec] = None) -> FiniteInt
                 raise NetworkError(f'line {lineno}: expected: model "<name>"')
             name = parts[1]
         elif head == "calculus":
+            if declared is not None:
+                raise NetworkError(f"line {lineno}: duplicate calculus clause")
             if len(tokens) != 2:
                 raise NetworkError(f"line {lineno}: expected: calculus <name>")
             declared = tokens[1]
         elif head == "universe":
+            if universe is not None:
+                raise NetworkError(f"line {lineno}: duplicate universe clause")
             universe = tokens[1:]
             if not universe:
                 raise NetworkError(f"line {lineno}: universe needs at least one element")
@@ -419,7 +425,7 @@ def parse_model(text: str, calculus: Optional[CalculusSpec] = None) -> FiniteInt
     if universe is None:
         raise NetworkError("missing universe clause")
     try:
-        return FiniteInterpretation(calculus, universe, raw_phi, name=name)
+        return FiniteInterpretation(calculus, universe, raw_phi, name=name or "")
     except CalculusError as exc:
         raise NetworkError(str(exc)) from None
 

@@ -111,10 +111,6 @@ class ConstraintNetwork:
             self.cells[i * n + j] == 0 for i in range(n) for j in range(n) if i != j
         )
 
-    @property
-    def is_trivially_inconsistent(self) -> bool:
-        return self.has_empty_cell()
-
     def is_atomic(self) -> bool:
         """Every off-diagonal cell is a single base relation."""
         n = len(self.var_names)
@@ -216,7 +212,7 @@ def parse_network(text: str, calculus: Optional[CalculusSpec] = None) -> Constra
     """
     from . import registry
 
-    name = ""
+    name: Optional[str] = None
     declared_calculus: Optional[str] = None
     var_names: Optional[list[str]] = None
     edges: list[tuple[str, str, str, int]] = []
@@ -229,6 +225,8 @@ def parse_network(text: str, calculus: Optional[CalculusSpec] = None) -> Constra
         tokens = line.split()
         head = tokens[0]
         if head == "network":
+            if name is not None:
+                raise NetworkError(f"line {lineno}: duplicate network clause")
             try:
                 parts = shlex.split(line)
             except ValueError as exc:
@@ -237,6 +235,8 @@ def parse_network(text: str, calculus: Optional[CalculusSpec] = None) -> Constra
                 raise NetworkError(f'line {lineno}: expected: network "<name>"')
             name = parts[1]
         elif head == "calculus":
+            if declared_calculus is not None:
+                raise NetworkError(f"line {lineno}: duplicate calculus clause")
             if len(tokens) != 2:
                 raise NetworkError(f"line {lineno}: expected: calculus <name>")
             declared_calculus = tokens[1]
@@ -274,7 +274,7 @@ def parse_network(text: str, calculus: Optional[CalculusSpec] = None) -> Constra
         except CalculusError as exc:
             raise NetworkError(f"line {lineno}: {exc}") from None
         rel_edges.append((x, rel, y))
-    return normalize(calculus, rel_edges, var_names=var_names, name=name)
+    return normalize(calculus, rel_edges, var_names=var_names, name=name or "")
 
 
 def load_network(path: str, calculus: Optional[CalculusSpec] = None) -> ConstraintNetwork:

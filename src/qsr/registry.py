@@ -263,6 +263,8 @@ def parse_spec(source: str) -> CalculusSpec:
         head = tokens[0]
 
         if head == "calculus":
+            if name is not None:
+                raise SpecParseError("duplicate calculus clause", lineno)
             try:
                 parts = shlex.split(line)
             except ValueError as exc:

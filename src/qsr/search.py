@@ -11,12 +11,16 @@ Branching picks the smallest non-singleton cell first (ties by lowest pair
 index) and tries base relations in declaration order, so node counts are
 reproducible.
 
-Only the root is closed from all pairs.  A child differs from its closed
-parent in the split pair alone, so its closure is seeded with that pair
-(``a_closure(..., changed=(i, j))``, as in GQR) and reaches the same
-fixpoint in work proportional to what the split actually propagates.  The
-search runs on an explicit stack of open nodes, one frame per level, so
-its depth is not bounded by the interpreter's recursion limit.
+Only the root is closed from all pairs.  A split sets C[i][j] to one base
+relation b of it and intersects C[j][i] with conv(b), so it tightens both
+cells: without R7, conv(b) alone can be looser than the closed C[j][i],
+and writing it would let the witness leave the input.  A child thus
+differs from its closed parent in the split pair alone, only tightened, so
+its closure is seeded with that pair (``a_closure(..., changed=(i, j))``,
+as in GQR) and reaches the same fixpoint in work proportional to what the
+split actually propagates.  The search runs on an explicit stack of open
+nodes, one frame per level, so its depth is not bounded by the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -76,8 +80,8 @@ def decide(net: ConstraintNetwork, acl_decides_atomic: Optional[bool] = None) ->
     n = len(net.var_names)
     nodes = 1
     out = a_closure(net)
-    # one frame per open node: its closed network, the cell being split and
-    # the base relations of that cell not tried yet
+    # one frame per open node: its closed network, the cell being split, the
+    # base relations of that cell not tried yet and the closed mirror cell
     stack: list[list] = []
     while True:
         if out.closed:
@@ -88,19 +92,19 @@ def decide(net: ConstraintNetwork, acl_decides_atomic: Optional[bool] = None) ->
                     return Decision(Verdict.CONSISTENT, closed, nodes)
                 return Decision(Verdict.CLOSED_UNKNOWN, None, nodes)
             i, j = cell
-            stack.append([closed, i, j, closed.cells[i * n + j]])
+            stack.append([closed, i, j, closed.cells[i * n + j], closed.cells[j * n + i]])
         while stack and not stack[-1][3]:
             stack.pop()
         if not stack:
             return Decision(Verdict.INCONSISTENT, None, nodes)
         frame = stack[-1]
-        closed, i, j, untried = frame
+        closed, i, j, untried, mirror = frame
         bit = untried & -untried
         frame[3] = untried ^ bit
         # a_closure copies its input: split the open node's network in place;
-        # only pair (i, j) changed since it was closed
+        # only pair (i, j) was tightened since it was closed
         closed.cells[i * n + j] = bit
-        closed.cells[j * n + i] = conv(bit)
+        closed.cells[j * n + i] = mirror & conv(bit)
         nodes += 1
         out = a_closure(closed, changed=(i, j))
 

@@ -3,6 +3,7 @@
 import pytest
 
 from qsr import (
+    CalculusError,
     CalculusSpec,
     Classification,
     builtin,
@@ -145,6 +146,13 @@ def test_r10_composite_level_can_be_probed():
     # mirrors the audit default (base pairs only) but allows opting in
     rec = check_axiom_composite(builtin("rcc5"), "R10", samples=2_000, seed=1)
     assert rec.holds is True
+
+
+@pytest.mark.parametrize("check", [check_axiom, check_axiom_composite])
+@pytest.mark.parametrize("axiom_id", ["R99", "R99" + SUB, "PL-up"])
+def test_unknown_axiom_is_a_calculus_error(check, axiom_id):
+    with pytest.raises(CalculusError, match=f"unknown axiom '{axiom_id}'"):
+        check(builtin("pc1"), axiom_id)
 
 
 def test_r6_r6l_equivalence():

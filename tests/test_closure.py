@@ -210,8 +210,7 @@ def test_incremental_closure_matches_reference_on_split_networks(random_calculus
     # split a closed network down to a leaf, closing each level with
     # ``changed=`` from the level above; every level must equal the naive
     # closure of the split network from scratch.  Random calculi cover the
-    # ordered-pair path, where a split's mirror cell can be looser than the
-    # cell it replaces.
+    # ordered-pair path.
     import random as _random
 
     rng = _random.Random(4242)
@@ -235,7 +234,7 @@ def test_incremental_closure_matches_reference_on_split_networks(random_calculus
                 bit = rng.choice([1 << b for b in range(mask.bit_length()) if mask >> b & 1])
                 split = closed.copy()
                 split.cells[i * n + j] = bit
-                split.cells[j * n + i] = calc.converse_mask(bit)
+                split.cells[j * n + i] &= calc.converse_mask(bit)
                 ref = naive_closure(split)
                 for order in ("fifo", "lifo", "shuffled"):
                     got = a_closure(split, queue_order=order, seed=seed, changed=(i, j))
@@ -336,13 +335,23 @@ def test_fused_pass_matches_reference_on_large_relation_algebras(cyclic_group, d
     assert levels > 100
 
 
-def test_closure_work_counts_are_pinned():
+def _tally(closures):
+    return (
+        sum(out.queue_pops for out in closures),
+        sum(out.revisions for out in closures),
+        " ".join("-".join(out.empty_pair) if out.empty_pair else "." for out in closures),
+    )
+
+
+def test_closure_work_counts_are_pinned(random_calculus):
     # queue pops, revisions and the reported empty pair of a seeded batch,
     # as recorded before the R7/R9 branch was fused into one loop per pop: a
     # kernel change must not silently change the work done or the pair named.
     # sym3 has R7 and R9 but is no relation algebra (the cycle law fails),
     # so there the second revision of a triangle can be the one that empties
     # a cell; in rcc5 and pc1 the first one always does.
+    import random as _random
+
     from qsr.core import CalculusSpec
 
     syms = ("a", "b", "c")
@@ -351,18 +360,19 @@ def test_closure_work_counts_are_pinned():
     comp.update({(y, x): v for (x, y), v in list(comp.items())})
     sym3 = CalculusSpec("sym3", syms, None, {s: [s] for s in syms}, comp)
     assert sym3.flags.ra7_holds and sym3.flags.ra9_holds
-    pops = revisions = 0
-    empties = []
-    for calc in (builtin("rcc5"), builtin("pc1"), sym3):
-        for seed in range(12):
-            net = random_network(calc, 6 + seed % 8, (0.3, 0.6, 0.9)[seed % 3], seed=seed)
-            for order in ("fifo", "lifo", "shuffled"):
-                out = a_closure(net, queue_order=order, seed=seed)
-                pops += out.queue_pops
-                revisions += out.revisions
-                empties.append("-".join(out.empty_pair) if out.empty_pair else ".")
+    orders = ("fifo", "lifo", "shuffled")
+
+    def full_closures(calc):
+        return [
+            a_closure(random_network(calc, 6 + seed % 8, (0.3, 0.6, 0.9)[seed % 3], seed=seed),
+                      queue_order=order, seed=seed)
+            for seed in range(12) for order in orders
+        ]
+
+    pops, revisions, empties = _tally(full_closures(builtin("rcc5")) + full_closures(builtin("pc1"))
+                                      + full_closures(sym3))
     assert (pops, revisions) == (1583, 513)
-    assert " ".join(empties) == (
+    assert empties == (
         # rcc5
         ". . . x0-x5 x2-x0 x0-x5 x1-x5 x5-x2 x5-x2 . . . x3-x8 x4-x3 x3-x4 "
         "x1-x7 x8-x2 x6-x8 . . . x0-x7 x9-x5 x0-x3 x2-x4 x3-x2 x4-x2 . . . "
@@ -375,3 +385,47 @@ def test_closure_work_counts_are_pinned():
         "x0-x4 x8-x5 x4-x9 . . . x0-x10 x0-x12 x5-x9 x3-x1 x2-x1 x0-x1 . . . "
         ". . . x3-x1 x6-x8 x6-x8"
     )
+
+    # The safe branches, which take every calculus without R7 or without R9,
+    # recorded before the full and incremental prologues were merged: full
+    # closures on appendixB1 (converse not involutive: ordered pairs), on
+    # appendixB2 (R7 without R9) and on a random calculus with neither, and
+    # changed= closures of every split of the first open pair of closed
+    # appendixB2 networks.
+    rand4 = random_calculus(_random.Random(6), 4, "rand4")
+    assert not (rand4.flags.ra7_holds or rand4.flags.ra9_holds)
+    full = {calc.name: _tally(full_closures(calc))
+            for calc in (builtin("appendixB1"), builtin("appendixB2"), rand4)}
+    b2 = builtin("appendixB2")
+    split_closures = []
+    for seed in range(40):
+        n = 5 + seed % 4
+        out = a_closure(random_network(b2, n, 0.3, seed=seed))
+        if not out.closed:
+            continue
+        closed = out.network
+        open_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                      if closed.cells[i * n + j].bit_count() > 1]
+        if not open_pairs:
+            continue
+        i, j = open_pairs[0]
+        mask = closed.cells[i * n + j]
+        for bit in (1 << b for b in range(mask.bit_length()) if mask >> b & 1):
+            split = closed.copy()
+            split.cells[i * n + j] = bit
+            split.cells[j * n + i] &= b2.converse_mask(bit)
+            split_closures += [a_closure(split, queue_order=order, seed=seed, changed=(i, j))
+                               for order in orders]
+    assert full["appendixB1"] == (2664, 0, " ".join(["."] * 36))
+    assert full["appendixB2"] == (105, 185, (
+        ". . . x3-x0 x3-x4 x3-x4 x2-x0 x3-x5 x1-x0 x3-x0 x2-x6 x0-x2 x9-x0 x3-x8 "
+        "x7-x1 x6-x0 x3-x9 x5-x4 x3-x0 x0-x10 x3-x0 x3-x0 x0-x10 x5-x1 x2-x0 x0-x4 "
+        "x2-x0 x6-x0 x1-x4 x1-x4 x3-x0 x1-x6 x5-x3 x2-x0 x4-x7 x0-x4"
+    ))
+    assert full["rand4"] == (371, 271, (
+        "x3-x1 x1-x3 x1-x3 x2-x4 x0-x5 x2-x1 x2-x3 x1-x7 x1-x7 x7-x1 x1-x8 x7-x1 "
+        "x7-x1 x4-x9 x5-x3 x5-x0 x5-x2 x4-x0 x10-x1 x5-x0 x10-x0 x3-x2 x6-x12 x5-x3 "
+        "x1-x2 x2-x5 x3-x2 . . . x2-x0 x5-x7 x2-x4 x3-x0 x2-x8 x1-x3"
+    ))
+    # no split of a closed appendixB2 network in this batch is inconsistent
+    assert _tally(split_closures) == (1212, 1050, " ".join(["."] * 162))

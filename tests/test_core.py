@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsr import CalculusMismatchError, CalculusSpec, builtin, complement, compose, converse, intersect, union
+from qsr import CalculusMismatchError, CalculusSpec, builtin
 
 
 pc1 = builtin("pc1")
@@ -13,38 +13,38 @@ cycb = builtin("cycb")
 
 
 def test_union_basic():
-    assert union(pc1.relation("<"), pc1.relation("=")).symbols == ("<", "=")
-    assert union(pc1.relation("<", "="), pc1.universal_relation) == pc1.universal_relation
-    assert union(rcc5.relation("PP"), rcc5.relation("PPi")).symbols == ("PP", "PPi")
+    assert (pc1.relation("<") | pc1.relation("=")).symbols == ("<", "=")
+    assert pc1.relation("<", "=") | pc1.universal_relation == pc1.universal_relation
+    assert (rcc5.relation("PP") | rcc5.relation("PPi")).symbols == ("PP", "PPi")
 
 
 def test_intersect_and_complement():
-    assert intersect(pc1.relation("<", "="), pc1.relation("=", ">")).symbols == ("=",)
-    assert complement(pc1.relation("<")).symbols == ("=", ">")
-    assert complement(rcc5.universal_relation).is_empty
+    assert (pc1.relation("<", "=") & pc1.relation("=", ">")).symbols == ("=",)
+    assert (~pc1.relation("<")).symbols == ("=", ">")
+    assert (~rcc5.universal_relation).is_empty
 
 
 def test_converse():
-    assert converse(pc1.relation("<", "=")).symbols == ("=", ">")
+    assert pc1.relation("<", "=").converse().symbols == ("=", ">")
     # per-symbol lookup: e stays, l flips to r
-    assert converse(cycb.relation("e", "l")).symbols == ("e", "r")
-    assert converse(rcc5.relation("PP", "PPi")).symbols == ("PP", "PPi")
-    assert converse(pc1.empty_relation).is_empty
+    assert cycb.relation("e", "l").converse().symbols == ("e", "r")
+    assert rcc5.relation("PP", "PPi").converse().symbols == ("PP", "PPi")
+    assert pc1.empty_relation.converse().is_empty
 
 
 def test_compose():
-    assert compose(pc1.relation("<", "="), pc1.universal_relation) == pc1.universal_relation
-    assert compose(rcc5.relation("PP", "PPi"), rcc5.relation("DC")).symbols == ("DC", "PO", "PPi")
-    assert compose(pc1.relation("<"), pc1.empty_relation).is_empty
+    assert pc1.relation("<", "=").compose(pc1.universal_relation) == pc1.universal_relation
+    assert rcc5.relation("PP", "PPi").compose(rcc5.relation("DC")).symbols == ("DC", "PO", "PPi")
+    assert pc1.relation("<").compose(pc1.empty_relation).is_empty
     # follows from the cycb table: l.l lacks e, so the union has all four
-    assert compose(cycb.relation("e", "l"), cycb.relation("e", "l")).symbols == ("e", "o", "l", "r")
+    assert cycb.relation("e", "l").compose(cycb.relation("e", "l")).symbols == ("e", "o", "l", "r")
 
 
 def test_cross_calculus_rejected():
     with pytest.raises(CalculusMismatchError):
-        union(pc1.relation("<"), rcc5.relation("DC"))
+        pc1.relation("<") | rcc5.relation("DC")
     with pytest.raises(CalculusMismatchError):
-        compose(pc1.relation("<"), cycb.relation("l"))
+        pc1.relation("<").compose(cycb.relation("l"))
 
 
 def test_mask_width_and_identity():

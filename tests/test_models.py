@@ -226,6 +226,17 @@ def test_model_file_round_trip():
     assert again.phi == model.phi
 
 
+@pytest.mark.parametrize("clause", ['model "other"', "calculus appendixB2", "universe 5 6"])
+def test_model_duplicate_header_rejected(clause):
+    # a second header line would silently win over the first
+    from qsr import NetworkError
+
+    text = MODEL_TEXT.replace("r1: (0,0)", clause + "\nr1: (0,0)")
+    head = clause.split()[0]
+    with pytest.raises(NetworkError, match=f"line 4: duplicate {head} clause"):
+        parse_model(text)
+
+
 def test_model_requires_injective_phi():
     text = MODEL_TEXT.replace("r4: (1,0)", "r4: (0,1)")
     from qsr import NetworkError

@@ -31,7 +31,7 @@ def test_normalize_converse_consistent_pair():
 def test_normalize_contradictory_pair_is_trivially_inconsistent():
     net = normalize(pc1, [edge("A", "<", "B"), edge("B", "<", "A")])
     assert net["A", "B"].is_empty
-    assert net.is_trivially_inconsistent
+    assert net.has_empty_cell()
 
 
 def test_normalize_leaves_unmentioned_pairs_universal():
@@ -134,6 +134,15 @@ def test_parse_network():
 def test_parse_network_duplicate_lines_intersect():
     net = parse_network(NETWORK_TEXT + "A (= <) B\n")
     assert net["A", "B"].symbols == ("<",)
+
+
+@pytest.mark.parametrize("clause", ['network "other"', "calculus pc1", "vars A B C"])
+def test_parse_network_duplicate_header_rejected(clause):
+    # a second header line would silently win over the first
+    text = NETWORK_TEXT.replace("A (<) B\n", clause + "\nA (<) B\n")
+    head = clause.split()[0]
+    with pytest.raises(NetworkError, match=f"line 5: duplicate {head} clause"):
+        parse_network(text)
 
 
 def test_parse_network_calculus_mismatch():

@@ -148,6 +148,14 @@ def test_duplicate_symbol_rejected():
         parse_spec('calculus "x"\nrelations a a\n')
 
 
+def test_duplicate_calculus_clause_rejected():
+    # a second name line would silently win over the first
+    text = PC1_SPEC.replace("relations", 'calculus "other"\nrelations')
+    with pytest.raises(SpecParseError, match="duplicate calculus clause") as err:
+        parse_spec(text)
+    assert err.value.line == 3
+
+
 def test_reserved_keyword_symbol_rejected():
     with pytest.raises(SpecParseError, match="directive keyword"):
         parse_spec('calculus "x"\nrelations a converse\n')

@@ -205,7 +205,7 @@ def _reference_decide(net, acl_decides_atomic):
             if mask >> b & 1:
                 child = closed.copy()
                 child.cells[i * n + j] = 1 << b
-                child.cells[j * n + i] = calc.converse_mask(1 << b)
+                child.cells[j * n + i] &= calc.converse_mask(1 << b)
                 found = search(child)
                 if found is not None:
                     return found
@@ -220,9 +220,9 @@ def _reference_decide(net, acl_decides_atomic):
 
 
 def test_decide_matches_a_search_that_closes_every_node_from_scratch(random_calculus):
-    # appendixB1 (converse not involutive) seeds ordered pairs and can loosen
-    # a split's mirror cell, appendixB2 (R9 fails) takes the cross-tightening
-    # branch, the random 9- and 10-relation calculi take the large path
+    # appendixB1 (converse not involutive) seeds ordered pairs, appendixB2
+    # (R9 fails) takes the cross-tightening branch, the random 9- and
+    # 10-relation calculi take the large path
     rng = random.Random(90125)
     calcs = [builtin(name) for name in
              ("pc1", "rcc5", "cycb", "appendixB1", "appendixB2", "appendixB-remark")]
@@ -281,3 +281,46 @@ def test_deep_search_has_no_recursion_limit():
     decision = decide(net)
     assert decision.verdict is Verdict.CONSISTENT
     assert decision.nodes_explored == 1771
+
+
+def _two_way_network(calc, n, rng):
+    # constraints on both directions of a pair are normalized independently:
+    # without R7 the two cells of a pair need not be converses of each other
+    names = [f"x{k}" for k in range(n)]
+    edges = []
+    for i in range(n):
+        for j in range(n):
+            if i != j and rng.random() < 0.5:
+                rel = calc.from_mask(rng.randrange(1, calc.universal + 1))
+                edges.append((names[i], rel, names[j]))
+    return normalize(calc, edges, var_names=names)
+
+
+def test_witness_refines_the_input(random_calculus):
+    # a split intersects the mirror cell with conv(b): without R7 conv(b)
+    # alone can be looser than that cell, and a witness built from it would
+    # drop a constraint of the input
+    b1 = builtin("appendixB1")
+    net = normalize(b1, [("b", b1.relation("r1"), "a")], var_names=["a", "b"])
+    decision = decide(net, acl_decides_atomic=True)
+    assert decision.verdict is Verdict.CONSISTENT
+    assert decision.witness["b", "a"].symbols == ("r1",)
+
+    rng = random.Random(417)
+    calcs = [b1]
+    while len(calcs) < 25:
+        calc = random_calculus(rng, rng.choice((2, 3, 4)), f"rand{len(calcs)}")
+        if not calc.flags.ra7_holds:
+            calcs.append(calc)
+    witnesses = 0
+    for calc in calcs:
+        for _ in range(20):
+            n = rng.choice((3, 4, 5))
+            net = _two_way_network(calc, n, rng)
+            decision = decide(net, acl_decides_atomic=True)
+            if decision.witness is None:
+                continue
+            witnesses += 1
+            for got, given in zip(decision.witness.cells, net.cells):
+                assert got & ~given == 0, calc.name
+    assert witnesses > 100
