@@ -29,6 +29,12 @@ converse.
 
 Axioms mentioning the identity (R6, R6l, WA) are reported not-applicable for
 calculi without a designated identity.
+
+One tally loop serves the whole battery: it evaluates an axiom once per tuple
+and tests that (lhs, rhs) against all three of the axiom's records (main, ⊆,
+⊇; for PL main, PL-right, PL-left).  Only R10's ⊇ record needs a second
+evaluation, of its dual rotation.  ``check_axiom``, ``check_axiom_composite``
+and ``classify`` differ only in the tuples they feed it.
 """
 
 from __future__ import annotations
@@ -110,9 +116,6 @@ class AxiomReport:
     records: dict[str, AxiomRecord]
     classification: Classification
 
-    def record(self, axiom_id: str) -> AxiomRecord:
-        return self.records[axiom_id]
-
     def violated(self) -> tuple[str, ...]:
         """Ids of all applicable records (mains and sides) with violations."""
         return tuple(a for a, r in self.records.items() if r.holds is False)
@@ -120,8 +123,7 @@ class AxiomReport:
     def violated_sides(self) -> frozenset[str]:
         """Only the one-sided / directional records that fail."""
         return frozenset(
-            a for a, r in self.records.items()
-            if r.holds is False and (SUB in a or SUP in a or a.startswith("PL-"))
+            a for a, r in self.records.items() if r.holds is False and _RECORDS[a][1] > 0
         )
 
     def all_main_hold(self) -> bool:
@@ -139,6 +141,31 @@ class AxiomReport:
 
 # -- axiom table -------------------------------------------------------------
 
+# Violation tests: map one evaluation (lhs, rhs) to the set of the axiom's
+# records it violates, as bits: 1 the main record, 2 the ⊆ side (PL-right),
+# 4 the ⊇ side (PL-left).
+
+def _equation(lhs: int, rhs: int) -> int:
+    """lhs = rhs, split into lhs ⊆ rhs and lhs ⊇ rhs."""
+    if lhs == rhs:
+        return 0
+    return 1 | (2 if lhs & ~rhs else 0) | (4 if rhs & ~lhs else 0)
+
+
+def _inclusion(lhs: int, rhs: int) -> int:
+    """R10: the main record and the ⊆ side both test lhs ⊆ rhs; the ⊇ side
+    comes from the dual evaluator."""
+    return 3 if lhs & ~rhs else 0
+
+
+def _peircean(lhs: int, rhs: int) -> int:
+    """PL: lhs empty iff rhs empty; PL-right is "lhs empty implies rhs
+    empty", PL-left the converse implication."""
+    if (lhs == 0) == (rhs == 0):
+        return 0
+    return 3 if lhs == 0 else 5
+
+
 @dataclass(frozen=True)
 class _Axiom:
     arity: int
@@ -146,8 +173,8 @@ class _Axiom:
     # evaluator returning (lhs, rhs) masks; for PL the masks of the two
     # triangle intersections
     eval: Callable[[CalculusSpec, tuple[int, ...]], tuple]
-    peircean: bool = False
-    main_is_subset: bool = False  # R10: the equation collapses to one inclusion
+    violated: Callable[[int, int], int] = _equation
+    # R10: the ⊇ record tests lhs ⊆ rhs of this second evaluator
     sup_eval: Optional[Callable[[CalculusSpec, tuple[int, ...]], tuple]] = None
 
 
@@ -248,114 +275,101 @@ _AXIOMS: dict[str, _Axiom] = {
     "R7": _Axiom(1, False, _r7),
     "R8": _Axiom(2, False, _r8),
     "R9": _Axiom(2, False, _r9),
-    "R10": _Axiom(2, False, _r10, main_is_subset=True, sup_eval=_r10_dual),
+    "R10": _Axiom(2, False, _r10, _inclusion, sup_eval=_r10_dual),
     "WA": _Axiom(1, True, _wa),
     "SA": _Axiom(1, False, _sa),
-    "PL": _Axiom(3, False, _pl, peircean=True),
+    "PL": _Axiom(3, False, _pl, _peircean),
 }
 
 
-def _axiom_of(axiom_id: str) -> tuple[_Axiom, Optional[str]]:
-    """Look up 'R4⊆' as (R4, '⊆'); PL uses '-right'/'-left'."""
-    base, side = axiom_id, None
-    if axiom_id.endswith(SUB):
-        base, side = axiom_id[:-1], SUB
-    elif axiom_id.endswith(SUP):
-        base, side = axiom_id[:-1], SUP
-    elif axiom_id == "PL-right":
-        base, side = "PL", "right"
-    elif axiom_id == "PL-left":
-        base, side = "PL", "left"
+# record id -> (axiom, position among the axiom's three records), in report
+# order: each axiom's main record, then its ⊆ and ⊇ sides (PL: PL-right and
+# PL-left)
+_RECORDS: dict[str, tuple[str, int]] = {
+    rid: (axiom, k)
+    for axiom in MAIN_AXIOMS
+    for k, rid in enumerate(
+        (axiom, "PL-right", "PL-left") if axiom == "PL" else (axiom, axiom + SUB, axiom + SUP)
+    )
+}
+
+
+def _record_of(axiom_id: str) -> tuple[str, int]:
     try:
-        return _AXIOMS[base], side
+        return _RECORDS[axiom_id]
     except KeyError:
         raise CalculusError(f"unknown axiom {axiom_id!r}") from None
 
 
-def _evaluator_and_test(
-    ax: _Axiom, side: Optional[str]
-) -> tuple[Callable, Callable[[int, int], bool]]:
-    """Pick the (lhs, rhs) evaluator and the violation predicate for one record."""
-    if ax.peircean:
-        if side == "right":
-            return ax.eval, lambda lhs, rhs: lhs == 0 and rhs != 0
-        if side == "left":
-            return ax.eval, lambda lhs, rhs: rhs == 0 and lhs != 0
-        return ax.eval, lambda lhs, rhs: (lhs == 0) != (rhs == 0)
-    if side == SUP and ax.sup_eval is not None:
-        return ax.sup_eval, lambda lhs, rhs: lhs & ~rhs != 0
-    if side == SUB or (side is None and ax.main_is_subset):
-        return ax.eval, lambda lhs, rhs: lhs & ~rhs != 0
-    if side == SUP:
-        return ax.eval, lambda lhs, rhs: rhs & ~lhs != 0
-    return ax.eval, lambda lhs, rhs: lhs != rhs
+def _audit(
+    spec: CalculusSpec,
+    axiom: str,
+    tuples: Iterable[tuple[int, ...]],
+    universe: int,
+    operand_format: Callable[[int], str],
+) -> list[AxiomRecord]:
+    """All three records of ``axiom`` over ``tuples``, from one evaluation
+    per tuple (two for R10, whose ⊇ record has its own evaluator)."""
+    ax = _AXIOMS[axiom]
+    ids = [rid for rid, (a, _) in _RECORDS.items() if a == axiom]
+    if ax.needs_id and spec.identity_mask is None:
+        return [AxiomRecord(rid, holds=None, violations=0, universe=0) for rid in ids]
+    records = [AxiomRecord(rid, holds=True, violations=0, universe=universe) for rid in ids]
+
+    def note(hit: int, masks: tuple[int, ...], lhs: int, rhs: int) -> None:
+        for k, rec in enumerate(records):
+            if hit >> k & 1:
+                rec.violations += 1
+                if len(rec.examples) < EXAMPLE_CAP:
+                    rec.examples.append(Counterexample(
+                        operands=tuple(map(operand_format, masks)),
+                        lhs=spec.symbols_of(lhs),
+                        rhs=spec.symbols_of(rhs),
+                    ))
+
+    evaluate, violated, dual = ax.eval, ax.violated, ax.sup_eval
+    for masks in tuples:
+        lhs, rhs = evaluate(spec, masks)
+        hit = violated(lhs, rhs)
+        if hit:
+            note(hit, masks, lhs, rhs)
+        if dual is not None:
+            lhs, rhs = dual(spec, masks)
+            if lhs & ~rhs:
+                note(4, masks, lhs, rhs)
+    for rec in records:
+        rec.holds = rec.violations == 0
+    return records
 
 
-def _base_tuples(n: int, arity: int) -> Iterable[tuple[int, ...]]:
-    return itertools.product((1 << i for i in range(n)), repeat=arity)
+def _base_audit(spec: CalculusSpec, axiom: str) -> list[AxiomRecord]:
+    """All three records of ``axiom`` over the base-relation tuples."""
+    n = len(spec.symbols)
+    arity = _AXIOMS[axiom].arity
+    tuples = itertools.product([1 << i for i in range(n)], repeat=arity)
+    return _audit(spec, axiom, tuples, n ** arity, lambda m: spec.symbols_of(m)[0])
 
 
 def check_axiom(spec: CalculusSpec, axiom_id: str) -> AxiomRecord:
     """Evaluate one axiom (or one side, e.g. ``"R9⊆"``) over all base tuples."""
-    ax, side = _axiom_of(axiom_id)
-    if ax.needs_id and spec.identity_mask is None:
-        return AxiomRecord(axiom_id, holds=None, violations=0, universe=0)
-
-    n = len(spec.symbols)
-    evaluate, violates = _evaluator_and_test(ax, side)
-    violations = 0
-    examples: list[Counterexample] = []
-    for masks in _base_tuples(n, ax.arity):
-        lhs, rhs = evaluate(spec, masks)
-        if violates(lhs, rhs):
-            violations += 1
-            if len(examples) < EXAMPLE_CAP:
-                examples.append(
-                    Counterexample(
-                        operands=tuple(spec.symbols_of(m)[0] for m in masks),
-                        lhs=spec.symbols_of(lhs),
-                        rhs=spec.symbols_of(rhs),
-                    )
-                )
-    return AxiomRecord(axiom_id, holds=violations == 0, violations=violations,
-                       universe=n ** ax.arity, examples=examples)
-
-
-def _all_record_ids() -> list[str]:
-    ids = []
-    for a in MAIN_AXIOMS:
-        ids.append(a)
-        if a == "PL":
-            ids.extend(["PL-right", "PL-left"])
-        else:
-            ids.extend([a + SUB, a + SUP])
-    return ids
-
-
-def _check_chunk(spec: CalculusSpec, ids: list[str]) -> list[AxiomRecord]:
-    return [check_axiom(spec, a) for a in ids]
+    axiom, k = _record_of(axiom_id)
+    return _base_audit(spec, axiom)[k]
 
 
 def classify(spec: CalculusSpec, jobs: int = 1) -> AxiomReport:
     """Run the full battery and derive the algebra class.
 
-    The audit is a pure function of the tables; ``jobs`` > 1 partitions the
-    per-axiom work across processes (worthwhile only for large calculi).
+    The audit is a pure function of the tables; ``jobs`` > 1 audits the
+    axioms in that many processes, at most one per axiom (worthwhile only
+    for large calculi).
     """
-    ids = _all_record_ids()
     if jobs > 1:
-        chunks = [ids[i::jobs] for i in range(jobs)]
-        records_list: list[AxiomRecord] = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_check_chunk, [spec] * len(chunks), chunks):
-                records_list.extend(part)
-        by_id = {r.axiom_id: r for r in records_list}
-        records = {a: by_id[a] for a in ids}
+        with ProcessPoolExecutor(max_workers=min(jobs, len(MAIN_AXIOMS))) as pool:
+            audits = list(pool.map(_base_audit, [spec] * len(MAIN_AXIOMS), MAIN_AXIOMS))
     else:
-        records = {a: check_axiom(spec, a) for a in ids}
-
-    classification = _derive_classification(records)
-    return AxiomReport(spec.name, records, classification)
+        audits = [_base_audit(spec, axiom) for axiom in MAIN_AXIOMS]
+    records = {rec.axiom_id: rec for audit in audits for rec in audit}
+    return AxiomReport(spec.name, records, _derive_classification(records))
 
 
 def _derive_classification(records: dict[str, AxiomRecord]) -> Classification:
@@ -389,13 +403,11 @@ def check_axiom_composite(
     tuples when their count stays below ``limit`` (the space has
     2**|Rel| ** arity elements, so this is for small calculi only).
     """
-    ax, side = _axiom_of(axiom_id)
+    axiom, k = _record_of(axiom_id)
+    ax = _AXIOMS[axiom]
     if ax.needs_id and spec.identity_mask is None:
         return AxiomRecord(axiom_id, holds=None, violations=0, universe=0)
     size = spec.universal + 1
-    evaluate, violates = _evaluator_and_test(ax, side)
-    violations = 0
-    examples: list[Counterexample] = []
     if exhaustive:
         total = size ** ax.arity
         if total > limit:
@@ -409,20 +421,8 @@ def check_axiom_composite(
         tuples = (
             tuple(rng.randrange(size) for _ in range(ax.arity)) for _ in range(samples)
         )
-    for masks in tuples:
-        lhs, rhs = evaluate(spec, masks)
-        if violates(lhs, rhs):
-            violations += 1
-            if len(examples) < EXAMPLE_CAP:
-                examples.append(
-                    Counterexample(
-                        operands=tuple("(" + " ".join(spec.symbols_of(m)) + ")" for m in masks),
-                        lhs=spec.symbols_of(lhs),
-                        rhs=spec.symbols_of(rhs),
-                    )
-                )
-    return AxiomRecord(axiom_id, holds=violations == 0, violations=violations,
-                       universe=total, examples=examples)
+    return _audit(spec, axiom, tuples, total,
+                  lambda m: "(" + " ".join(spec.symbols_of(m)) + ")")[k]
 
 
 def r6_r6l_equivalence_check(spec: CalculusSpec) -> Optional[bool]:
@@ -432,9 +432,7 @@ def r6_r6l_equivalence_check(spec: CalculusSpec) -> Optional[bool]:
     """
     if spec.identity_mask is None:
         return None
-    if check_axiom(spec, "R7").holds is not True:
-        return None
-    if check_axiom(spec, "R9").holds is not True:
+    if not (spec.flags.ra7_holds and spec.flags.ra9_holds):
         return None
     r6 = check_axiom(spec, "R6").holds
     r6l = check_axiom(spec, "R6l").holds

@@ -71,6 +71,8 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise CliError("--jobs must be at least 1")
     calc = _load_calculus(args)
     report = axioms.classify(calc, jobs=args.jobs)
     findings = registry.validate(calc)
@@ -247,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="axiom audit and algebra classification")
     add_calc_opts(p, positional_spec=True)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for the audit")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the audit (at most one per axiom)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("closure", help="algebraic closure of a network")

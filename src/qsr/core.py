@@ -377,9 +377,6 @@ class RelationSet:
     def __invert__(self) -> "RelationSet":
         return RelationSet(self.calculus, self.calculus.complement_mask(self.bits))
 
-    def complement(self) -> "RelationSet":
-        return ~self
-
     # relational structure
     def converse(self) -> "RelationSet":
         return RelationSet(self.calculus, self.calculus.converse_mask(self.bits))

@@ -43,7 +43,7 @@ class BudgetExceededError(Exception):
 class FiniteInterpretation:
     """A finite universe plus an interpretation map from symbols to pair sets."""
 
-    __slots__ = ("name", "calculus", "universe", "phi", "_pair_to_symbol")
+    __slots__ = ("name", "calculus", "universe", "phi", "_cover")
 
     def __init__(
         self,
@@ -76,12 +76,13 @@ class FiniteInterpretation:
         if len(set(images)) != len(images):
             raise CalculusError("interpretation map must be injective on symbols")
         self.phi = interp
-        # pair -> set of symbols covering it (singleton under JEPD)
-        cover: dict[Pair, list[str]] = {}
+        # pair -> mask of the base relations covering it (one bit under JEPD)
+        cover: dict[Pair, int] = {}
         for sym, pairs in interp.items():
+            bit = 1 << calculus.symbol_index(sym)
             for p in pairs:
-                cover.setdefault(p, []).append(sym)
-        self._pair_to_symbol = cover
+                cover[p] = cover.get(p, 0) | bit
+        self._cover = cover
 
     def phi_mask(self, mask: int) -> frozenset[Pair]:
         """Interpretation of a composite relation given as a bitmask."""
@@ -91,15 +92,12 @@ class FiniteInterpretation:
         return frozenset(out)
 
     def mask_contains(self, mask: int, pair: Pair) -> bool:
-        for sym in self._pair_to_symbol.get(pair, ()):
-            if mask >> self.calculus.symbol_index(sym) & 1:
-                return True
-        return False
+        return mask & self._cover.get(pair, 0) != 0
 
     def base_relation_of(self, pair: Pair) -> Optional[str]:
         """The unique base relation containing ``pair`` (requires JEPD to be unique)."""
-        syms = self._pair_to_symbol.get(pair, ())
-        return syms[0] if syms else None
+        cover = self._cover.get(pair, 0)
+        return self.calculus.symbols[(cover & -cover).bit_length() - 1] if cover else None
 
     def __repr__(self) -> str:
         return (
@@ -135,10 +133,10 @@ def check_jepd(model: FiniteInterpretation) -> JepdReport:
     multiple = []
     for a in model.universe:
         for b in model.universe:
-            covering = model._pair_to_symbol.get((a, b), ())
+            covering = model._cover.get((a, b), 0)
             if not covering:
                 uncovered.append((a, b))
-            elif len(covering) > 1:
+            elif covering.bit_count() > 1:
                 multiple.append((a, b))
     return JepdReport(
         jointly_exhaustive=not uncovered,

@@ -1,5 +1,9 @@
 """Axiom battery: verdicts, counterexamples, classification, equivalences."""
 
+import dataclasses
+from collections import Counter
+from random import Random
+
 import pytest
 
 from qsr import (
@@ -12,7 +16,9 @@ from qsr import (
     classify,
     r6_r6l_equivalence_check,
 )
+from qsr import axioms
 from qsr.axioms import MAIN_AXIOMS, SUB, SUP
+from qsr.registry import BUILTIN_NAMES
 
 ALWAYS_HOLD = ("R1", "R2", "R3", "R5", "R7" + SUP, "R8", "WA" + SUP, "SA" + SUP)
 
@@ -149,7 +155,7 @@ def test_r10_composite_level_can_be_probed():
 
 
 @pytest.mark.parametrize("check", [check_axiom, check_axiom_composite])
-@pytest.mark.parametrize("axiom_id", ["R99", "R99" + SUB, "PL-up"])
+@pytest.mark.parametrize("axiom_id", ["R99", "R99" + SUB, "PL-up", "PL" + SUB, "PL" + SUP])
 def test_unknown_axiom_is_a_calculus_error(check, axiom_id):
     with pytest.raises(CalculusError, match=f"unknown axiom '{axiom_id}'"):
         check(builtin("pc1"), axiom_id)
@@ -165,12 +171,65 @@ def test_r6_r6l_equivalence():
 
 
 def test_parallel_classification_matches_sequential():
-    seq = classify(builtin("rcc5"))
-    par = classify(builtin("rcc5"), jobs=2)
-    assert par.classification is seq.classification
-    for aid, rec in seq.records.items():
-        assert par.records[aid].holds == rec.holds
-        assert par.records[aid].violations == rec.violations
+    # appendixB2 has violations, so the examples are compared too
+    for name in ("rcc5", "appendixB2"):
+        seq = classify(builtin(name))
+        par = classify(builtin(name), jobs=2)
+        assert par.classification is seq.classification
+        assert list(par.records) == list(seq.records)
+        assert par.records == seq.records
+
+
+def test_audit_pool_has_at_most_one_worker_per_axiom(monkeypatch):
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(axioms, "ProcessPoolExecutor", InlinePool)
+    spec = builtin("appendixB2")
+    for jobs in (3, 64):
+        assert classify(spec, jobs=jobs).records == classify(spec).records
+    assert started == [3, len(MAIN_AXIOMS)]
+
+
+def test_classify_records_equal_check_axiom(random_calculus):
+    rng = Random(11)
+    calcs = [builtin(name) for name in BUILTIN_NAMES]
+    calcs += [random_calculus(rng, rng.choice((2, 3, 4, 5)), f"rand{t}") for t in range(20)]
+    for spec in calcs:
+        report = classify(spec)
+        assert len(report.records) == 3 * len(MAIN_AXIOMS)
+        for aid, rec in report.records.items():
+            assert rec == check_axiom(spec, aid), (spec.name, aid)
+
+
+def test_classify_evaluates_each_axiom_once_per_tuple(monkeypatch):
+    calls = Counter()
+
+    def counted(aid, evaluate):
+        def wrapped(spec, masks):
+            calls[aid] += 1
+            return evaluate(spec, masks)
+        return wrapped
+
+    for aid, ax in list(axioms._AXIOMS.items()):
+        wrapped = dataclasses.replace(ax, eval=counted(aid, ax.eval))
+        monkeypatch.setitem(axioms._AXIOMS, aid, wrapped)
+    spec = builtin("appendixB2")
+    classify(spec)
+    n = len(spec.symbols)
+    assert calls == {aid: n ** ax.arity for aid, ax in axioms._AXIOMS.items()}
 
 
 def test_classification_ra_minus_id():

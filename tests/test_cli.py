@@ -74,6 +74,13 @@ def test_analyze_spec_file_and_jobs(capsys, tmp_path):
     assert "classification: RA" in out
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_analyze_jobs_below_one_is_a_usage_error(capsys, jobs):
+    code, _, err = run(capsys, "analyze", "--builtin", "pc1", "--jobs", jobs)
+    assert code == 2
+    assert "--jobs" in err
+
+
 def test_closure_prints_inferred_edge(capsys, fig_net):
     code, out, _ = run(capsys, "closure", "--builtin", "pc1", "--network", fig_net)
     assert code == 0
