@@ -77,8 +77,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report = axioms.classify(calc, jobs=args.jobs)
     findings = registry.validate(calc)
 
+    flags = calc.flags
     lines = [f"calculus: {calc.name} ({len(calc.symbols)} base relations)"]
     lines.append(f"classification: {report.classification.value}")
+    lines.append(f"engine flags: R7 {_yn(flags.ra7_holds)}, R9 {_yn(flags.ra9_holds)}, "
+                 f"universal absorbs {_yn(flags.universal_absorbs)}")
     if report.all_main_hold():
         if all(report.records[a].applicable for a in axioms.MAIN_AXIOMS):
             lines.append("all axioms hold")
@@ -104,6 +107,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         lines.append(f"finding [{f.kind}]: {f.message}")
 
     payload = report.to_json_dict()
+    payload["flags"] = {"ra7_holds": flags.ra7_holds, "ra9_holds": flags.ra9_holds,
+                        "universal_absorbs": flags.universal_absorbs}
     payload["findings"] = [{"kind": f.kind, "message": f.message} for f in findings]
     payload["violated_sides"] = sides
     _emit(args, payload, "\n".join(lines))
@@ -114,19 +119,16 @@ def cmd_closure(args: argparse.Namespace) -> int:
     calc = _load_calculus(args)
     net = load_network(args.network, calc)
     out = a_closure(net)
-    stats = f"revisions: {out.revisions}, queue pops: {out.queue_pops}"
+    stats = (f"revisions: {out.revisions}, queue pops: {out.queue_pops}, "
+             f"skipped pops: {out.skipped_pops}")
+    counts = {"revisions": out.revisions, "queue_pops": out.queue_pops,
+              "skipped_pops": out.skipped_pops}
     if not out.closed:
         pair = out.empty_pair or ("?", "?")
-        payload = {
-            "status": "inconsistent",
-            "empty_pair": list(pair),
-            "revisions": out.revisions,
-            "queue_pops": out.queue_pops,
-        }
+        payload = {"status": "inconsistent", "empty_pair": list(pair), **counts}
         _emit(args, payload, f"inconsistent: empty relation between {pair[0]} and {pair[1]}\n{stats}")
         return EXIT_INCONSISTENT
-    payload = {"status": "closed", "revisions": out.revisions,
-               "queue_pops": out.queue_pops, "network": out.network.to_json_dict()}
+    payload = {"status": "closed", **counts, "network": out.network.to_json_dict()}
     _emit(args, payload, out.network.to_text().rstrip() + "\n" + stats)
     return EXIT_OK
 

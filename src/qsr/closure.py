@@ -35,6 +35,19 @@ converse of its mirror.  It tightens the same cells in the same order as
 that revision, so revisions, queue pops and reported pairs are unchanged.
 The other branches revise through one general routine.
 
+If the universal relation U absorbs composition (``universal_absorbs``:
+U.{s} == {s}.U == U for every base relation s), a popped pair whose cells
+C[i][j] and C[j][i] are both U is skipped in every branch.  Composition
+distributes over union, so each composition of that pop, having a universal
+operand and a non-empty other one, yields U and each intersection with it
+is a no-op.  The cross-tightening of the safe branches only repeats the
+2-consistency that the prologue and every earlier revision left on each
+pair.  The pop would change no cell and enqueue nothing, so the fixpoint,
+the revisions, the queue pops (a skipped pop still counts) and the reported
+pair are the same in every queue order.  ``ClosureOutcome.skipped_pops``
+counts these pops.  Without the flag the skip is unsound: where a.a is
+empty, the all-universal network is inconsistent.
+
 Inconsistency (an empty cell) is an outcome, not an exception: the result
 carries the offending pair.
 
@@ -84,6 +97,9 @@ class ClosureOutcome:
     revisions: int
     queue_pops: int
     empty_pair: Optional[tuple[str, str]] = None
+    # pops that revised nothing because their pair was universal both ways
+    # (counted in ``queue_pops`` too)
+    skipped_pops: int = 0
 
     @property
     def closed(self) -> bool:
@@ -132,12 +148,13 @@ def a_closure(
     comp_row = calc.compose_row
     revisions = 0
     pops = 0
+    skipped = 0
 
     def outcome(status: ClosureStatus, pair: Optional[tuple[int, int]]) -> ClosureOutcome:
         names = None
         if pair is not None:
             names = (work.var_names[pair[0]], work.var_names[pair[1]])
-        return ClosureOutcome(status, work, revisions, pops, names)
+        return ClosureOutcome(status, work, revisions, pops, names, skipped)
 
     # pre-existing empty cells are already an inconsistency
     for i, j in pairs:
@@ -162,8 +179,11 @@ def a_closure(
 
     # Under R7 every cell now equals the converse of its mirror and each
     # revision below keeps it so: the worklist holds unordered pairs.
-    unordered = calc.flags.ra7_holds
-    derive = unordered and calc.flags.ra9_holds
+    flags = calc.flags
+    unordered = flags.ra7_holds
+    derive = unordered and flags.ra9_holds
+    absorbs = flags.universal_absorbs
+    universal = calc.universal
 
     seed_pairs = [p for p in pairs if p[0] < p[1]] if unordered else pairs
     in_queue = set(seed_pairs)
@@ -235,6 +255,10 @@ def a_closure(
         in_queue.discard(p)
         i, j = p
         pops += 1
+        if absorbs and cells[i * n + j] == universal and cells[j * n + i] == universal:
+            # U.R == R.U == U for every non-empty R: this pop changes no cell
+            skipped += 1
+            continue
         if derive:
             # the fused pass: C[i][j] does not change while its pair is
             # revised, so both composition rows are read once per pop

@@ -20,6 +20,8 @@ small calculi the extensions to composite arguments are precomputed
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, Optional
 
 # Precompute the full composite tables only while they stay small:
@@ -44,14 +46,16 @@ class UnknownSymbolError(CalculusError):
 class CalculusFlags:
     """Read-only properties of a calculus that the reasoning engines act on.
 
-    ``ra7_holds``/``ra9_holds`` are derived from the tables on the first read
-    of ``CalculusSpec.flags``; ``acl_decides_atomic`` (closure decides atomic
-    networks) is fixed at construction, and ``decide`` may override it.
+    ``ra7_holds``, ``ra9_holds`` and ``universal_absorbs`` (U.{s} == U ==
+    {s}.U for every base relation s) are derived from the tables on the first
+    read of ``CalculusSpec.flags``; ``acl_decides_atomic`` (closure decides
+    atomic networks) is fixed at construction, and ``decide`` may override it.
     """
 
     ra7_holds: bool
     ra9_holds: bool
     acl_decides_atomic: bool
+    universal_absorbs: bool
 
 
 class CalculusSpec:
@@ -138,7 +142,10 @@ class CalculusSpec:
         flags = self._flags
         if flags is None:
             flags = self._flags = CalculusFlags(
-                compute_ra7(self), compute_ra9(self), self._acl_decides_atomic
+                compute_ra7(self),
+                compute_ra9(self),
+                self._acl_decides_atomic,
+                compute_universal_absorbs(self),
             )
         return flags
 
@@ -468,3 +475,18 @@ def compute_ra9(spec: CalculusSpec) -> bool:
             if _union_of(conv, rows[i][j]) != rhs:
                 return False
     return True
+
+
+def compute_universal_absorbs(spec: CalculusSpec) -> bool:
+    """The universal relation absorbs composition: U.{s} == U == {s}.U for every base symbol s.
+
+    Composition distributes over union, so then U.R == R.U == U for every
+    non-empty R, and a closure pop whose pair is universal both ways refines
+    nothing.  {s}.U is the union of row s of the table and U.{s} the union of
+    column s.  Reads the tables directly, leaving the composition cache empty.
+    """
+    u = spec.universal
+    rows = spec.composition_row
+    return all(_union_of(row, u) == u for row in rows) and all(
+        reduce(or_, column) == u for column in zip(*rows)
+    )

@@ -94,11 +94,6 @@ class FiniteInterpretation:
     def mask_contains(self, mask: int, pair: Pair) -> bool:
         return mask & self._cover.get(pair, 0) != 0
 
-    def base_relation_of(self, pair: Pair) -> Optional[str]:
-        """The unique base relation containing ``pair`` (requires JEPD to be unique)."""
-        cover = self._cover.get(pair, 0)
-        return self.calculus.symbols[(cover & -cover).bit_length() - 1] if cover else None
-
     def __repr__(self) -> str:
         return (
             f"FiniteInterpretation({self.name or '<anon>'}, {self.calculus.name}, "

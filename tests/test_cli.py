@@ -182,3 +182,30 @@ def test_gen_on_one_relation_calculus_is_a_usage_error(capsys, tmp_path):
 def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "closure", "--builtin", "nope", "--network", "x.net")
     assert code == 2
+
+
+def test_closure_reports_skipped_pops(capsys, tmp_path, fig_net):
+    code, out, _ = run(capsys, "closure", "--builtin", "pc1", "--network", fig_net)
+    assert code == 0
+    assert "skipped pops: " in out
+    code, out, _ = run(capsys, "closure", "--builtin", "pc1", "--network", fig_net, "--format", "json")
+    doc = json.loads(out)
+    assert 0 <= doc["skipped_pops"] <= doc["queue_pops"]
+    path = tmp_path / "clash.net"
+    path.write_text(CLASH_NET)
+    code, out, _ = run(capsys, "closure", "--builtin", "pc1", "--network", str(path), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["skipped_pops"] == 0
+
+
+@pytest.mark.parametrize("name,line,flags", [
+    ("rcc5", "engine flags: R7 yes, R9 yes, universal absorbs yes", (True, True, True)),
+    ("appendixB2", "engine flags: R7 yes, R9 no, universal absorbs no", (True, False, False)),
+])
+def test_analyze_reports_the_derived_engine_flags(capsys, name, line, flags):
+    code, out, _ = run(capsys, "analyze", "--builtin", name)
+    assert code == 0
+    assert line in out.splitlines()
+    code, out, _ = run(capsys, "analyze", "--builtin", name, "--format", "json")
+    doc = json.loads(out)
+    assert doc["flags"] == dict(zip(("ra7_holds", "ra9_holds", "universal_absorbs"), flags))

@@ -429,3 +429,67 @@ def test_closure_work_counts_are_pinned(random_calculus):
     ))
     # no split of a closed appendixB2 network in this batch is inconsistent
     assert _tally(split_closures) == (1212, 1050, " ".join(["."] * 162))
+
+
+def _void1():
+    # one symbol, conv(a) = a, a.a = {}, no identity: R7 and R9 hold, but
+    # U.U is empty, so the universal relation does not absorb composition
+    from qsr.core import CalculusSpec
+
+    return CalculusSpec("void1", ("a",), None, {"a": ["a"]}, {("a", "a"): []})
+
+
+def _void2():
+    # two symbols, each converse {a, b}, every composition empty: R7 fails
+    from qsr.core import CalculusSpec
+
+    syms = ("a", "b")
+    return CalculusSpec("void2", syms, None, {s: syms for s in syms},
+                        {(x, y): [] for x in syms for y in syms})
+
+
+@pytest.mark.parametrize("make,ra7,ra9", [(_void1, True, True), (_void2, False, True)])
+def test_universal_pairs_are_revised_when_the_universal_relation_does_not_absorb(make, ra7, ra9):
+    # every pair of the all-universal network is universal, yet each pop
+    # empties a cell: skipping such pops without the derived flag would
+    # report this network closed
+    from qsr.network import ConstraintNetwork
+
+    calc = make()
+    assert (calc.flags.ra7_holds, calc.flags.ra9_holds, calc.flags.universal_absorbs) == (ra7, ra9, False)
+    net = ConstraintNetwork(calc, ["x", "y", "z"])
+    ref = naive_closure(net)
+    assert ref.status is ClosureStatus.INCONSISTENT
+    for order in ("fifo", "lifo", "shuffled"):
+        got = a_closure(net, queue_order=order, seed=3)
+        assert got.status is ClosureStatus.INCONSISTENT, order
+        assert got.skipped_pops == 0, order
+
+
+def test_skipped_pops_are_counted_and_keep_the_fixpoint(cyclic_group):
+    # sparse networks on one calculus per closure branch whose universal
+    # relation absorbs composition: fused (rcc5), R7 without R9 (nc2: conv is the identity and
+    # a.b != b.a), ordered pairs (appendixB1) and the large path (Z9)
+    from qsr.core import CalculusSpec
+
+    nc2 = CalculusSpec("nc2", ("a", "b"), None, {"a": ["a"], "b": ["b"]},
+                       {("a", "a"): ["a", "b"], ("a", "b"): ["a"],
+                        ("b", "a"): ["b"], ("b", "b"): ["a", "b"]})
+    calcs = [builtin("rcc5"), nc2, builtin("appendixB1"), cyclic_group(9)]
+    assert [(c.flags.ra7_holds, c.flags.ra9_holds) for c in calcs] == [
+        (True, True), (True, False), (False, True), (True, True)]
+    for calc in calcs:
+        assert calc.flags.universal_absorbs is True
+        skipped = 0
+        for seed in range(20):
+            net = random_network(calc, 7, (0.2, 0.4)[seed % 2], seed=seed)
+            ref = naive_closure(net)
+            assert ref.skipped_pops == 0
+            for order in ("fifo", "lifo", "shuffled"):
+                got = a_closure(net, queue_order=order, seed=seed)
+                assert 0 <= got.skipped_pops <= got.queue_pops, (calc.name, seed, order)
+                assert got.status == ref.status, (calc.name, seed, order)
+                if got.closed:
+                    assert got.network.cells == ref.network.cells, (calc.name, seed, order)
+                skipped += got.skipped_pops
+        assert skipped > 0, calc.name

@@ -122,11 +122,13 @@ def _random_tables(rng, n_syms):
 
 
 def test_compute_ra9_leaves_the_composition_cache_empty(cyclic_group):
-    from qsr.core import compute_ra9
+    from qsr.core import compute_ra9, compute_universal_absorbs
 
     spec = cyclic_group(12)
     assert compute_ra9(spec) is True
+    assert compute_universal_absorbs(spec) is True
     assert spec.flags.ra9_holds is True
+    assert spec.flags.universal_absorbs is True
     assert spec._comp_cache == {}
 
 
@@ -150,12 +152,35 @@ def test_compute_ra9_matches_the_axiom_check(cyclic_group):
     assert {(False, False), (True, False), (True, True)} <= seen
 
 
+def test_universal_absorbs_matches_its_definition(cyclic_group, dihedral_group, random_calculus):
+    # U.{s} == U == {s}.U for every base relation s, read through compose_masks
+    import random
+
+    from qsr import BUILTIN_NAMES
+
+    specs = [builtin(name) for name in BUILTIN_NAMES]
+    specs += [cyclic_group(9), cyclic_group(10), dihedral_group(5)]
+    rng = random.Random(8)
+    specs += [random_calculus(rng, rng.choice((1, 2, 3, 4, 9)), f"rand{t}") for t in range(60)]
+    seen = set()
+    for spec in specs:
+        u = spec.universal
+        expected = all(
+            spec.compose_masks(u, 1 << s) == u and spec.compose_masks(1 << s, u) == u
+            for s in range(len(spec))
+        )
+        assert spec.flags.universal_absorbs is expected, spec.name
+        seen.add(expected)
+    assert seen == {True, False}
+
+
 def test_directly_built_calculus_derives_its_flags():
     state = builtin("appendixB2").__getstate__()
     spec = CalculusSpec(state["name"], state["symbols"], state["identity"],
                         state["converse"], state["composition"])
     assert spec.flags.ra7_holds is True
     assert spec.flags.ra9_holds is False
+    assert spec.flags.universal_absorbs is False
     assert spec.flags.acl_decides_atomic is False
 
 

@@ -52,9 +52,6 @@ def test_non_disjoint_model_witness():
     assert report.jointly_exhaustive
     assert not report.pairwise_disjoint
     assert ("0", "0") in report.multiply_covered
-    # the first covering relation in symbol order
-    assert model.base_relation_of(("0", "0")) == "le"
-    assert model.base_relation_of(("1", "0")) == "ge"
 
 
 def test_dropping_a_relation_breaks_exhaustiveness():
@@ -67,7 +64,6 @@ def test_dropping_a_relation_breaks_exhaustiveness():
     report = check_jepd(partial)
     assert not report.jointly_exhaustive
     assert ("1", "1") in report.uncovered
-    assert partial.base_relation_of(("1", "1")) is None
 
 
 def test_partition_scheme_identity_as_composite():
