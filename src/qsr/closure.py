@@ -33,7 +33,12 @@ converse is a permutation, so it distributes over &, and R9 turns
 conv(C[k][i].C[i][j]) into C[j][i].C[i][k], since every cell is the
 converse of its mirror.  It tightens the same cells in the same order as
 that revision, so revisions, queue pops and reported pairs are unchanged.
-The other branches revise through one general routine.
+How a row is read depends only on the width, so it is fixed once per call
+(``calc.chunked_rows``): up to 8 base relations a row is indexed by the
+mask itself, row[c]; from 9 to 16 it is read in two byte chunks,
+row[c & 255] | row[256 + (c >> 8)], so that no read makes a call or fills
+a memo; above 16 a row is a dict that composes each new mask on its first
+read.  The other branches revise through one general routine.
 
 If the universal relation U absorbs composition (``universal_absorbs``:
 U.{s} == {s}.U == U for every base relation s), a popped pair whose cells
@@ -184,6 +189,7 @@ def a_closure(
     derive = unordered and flags.ra9_holds
     absorbs = flags.universal_absorbs
     universal = calc.universal
+    chunked = calc.chunked_rows
 
     seed_pairs = [p for p in pairs if p[0] < p[1]] if unordered else pairs
     in_queue = set(seed_pairs)
@@ -266,6 +272,31 @@ def a_closure(
             bj = j * n
             row_ij = comp_row(cells[bi + j])
             row_ji = comp_row(cells[bj + i])
+            if chunked:
+                # the loop below with each read split into two byte chunks;
+                # kept apart so that the dense loop tests nothing per read
+                for k in range(n):
+                    if k == i or k == j:
+                        continue
+                    c_ik = cells[bi + k]
+                    c_jk = cells[bj + k]
+                    r = c_ik & (row_ij[c_jk & 255] | row_ij[256 + (c_jk >> 8)])
+                    if r != c_ik:
+                        if r == 0:
+                            return outcome(ClosureStatus.INCONSISTENT, (i, k))
+                        revisions += 1
+                        cells[bi + k] = c_ik = r
+                        cells[k * n + i] = conv(r)
+                        enqueue(i, k)
+                    r = c_jk & (row_ji[c_ik & 255] | row_ji[256 + (c_ik >> 8)])
+                    if r != c_jk:
+                        if r == 0:
+                            return outcome(ClosureStatus.INCONSISTENT, (k, j))
+                        revisions += 1
+                        cells[bj + k] = r
+                        cells[k * n + j] = conv(r)
+                        enqueue(k, j)
+                continue
             for k in range(n):
                 if k == i or k == j:
                     continue

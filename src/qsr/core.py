@@ -13,8 +13,12 @@ Converse and composition extend from symbols to composite relations by union:
 Widths are dynamic (calculi range from a handful to well over a thousand base
 relations); masks are plain Python integers.  The composition table is stored
 dense, |Rel|**2 cells, which stays below ~4M cells for |Rel| <= 2048.  For
-small calculi the extensions to composite arguments are precomputed
-(2**|Rel| entries), making closure engines cheap table lookups.
+|Rel| <= 8 the extensions to composite arguments are precomputed (2**|Rel|
+entries), making closure engines cheap table lookups.  For 8 < |Rel| <= 16
+the composition rows that closure reads are built from two byte-indexed
+tables of at most 256 rows each, filled on demand; they never grow past
+that.  ``compose_masks`` on a calculus with more than 8 relations keeps a
+memo of the pairs it was asked for.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from typing import Iterable, Iterator, Optional
 # converse needs 2**n ints, composition 4**n.
 _FULL_CONV_LIMIT = 14
 _FULL_COMP_LIMIT = 8
+# compose_row reads two byte chunks of the right argument up to this width
+_CHUNK_COMP_LIMIT = 16
 
 
 class CalculusError(Exception):
@@ -75,11 +81,13 @@ class CalculusSpec:
         "notes",
         "source",
         "universal",
+        "chunked_rows",
         "_acl_decides_atomic",
         "_flags",
         "_index",
         "_conv_full",
         "_comp_full",
+        "_comp_chunks",
         "_comp_cache",
     )
 
@@ -102,6 +110,8 @@ class CalculusSpec:
         self._index = {s: i for i, s in enumerate(self.symbols)}
         n = len(self.symbols)
         self.universal = (1 << n) - 1
+        # how compose_row rows are read, fixed by the width (see compose_row)
+        self.chunked_rows = _FULL_COMP_LIMIT < n <= _CHUNK_COMP_LIMIT
 
         self.identity_mask: Optional[int]
         if identity is None:
@@ -135,6 +145,7 @@ class CalculusSpec:
 
         self._conv_full: Optional[list[int]] = None
         self._comp_full: Optional[list[list[int]]] = None
+        self._comp_chunks: Optional[tuple[list, list, list[list[int]]]] = None
         self._comp_cache: dict[tuple[int, int], int] = {}
 
     @property
@@ -202,20 +213,34 @@ class CalculusSpec:
         return full[a][b]
 
     def compose_row(self, a: int) -> list[int] | dict[int, int]:
-        """The composition row of ``a``: ``row[b] == compose_masks(a, b)`` for every mask ``b``.
+        """The composition row of ``a``, a read-only table of ``a . b`` over masks ``b``.
 
-        For |Rel| <= 8 this is the row of the dense composite table, built on
-        first use as ``compose_masks`` builds it.  For larger calculi it is a
-        fresh dict that calls ``compose_masks(a, b)`` on the first read of
-        each ``b`` and keeps the result, so a caller that reads many cells of
-        one row pays one call per distinct right argument.
+        * |Rel| <= 8: the row of the dense composite table, built on first use
+          as ``compose_masks`` builds it; ``row[b] == compose_masks(a, b)``.
+        * 8 < |Rel| <= 16 (``chunked_rows`` is true): a flat list of width
+          256 + 2**(|Rel| - 8) with ``row[x] == a . x`` for ``x < 256`` and
+          ``row[256 + y] == a . (y << 8)``, read in two byte chunks:
+          ``row[b & 255] | row[256 + (b >> 8)] == compose_masks(a, b)``.
+          The rows of the low and of the high byte of ``a`` come from two
+          bounded tables filled on demand; only an ``a`` with both bytes
+          non-zero costs a fresh list, the union of its two byte rows.
+        * |Rel| > 16: a fresh dict that calls ``compose_masks(a, b)`` on the
+          first read of each ``b`` and keeps the result;
+          ``row[b] == compose_masks(a, b)``.
         """
         full = self._comp_full
         if full is None:
-            if len(self.symbols) <= _FULL_COMP_LIMIT:
-                full = self._build_comp_full()
-            else:
+            if self.chunked_rows:
+                lo_rows, hi_rows, _ = self._comp_chunks or self._build_comp_chunks()
+                low, high = a & 255, a >> 8
+                row = lo_rows[low] or self._chunk_row(lo_rows, low, 0)
+                if high:
+                    hi_row = hi_rows[high] or self._chunk_row(hi_rows, high, 8)
+                    row = list(map(or_, row, hi_row)) if low else hi_row
+                return row
+            if len(self.symbols) > _FULL_COMP_LIMIT:
                 return _ComposeRow(self, a)
+            full = self._build_comp_full()
         return full[a]
 
     def complement_mask(self, mask: int) -> int:
@@ -234,15 +259,9 @@ class CalculusSpec:
 
     def _build_comp_full(self) -> list[list[int]]:
         size = self.universal + 1
-        rows = self.composition_row
+        n = len(self.symbols)
         # first the single-symbol rows extended to composite right arguments
-        sym_rows = []
-        for row in rows:
-            ext = [0] * size
-            for m in range(1, size):
-                low = m & -m
-                ext[m] = ext[m ^ low] | row[low.bit_length() - 1]
-            sym_rows.append(ext)
+        sym_rows = [_extension(row, 0, n) for row in self.composition_row]
         full: list[list[int]] = [[0] * size]
         for a in range(1, size):
             low = a & -a
@@ -251,6 +270,25 @@ class CalculusSpec:
             full.append([base[b] | srow[b] for b in range(size)])
         self._comp_full = full
         return full
+
+    def _build_comp_chunks(self) -> tuple[list, list, list[list[int]]]:
+        # two tables of chunk rows, for the low and for the high byte of a
+        # left argument, empty but for the zero row; and the chunk rows of
+        # the single symbols they are built from
+        high = len(self.symbols) - 8
+        sym_rows = [_extension(row, 0, 8) + _extension(row, 8, high) for row in self.composition_row]
+        zero = [0] * len(sym_rows[0])
+        chunks = self._comp_chunks = ([zero] + [None] * 255, [zero] + [None] * ((1 << high) - 1), sym_rows)
+        return chunks
+
+    def _chunk_row(self, table: list, m: int, shift: int) -> list[int]:
+        # row(m) = row(m without its lowest bit) | row of that bit's symbol;
+        # shift is 8 for the high-byte table
+        low = m & -m
+        rest = m ^ low
+        base = table[rest] or self._chunk_row(table, rest, shift)
+        row = table[m] = list(map(or_, base, self._comp_chunks[2][shift + low.bit_length() - 1]))
+        return row
 
     def _compose_large(self, a: int, b: int) -> int:
         cache = self._comp_cache
@@ -434,6 +472,15 @@ class RelationSet:
 
     def __repr__(self) -> str:
         return f"RelationSet({self.calculus.name}:{self.calculus.format_mask(self.bits)})"
+
+
+def _extension(row: tuple[int, ...], first: int, width: int) -> list[int]:
+    """``out[m]`` is the union of ``row[first + k]`` over the bits ``k`` of ``m``, for ``m < 2**width``."""
+    out = [0] * (1 << width)
+    for m in range(1, 1 << width):
+        low = m & -m
+        out[m] = out[m ^ low] | row[first + low.bit_length() - 1]
+    return out
 
 
 def _union_of(row: tuple[int, ...], mask: int) -> int:

@@ -278,9 +278,10 @@ def test_revised_pair_is_left_2_consistent_without_involutive_converse():
 
 
 def test_fused_pass_matches_reference_on_large_relation_algebras(cyclic_group, dihedral_group):
-    # Z9, Z10 and D5 satisfy R7 and R9 with more than 8 base relations, so
-    # the fused pass reads the lazy composition rows of the large path (D5
-    # is not commutative, so argument order matters there).  Every
+    # Z9, Z10, D5 and D8 satisfy R7 and R9 with 9 to 16 base relations, so
+    # the fused pass reads two-byte chunk rows, from a high-byte table of 2
+    # (Z9) up to 256 (D8) rows; Z17 takes the lazy dict rows above 16.  D5
+    # and D8 are not commutative, so argument order matters there.  Every
     # network and every level of a split chain closed with ``changed=`` must
     # equal the naive closure, in all three queue orders.
     import random as _random
@@ -288,10 +289,11 @@ def test_fused_pass_matches_reference_on_large_relation_algebras(cyclic_group, d
     from qsr.network import ConstraintNetwork
 
     rng = _random.Random(9090)
-    statuses = set()
     levels = 0
-    for calc in (cyclic_group(9), cyclic_group(10), dihedral_group(5)):
+    for calc in (cyclic_group(9), cyclic_group(10), dihedral_group(5), dihedral_group(8), cyclic_group(17)):
         assert calc.flags.ra7_holds and calc.flags.ra9_holds
+        assert calc.chunked_rows is (len(calc) <= 16)
+        statuses = set()
         for seed in range(100):
             n = rng.randint(3, 8)
             net = ConstraintNetwork(calc, [f"x{k}" for k in range(n)])
@@ -331,7 +333,7 @@ def test_fused_pass_matches_reference_on_large_relation_algebras(cyclic_group, d
                     if got.closed:
                         assert got.network.cells == out.network.cells, (calc.name, seed, order)
                 levels += 1
-    assert statuses == {ClosureStatus.CLOSED, ClosureStatus.INCONSISTENT}
+        assert statuses == {ClosureStatus.CLOSED, ClosureStatus.INCONSISTENT}, calc.name
     assert levels > 100
 
 

@@ -199,17 +199,52 @@ def test_compose_row_reads_as_compose_masks(cyclic_group, dihedral_group):
 
     for name in BUILTIN_NAMES:
         spec = builtin(name)
+        assert spec.chunked_rows is False
         for a in range(spec.universal + 1):
             row = spec.compose_row(a)
             assert all(row[b] == spec.compose_masks(a, b) for b in range(spec.universal + 1)), (name, a)
     rng = random.Random(5)
-    for spec in (cyclic_group(9), cyclic_group(10), dihedral_group(5)):
-        masks = [0, spec.universal] + [1 << k for k in range(len(spec))]
+    # 9 to 16 relations: flat rows read in two byte chunks
+    for spec in (cyclic_group(9), cyclic_group(10), dihedral_group(5), cyclic_group(16), dihedral_group(8)):
+        assert spec.chunked_rows is True
+        masks = [0, spec.universal, 255, spec.universal ^ 255] + [1 << k for k in range(len(spec))]
         masks += [rng.randrange(spec.universal + 1) for _ in range(40)]
         for a in masks:
             row = spec.compose_row(a)
-            # a fresh row per call, filled only by reads
-            assert row is not spec.compose_row(a) and len(row) == 0
-            for b in masks + masks:
-                assert row[b] == spec.compose_masks(a, b), (spec.name, a, b)
+            assert len(row) == 256 + (1 << (len(spec) - 8))
+            for b in masks:
+                assert row[b & 255] | row[256 + (b >> 8)] == spec.compose_masks(a, b), (spec.name, a, b)
         assert spec._comp_full is None
+    # more than 16: a fresh dict per call, filled only by reads
+    spec = cyclic_group(17)
+    assert spec.chunked_rows is False
+    masks = [0, spec.universal] + [1 << k for k in range(len(spec))]
+    masks += [rng.randrange(spec.universal + 1) for _ in range(40)]
+    for a in masks:
+        row = spec.compose_row(a)
+        assert row is not spec.compose_row(a) and len(row) == 0
+        for b in masks + masks:
+            assert row[b] == spec.compose_masks(a, b), (spec.name, a, b)
+    assert spec._comp_full is None
+
+
+def test_chunk_rows_are_bounded_and_stay_out_of_pickles(cyclic_group, dihedral_group):
+    # closure on a 9 to 16 relation algebra (R7 and R9 hold) reads only the
+    # two byte-indexed tables: the compose_masks memo stays empty, each table
+    # has at most its 256 or 2**(|Rel| - 8) rows, and a pickle, which is how
+    # classify(jobs=2) ships a calculus to its workers, leaves them out
+    import pickle
+
+    from qsr import a_closure, random_network
+
+    for spec in (cyclic_group(9), dihedral_group(6), cyclic_group(16)):
+        assert spec.flags.ra7_holds and spec.flags.ra9_holds
+        before = pickle.dumps(spec)
+        for seed in range(12):
+            a_closure(random_network(spec, 12, 0.5, seed=seed), queue_order="lifo")
+        assert spec._comp_cache == {}
+        lo_rows, hi_rows, _ = spec._comp_chunks
+        assert (len(lo_rows), len(hi_rows)) == (256, 1 << (len(spec) - 8))
+        assert sum(row is not None for row in hi_rows) > 1, spec.name
+        assert pickle.dumps(spec) == before
+        assert pickle.loads(before)._comp_chunks is None
