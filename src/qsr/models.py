@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
-from .core import CalculusError, CalculusSpec
+from .core import CalculusError, CalculusMismatchError, CalculusSpec
 from .network import ConstraintNetwork, NetworkError
 
 Pair = tuple[str, str]
@@ -320,34 +320,45 @@ def brute_force_solve(
 ) -> Optional[dict[str, str]]:
     """Enumerate all valuations; return the first satisfying one, or None.
 
+    Valuations are tried in ``itertools.product(model.universe, repeat=n)``
+    order, pairs (i, j) with i != j in row order, each valuation up to its
+    first violated pair.  A pair is checked in a bit table over universe
+    indices, built once per distinct cell mask: bit b of ``table[a]`` says
+    whether the mask covers the pair of elements a and b.
+
     Raises :class:`BudgetExceededError` when |universe| ** |vars| exceeds
     ``budget``.
     """
     if model.calculus is not net.calculus:
-        raise CalculusError("model interprets a different calculus")
+        raise CalculusMismatchError("model interprets a different calculus")
     n = len(net.var_names)
-    total = len(model.universe) ** n
+    universe = model.universe
+    total = len(universe) ** n
     if total > budget:
         raise BudgetExceededError(
             f"{total} valuations exceed the budget of {budget}"
         )
-    masks = [[net.get_mask(i, j) for j in range(n)] for i in range(n)]
-    contains = model.mask_contains
-    for combo in itertools.product(model.universe, repeat=n):
-        ok = True
-        for i in range(n):
-            row = masks[i]
-            ci = combo[i]
-            for j in range(n):
-                if i == j:
-                    continue
-                if not contains(row[j], (ci, combo[j])):
-                    ok = False
-                    break
-            if not ok:
+    cover = model._cover
+    tables: dict[int, list[int]] = {}
+    checks = []
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            mask = net.cells[i * n + j]
+            table = tables.get(mask)
+            if table is None:
+                table = tables[mask] = [
+                    sum(1 << b for b, v in enumerate(universe) if mask & cover.get((u, v), 0))
+                    for u in universe
+                ]
+            checks.append((i, j, table))
+    for combo in itertools.product(range(len(universe)), repeat=n):
+        for i, j, table in checks:
+            if not table[combo[i]] >> combo[j] & 1:
                 break
-        if ok:
-            return dict(zip(net.var_names, combo))
+        else:
+            return dict(zip(net.var_names, [universe[k] for k in combo]))
     return None
 
 

@@ -21,17 +21,26 @@ as in GQR) and reaches the same fixpoint in work proportional to what the
 split actually propagates.  The search runs on an explicit stack of open
 nodes, one frame per level, so its depth is not bounded by the
 interpreter's recursion limit.
+
+``derive_completeness`` walks the atomic networks of a variable count the
+same way: one level per pair, base relations in declaration order, each
+child closed from its split pair.  Closure is monotone, and the greatest
+fixpoint below cl(P) ∧ A equals the one below P ∧ A, so a prefix whose
+closure is inconsistent makes every atomic network below it inconsistent:
+the subtree is counted and skipped.  Only the atomic networks whose
+closure is consistent reach brute force, in product order, so the flag,
+the count and the counterexample are those of closing every network from
+scratch.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 from .closure import a_closure
-from .core import CalculusSpec
+from .core import CalculusMismatchError, CalculusSpec
 from .models import FiniteInterpretation, brute_force_solve
 from .network import ConstraintNetwork
 
@@ -125,35 +134,68 @@ def derive_completeness(
     """Check, exhaustively, whether every closed atomic ``n_vars``-variable
     network is satisfiable in ``model``.
 
-    Enumerates all |Rel| ** (n_vars choose 2) atomic networks, closes each,
-    and brute-forces the survivors against the model.  The answer is specific
-    to the model and the variable count: a calculus complete over its usual
-    infinite universe can fail over a small finite one.  Pass
-    ``flag == "yes"`` to ``decide`` as its ``acl_decides_atomic`` to use it.
+    Covers all |Rel| ** (n_vars choose 2) atomic networks, pairs (i, j) with
+    i < j in row order and base relations in declaration order, the last
+    pair varying fastest.  They are assigned pair by pair depth-first, and
+    each partial assignment is closed incrementally from its parent's
+    closure; an inconsistent prefix prunes every network below it.  Each
+    network whose closure is consistent is brute-forced against the model,
+    and the first unsatisfiable one is the counterexample.
+    ``networks_checked`` counts the networks covered up to it, pruned ones
+    included.  The answer is specific to the model and the variable count:
+    a calculus complete over its usual infinite universe can fail over a
+    small finite one.  Pass ``flag == "yes"`` to ``decide`` as its
+    ``acl_decides_atomic`` to use it.
     """
+    if model.calculus is not calculus:
+        raise CalculusMismatchError("model interprets a different calculus")
     n_syms = len(calculus.symbols)
     pairs = [(i, j) for i in range(n_vars) for j in range(i + 1, n_vars)]
-    total = n_syms ** len(pairs)
+    depth = len(pairs)
+    total = n_syms ** depth
     if total > budget:
         raise ValueError(f"{total} atomic networks exceed the budget of {budget}")
 
     names = [f"x{k}" for k in range(n_vars)]
+    conv = calculus.converse_mask
+    n = n_vars
+    # below[d]: the atomic networks under a node that has assigned d pairs
+    below = [n_syms ** (depth - d) for d in range(depth + 1)]
     checked = 0
-    counterexample = None
-    for combo in itertools.product(range(n_syms), repeat=len(pairs)):
-        net = ConstraintNetwork(calculus, names)
-        n = n_vars
-        for (i, j), sym_idx in zip(pairs, combo):
-            bit = 1 << sym_idx
-            net.cells[i * n + j] = bit
-            net.cells[j * n + i] = calculus.converse_mask(bit)
-        checked += 1
-        out = a_closure(net)
+    out = a_closure(ConstraintNetwork(calculus, names))
+    # one frame per open node: its closed network, the next base relation to
+    # give its pair and the pair's two closed cells
+    stack: list[list] = []
+    while True:
+        level = len(stack)
         if not out.closed:
-            continue
-        if brute_force_solve(net, model, budget=budget) is None:
-            counterexample = net
-            break
-
-    flag = "no" if counterexample is not None else "yes"
-    return CompletenessResult(flag, checked, counterexample)
+            checked += below[level]
+        elif level < depth:
+            closed = out.network
+            i, j = pairs[level]
+            stack.append([closed, 0, closed.cells[i * n + j], closed.cells[j * n + i]])
+        else:
+            checked += 1
+            # brute force gets the atomic network itself: without R7 its
+            # closure can be tighter, and the model need not make closure sound
+            leaf = ConstraintNetwork(calculus, names)
+            for (i, j), frame in zip(pairs, stack):
+                bit = 1 << (frame[1] - 1)
+                leaf.cells[i * n + j] = bit
+                leaf.cells[j * n + i] = conv(bit)
+            if brute_force_solve(leaf, model, budget=budget) is None:
+                return CompletenessResult("no", checked, leaf)
+        while stack and stack[-1][1] == n_syms:
+            stack.pop()
+        if not stack:
+            return CompletenessResult("yes", checked, None)
+        frame = stack[-1]
+        closed, sym, ij, ji = frame
+        frame[1] = sym + 1
+        bit = 1 << sym
+        i, j = pairs[len(stack) - 1]
+        # a_closure copies its input: split the open node's network in place;
+        # only pair (i, j) was tightened since it was closed
+        closed.cells[i * n + j] = ij & bit
+        closed.cells[j * n + i] = ji & conv(bit)
+        out = a_closure(closed, changed=(i, j))

@@ -1,10 +1,13 @@
 """Finite interpretations: JEPD, partition schemes, operation strength, brute force."""
 
+import itertools
+
 import pytest
 
 from qsr import (
     BudgetExceededError,
     CalculusError,
+    CalculusMismatchError,
     CalculusSpec,
     CellStrength,
     FiniteInterpretation,
@@ -18,7 +21,10 @@ from qsr import (
     domain_converse,
     normalize,
     parse_model,
+    random_network,
+    satisfies,
 )
+from qsr.models import BUILTIN_MODEL_NAMES
 
 pc1 = builtin("pc1")
 b2 = builtin("appendixB2")
@@ -205,6 +211,48 @@ def test_brute_force_budget():
     net = normalize(pc1, [], var_names=[f"v{i}" for i in range(8)])
     with pytest.raises(BudgetExceededError):
         brute_force_solve(net, chain3, budget=100)
+
+
+def _reference_solve(net, model):
+    for combo in itertools.product(model.universe, repeat=len(net.var_names)):
+        valuation = dict(zip(net.var_names, combo))
+        if satisfies(net, valuation, model):
+            return valuation
+    return None
+
+
+def test_brute_force_returns_the_first_satisfying_valuation():
+    # a model that leaves pairs uncovered and covers others twice, besides
+    # the bundled ones
+    loose = FiniteInterpretation(
+        b2,
+        ["0", "1", "2"],
+        {
+            "r1": [("0", "0"), ("0", "1"), ("1", "2")],
+            "r2": [("1", "1"), ("0", "1")],
+            "r3": [("2", "0"), ("2", "2")],
+            "r4": [("1", "0")],
+        },
+    )
+    models = [builtin_model(name) for name in BUILTIN_MODEL_NAMES] + [loose]
+    found = missing = 0
+    for m_idx, model in enumerate(models):
+        for n_vars in range(2, 7):
+            for d_idx, density in enumerate((0.3, 0.6, 1.0)):
+                labels = "singletons" if d_idx == 2 else "uniform"
+                seed = 100 * m_idx + 10 * n_vars + d_idx
+                net = random_network(model.calculus, n_vars, density, labels, seed=seed)
+                want = _reference_solve(net, model)
+                assert brute_force_solve(net, model) == want, (model.name, n_vars, density)
+                found += want is not None
+                missing += want is None
+    assert found > 20 and missing > 20
+
+
+def test_brute_force_rejects_a_model_of_another_calculus():
+    net = normalize(builtin("rcc5"), [], var_names=["A", "B"])
+    with pytest.raises(CalculusMismatchError):
+        brute_force_solve(net, builtin_model("pc1-chain3"))
 
 
 MODEL_TEXT = """\

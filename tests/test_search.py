@@ -1,11 +1,15 @@
 """Refinement search: verdicts, witnesses, completeness metadata."""
 
+import itertools
 import random
 
 import pytest
 
 from qsr import (
+    CalculusMismatchError,
     ConstraintNetwork,
+    FiniteInterpretation,
+    NetworkError,
     Verdict,
     a_closure,
     brute_force_solve,
@@ -17,6 +21,7 @@ from qsr import (
     normalize,
     random_network,
 )
+from qsr.models import BUILTIN_MODEL_NAMES
 
 pc1 = builtin("pc1")
 rcc5 = builtin("rcc5")
@@ -166,6 +171,131 @@ def test_derive_completeness_detects_finite_domain_failure():
     assert result.counterexample is not None
     assert a_closure(result.counterexample).closed
     assert brute_force_solve(result.counterexample, chain3) is None
+
+
+def _reference_completeness(calculus, model, n_vars):
+    """Close every atomic network from scratch, in product order, and
+    brute-force each closed one."""
+    n_syms = len(calculus.symbols)
+    pairs = [(i, j) for i in range(n_vars) for j in range(i + 1, n_vars)]
+    names = [f"x{k}" for k in range(n_vars)]
+    checked = 0
+    for combo in itertools.product(range(n_syms), repeat=len(pairs)):
+        net = ConstraintNetwork(calculus, names)
+        for (i, j), sym_idx in zip(pairs, combo):
+            net.cells[i * n_vars + j] = 1 << sym_idx
+            net.cells[j * n_vars + i] = calculus.converse_mask(1 << sym_idx)
+        checked += 1
+        if a_closure(net).closed and brute_force_solve(net, model) is None:
+            return "no", checked, net.cells
+    return "yes", checked, None
+
+
+def _check_against_reference(calc, model, n_vars):
+    want = _reference_completeness(calc, model, n_vars)
+    got = derive_completeness(calc, model, n_vars)
+    cells = got.counterexample.cells if got.counterexample is not None else None
+    assert (got.flag, got.networks_checked, cells) == want, (calc.name, n_vars)
+    return want
+
+
+def test_derive_completeness_matches_closing_every_network_from_scratch():
+    # appendixB1 (converse not involutive) runs the mirror intersection;
+    # cycb-compass4 and appendixB-remark find counterexamples after 43 to
+    # 3,296 networks, so pruned counts precede them
+    cases = counterexamples = 0
+    for name in BUILTIN_MODEL_NAMES:
+        model = builtin_model(name)
+        calc = model.calculus
+        n_vars = 1
+        while len(calc.symbols) ** (n_vars * (n_vars - 1) // 2) <= 2 ** 15:
+            want = _check_against_reference(calc, model, n_vars)
+            cases += 1
+            counterexamples += want[0] == "no" and want[1] > 40
+            n_vars += 1
+    assert cases == 32
+    assert counterexamples >= 4
+
+
+def _random_model(rng, calc):
+    # each element pair goes to a random base relation: JEPD, not
+    # necessarily a model in which the tables are sound
+    universe = [str(k) for k in range(rng.choice((2, 3)))]
+    while True:
+        phi = {sym: [] for sym in calc.symbols}
+        for a in universe:
+            for b in universe:
+                phi[rng.choice(calc.symbols)].append((a, b))
+        images = [frozenset(pairs) for pairs in phi.values()]
+        if len(set(images)) == len(images):
+            return FiniteInterpretation(calc, universe, phi)
+
+
+def test_derive_completeness_matches_the_reference_on_random_calculi(random_calculus):
+    # random tables mostly break converse involution, so the closure of a
+    # consistent atomic network is often tighter than the network itself,
+    # which is what brute force must get
+    rng = random.Random(2005)
+    outcomes = set()
+    for t in range(40):
+        calc = random_calculus(rng, rng.choice((2, 3)), f"rand{t}")
+        model = _random_model(rng, calc)
+        for n_vars in (3, 4):
+            want = _check_against_reference(calc, model, n_vars)
+            outcomes.add((want[0], want[1] > 1))
+    assert outcomes == {("yes", True), ("no", True), ("no", False)}
+
+
+def test_derive_completeness_prunes_inconsistent_prefixes(monkeypatch):
+    # 59,049 atomic networks, 541 of them closed; closing every one of them
+    # from scratch takes 59,049 closures
+    import qsr.search
+
+    calls = {"closure": 0, "brute": 0}
+    orig_closure, orig_brute = qsr.search.a_closure, qsr.search.brute_force_solve
+
+    def counting_closure(*args, **kwargs):
+        calls["closure"] += 1
+        return orig_closure(*args, **kwargs)
+
+    def counting_brute(*args, **kwargs):
+        calls["brute"] += 1
+        return orig_brute(*args, **kwargs)
+
+    monkeypatch.setattr(qsr.search, "a_closure", counting_closure)
+    monkeypatch.setattr(qsr.search, "brute_force_solve", counting_brute)
+    result = derive_completeness(pc1, builtin_model("pc1-chain5"), n_vars=5)
+    assert (result.flag, result.networks_checked) == ("yes", 59_049)
+    assert calls["brute"] == 541
+    assert calls["closure"] < 6_000
+
+
+def test_derive_completeness_edge_cases(monkeypatch):
+    import qsr.search
+
+    chain3 = builtin_model("pc1-chain3")
+    result = derive_completeness(pc1, chain3, n_vars=1)
+    assert (result.flag, result.networks_checked, result.counterexample) == ("yes", 1, None)
+    for n_vars in (0, -1):
+        with pytest.raises(NetworkError):
+            derive_completeness(pc1, chain3, n_vars=n_vars)
+
+    closures = 0
+    orig = qsr.search.a_closure
+
+    def counting(*args, **kwargs):
+        nonlocal closures
+        closures += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(qsr.search, "a_closure", counting)
+    with pytest.raises(ValueError):
+        derive_completeness(pc1, chain3, n_vars=4, budget=728)
+    # the model's calculus is checked before anything is closed, not first
+    # by brute force at the first closed network
+    with pytest.raises(CalculusMismatchError):
+        derive_completeness(rcc5, chain3, n_vars=3)
+    assert closures == 0
 
 
 def test_decide_agrees_with_brute_force_on_small_networks():
