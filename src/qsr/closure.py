@@ -10,10 +10,13 @@ to its greatest fixpoint with a PC-2 style worklist.  The network always
 stores both directions of every pair; two properties derived from the
 calculus's tables (``calc.flags``) steer how a revision fills them:
 
-* If the converse is an involutive permutation (``ra7_holds`` is true),
-  2-consistency leaves C[j][i] = conv(C[i][j]) everywhere, so the worklist
-  holds unordered pairs.  Otherwise opposite cells carry independent
-  information and ordered pairs are seeded and queued.
+* The worklist holds unordered pairs on every calculus.  A pop of (i, j)
+  revises, for each third variable k, C[i][k] by C[i][j].C[j][k], C[k][i]
+  by C[k][j].C[j][i], C[k][j] by C[k][i].C[i][j] and C[j][k] by
+  C[j][i].C[i][k]: every triangle with either cell of the pair as an
+  operand, just as a pop of (j, i) would.  So an update to either cell
+  queues the pair once, even where opposite cells carry independent
+  information (the converse is not involutive, ``ra7_holds`` is false).
 * Only if R7 and converse-composition distributivity R9 (``ra9_holds``)
   both hold is C[j][i] written as the converse of the revised C[i][j].  In
   every other case a revision refines C[j][i] independently and
@@ -114,7 +117,6 @@ class ClosureOutcome:
 def a_closure(
     net: ConstraintNetwork,
     queue_order: str = FIFO,
-    rng: Optional[random.Random] = None,
     seed: Optional[int] = None,
     *,
     changed: Optional[tuple[int, int]] = None,
@@ -122,7 +124,8 @@ def a_closure(
     """Close ``net`` under the triangle refinement rule; pure, input untouched.
 
     ``queue_order`` selects the worklist discipline (``fifo``, ``lifo`` or
-    ``shuffled``); the fixpoint is the same for all of them.
+    ``shuffled``, drawn from ``random.Random(seed)``); the fixpoint is the
+    same for all of them.
 
     ``changed=(i, j)`` (variable indices, ``i != j``) states that ``net`` is
     closed except in cells (i, j) and (j, i), which were only tightened.
@@ -142,8 +145,6 @@ def a_closure(
             raise ValueError(f"changed pair {changed!r} is not an off-diagonal pair of {n} variables")
         # every other pair is still closed: check and 2-tighten this one only
         pairs = [(ci, cj), (cj, ci)]
-    if queue_order == SHUFFLED and rng is None:
-        rng = random.Random(seed)
 
     calc = net.calculus
     work = net.copy()
@@ -183,15 +184,15 @@ def a_closure(
                 tightened = True
 
     # Under R7 every cell now equals the converse of its mirror and each
-    # revision below keeps it so: the worklist holds unordered pairs.
+    # revision below keeps it so.
     flags = calc.flags
-    unordered = flags.ra7_holds
-    derive = unordered and flags.ra9_holds
+    ra7 = flags.ra7_holds
+    derive = ra7 and flags.ra9_holds
     absorbs = flags.universal_absorbs
     universal = calc.universal
     chunked = calc.chunked_rows
 
-    seed_pairs = [p for p in pairs if p[0] < p[1]] if unordered else pairs
+    seed_pairs = [p for p in pairs if p[0] < p[1]]
     in_queue = set(seed_pairs)
     if queue_order == FIFO:
         queue = deque(seed_pairs)
@@ -201,6 +202,8 @@ def a_closure(
         if queue_order == LIFO:
             take = queue.pop
         else:
+            rng = random.Random(seed)
+
             def take() -> tuple[int, int]:
                 # O(1): swap a random entry to the end and pop it
                 idx = rng.randrange(len(queue))
@@ -208,17 +211,11 @@ def a_closure(
                 return queue.pop()
 
     def enqueue(i: int, j: int) -> None:
-        if unordered:
-            p = (i, j) if i < j else (j, i)
-            if p not in in_queue:
-                in_queue.add(p)
-                queue.append(p)
-        else:
-            # an update refines both directions, requeue both
-            for p in ((i, j), (j, i)):
-                if p not in in_queue:
-                    in_queue.add(p)
-                    queue.append(p)
+        # one pop of the unordered pair revises the triangles of both cells
+        p = (i, j) if i < j else (j, i)
+        if p not in in_queue:
+            in_queue.add(p)
+            queue.append(p)
 
     def do_revise(i: int, j: int, k: int) -> tuple[bool, Optional[tuple[int, int]]]:
         # the safe branches: refine C[j][i] on its own and cross-tighten
@@ -234,7 +231,7 @@ def a_closure(
         tight = rp & conv(r)
         # without R7 one exchange need not leave the pair 2-consistent:
         # repeat while it still tightens C[j][i]
-        while not unordered and tight != rp:
+        while not ra7 and tight != rp:
             rp = tight
             r &= conv(rp)
             tight = rp & conv(r)
@@ -250,7 +247,7 @@ def a_closure(
             if r == 0:
                 return updated, (i, j)
             # under R7, r = conv(rp): both writes revise one unordered pair
-            if not (unordered and updated):
+            if not (ra7 and updated):
                 revisions += 1
             updated = True
             cells[ij] = r

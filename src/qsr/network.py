@@ -136,6 +136,7 @@ class ConstraintNetwork:
     # -- export -------------------------------------------------------------
 
     def to_text(self) -> str:
+        """Network-file text that parses back to this network if it is 2-consistent."""
         lines = [f'network "{self.name or "net"}"']
         lines.append(f"calculus {self.calculus.name}")
         lines.append("vars " + " ".join(self.var_names))
@@ -146,6 +147,11 @@ class ConstraintNetwork:
                 mask = self.get_mask(i, j)
                 if mask != self.calculus.universal:
                     lines.append(f"{self.var_names[i]} {fm(mask)} {self.var_names[j]}")
+                # without R7 the mirror cell need not be the converse: write
+                # it too, and parsing intersects the two lines
+                back = self.get_mask(j, i)
+                if back != self.calculus.converse_mask(mask):
+                    lines.append(f"{self.var_names[j]} {fm(back)} {self.var_names[i]}")
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:

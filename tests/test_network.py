@@ -150,9 +150,30 @@ def test_parse_network_calculus_mismatch():
         parse_network(NETWORK_TEXT, builtin("rcc5"))
 
 
-def test_network_text_round_trip():
-    net = parse_network(NETWORK_TEXT)
-    assert parse_network(net.to_text()) == net
+def test_network_text_round_trip(random_calculus):
+    # closed networks over random calculi without R7 hold mirror cells that
+    # are not the converse of their cell: those must survive the trip too
+    import random as _random
+
+    from qsr import a_closure
+
+    rng = _random.Random(1789)
+    nets = [parse_network(NETWORK_TEXT)]
+    for t in range(200):
+        calc = random_calculus(rng, rng.choice((2, 3, 4, 9)), f"rand{t}")
+        if calc.flags.ra7_holds:
+            continue
+        out = a_closure(random_network(calc, rng.choice((3, 4, 5)), rng.choice((0.3, 0.6, 1.0)), seed=t))
+        if out.closed:
+            nets.append(out.network)
+    asymmetric = 0
+    for net in nets:
+        assert parse_network(net.to_text(), net.calculus) == net, net.calculus.name
+        n = len(net)
+        conv = net.calculus.converse_mask
+        asymmetric += any(net.cells[j * n + i] != conv(net.cells[i * n + j])
+                          for i in range(n) for j in range(i + 1, n))
+    assert asymmetric > 10
 
 
 def test_network_json_export():

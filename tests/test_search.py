@@ -350,9 +350,9 @@ def _reference_decide(net, acl_decides_atomic):
 
 
 def test_decide_matches_a_search_that_closes_every_node_from_scratch(random_calculus):
-    # appendixB1 (converse not involutive) seeds ordered pairs, appendixB2
-    # (R9 fails) takes the cross-tightening branch, the random 9- and
-    # 10-relation calculi take the large path
+    # appendixB1 (converse not involutive) repeats the cross-tightening to a
+    # fixpoint, appendixB2 (R9 fails) takes the cross-tightening branch, the
+    # random 9- and 10-relation calculi take the large path
     rng = random.Random(90125)
     calcs = [builtin(name) for name in
              ("pc1", "rcc5", "cycb", "appendixB1", "appendixB2", "appendixB-remark")]
@@ -374,8 +374,8 @@ def test_decide_matches_a_search_that_closes_every_node_from_scratch(random_calc
 
 def test_child_closures_pop_only_what_the_split_propagates(monkeypatch):
     # each child closure starts from the split pair alone, so every pop past
-    # that pair (two ordered pairs without R7) is paid for by a revision;
-    # re-seeding all O(n^2) pairs per node breaks this bound
+    # that pair is paid for by a revision; re-seeding all O(n^2) pairs per
+    # node breaks this bound
     import qsr.search
 
     calls = []
