@@ -38,10 +38,23 @@ converse of its mirror.  It tightens the same cells in the same order as
 that revision, so revisions, queue pops and reported pairs are unchanged.
 How a row is read depends only on the width, so it is fixed once per call
 (``calc.chunked_rows``): up to 8 base relations a row is indexed by the
-mask itself, row[c]; from 9 to 16 it is read in two byte chunks,
-row[c & 255] | row[256 + (c >> 8)], so that no read makes a call or fills
-a memo; above 16 a row is a dict that composes each new mask on its first
-read.  The other branches revise through one general routine.
+mask itself, row[c]; above 16 a row is a dict that composes each new mask
+on its first read.  From 9 to 16 the pass fetches lo = row(a & 255) and
+hi = row(a & ~255) for each fixed operand a, and reads a.c as
+lo[b] | lo[h] | hi[b] | hi[h] with b = c & 255 and h = 256 + (c >> 8):
+composition distributes over union in its left argument, and a mask with
+one non-zero byte has a row of its own in two bounded tables, so no pop
+builds a row, no read makes a call and nothing is memoised.
+
+The other branches (no R7, or R7 without R9) check each triangle inline:
+for the pair (i, k) of a popped (i, j) they compute
+r = C[i][k] & C[i][j].C[j][k] and rp = C[k][i] & C[k][j].C[j][i], likewise
+for (k, j), and only if r or rp is tighter than its cell does a call
+(``settle``) cross-tighten, count and write the pair.  This passes over no
+revision: every pair is 2-consistent on entry (the prologue makes the
+seeded pairs so, and the rest are closed), and each settled pair is left
+2-consistent, so the cross-tightening of two unchanged cells,
+r & conv(rp) and rp & conv(r), changes neither.
 
 If the universal relation U absorbs composition (``universal_absorbs``:
 U.{s} == {s}.U == U for every base relation s), a popped pair whose cells
@@ -217,67 +230,74 @@ def a_closure(
             in_queue.add(p)
             queue.append(p)
 
-    def do_revise(i: int, j: int, k: int) -> tuple[bool, Optional[tuple[int, int]]]:
-        # the safe branches: refine C[j][i] on its own and cross-tighten
-        # both directions
+    def settle(a: int, b: int, r: int, rp: int) -> Optional[tuple[int, int]]:
+        # the safe branches: C[a][b] and C[b][a] were refined on their own
+        # to r and rp, at least one of them strictly; cross-tighten both
+        # directions, which leaves the pair 2-consistent, then count, write
+        # and enqueue.  Returns the pair that empties, if one does.
         nonlocal revisions
-        ij = i * n + j
-        ji = j * n + i
-        old_ij = cells[ij]
-        r = old_ij & comp(cells[i * n + k], cells[k * n + j])
-        old_ji = cells[ji]
-        rp = old_ji & comp(cells[j * n + k], cells[k * n + i])
         r &= conv(rp)
         tight = rp & conv(r)
         # without R7 one exchange need not leave the pair 2-consistent:
-        # repeat while it still tightens C[j][i]
+        # repeat while it still tightens C[b][a]
         while not ra7 and tight != rp:
             rp = tight
             r &= conv(rp)
             tight = rp & conv(r)
         rp = tight
-        updated = False
-        if rp != old_ji:
+        ab = a * n + b
+        ba = b * n + a
+        updated = rp != cells[ba]
+        if updated:
             if rp == 0:
-                return False, (j, i)
-            updated = True
+                return b, a
             revisions += 1
-            cells[ji] = rp
-        if r != old_ij:
+            cells[ba] = rp
+        if r != cells[ab]:
             if r == 0:
-                return updated, (i, j)
+                return a, b
             # under R7, r = conv(rp): both writes revise one unordered pair
             if not (ra7 and updated):
                 revisions += 1
-            updated = True
-            cells[ij] = r
-        return updated, None
+            cells[ab] = r
+        enqueue(a, b)
+        return None
 
     while queue:
         p = take()
         in_queue.discard(p)
         i, j = p
         pops += 1
-        if absorbs and cells[i * n + j] == universal and cells[j * n + i] == universal:
+        bi = i * n
+        bj = j * n
+        # C[i][j] and C[j][i] do not change while their pair is revised
+        c_ij = cells[bi + j]
+        c_ji = cells[bj + i]
+        if absorbs and c_ij == universal and c_ji == universal:
             # U.R == R.U == U for every non-empty R: this pop changes no cell
             skipped += 1
             continue
         if derive:
-            # the fused pass: C[i][j] does not change while its pair is
-            # revised, so both composition rows are read once per pop
-            bi = i * n
-            bj = j * n
-            row_ij = comp_row(cells[bi + j])
-            row_ji = comp_row(cells[bj + i])
+            # the fused pass: the rows of C[i][j] and C[j][i] are fetched
+            # once per pop
             if chunked:
                 # the loop below with each read split into two byte chunks;
-                # kept apart so that the dense loop tests nothing per read
+                # kept apart so that the dense loop tests nothing per read.
+                # Composition distributes over union in its left argument,
+                # so the row of C[i][j] is the union of the rows of its low
+                # and of its high byte: four reads, and no pop builds a row.
+                lo_ij = comp_row(c_ij & 255)
+                hi_ij = comp_row(c_ij & ~255)
+                lo_ji = comp_row(c_ji & 255)
+                hi_ji = comp_row(c_ji & ~255)
                 for k in range(n):
                     if k == i or k == j:
                         continue
                     c_ik = cells[bi + k]
                     c_jk = cells[bj + k]
-                    r = c_ik & (row_ij[c_jk & 255] | row_ij[256 + (c_jk >> 8)])
+                    b = c_jk & 255
+                    h = 256 + (c_jk >> 8)
+                    r = c_ik & (lo_ij[b] | lo_ij[h] | hi_ij[b] | hi_ij[h])
                     if r != c_ik:
                         if r == 0:
                             return outcome(ClosureStatus.INCONSISTENT, (i, k))
@@ -285,7 +305,9 @@ def a_closure(
                         cells[bi + k] = c_ik = r
                         cells[k * n + i] = conv(r)
                         enqueue(i, k)
-                    r = c_jk & (row_ji[c_ik & 255] | row_ji[256 + (c_ik >> 8)])
+                    b = c_ik & 255
+                    h = 256 + (c_ik >> 8)
+                    r = c_jk & (lo_ji[b] | lo_ji[h] | hi_ji[b] | hi_ji[h])
                     if r != c_jk:
                         if r == 0:
                             return outcome(ClosureStatus.INCONSISTENT, (k, j))
@@ -294,6 +316,8 @@ def a_closure(
                         cells[k * n + j] = conv(r)
                         enqueue(k, j)
                 continue
+            row_ij = comp_row(c_ij)
+            row_ji = comp_row(c_ji)
             for k in range(n):
                 if k == i or k == j:
                     continue
@@ -319,19 +343,33 @@ def a_closure(
                     cells[k * n + j] = conv(r)
                     enqueue(k, j)
             continue
+        # the safe branches: every pair is 2-consistent here, so a triangle
+        # whose compositions tighten neither cell of its pair revises
+        # nothing; it takes no converse and does not call settle
         for k in range(n):
             if k == i or k == j:
                 continue
-            updated, empty = do_revise(i, k, j)
-            if empty is not None:
-                return outcome(ClosureStatus.INCONSISTENT, empty)
-            if updated:
-                enqueue(i, k)
-            updated, empty = do_revise(k, j, i)
-            if empty is not None:
-                return outcome(ClosureStatus.INCONSISTENT, empty)
-            if updated:
-                enqueue(k, j)
+            bk = k * n
+            c_ik = cells[bi + k]
+            c_ki = cells[bk + i]
+            c_jk = cells[bj + k]
+            c_kj = cells[bk + j]
+            # the pair (i, k) by C[i][j].C[j][k] and C[k][j].C[j][i]
+            r = c_ik & comp(c_ij, c_jk)
+            rp = c_ki & comp(c_kj, c_ji)
+            if r != c_ik or rp != c_ki:
+                empty = settle(i, k, r, rp)
+                if empty is not None:
+                    return outcome(ClosureStatus.INCONSISTENT, empty)
+                c_ik = cells[bi + k]
+                c_ki = cells[bk + i]
+            # the pair (k, j) by C[k][i].C[i][j] and C[j][i].C[i][k]
+            r = c_kj & comp(c_ki, c_ij)
+            rp = c_jk & comp(c_ji, c_ik)
+            if r != c_kj or rp != c_jk:
+                empty = settle(k, j, r, rp)
+                if empty is not None:
+                    return outcome(ClosureStatus.INCONSISTENT, empty)
 
     return outcome(ClosureStatus.CLOSED, None)
 

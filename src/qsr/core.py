@@ -17,7 +17,7 @@ dense, |Rel|**2 cells, which stays below ~4M cells for |Rel| <= 2048.  For
 entries), making closure engines cheap table lookups.  For 8 < |Rel| <= 16
 the composition rows that closure reads are built from two byte-indexed
 tables of at most 256 rows each, filled on demand; they never grow past
-that.  ``compose_masks`` on a calculus with more than 8 relations keeps a
+that, and closure asks only for the row of one byte at a time.  ``compose_masks`` on a calculus with more than 8 relations keeps a
 memo of the pairs it was asked for.
 """
 
@@ -223,7 +223,8 @@ class CalculusSpec:
           ``row[b & 255] | row[256 + (b >> 8)] == compose_masks(a, b)``.
           The rows of the low and of the high byte of ``a`` come from two
           bounded tables filled on demand; only an ``a`` with both bytes
-          non-zero costs a fresh list, the union of its two byte rows.
+          non-zero costs a fresh list, the union of its two byte rows
+          (``a_closure`` ORs the reads of the two byte rows instead).
         * |Rel| > 16: a fresh dict that calls ``compose_masks(a, b)`` on the
           first read of each ``b`` and keeps the result;
           ``row[b] == compose_masks(a, b)``.

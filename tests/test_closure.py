@@ -337,6 +337,96 @@ def test_fused_pass_matches_reference_on_large_relation_algebras(cyclic_group, d
     assert levels > 100
 
 
+def test_safe_branches_match_reference_above_16_relations(random_calculus):
+    # random calculi of 17 and 20 symbols lack R7 or R9, so they take the
+    # safe branches with compositions of the large path, which the random
+    # calculi of at most 10 symbols above never reach.  Full closures and
+    # changed= closures of a split must equal the naive closure.
+    import itertools
+    import random as _random
+
+    rng = _random.Random(1720)
+    statuses = set()
+    splits = 0
+    for t in range(24):
+        calc = random_calculus(rng, (17, 20)[t % 2], f"wide{t}")
+        assert not (calc.flags.ra7_holds and calc.flags.ra9_holds), calc.name
+        for n, labels in itertools.product((3, 5), ("uniform", "singletons")):
+            net = random_network(calc, n, rng.choice((0.4, 0.8, 1.0)), labels, seed=t)
+            ref = naive_closure(net)
+            statuses.add(ref.status)
+            for order in ("fifo", "lifo", "shuffled"):
+                got = a_closure(net, queue_order=order, seed=t)
+                assert got.status == ref.status, (calc.name, n, order)
+                if got.closed:
+                    assert got.network.cells == ref.network.cells, (calc.name, n, order)
+            if not ref.closed:
+                continue
+            closed = ref.network
+            open_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                          if closed.cells[i * n + j].bit_count() > 1]
+            if not open_pairs:
+                continue
+            i, j = rng.choice(open_pairs)
+            mask = closed.cells[i * n + j]
+            bit = rng.choice([1 << b for b in range(mask.bit_length()) if mask >> b & 1])
+            split = closed.copy()
+            split.cells[i * n + j] = bit
+            split.cells[j * n + i] &= calc.converse_mask(bit)
+            ref = naive_closure(split)
+            for order in ("fifo", "lifo", "shuffled"):
+                got = a_closure(split, queue_order=order, seed=t, changed=(i, j))
+                assert got.status == ref.status, (calc.name, n, order)
+                if got.closed:
+                    assert got.network.cells == ref.network.cells, (calc.name, n, order)
+            splits += 1
+    assert statuses == {ClosureStatus.CLOSED, ClosureStatus.INCONSISTENT}
+    assert splits > 5
+
+
+def test_closure_makes_no_call_that_changes_nothing(monkeypatch, dihedral_group):
+    # Closing a closed appendixB1 network revises nothing.  The safe
+    # branches then take the converse only in the prologue's sweep over the
+    # n(n-1) ordered pairs, not once more per triangle.  On 9 to 16
+    # relations the fused pass fetches the rows of single bytes only and
+    # builds no merged row, even where the labels have both bytes set.
+    from qsr.core import CalculusSpec
+
+    b1 = builtin("appendixB1")
+    closed = a_closure(random_network(b1, 10, 0.5, "singletons", seed=3))
+    assert closed.closed and closed.queue_pops > closed.skipped_pops
+    converses = 0
+    orig_conv = CalculusSpec.converse_mask
+
+    def counting(self, mask):
+        nonlocal converses
+        converses += 1
+        return orig_conv(self, mask)
+
+    monkeypatch.setattr(CalculusSpec, "converse_mask", counting)
+    again = a_closure(closed.network)
+    assert again.closed and again.revisions == 0
+    assert again.network.cells == closed.network.cells
+    assert converses == 10 * 9
+
+    d8 = dihedral_group(8)
+    net = random_network(d8, 8, 1.0, seed=5)
+    assert any(m & 255 and m >> 8 for m in net.cells)
+    asked = []
+    orig_row = CalculusSpec.compose_row
+
+    def recording(self, a):
+        asked.append(a)
+        return orig_row(self, a)
+
+    monkeypatch.setattr(CalculusSpec, "compose_row", recording)
+    got = a_closure(net)
+    assert asked and all(not (a & 255 and a >> 8) for a in asked)
+    ref = naive_closure(net)
+    assert got.status == ref.status
+    assert got.network.cells == ref.network.cells
+
+
 def _tally(closures):
     return (
         sum(out.queue_pops for out in closures),

@@ -394,7 +394,7 @@ def test_child_closures_pop_only_what_the_split_propagates(monkeypatch):
             calls.clear()
             decide(random_network(calc, 8, 0.5, seed=seed))
             for out in calls[1:]:
-                assert out.queue_pops <= 2 + 2 * out.revisions, (name, seed)
+                assert out.queue_pops <= 1 + out.revisions, (name, seed)
             children += len(calls) - 1
     assert children > 50
 
