@@ -44,17 +44,28 @@ hi = row(a & ~255) for each fixed operand a, and reads a.c as
 lo[b] | lo[h] | hi[b] | hi[h] with b = c & 255 and h = 256 + (c >> 8):
 composition distributes over union in its left argument, and a mask with
 one non-zero byte has a row of its own in two bounded tables, so no pop
-builds a row, no read makes a call and nothing is memoised.
+builds a row, no read makes a call and nothing is memoised.  If U absorbs
+composition (see below), this pass also skips each half of a triangle whose
+varying operand is U: C[i][j].U == U, so the first half, by C[j][k], and
+the second, by the C[i][k] the first half may just have revised, change
+nothing when that cell is U.  The dense pass does not test this, as its
+half is only two reads.
 
-The other branches (no R7, or R7 without R9) check each triangle inline:
-for the pair (i, k) of a popped (i, j) they compute
+The other branches (no R7, or R7 without R9), the safe branches, check
+each triangle inline: for the pair (i, k) of a popped (i, j) they compute
 r = C[i][k] & C[i][j].C[j][k] and rp = C[k][i] & C[k][j].C[j][i], likewise
 for (k, j), and only if r or rp is tighter than its cell does a call
 (``settle``) cross-tighten, count and write the pair.  This passes over no
 revision: every pair is 2-consistent on entry (the prologue makes the
 seeded pairs so, and the rest are closed), and each settled pair is left
 2-consistent, so the cross-tightening of two unchanged cells,
-r & conv(rp) and rp & conv(r), changes neither.
+r & conv(rp) and rp & conv(r), changes neither.  Each of the four
+compositions has C[i][j] or C[j][i] as one operand, so up to 8 base
+relations (``calc.dense_rows``) it is a read of a row (``compose_row``) or
+a column (``CalculusSpec.compose_col``) of one of them, fetched once per
+pop.  Above 8 they are ``compose_masks`` calls: rows and columns there are
+dicts filled as they are read, and building four per pop cost more than
+the calls they saved.
 
 If the universal relation U absorbs composition (``universal_absorbs``:
 U.{s} == {s}.U == U for every base relation s), a popped pair whose cells
@@ -165,6 +176,7 @@ def a_closure(
     conv = calc.converse_mask
     comp = calc.compose_masks
     comp_row = calc.compose_row
+    comp_col = calc.compose_col
     revisions = 0
     pops = 0
     skipped = 0
@@ -201,8 +213,10 @@ def a_closure(
     flags = calc.flags
     ra7 = flags.ra7_holds
     derive = ra7 and flags.ra9_holds
-    absorbs = flags.universal_absorbs
-    universal = calc.universal
+    # a cell equal to ``absorbing`` is U and U absorbs composition; no cell
+    # equals -1
+    absorbing = calc.universal if flags.universal_absorbs else -1
+    dense = calc.dense_rows
     chunked = calc.chunked_rows
 
     seed_pairs = [p for p in pairs if p[0] < p[1]]
@@ -273,7 +287,7 @@ def a_closure(
         # C[i][j] and C[j][i] do not change while their pair is revised
         c_ij = cells[bi + j]
         c_ji = cells[bj + i]
-        if absorbs and c_ij == universal and c_ji == universal:
+        if c_ij == absorbing and c_ji == absorbing:
             # U.R == R.U == U for every non-empty R: this pop changes no cell
             skipped += 1
             continue
@@ -286,6 +300,9 @@ def a_closure(
                 # Composition distributes over union in its left argument,
                 # so the row of C[i][j] is the union of the rows of its low
                 # and of its high byte: four reads, and no pop builds a row.
+                # Where U absorbs, a half whose varying operand is U is
+                # skipped: C[i][j].U == U leaves C[i][k] as it is.  (The
+                # dense loop does not test this: its half is two reads.)
                 lo_ij = comp_row(c_ij & 255)
                 hi_ij = comp_row(c_ij & ~255)
                 lo_ji = comp_row(c_ji & 255)
@@ -295,16 +312,19 @@ def a_closure(
                         continue
                     c_ik = cells[bi + k]
                     c_jk = cells[bj + k]
-                    b = c_jk & 255
-                    h = 256 + (c_jk >> 8)
-                    r = c_ik & (lo_ij[b] | lo_ij[h] | hi_ij[b] | hi_ij[h])
-                    if r != c_ik:
-                        if r == 0:
-                            return outcome(ClosureStatus.INCONSISTENT, (i, k))
-                        revisions += 1
-                        cells[bi + k] = c_ik = r
-                        cells[k * n + i] = conv(r)
-                        enqueue(i, k)
+                    if c_jk != absorbing:
+                        b = c_jk & 255
+                        h = 256 + (c_jk >> 8)
+                        r = c_ik & (lo_ij[b] | lo_ij[h] | hi_ij[b] | hi_ij[h])
+                        if r != c_ik:
+                            if r == 0:
+                                return outcome(ClosureStatus.INCONSISTENT, (i, k))
+                            revisions += 1
+                            cells[bi + k] = c_ik = r
+                            cells[k * n + i] = conv(r)
+                            enqueue(i, k)
+                    if c_ik == absorbing:
+                        continue
                     b = c_ik & 255
                     h = 256 + (c_ik >> 8)
                     r = c_jk & (lo_ji[b] | lo_ji[h] | hi_ji[b] | hi_ji[h])
@@ -346,6 +366,36 @@ def a_closure(
         # the safe branches: every pair is 2-consistent here, so a triangle
         # whose compositions tighten neither cell of its pair revises
         # nothing; it takes no converse and does not call settle
+        if dense:
+            # the loop below with each composition a read of a row or a
+            # column of the dense table, fetched once per pop
+            row_ij = comp_row(c_ij)
+            row_ji = comp_row(c_ji)
+            col_ij = comp_col(c_ij)
+            col_ji = comp_col(c_ji)
+            for k in range(n):
+                if k == i or k == j:
+                    continue
+                bk = k * n
+                c_ik = cells[bi + k]
+                c_ki = cells[bk + i]
+                c_jk = cells[bj + k]
+                c_kj = cells[bk + j]
+                r = c_ik & row_ij[c_jk]
+                rp = c_ki & col_ji[c_kj]
+                if r != c_ik or rp != c_ki:
+                    empty = settle(i, k, r, rp)
+                    if empty is not None:
+                        return outcome(ClosureStatus.INCONSISTENT, empty)
+                    c_ik = cells[bi + k]
+                    c_ki = cells[bk + i]
+                r = c_kj & col_ij[c_ki]
+                rp = c_jk & row_ji[c_ik]
+                if r != c_kj or rp != c_jk:
+                    empty = settle(k, j, r, rp)
+                    if empty is not None:
+                        return outcome(ClosureStatus.INCONSISTENT, empty)
+            continue
         for k in range(n):
             if k == i or k == j:
                 continue

@@ -14,11 +14,13 @@ Widths are dynamic (calculi range from a handful to well over a thousand base
 relations); masks are plain Python integers.  The composition table is stored
 dense, |Rel|**2 cells, which stays below ~4M cells for |Rel| <= 2048.  For
 |Rel| <= 8 the extensions to composite arguments are precomputed (2**|Rel|
-entries), making closure engines cheap table lookups.  For 8 < |Rel| <= 16
-the composition rows that closure reads are built from two byte-indexed
-tables of at most 256 rows each, filled on demand; they never grow past
-that, and closure asks only for the row of one byte at a time.  ``compose_masks`` on a calculus with more than 8 relations keeps a
-memo of the pairs it was asked for.
+entries), making closure engines cheap table lookups; a transposed copy of
+that table, built on first use, holds the composition columns.  For
+8 < |Rel| <= 16 the composition rows that closure reads are built from two
+byte-indexed tables of at most 256 rows each, filled on demand; they never
+grow past that, and closure asks only for the row of one byte at a time.
+``compose_masks`` on a calculus with more than 8 relations keeps a memo of
+the pairs it was asked for.
 """
 
 from __future__ import annotations
@@ -81,12 +83,14 @@ class CalculusSpec:
         "notes",
         "source",
         "universal",
+        "dense_rows",
         "chunked_rows",
         "_acl_decides_atomic",
         "_flags",
         "_index",
         "_conv_full",
         "_comp_full",
+        "_comp_cols",
         "_comp_chunks",
         "_comp_cache",
     )
@@ -111,6 +115,7 @@ class CalculusSpec:
         n = len(self.symbols)
         self.universal = (1 << n) - 1
         # how compose_row rows are read, fixed by the width (see compose_row)
+        self.dense_rows = n <= _FULL_COMP_LIMIT
         self.chunked_rows = _FULL_COMP_LIMIT < n <= _CHUNK_COMP_LIMIT
 
         self.identity_mask: Optional[int]
@@ -145,6 +150,7 @@ class CalculusSpec:
 
         self._conv_full: Optional[list[int]] = None
         self._comp_full: Optional[list[list[int]]] = None
+        self._comp_cols: Optional[list[list[int]]] = None
         self._comp_chunks: Optional[tuple[list, list, list[list[int]]]] = None
         self._comp_cache: dict[tuple[int, int], int] = {}
 
@@ -215,8 +221,9 @@ class CalculusSpec:
     def compose_row(self, a: int) -> list[int] | dict[int, int]:
         """The composition row of ``a``, a read-only table of ``a . b`` over masks ``b``.
 
-        * |Rel| <= 8: the row of the dense composite table, built on first use
-          as ``compose_masks`` builds it; ``row[b] == compose_masks(a, b)``.
+        * |Rel| <= 8 (``dense_rows`` is true): the row of the dense composite
+          table, built on first use as ``compose_masks`` builds it;
+          ``row[b] == compose_masks(a, b)``.
         * 8 < |Rel| <= 16 (``chunked_rows`` is true): a flat list of width
           256 + 2**(|Rel| - 8) with ``row[x] == a . x`` for ``x < 256`` and
           ``row[256 + y] == a . (y << 8)``, read in two byte chunks:
@@ -225,9 +232,9 @@ class CalculusSpec:
           bounded tables filled on demand; only an ``a`` with both bytes
           non-zero costs a fresh list, the union of its two byte rows
           (``a_closure`` ORs the reads of the two byte rows instead).
-        * |Rel| > 16: a fresh dict that calls ``compose_masks(a, b)`` on the
-          first read of each ``b`` and keeps the result;
-          ``row[b] == compose_masks(a, b)``.
+        * |Rel| > 16: a fresh ``_ComposeLine`` that calls
+          ``compose_masks(a, b)`` on the first read of each ``b`` and keeps
+          the result; ``row[b] == compose_masks(a, b)``.
         """
         full = self._comp_full
         if full is None:
@@ -239,10 +246,28 @@ class CalculusSpec:
                     hi_row = hi_rows[high] or self._chunk_row(hi_rows, high, 8)
                     row = list(map(or_, row, hi_row)) if low else hi_row
                 return row
-            if len(self.symbols) > _FULL_COMP_LIMIT:
-                return _ComposeRow(self, a)
+            if not self.dense_rows:
+                return _ComposeLine(self, a)
             full = self._build_comp_full()
         return full[a]
+
+    def compose_col(self, b: int) -> list[int] | dict[int, int]:
+        """The composition column of ``b``, a read-only table of ``a . b`` over masks ``a``.
+
+        * |Rel| <= 8 (``dense_rows`` is true): a row of the transposed dense
+          composite table, built on first use and left out of pickles;
+          ``col[a] == compose_masks(a, b)``.
+        * |Rel| > 8: a fresh ``_ComposeLine`` that calls
+          ``compose_masks(a, b)`` on the first read of each ``a`` and keeps
+          the result; ``col[a] == compose_masks(a, b)``.
+        """
+        cols = self._comp_cols
+        if cols is None:
+            if not self.dense_rows:
+                return _ComposeLine(self, b, right=True)
+            full = self._comp_full or self._build_comp_full()
+            cols = self._comp_cols = [list(col) for col in zip(*full)]
+        return cols[b]
 
     def complement_mask(self, mask: int) -> int:
         return self.universal & ~mask
@@ -376,18 +401,22 @@ class CalculusSpec:
         self.__init__(**state)
 
 
-class _ComposeRow(dict):
-    """A lazily filled composition row of a large calculus (see ``compose_row``)."""
+class _ComposeLine(dict):
+    """A lazily filled composition row of ``m`` (``line[x] == m . x``) or, if
+    ``right``, column of ``m`` (``line[x] == x . m``), for a calculus with
+    more than 8 relations (see ``compose_row`` and ``compose_col``)."""
 
-    __slots__ = ("_spec", "_a")
+    __slots__ = ("_spec", "_m", "_right")
 
-    def __init__(self, spec: CalculusSpec, a: int) -> None:
+    def __init__(self, spec: CalculusSpec, m: int, right: bool = False) -> None:
         super().__init__()
         self._spec = spec
-        self._a = a
+        self._m = m
+        self._right = right
 
-    def __missing__(self, b: int) -> int:
-        out = self[b] = self._spec.compose_masks(self._a, b)
+    def __missing__(self, x: int) -> int:
+        compose = self._spec.compose_masks
+        out = self[x] = compose(x, self._m) if self._right else compose(self._m, x)
         return out
 
 

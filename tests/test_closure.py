@@ -384,6 +384,83 @@ def test_safe_branches_match_reference_above_16_relations(random_calculus):
     assert splits > 5
 
 
+def test_safe_branches_match_reference_at_11_to_16_relations(random_calculus):
+    # random calculi of 11 to 16 symbols lacking R7 or R9 take the safe
+    # branches at the widths where compose_row reads byte chunks, on
+    # networks of 5 and 6 variables.  Singleton labels on part of the pairs
+    # leave the rest to be refined.  Every network and every level of a
+    # split chain closed with ``changed=`` must equal the naive closure, in
+    # all three queue orders.
+    import random as _random
+
+    rng = _random.Random(1116)
+    statuses = set()
+    levels = revisions = 0
+    for t in range(24):
+        calc = random_calculus(rng, 11 + t % 6, f"mid{t}")
+        assert calc.chunked_rows and not (calc.flags.ra7_holds and calc.flags.ra9_holds), calc.name
+        for n in (5, 6):
+            net = random_network(calc, n, rng.choice((0.3, 0.4, 0.5)), "singletons", seed=t)
+            out = naive_closure(net)
+            statuses.add(out.status)
+            for order in ("fifo", "lifo", "shuffled"):
+                got = a_closure(net, queue_order=order, seed=t)
+                assert got.status == out.status, (calc.name, n, order)
+                if got.closed:
+                    assert got.network.cells == out.network.cells, (calc.name, n, order)
+                revisions += got.revisions
+            while out.closed:
+                closed = out.network
+                open_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                              if closed.cells[i * n + j].bit_count() > 1]
+                if not open_pairs:
+                    break
+                i, j = rng.choice(open_pairs)
+                mask = closed.cells[i * n + j]
+                bit = rng.choice([1 << b for b in range(mask.bit_length()) if mask >> b & 1])
+                split = closed.copy()
+                split.cells[i * n + j] = bit
+                split.cells[j * n + i] &= calc.converse_mask(bit)
+                out = naive_closure(split)
+                statuses.add(out.status)
+                for order in ("fifo", "lifo", "shuffled"):
+                    got = a_closure(split, queue_order=order, seed=t, changed=(i, j))
+                    assert got.status == out.status, (calc.name, n, order)
+                    if got.closed:
+                        assert got.network.cells == out.network.cells, (calc.name, n, order)
+                    revisions += got.revisions
+                levels += 1
+    assert statuses == {ClosureStatus.CLOSED, ClosureStatus.INCONSISTENT}
+    assert levels > 50 and revisions > 500
+
+
+def test_safe_branches_read_tables_not_compose_masks(monkeypatch):
+    # Up to 8 relations the safe branches read each composition from a row
+    # or a column of the dense table: closing appendixB1 (no R7) and
+    # appendixB2 (R7 without R9) networks calls compose_masks not once.
+    from qsr.core import CalculusSpec
+
+    calls = 0
+    orig_comp = CalculusSpec.compose_masks
+
+    def counting(self, a, b):
+        nonlocal calls
+        calls += 1
+        return orig_comp(self, a, b)
+
+    monkeypatch.setattr(CalculusSpec, "compose_masks", counting)
+    for name, labels in (("appendixB1", "singletons"), ("appendixB2", "uniform")):
+        calc = builtin(name)
+        assert not (calc.flags.ra7_holds and calc.flags.ra9_holds)
+        pops = revisions = 0
+        for seed in range(6):
+            out = a_closure(random_network(calc, 12, 0.5, labels, seed=seed))
+            pops += out.queue_pops - out.skipped_pops
+            revisions += out.revisions
+        assert pops > 0 and calls == 0, name
+    assert revisions > 0
+
+
 def test_closure_makes_no_call_that_changes_nothing(monkeypatch, dihedral_group):
     # Closing a closed appendixB1 network revises nothing.  The safe
     # branches then take the converse only in the prologue's sweep over the

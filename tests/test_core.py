@@ -193,39 +193,49 @@ def test_public_names_resolve_once():
 
 
 def test_compose_row_reads_as_compose_masks(cyclic_group, dihedral_group):
+    # and so does compose_col, with the fixed operand on the right
     import random
 
     from qsr import BUILTIN_NAMES
 
     for name in BUILTIN_NAMES:
         spec = builtin(name)
-        assert spec.chunked_rows is False
+        assert spec.dense_rows is True and spec.chunked_rows is False
         for a in range(spec.universal + 1):
             row = spec.compose_row(a)
+            col = spec.compose_col(a)
             assert all(row[b] == spec.compose_masks(a, b) for b in range(spec.universal + 1)), (name, a)
+            assert all(col[b] == spec.compose_masks(b, a) for b in range(spec.universal + 1)), (name, a)
     rng = random.Random(5)
     # 9 to 16 relations: flat rows read in two byte chunks
     for spec in (cyclic_group(9), cyclic_group(10), dihedral_group(5), cyclic_group(16), dihedral_group(8)):
-        assert spec.chunked_rows is True
+        assert spec.chunked_rows is True and spec.dense_rows is False
         masks = [0, spec.universal, 255, spec.universal ^ 255] + [1 << k for k in range(len(spec))]
         masks += [rng.randrange(spec.universal + 1) for _ in range(40)]
         for a in masks:
             row = spec.compose_row(a)
             assert len(row) == 256 + (1 << (len(spec) - 8))
+            col = spec.compose_col(a)
+            assert col is not spec.compose_col(a) and len(col) == 0
             for b in masks:
                 assert row[b & 255] | row[256 + (b >> 8)] == spec.compose_masks(a, b), (spec.name, a, b)
-        assert spec._comp_full is None
-    # more than 16: a fresh dict per call, filled only by reads
-    spec = cyclic_group(17)
-    assert spec.chunked_rows is False
-    masks = [0, spec.universal] + [1 << k for k in range(len(spec))]
-    masks += [rng.randrange(spec.universal + 1) for _ in range(40)]
-    for a in masks:
-        row = spec.compose_row(a)
-        assert row is not spec.compose_row(a) and len(row) == 0
-        for b in masks + masks:
-            assert row[b] == spec.compose_masks(a, b), (spec.name, a, b)
-    assert spec._comp_full is None
+                assert col[b] == spec.compose_masks(b, a), (spec.name, a, b)
+        assert spec._comp_full is None and spec._comp_cols is None
+    # more than 16: a fresh dict per call, filled only by reads; D9 is not
+    # commutative, so a row read as a column would differ
+    for spec in (cyclic_group(17), dihedral_group(9)):
+        assert spec.chunked_rows is False and spec.dense_rows is False
+        masks = [0, spec.universal] + [1 << k for k in range(len(spec))]
+        masks += [rng.randrange(spec.universal + 1) for _ in range(40)]
+        for a in masks:
+            row = spec.compose_row(a)
+            col = spec.compose_col(a)
+            assert row is not spec.compose_row(a) and len(row) == 0
+            assert col is not spec.compose_col(a) and len(col) == 0
+            for b in masks + masks:
+                assert row[b] == spec.compose_masks(a, b), (spec.name, a, b)
+                assert col[b] == spec.compose_masks(b, a), (spec.name, a, b)
+        assert spec._comp_full is None and spec._comp_cols is None
 
 
 def test_chunk_rows_are_bounded_and_stay_out_of_pickles(cyclic_group, dihedral_group):
@@ -248,3 +258,12 @@ def test_chunk_rows_are_bounded_and_stay_out_of_pickles(cyclic_group, dihedral_g
         assert sum(row is not None for row in hi_rows) > 1, spec.name
         assert pickle.dumps(spec) == before
         assert pickle.loads(before)._comp_chunks is None
+    # up to 8 relations the transposed copy of the dense table, which
+    # compose_col reads, stays out of pickles as well
+    spec = pickle.loads(pickle.dumps(builtin("appendixB2")))
+    before = pickle.dumps(spec)
+    assert spec._comp_cols is None
+    a_closure(random_network(spec, 8, 0.5, seed=1))
+    assert spec._comp_cols is not None
+    assert pickle.dumps(spec) == before
+    assert pickle.loads(before)._comp_cols is None
