@@ -1,8 +1,11 @@
 """Algebraic closure of constraint networks, with revision geared to the
 calculus's algebraic properties.
 
-The engine enforces strong 2-consistency (each cell intersected with the
-converse of its opposite cell), then drives the triangle refinement
+The engine first makes each seeded unordered pair strongly 2-consistent:
+each of its two cells is intersected with the converse of the other until
+neither tightens.  One routine (``settle``) does this, in the prologue
+and after each revision of the safe branches below.  Then the engine
+drives the triangle refinement
 
     C[i][j] <- C[i][j] & (C[i][k] . C[k][j])
 
@@ -63,9 +66,9 @@ r & conv(rp) and rp & conv(r), changes neither.  Each of the four
 compositions has C[i][j] or C[j][i] as one operand, so up to 8 base
 relations (``calc.dense_rows``) it is a read of a row (``compose_row``) or
 a column (``CalculusSpec.compose_col``) of one of them, fetched once per
-pop.  Above 8 they are ``compose_masks`` calls: rows and columns there are
-dicts filled as they are read, and building four per pop cost more than
-the calls they saved.
+pop.  Above 8 they are ``compose_masks`` calls: lazily filled rows and
+columns, four per pop, cost more than the calls they saved, and
+``compose_col`` exists only up to 8 relations.
 
 If the universal relation U absorbs composition (``universal_absorbs``:
 U.{s} == {s}.U == U for every base relation s), a popped pair whose cells
@@ -81,7 +84,9 @@ counts these pops.  Without the flag the skip is unsound: where a.a is
 empty, the all-universal network is inconsistent.
 
 Inconsistency (an empty cell) is an outcome, not an exception: the result
-carries the offending pair.
+carries the offending pair.  In the prologue that is the first seeded pair
+(i, j), i < j, in row order that is or becomes empty, named (j, i) only if
+C[i][j] stays non-empty.
 
 ``a_closure(net, changed=(i, j))`` is the incremental form used by
 refinement search.  Its precondition: ``net`` is closed except in the cells
@@ -103,7 +108,6 @@ greatest fixpoint regardless of worklist discipline.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -126,6 +130,9 @@ class ClosureStatus(Enum):
 class ClosureOutcome:
     status: ClosureStatus
     network: ConstraintNetwork
+    # one per tightened unordered pair under R7 (the mirror cell is the
+    # converse) and one per tightened cell otherwise; on an inconsistent
+    # outcome it counts only the work done before the empty cell was met
     revisions: int
     queue_pops: int
     empty_pair: Optional[tuple[str, str]] = None
@@ -149,7 +156,8 @@ def a_closure(
 
     ``queue_order`` selects the worklist discipline (``fifo``, ``lifo`` or
     ``shuffled``, drawn from ``random.Random(seed)``); the fixpoint is the
-    same for all of them.
+    same for all of them.  Each pair it starts from, every pair unless
+    ``changed`` is given, is first made strongly 2-consistent.
 
     ``changed=(i, j)`` (variable indices, ``i != j``) states that ``net`` is
     closed except in cells (i, j) and (j, i), which were only tightened.
@@ -161,14 +169,14 @@ def a_closure(
         raise ValueError(f"unknown queue order {queue_order!r}")
     n = len(net.var_names)
     if changed is None:
-        # every ordered off-diagonal pair, row by row
-        pairs = list(itertools.permutations(range(n), 2))
+        # every unordered pair, row by row
+        seeds = [(i, j) for i in range(n) for j in range(i + 1, n)]
     else:
         ci, cj = changed
         if not (0 <= ci < n and 0 <= cj < n) or ci == cj:
             raise ValueError(f"changed pair {changed!r} is not an off-diagonal pair of {n} variables")
-        # every other pair is still closed: check and 2-tighten this one only
-        pairs = [(ci, cj), (cj, ci)]
+        # every other pair is still closed: check and settle this one only
+        seeds = [(ci, cj) if ci < cj else (cj, ci)]
 
     calc = net.calculus
     work = net.copy()
@@ -187,29 +195,6 @@ def a_closure(
             names = (work.var_names[pair[0]], work.var_names[pair[1]])
         return ClosureOutcome(status, work, revisions, pops, names, skipped)
 
-    # pre-existing empty cells are already an inconsistency
-    for i, j in pairs:
-        if cells[i * n + j] == 0:
-            return outcome(ClosureStatus.INCONSISTENT, (i, j))
-
-    # Strong 2-consistency: intersect each cell with the converse of its
-    # mirror, repeated to fixpoint (a single sweep suffices only when the
-    # converse is an involutive permutation).
-    tightened = True
-    while tightened:
-        tightened = False
-        for i, j in pairs:
-            ij = i * n + j
-            tight = cells[ij] & conv(cells[j * n + i])
-            if tight != cells[ij]:
-                if tight == 0:
-                    return outcome(ClosureStatus.INCONSISTENT, (i, j))
-                cells[ij] = tight
-                revisions += 1
-                tightened = True
-
-    # Under R7 every cell now equals the converse of its mirror and each
-    # revision below keeps it so.
     flags = calc.flags
     ra7 = flags.ra7_holds
     derive = ra7 and flags.ra9_holds
@@ -219,13 +204,12 @@ def a_closure(
     dense = calc.dense_rows
     chunked = calc.chunked_rows
 
-    seed_pairs = [p for p in pairs if p[0] < p[1]]
-    in_queue = set(seed_pairs)
+    in_queue = set(seeds)
     if queue_order == FIFO:
-        queue = deque(seed_pairs)
+        queue = deque(seeds)
         take = queue.popleft
     else:
-        queue = seed_pairs
+        queue = seeds
         if queue_order == LIFO:
             take = queue.pop
         else:
@@ -245,10 +229,11 @@ def a_closure(
             queue.append(p)
 
     def settle(a: int, b: int, r: int, rp: int) -> Optional[tuple[int, int]]:
-        # the safe branches: C[a][b] and C[b][a] were refined on their own
-        # to r and rp, at least one of them strictly; cross-tighten both
-        # directions, which leaves the pair 2-consistent, then count, write
-        # and enqueue.  Returns the pair that empties, if one does.
+        # C[a][b] and C[b][a] were refined on their own to r and rp (or are
+        # a seeded pair that one exchange of converses would tighten);
+        # cross-tighten both directions, which leaves the pair 2-consistent,
+        # then count, write and enqueue.  Returns the pair that empties, if
+        # one does.
         nonlocal revisions
         r &= conv(rp)
         tight = rp & conv(r)
@@ -276,6 +261,22 @@ def a_closure(
             cells[ab] = r
         enqueue(a, b)
         return None
+
+    # Strong 2-consistency of the seeded pairs, all queued already, so
+    # settle enqueues nothing here.  It checks C[b][a] first, so under R7,
+    # where both cells empty together, settle(j, i) reports (i, j): the
+    # cell that a row-order sweep over the ordered pairs meets first.
+    for i, j in seeds:
+        c_ij = cells[i * n + j]
+        c_ji = cells[j * n + i]
+        if c_ij == 0 or c_ji == 0:
+            return outcome(ClosureStatus.INCONSISTENT, (i, j) if c_ij == 0 else (j, i))
+        if (c_ij & conv(c_ji)) != c_ij or (c_ji & conv(c_ij)) != c_ji:
+            empty = settle(j, i, c_ji, c_ij)
+            if empty is not None:
+                return outcome(ClosureStatus.INCONSISTENT, empty)
+    # Every pair is now 2-consistent.  Under R7 that makes each cell the
+    # converse of its mirror, and each revision below keeps it so.
 
     while queue:
         p = take()

@@ -232,7 +232,7 @@ class CalculusSpec:
           bounded tables filled on demand; only an ``a`` with both bytes
           non-zero costs a fresh list, the union of its two byte rows
           (``a_closure`` ORs the reads of the two byte rows instead).
-        * |Rel| > 16: a fresh ``_ComposeLine`` that calls
+        * |Rel| > 16: a fresh ``_ComposeRow`` that calls
           ``compose_masks(a, b)`` on the first read of each ``b`` and keeps
           the result; ``row[b] == compose_masks(a, b)``.
         """
@@ -247,24 +247,22 @@ class CalculusSpec:
                     row = list(map(or_, row, hi_row)) if low else hi_row
                 return row
             if not self.dense_rows:
-                return _ComposeLine(self, a)
+                return _ComposeRow(self, a)
             full = self._build_comp_full()
         return full[a]
 
-    def compose_col(self, b: int) -> list[int] | dict[int, int]:
+    def compose_col(self, b: int) -> list[int]:
         """The composition column of ``b``, a read-only table of ``a . b`` over masks ``a``.
 
-        * |Rel| <= 8 (``dense_rows`` is true): a row of the transposed dense
-          composite table, built on first use and left out of pickles;
-          ``col[a] == compose_masks(a, b)``.
-        * |Rel| > 8: a fresh ``_ComposeLine`` that calls
-          ``compose_masks(a, b)`` on the first read of each ``a`` and keeps
-          the result; ``col[a] == compose_masks(a, b)``.
+        A row of the transposed dense composite table, built on first use
+        and left out of pickles; ``col[a] == compose_masks(a, b)``.  Only for
+        |Rel| <= 8 (``dense_rows`` is true): above that it raises
+        ``CalculusError`` rather than build a table of 4**|Rel| cells.
         """
         cols = self._comp_cols
         if cols is None:
             if not self.dense_rows:
-                return _ComposeLine(self, b, right=True)
+                raise CalculusError(f"compose_col: {self.name!r} has more than {_FULL_COMP_LIMIT} relations")
             full = self._comp_full or self._build_comp_full()
             cols = self._comp_cols = [list(col) for col in zip(*full)]
         return cols[b]
@@ -401,22 +399,19 @@ class CalculusSpec:
         self.__init__(**state)
 
 
-class _ComposeLine(dict):
-    """A lazily filled composition row of ``m`` (``line[x] == m . x``) or, if
-    ``right``, column of ``m`` (``line[x] == x . m``), for a calculus with
-    more than 8 relations (see ``compose_row`` and ``compose_col``)."""
+class _ComposeRow(dict):
+    """A lazily filled composition row of ``m`` (``row[x] == m . x``) for a
+    calculus with more than 16 relations (see ``compose_row``)."""
 
-    __slots__ = ("_spec", "_m", "_right")
+    __slots__ = ("_spec", "_m")
 
-    def __init__(self, spec: CalculusSpec, m: int, right: bool = False) -> None:
+    def __init__(self, spec: CalculusSpec, m: int) -> None:
         super().__init__()
         self._spec = spec
         self._m = m
-        self._right = right
 
     def __missing__(self, x: int) -> int:
-        compose = self._spec.compose_masks
-        out = self[x] = compose(x, self._m) if self._right else compose(self._m, x)
+        out = self[x] = self._spec.compose_masks(self._m, x)
         return out
 
 

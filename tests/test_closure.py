@@ -463,8 +463,8 @@ def test_safe_branches_read_tables_not_compose_masks(monkeypatch):
 
 def test_closure_makes_no_call_that_changes_nothing(monkeypatch, dihedral_group):
     # Closing a closed appendixB1 network revises nothing.  The safe
-    # branches then take the converse only in the prologue's sweep over the
-    # n(n-1) ordered pairs, not once more per triangle.  On 9 to 16
+    # branches then take the converse only in the prologue, twice for each
+    # of the n(n-1)/2 unordered pairs, not once more per triangle.  On 9 to 16
     # relations the fused pass fetches the rows of single bytes only and
     # builds no merged row, even where the labels have both bytes set.
     from qsr.core import CalculusSpec
@@ -599,6 +599,61 @@ def test_closure_work_counts_are_pinned(random_calculus):
     ))
     # no split of a closed appendixB2 network in this batch is inconsistent
     assert _tally(split_closures) == (1212, 1050, " ".join(["."] * 162))
+
+
+def test_prologue_settles_pairs_whose_mirrors_disagree(random_calculus):
+    # random_network and normalize write the converse of each label into its
+    # mirror, so under R7 their prologue has nothing to tighten.  Here both
+    # cells of a pair are drawn on their own, so the prologue must settle
+    # each pair, on every builtin and on random calculi without R7; status
+    # and cells must match the reference.  The queue pops, and under R7 the
+    # reported pairs, are pinned as recorded when the prologue still swept
+    # every ordered pair to a fixpoint.
+    import random as _random
+
+    from qsr import BUILTIN_NAMES
+    from qsr.network import ConstraintNetwork
+
+    rng = _random.Random(1407)
+    calcs = [builtin(name) for name in BUILTIN_NAMES]
+    while len(calcs) < len(BUILTIN_NAMES) + 4:
+        calc = random_calculus(rng, rng.choice((3, 4, 9)), f"rand{len(calcs)}")
+        if not calc.flags.ra7_holds:
+            calcs.append(calc)
+    with_ra7, without = [], []
+    for calc in calcs:
+        for t in range(12):
+            n = 3 + t % 6
+            net = ConstraintNetwork(calc, [f"x{k}" for k in range(n)])
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < (0.2, 0.5)[t % 2]:
+                        net.set_mask(i, j, rng.randrange(1, calc.universal + 1))
+                        net.set_mask(j, i, rng.randrange(1, calc.universal + 1))
+            ref = naive_closure(net)
+            for order in ("fifo", "lifo", "shuffled"):
+                got = a_closure(net, queue_order=order, seed=t)
+                assert got.status == ref.status, (calc.name, t, order)
+                if got.closed:
+                    assert got.network.cells == ref.network.cells, (calc.name, t, order)
+                (with_ra7 if calc.flags.ra7_holds else without).append(got)
+    assert sum(out.closed for out in with_ra7) == 75
+    assert sum(out.closed for out in without) == 63
+    assert _tally(without)[0] == 860
+    pops, _, empties = _tally(with_ra7)
+    assert pops == 712
+    assert empties == (
+        '. . . x0-x1 x0-x1 x0-x1 . . . x1-x4 x2-x1 x1-x4 . . . x0-x5 x5-x0 x3-x0 . . . x0-x3 '
+        'x0-x3 x0-x3 . . . x0-x3 x0-x3 x0-x3 . . . x0-x3 x0-x3 x0-x3 . . . x0-x2 x0-x2 x0-x2 '
+        'x2-x4 x2-x4 x2-x4 x1-x3 x1-x3 x1-x3 x3-x4 x3-x4 x3-x4 x2-x4 x2-x4 x2-x4 . . . . . '
+        '. . . . x0-x4 x0-x4 x0-x4 . . . x0-x1 x0-x1 x0-x1 . . . . . . . . . x0-x4 x4-x3 x0-x3 '
+        'x0-x6 x0-x6 x0-x6 x2-x7 x2-x7 x2-x7 . . . . . . . . . x1-x2 x1-x2 x1-x2 x0-x3 x0-x3 '
+        'x0-x3 x0-x2 x0-x2 x0-x2 x0-x2 x0-x2 x0-x2 x0-x3 x0-x3 x0-x3 x2-x4 x2-x4 x2-x4 x1-x2 '
+        'x1-x2 x1-x2 x5-x0 x0-x4 x1-x0 x1-x7 x1-x7 x1-x7 . . . x2-x3 x2-x3 x2-x3 x1-x4 x1-x4 '
+        'x1-x4 x0-x1 x0-x1 x0-x1 x5-x0 x1-x2 x1-x2 x0-x3 x0-x3 x0-x3 . . . . . . . . . x1-x2 '
+        'x1-x2 x1-x2 . . . x4-x6 x4-x6 x4-x6 . . . . . . . . . x2-x4 x2-x4 x2-x4 x0-x2 x0-x2 '
+        'x0-x2 x1-x5 x1-x5 x1-x5'
+    )
 
 
 def _void1():
