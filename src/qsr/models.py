@@ -7,7 +7,9 @@ JEPD and partition-scheme conditions, domain-level converse/composition,
 the strength of the symbolic operations (strong / weak / abstract-only /
 unsound per table cell), and brute-force solving of constraint networks.
 
-Model files are line oriented with ``#`` comments:
+Model files follow the rules shared with network and spec files; their
+header is read by :func:`qsr.network.read_header`, and :func:`parse_model`
+reads only the interpretation lines:
 
     model "chain3"
     calculus pc1
@@ -25,13 +27,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import shlex
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
 from .core import CalculusError, CalculusMismatchError, CalculusSpec
-from .network import ConstraintNetwork, NetworkError
+from .network import ConstraintNetwork, NetworkError, name_line, read_header
 
 Pair = tuple[str, str]
 
@@ -101,9 +102,8 @@ class FiniteInterpretation:
         )
 
     def to_text(self) -> str:
-        lines = [f'model "{self.name or "model"}"']
-        lines.append(f"calculus {self.calculus.name}")
-        lines.append("universe " + " ".join(self.universe))
+        lines = [name_line("model", self.name or "model"), f"calculus {self.calculus.name}",
+                 "universe " + " ".join(self.universe)]
         for sym in self.calculus.symbols:
             pairs = " ".join(f"({a},{b})" for a, b in sorted(self.phi[sym]))
             lines.append(f"{sym}: {pairs}".rstrip())
@@ -364,72 +364,26 @@ def brute_force_solve(
 
 def parse_model(text: str, calculus: Optional[CalculusSpec] = None) -> FiniteInterpretation:
     """Parse model-file text; the calculus is resolved like in network files."""
-    from . import registry
-
-    name: Optional[str] = None
-    declared: Optional[str] = None
-    universe: Optional[list[str]] = None
     raw_phi: dict[str, list[Pair]] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        pos = raw.find("#")
-        line = (raw if pos < 0 else raw[:pos]).strip()
-        if not line:
-            continue
-        tokens = line.split()
-        head = tokens[0]
-        if head == "model":
-            if name is not None:
-                raise NetworkError(f"line {lineno}: duplicate model clause")
-            try:
-                parts = shlex.split(line)
-            except ValueError as exc:
-                raise NetworkError(f"line {lineno}: {exc}") from None
-            if len(parts) != 2:
-                raise NetworkError(f'line {lineno}: expected: model "<name>"')
-            name = parts[1]
-        elif head == "calculus":
-            if declared is not None:
-                raise NetworkError(f"line {lineno}: duplicate calculus clause")
-            if len(tokens) != 2:
-                raise NetworkError(f"line {lineno}: expected: calculus <name>")
-            declared = tokens[1]
-        elif head == "universe":
-            if universe is not None:
-                raise NetworkError(f"line {lineno}: duplicate universe clause")
-            universe = tokens[1:]
-            if not universe:
-                raise NetworkError(f"line {lineno}: universe needs at least one element")
-        elif ":" in line:
-            sym, _, rest = line.partition(":")
-            sym = sym.strip()
-            pairs: list[Pair] = []
-            for chunk in rest.split():
-                if not (chunk.startswith("(") and chunk.endswith(")")):
-                    raise NetworkError(f"line {lineno}: malformed pair {chunk!r}")
-                inner = chunk[1:-1]
-                if inner.count(",") != 1:
-                    raise NetworkError(f"line {lineno}: malformed pair {chunk!r}")
-                a, b = inner.split(",")
-                pairs.append((a.strip(), b.strip()))
-            if sym in raw_phi:
-                raise NetworkError(f"line {lineno}: duplicate interpretation for {sym!r}")
-            raw_phi[sym] = pairs
-        else:
-            raise NetworkError(f"line {lineno}: unexpected directive {head!r}")
+    def interpretation(lineno: int, line: str, tokens: list[str]) -> None:
+        if ":" not in line:
+            raise NetworkError(f"unexpected directive {tokens[0]!r}", lineno)
+        sym, _, rest = line.partition(":")
+        sym = sym.strip()
+        pairs: list[Pair] = []
+        for chunk in rest.split():
+            if not (chunk.startswith("(") and chunk.endswith(")")) or chunk.count(",") != 1:
+                raise NetworkError(f"malformed pair {chunk!r}", lineno)
+            a, b = chunk[1:-1].split(",")
+            pairs.append((a.strip(), b.strip()))
+        if sym in raw_phi:
+            raise NetworkError(f"duplicate interpretation for {sym!r}", lineno)
+        raw_phi[sym] = pairs
 
-    if declared is None:
-        raise NetworkError("missing calculus clause")
-    if calculus is None:
-        calculus = registry.builtin(declared)
-    elif calculus.name != declared:
-        raise NetworkError(
-            f"model declares calculus {declared!r} but {calculus.name!r} was supplied"
-        )
-    if universe is None:
-        raise NetworkError("missing universe clause")
+    name, calculus, universe = read_header(text, "model", calculus, interpretation)
     try:
-        return FiniteInterpretation(calculus, universe, raw_phi, name=name or "")
+        return FiniteInterpretation(calculus, universe, raw_phi, name=name)
     except CalculusError as exc:
         raise NetworkError(str(exc)) from None
 

@@ -11,7 +11,9 @@ ordered pair (i, j).  Both directions of every pair are stored; no cell is
 derived from its mirror on access, because that is lossless only for
 calculi whose converse is an involutive permutation.
 
-Network files are line oriented with ``#`` comments:
+Network, model and spec files share one set of file rules, implemented here
+once: :func:`read_lines`, :func:`quoted_name`, :func:`name_line` and, for
+network and model files, :func:`read_header`.
 
     network "chain"
     calculus pc1
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import random
 import shlex
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import CalculusError, CalculusMismatchError, CalculusSpec, RelationSet
 
@@ -36,7 +38,10 @@ Valuation = dict[str, str]
 
 
 class NetworkError(Exception):
-    """Malformed network data or misuse of network operations."""
+    """Malformed network data or misuse of network operations; ``line`` names a file line."""
+
+    def __init__(self, message: str, line: Optional[int] = None) -> None:
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class ConstraintNetwork:
@@ -137,9 +142,8 @@ class ConstraintNetwork:
 
     def to_text(self) -> str:
         """Network-file text that parses back to this network if it is 2-consistent."""
-        lines = [f'network "{self.name or "net"}"']
-        lines.append(f"calculus {self.calculus.name}")
-        lines.append("vars " + " ".join(self.var_names))
+        lines = [name_line("network", self.name or "net"), f"calculus {self.calculus.name}",
+                 "vars " + " ".join(self.var_names)]
         n = len(self.var_names)
         fm = self.calculus.format_mask
         for i in range(n):
@@ -209,6 +213,86 @@ def normalize(
     return net
 
 
+def read_lines(text: str) -> Iterator[tuple[int, str]]:
+    """The non-blank lines of ``text`` with their numbers, each cut at its first ``#``."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        pos = raw.find("#")
+        line = (raw if pos < 0 else raw[:pos]).strip()
+        if line:
+            yield lineno, line
+
+
+def quoted_name(line: str, lineno: int, error: type[Exception] = NetworkError) -> str:
+    """The name of a ``<keyword> "<name>"`` line as ``shlex`` unquotes it; a
+    malformed line raises ``error(message, lineno)``."""
+    try:
+        parts = shlex.split(line)
+    except ValueError as exc:
+        raise error(str(exc), lineno) from None
+    if len(parts) != 2:
+        raise error(f'expected: {parts[0]} "<name>"', lineno)
+    return parts[1]
+
+
+def name_line(keyword: str, name: str, error: type[Exception] = NetworkError) -> str:
+    """``<keyword> "<name>"`` with ``\\`` and ``"`` escaped, as :func:`quoted_name` reads
+    it back; a name with ``#`` or a line break cannot be read back and raises ``error``."""
+    if "#" in name or len((name + ".").splitlines()) != 1:
+        raise error(f"{keyword} name {name!r} cannot be written: it holds '#' or a line break")
+    escaped = name.replace("\\", "\\\\").replace('"', '\\"')
+    return f'{keyword} "{escaped}"'
+
+
+# the clause that lists a file's variables or elements, and its message when empty
+_ITEMS = {"network": ("vars", "vars clause needs at least one name"),
+          "model": ("universe", "universe needs at least one element")}
+
+
+def read_header(text: str, keyword: str, calculus: Optional[CalculusSpec],
+                body: Callable[[int, str, list[str]], None]) -> tuple[str, CalculusSpec, list[str]]:
+    """Read a network or model file (``keyword``): its name, ``calculus`` and ``vars`` or
+    ``universe`` clause, each at most once; every other line goes to ``body(lineno, line,
+    tokens)`` as it is met, so errors come in line order.  Returns (name, calculus, items)."""
+    from . import registry
+
+    items_keyword, empty = _ITEMS[keyword]
+    name: Optional[str] = None
+    declared: Optional[str] = None
+    items: Optional[list[str]] = None
+    for lineno, line in read_lines(text):
+        tokens = line.split()
+        head = tokens[0]
+        if head == keyword:
+            if name is not None:
+                raise NetworkError(f"duplicate {keyword} clause", lineno)
+            name = quoted_name(line, lineno)
+        elif head == "calculus":
+            if declared is not None:
+                raise NetworkError("duplicate calculus clause", lineno)
+            if len(tokens) != 2:
+                raise NetworkError("expected: calculus <name>", lineno)
+            declared = tokens[1]
+        elif head == items_keyword:
+            if items is not None:
+                raise NetworkError(f"duplicate {items_keyword} clause", lineno)
+            items = tokens[1:]
+            if not items:
+                raise NetworkError(empty, lineno)
+        else:
+            body(lineno, line, tokens)
+
+    if declared is None:
+        raise NetworkError("missing calculus clause")
+    if calculus is None:
+        calculus = registry.builtin(declared)
+    elif calculus.name != declared:
+        raise NetworkError(f"{keyword} declares calculus {declared!r} "
+                           f"but {calculus.name!r} was supplied")
+    if items is None:
+        raise NetworkError(f"missing {items_keyword} clause")
+    return name or "", calculus, items
+
+
 def parse_network(text: str, calculus: Optional[CalculusSpec] = None) -> ConstraintNetwork:
     """Parse network-file text.
 
@@ -216,71 +300,24 @@ def parse_network(text: str, calculus: Optional[CalculusSpec] = None) -> Constra
     ``calculus`` line must match its name.  Without an explicit calculus the
     name is resolved against the builtin registry.
     """
-    from . import registry
-
-    name: Optional[str] = None
-    declared_calculus: Optional[str] = None
-    var_names: Optional[list[str]] = None
     edges: list[tuple[str, str, str, int]] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        pos = raw.find("#")
-        line = (raw if pos < 0 else raw[:pos]).strip()
-        if not line:
-            continue
-        tokens = line.split()
-        head = tokens[0]
-        if head == "network":
-            if name is not None:
-                raise NetworkError(f"line {lineno}: duplicate network clause")
-            try:
-                parts = shlex.split(line)
-            except ValueError as exc:
-                raise NetworkError(f"line {lineno}: {exc}") from None
-            if len(parts) != 2:
-                raise NetworkError(f'line {lineno}: expected: network "<name>"')
-            name = parts[1]
-        elif head == "calculus":
-            if declared_calculus is not None:
-                raise NetworkError(f"line {lineno}: duplicate calculus clause")
-            if len(tokens) != 2:
-                raise NetworkError(f"line {lineno}: expected: calculus <name>")
-            declared_calculus = tokens[1]
-        elif head == "vars":
-            if var_names is not None:
-                raise NetworkError(f"line {lineno}: duplicate vars clause")
-            var_names = tokens[1:]
-            if not var_names:
-                raise NetworkError(f"line {lineno}: vars clause needs at least one name")
-        else:
-            if len(tokens) < 3:
-                raise NetworkError(f"line {lineno}: expected: <var> (<sym>+) <var>")
-            x, y = tokens[0], tokens[-1]
-            group = " ".join(tokens[1:-1])
-            if not (group.startswith("(") and group.endswith(")")):
-                raise NetworkError(f"line {lineno}: constraint needs a (sym ...) group")
-            edges.append((x, group[1:-1], y, lineno))
+    def edge(lineno: int, line: str, tokens: list[str]) -> None:
+        if len(tokens) < 3:
+            raise NetworkError("expected: <var> (<sym>+) <var>", lineno)
+        group = " ".join(tokens[1:-1])
+        if not (group.startswith("(") and group.endswith(")")):
+            raise NetworkError("constraint needs a (sym ...) group", lineno)
+        edges.append((tokens[0], group[1:-1], tokens[-1], lineno))
 
-    if declared_calculus is None:
-        raise NetworkError("missing calculus clause")
-    if calculus is None:
-        calculus = registry.builtin(declared_calculus)
-    elif calculus.name != declared_calculus:
-        raise NetworkError(
-            f"network declares calculus {declared_calculus!r} "
-            f"but {calculus.name!r} was supplied"
-        )
-    if var_names is None:
-        raise NetworkError("missing vars clause")
-
+    name, calculus, var_names = read_header(text, "network", calculus, edge)
     rel_edges = []
     for x, group, y, lineno in edges:
         try:
-            rel = calculus.relation_from(group.split())
+            rel_edges.append((x, calculus.relation_from(group.split()), y))
         except CalculusError as exc:
-            raise NetworkError(f"line {lineno}: {exc}") from None
-        rel_edges.append((x, rel, y))
-    return normalize(calculus, rel_edges, var_names=var_names, name=name or "")
+            raise NetworkError(str(exc), lineno) from None
+    return normalize(calculus, rel_edges, var_names=var_names, name=name)
 
 
 def load_network(path: str, calculus: Optional[CalculusSpec] = None) -> ConstraintNetwork:

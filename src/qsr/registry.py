@@ -1,6 +1,9 @@
 """Built-in calculi, the calculus spec-file grammar, and structural validation.
 
-Spec files are line oriented, UTF-8, with ``#`` comments:
+Spec files follow the rules shared with network and model files: lines
+come from :func:`qsr.network.read_lines`, the ``calculus`` clause is read
+by :func:`qsr.network.quoted_name` and written by
+:func:`qsr.network.name_line`.
 
     calculus "pc1"
     relations < = >
@@ -29,11 +32,11 @@ retired ``flags`` directive of older files is an error.
 
 from __future__ import annotations
 
-import shlex
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import CalculusSpec
+from .core import CalculusError, CalculusSpec
+from .network import name_line, quoted_name, read_lines
 
 BUILTIN_NAMES = ("pc1", "rcc5", "cycb", "appendixB1", "appendixB2", "appendixB-remark")
 
@@ -220,11 +223,6 @@ class SpecParseError(Exception):
         self.column = column
 
 
-def _strip_comment(line: str) -> str:
-    pos = line.find("#")
-    return line if pos < 0 else line[:pos]
-
-
 def _parse_group(tokens: list[str], lineno: int, allow_empty: bool) -> list[str]:
     # a parenthesised symbol group: ( sym ... ) with the parens possibly
     # glued to the first/last symbol
@@ -255,23 +253,14 @@ def parse_spec(source: str) -> CalculusSpec:
             raise SpecParseError(f"unknown symbol {sym!r}", lineno)
         return sym
 
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
+    for lineno, line in read_lines(source):
         tokens = line.split()
         head = tokens[0]
 
         if head == "calculus":
             if name is not None:
                 raise SpecParseError("duplicate calculus clause", lineno)
-            try:
-                parts = shlex.split(line)
-            except ValueError as exc:
-                raise SpecParseError(str(exc), lineno) from None
-            if len(parts) != 2:
-                raise SpecParseError("expected: calculus \"<name>\"", lineno)
-            name = parts[1]
+            name = quoted_name(line, lineno, SpecParseError)
         elif head == "relations":
             if symbols:
                 raise SpecParseError("duplicate relations clause", lineno)
@@ -321,25 +310,23 @@ def parse_spec(source: str) -> CalculusSpec:
         else:
             raise SpecParseError(f"unexpected directive {head!r}", lineno)
 
+    end = max(1, source.count("\n") + 1)  # the line of errors about the whole file
     if name is None:
-        raise SpecParseError("missing calculus clause", max(1, source.count("\n") + 1))
+        raise SpecParseError("missing calculus clause", end)
     if not symbols:
-        raise SpecParseError("missing relations clause", max(1, source.count("\n") + 1))
+        raise SpecParseError("missing relations clause", end)
     missing_conv = [s for s in symbols if s not in converse]
     if missing_conv:
         raise SpecParseError(
-            f"converse table not total: missing {', '.join(map(repr, missing_conv))}",
-            max(1, source.count("\n") + 1),
+            f"converse table not total: missing {', '.join(map(repr, missing_conv))}", end
         )
-    missing_comp = [
-        (a, b) for a in symbols for b in symbols if (a, b) not in composition
-    ]
+    missing_comp = [(a, b) for a in symbols for b in symbols if (a, b) not in composition]
     if missing_comp:
         a, b = missing_comp[0]
         raise SpecParseError(
             f"composition table not total: missing cell ({a!r}, {b!r}) "
             f"and {len(missing_comp) - 1} more",
-            max(1, source.count("\n") + 1),
+            end,
         )
 
     spec = CalculusSpec(
@@ -357,7 +344,7 @@ def parse_spec(source: str) -> CalculusSpec:
 
 def serialize(spec: CalculusSpec) -> str:
     """Canonical spec-file text for ``spec`` (symbols and cells in declaration order)."""
-    lines = [f'calculus "{spec.name}"']
+    lines = [name_line("calculus", spec.name, CalculusError)]
     lines.append("relations " + " ".join(spec.symbols))
     if spec.identity_mask is not None:
         lines.append("identity " + " ".join(spec.symbols_of(spec.identity_mask)))

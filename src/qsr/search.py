@@ -27,10 +27,11 @@ same way: one level per pair, base relations in declaration order, each
 child closed from its split pair.  Closure is monotone, and the greatest
 fixpoint below cl(P) ∧ A equals the one below P ∧ A, so a prefix whose
 closure is inconsistent makes every atomic network below it inconsistent:
-the subtree is counted and skipped.  Only the atomic networks whose
-closure is consistent reach brute force, in product order, so the flag,
-the count and the counterexample are those of closing every network from
-scratch.
+the subtree is counted and skipped, like that of a split to a base relation
+that the closed cell of its pair excludes, which is not even closed.  Only
+the atomic networks whose closure is consistent reach brute force, in
+product order, so the flag, the count and the counterexample are those of
+closing every network from scratch.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def derive_completeness(
     stack: list[list] = []
     while True:
         level = len(stack)
-        if not out.closed:
+        if out is None or not out.closed:
             checked += below[level]
         elif level < depth:
             closed = out.network
@@ -195,7 +196,8 @@ def derive_completeness(
         bit = 1 << sym
         i, j = pairs[len(stack) - 1]
         # a_closure copies its input: split the open node's network in place;
-        # only pair (i, j) was tightened since it was closed
+        # only pair (i, j) was tightened since it was closed.  A split that the
+        # closed C[i][j] excludes is not closed: out = None prunes its subtree
         closed.cells[i * n + j] = ij & bit
         closed.cells[j * n + i] = ji & conv(bit)
-        out = a_closure(closed, changed=(i, j))
+        out = a_closure(closed, changed=(i, j)) if ij & bit else None

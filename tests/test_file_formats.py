@@ -1,0 +1,175 @@
+"""The rules shared by network, model and spec files: name quoting, parse
+errors and the shipped samples."""
+
+from pathlib import Path
+
+import pytest
+
+from qsr import (
+    NetworkError,
+    builtin,
+    builtin_model,
+    load_model,
+    load_network,
+    load_spec,
+    parse_model,
+    parse_network,
+    parse_spec,
+    serialize,
+)
+from qsr.core import CalculusError, CalculusSpec
+from qsr.models import FiniteInterpretation
+from qsr.network import ConstraintNetwork
+from qsr.registry import SpecParseError
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+pc1 = builtin("pc1")
+
+
+def _renamed_pc1(name):
+    syms = pc1.symbols
+    return CalculusSpec(
+        name,
+        list(syms),
+        list(pc1.symbols_of(pc1.identity_mask)),
+        {s: pc1.symbols_of(pc1.converse_row[i]) for i, s in enumerate(syms)},
+        {
+            (a, b): pc1.symbols_of(pc1.composition_row[i][j])
+            for i, a in enumerate(syms)
+            for j, b in enumerate(syms)
+        },
+    )
+
+
+def _network(name):
+    net = ConstraintNetwork(pc1, ["A", "B"], name=name)
+    net["A", "B"] = pc1.relation("<")
+    net["B", "A"] = pc1.relation(">")
+    return net
+
+
+def _model(name):
+    chain3 = builtin_model("pc1-chain3")
+    return FiniteInterpretation(pc1, chain3.universe, chain3.phi, name=name)
+
+
+@pytest.mark.parametrize("name", ["p c", 'a"b', "it's", "back\\slash", '""'])
+def test_names_round_trip_through_every_format(name):
+    net = _network(name)
+    again = parse_network(net.to_text())
+    assert (again, again.name) == (net, name)
+
+    model = _model(name)
+    back = parse_model(model.to_text())
+    assert (back.name, back.universe, back.phi) == (name, model.universe, model.phi)
+
+    spec = _renamed_pc1(name)
+    assert parse_spec(serialize(spec)) == spec
+    assert parse_spec(serialize(spec)).name == name
+
+
+@pytest.mark.parametrize("name", ["a#b", "a\nb", "a\rb", "a\u2028b"])
+def test_names_that_cannot_be_read_back_are_not_written(name):
+    with pytest.raises(NetworkError, match="cannot be written"):
+        _network(name).to_text()
+    with pytest.raises(NetworkError, match="cannot be written"):
+        _model(name).to_text()
+    with pytest.raises(CalculusError, match="cannot be written"):
+        serialize(_renamed_pc1(name))
+
+
+NET = 'network "n"\ncalculus pc1\nvars A B C\nA (<) B\n'
+MODEL = 'model "m"\ncalculus pc1\nuniverse 0 1\n<: (0,1)\n=: (0,0) (1,1)\n>: (1,0)\n'
+NOT_BUILTIN = (
+    "unknown builtin calculus 'allen'; available: "
+    "pc1, rcc5, cycb, appendixB1, appendixB2, appendixB-remark"
+)
+
+# (parser, text, exception type, message); a message without a line number
+# is about the whole file
+PARSE_ERRORS = [
+    (parse_network, NET.replace("calculus pc1\n", ""), NetworkError, "missing calculus clause"),
+    (parse_network, NET.replace("vars A B C\n", ""), NetworkError, "missing vars clause"),
+    (parse_network, NET.replace("vars A B C", "vars"), NetworkError,
+     "line 3: vars clause needs at least one name"),
+    (parse_network, NET.replace("calculus pc1", "calculus"), NetworkError,
+     "line 2: expected: calculus <name>"),
+    (parse_network, NET.replace("calculus pc1", "calculus pc1 rcc5"), NetworkError,
+     "line 2: expected: calculus <name>"),
+    (parse_network, NET.replace("calculus pc1", "calculus allen"), KeyError, NOT_BUILTIN),
+    (parse_network, NET.replace('"n"', '"n'), NetworkError, "line 1: No closing quotation"),
+    (parse_network, NET.replace('"n"', '"n" extra'), NetworkError,
+     'line 1: expected: network "<name>"'),
+    (parse_network, NET.replace(' "n"', ""), NetworkError, 'line 1: expected: network "<name>"'),
+    (parse_network, NET + "A (<)\n", NetworkError, "line 5: expected: <var> (<sym>+) <var>"),
+    (parse_network, NET + "A < B\n", NetworkError, "line 5: constraint needs a (sym ...) group"),
+    (parse_network, NET + "A (< B\n", NetworkError, "line 5: constraint needs a (sym ...) group"),
+    (parse_network, NET + "A (<=) B\n", NetworkError,
+     "line 5: calculus 'pc1' has no base relation '<='"),
+    (parse_network, NET + "A (<) D\n", NetworkError, "unknown variable 'D'"),
+    (parse_network, NET + "A (<) A\n", NetworkError, "self-loop constraint on variable 'A'"),
+    # a body line is checked when it is met, before the missing clause
+    (parse_network, "A < B\n" + NET.replace("calculus pc1\n", ""), NetworkError,
+     "line 1: constraint needs a (sym ...) group"),
+    (parse_network, NET + 'network "o"\n', NetworkError, "line 5: duplicate network clause"),
+    (parse_network, NET + "calculus pc1\n", NetworkError, "line 5: duplicate calculus clause"),
+    (parse_network, NET + "vars A\n", NetworkError, "line 5: duplicate vars clause"),
+    (parse_model, MODEL.replace("calculus pc1\n", ""), NetworkError, "missing calculus clause"),
+    (parse_model, MODEL.replace("universe 0 1\n", ""), NetworkError, "missing universe clause"),
+    (parse_model, MODEL.replace("universe 0 1", "universe"), NetworkError,
+     "line 3: universe needs at least one element"),
+    (parse_model, MODEL.replace("calculus pc1", "calculus pc1 x"), NetworkError,
+     "line 2: expected: calculus <name>"),
+    (parse_model, MODEL.replace('"m"', "'m"), NetworkError, "line 1: No closing quotation"),
+    (parse_model, MODEL.replace('"m"', '"m" "n"'), NetworkError,
+     'line 1: expected: model "<name>"'),
+    (parse_model, MODEL + "foo bar\n", NetworkError, "line 7: unexpected directive 'foo'"),
+    (parse_model, "foo\n" + MODEL.replace("calculus pc1\n", ""), NetworkError,
+     "line 1: unexpected directive 'foo'"),
+    (parse_model, MODEL.replace("(0,1)", "(0,1", 1), NetworkError,
+     "line 4: malformed pair '(0,1'"),
+    (parse_model, MODEL.replace("(0,1)", "(0;1)", 1), NetworkError,
+     "line 4: malformed pair '(0;1)'"),
+    (parse_model, MODEL.replace("(0,1)", "(0,1,2)", 1), NetworkError,
+     "line 4: malformed pair '(0,1,2)'"),
+    (parse_model, MODEL + "<: (1,1)\n", NetworkError,
+     "line 7: duplicate interpretation for '<'"),
+    (parse_model, MODEL.replace(">: (1,0)\n", ""), NetworkError,
+     "interpretation missing for symbol '>'"),
+    (parse_model, MODEL + 'model "o"\n', NetworkError, "line 7: duplicate model clause"),
+    (parse_spec, 'calculus "pc1\nrelations a\n', SpecParseError,
+     "line 1, column 1: No closing quotation"),
+    (parse_spec, 'calculus "pc1" x\nrelations a\n', SpecParseError,
+     'line 1, column 1: expected: calculus "<name>"'),
+]
+
+
+@pytest.mark.parametrize("parse, text, error, message", PARSE_ERRORS)
+def test_every_parse_error_keeps_its_type_message_and_line(parse, text, error, message):
+    with pytest.raises(error) as info:
+        parse(text)
+    assert type(info.value) is error
+    assert info.value.args[0] == message
+
+
+def test_shipped_samples_load_and_write_back():
+    spec = load_spec(str(SAMPLES / "pc1.spec"))
+    assert spec == pc1
+    assert parse_spec(serialize(spec)) == spec
+
+    net = load_network(str(SAMPLES / "incomplete.net"))
+    readme = ConstraintNetwork(pc1, ["A", "B", "C"])
+    readme["A", "B"] = readme["B", "C"] = pc1.relation("<")
+    readme["B", "A"] = readme["C", "B"] = pc1.relation(">")
+    assert (net, net.name) == (readme, "incomplete")
+    again = parse_network(net.to_text())
+    assert (again, again.name) == (net, net.name)
+
+    model = load_model(str(SAMPLES / "chain3.model"))
+    assert _fields(model) == _fields(builtin_model("pc1-chain3"))
+    assert _fields(parse_model(model.to_text())) == _fields(model)
+
+
+def _fields(model):
+    return model.name, model.calculus, model.universe, model.phi

@@ -114,7 +114,8 @@ def _random_calculus(draw):
     converse = {s: draw(mask_list(1)) for s in symbols}
     composition = {(a, b): draw(mask_list(0)) for a in symbols for b in symbols}
     identity = draw(st.one_of(st.none(), mask_list(1)))
-    return CalculusSpec(draw(_sym), symbols, identity, converse, composition)
+    name = draw(st.text(alphabet="abcdefgh<>=~+-\"'\\ ", min_size=1, max_size=3))
+    return CalculusSpec(name, symbols, identity, converse, composition)
 
 
 @settings(max_examples=60)

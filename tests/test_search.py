@@ -256,6 +256,10 @@ def test_derive_completeness_prunes_inconsistent_prefixes(monkeypatch):
 
     def counting_closure(*args, **kwargs):
         calls["closure"] += 1
+        if kwargs.get("changed") is not None:
+            # a split that the closed cell excludes is pruned, not closed
+            i, j = kwargs["changed"]
+            assert args[0].get_mask(i, j) != 0
         return orig_closure(*args, **kwargs)
 
     def counting_brute(*args, **kwargs):
@@ -267,7 +271,7 @@ def test_derive_completeness_prunes_inconsistent_prefixes(monkeypatch):
     result = derive_completeness(pc1, builtin_model("pc1-chain5"), n_vars=5)
     assert (result.flag, result.networks_checked) == ("yes", 59_049)
     assert calls["brute"] == 541
-    assert calls["closure"] < 6_000
+    assert calls["closure"] == 2_035
 
 
 def test_derive_completeness_edge_cases(monkeypatch):
