@@ -21,6 +21,11 @@ reads only the interpretation lines:
 Symbols without pairs use an empty pair list; every base relation of the
 calculus must have a line (relations are non-empty in a well-formed model,
 but probing broken tables is allowed).
+
+The builtins pc1, rcc5 and cycb are defined here by their domains: elements
+named as in model files and a function giving each pair's base relation.
+:func:`weak_operations` derives from one domain the tables of ``builtin()``
+(its weak converse and composition) and the pairs of ``builtin_model``.
 """
 
 from __future__ import annotations
@@ -29,10 +34,10 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .core import CalculusError, CalculusMismatchError, CalculusSpec
-from .network import ConstraintNetwork, NetworkError, name_line, read_header
+from .network import ConstraintNetwork, NetworkError, check_token, name_line, read_header
 
 Pair = tuple[str, str]
 
@@ -61,6 +66,8 @@ class FiniteInterpretation:
         if not self.universe:
             raise CalculusError("universe must be non-empty")
         elems = set(self.universe)
+        for u in self.universe:
+            check_token("universe element", u, CalculusError, "#,()")
         interp: dict[str, frozenset[Pair]] = {}
         for sym in calculus.symbols:
             if sym not in phi:
@@ -102,7 +109,8 @@ class FiniteInterpretation:
         )
 
     def to_text(self) -> str:
-        lines = [name_line("model", self.name or "model"), f"calculus {self.calculus.name}",
+        lines = [name_line("model", self.name or "model"),
+                 f"calculus {check_token('calculus name', self.calculus.name)}",
                  "universe " + " ".join(self.universe)]
         for sym in self.calculus.symbols:
             pairs = " ".join(f"({a},{b})" for a, b in sorted(self.phi[sym]))
@@ -393,82 +401,97 @@ def load_model(path: str, calculus: Optional[CalculusSpec] = None) -> FiniteInte
         return parse_model(fh.read(), calculus)
 
 
-def _chain_model(size: int) -> FiniteInterpretation:
-    from . import registry
-
-    elems = [str(i) for i in range(size)]
-    lt = [(a, b) for i, a in enumerate(elems) for b in elems[i + 1 :]]
-    return FiniteInterpretation(
-        registry.builtin("pc1"),
-        elems,
-        {
-            "<": lt,
-            "=": [(a, a) for a in elems],
-            ">": [(b, a) for a, b in lt],
-        },
-        name=f"pc1-chain{size}",
-    )
+def _point(x: str, y: str) -> str:
+    # pc1: points of a line, named by their position
+    a, b = int(x), int(y)
+    return "<" if a < b else "=" if a == b else ">"
 
 
-def _compass_model() -> FiniteInterpretation:
-    # four discrete 2D orientations, 90 degrees apart; the counterclockwise
-    # angle from x to y picks the relation: 0 equal, 180 opposite,
-    # (0,180) left, (180,360) right
-    from . import registry
-
-    degs = ["0", "90", "180", "270"]
-
-    def rel(a: str, b: str) -> str:
-        d = (int(b) - int(a)) % 360
-        if d == 0:
-            return "e"
-        if d == 180:
-            return "o"
-        return "l" if d < 180 else "r"
-
-    phi: dict[str, list[Pair]] = {"e": [], "o": [], "l": [], "r": []}
-    for a in degs:
-        for b in degs:
-            phi[rel(a, b)].append((a, b))
-    return FiniteInterpretation(registry.builtin("cycb"), degs, phi, name="cycb-compass4")
+def _containment(x: str, y: str) -> str:
+    # rcc5: regions as non-empty sets of points, named by their points
+    a, b = set(x), set(y)
+    return "EQ" if a == b else "DC" if not a & b else "PP" if a < b else "PPi" if b < a else "PO"
 
 
-def _fixture_model(which: str) -> FiniteInterpretation:
-    from . import registry
-
-    if which == "appendixB1":
-        phi = {"r1": [("0", "0"), ("0", "1")], "r2": [("1", "0"), ("1", "1")]}
-    elif which == "appendixB2":
-        phi = {
-            "r1": [("0", "0")],
-            "r2": [("1", "1")],
-            "r3": [("0", "1")],
-            "r4": [("1", "0")],
-        }
-    else:  # appendixB-remark: identity and diversity on two elements
-        phi = {"r1": [("0", "0"), ("1", "1")], "r2": [("0", "1"), ("1", "0")]}
-    return FiniteInterpretation(registry.builtin(which), ["0", "1"], phi, name=which)
+def _direction(x: str, y: str) -> str:
+    # cycb: orientations in degrees; the counterclockwise angle from x to y
+    # picks the relation: 0 equal, 180 opposite, (0,180) left, (180,360) right
+    d = (int(y) - int(x)) % 360
+    return "e" if d == 0 else "o" if d == 180 else "l" if d < 180 else "r"
 
 
-BUILTIN_MODEL_NAMES = (
-    "pc1-chain3",
-    "pc1-chain4",
-    "pc1-chain5",
-    "cycb-compass4",
-    "appendixB1",
-    "appendixB2",
-    "appendixB-remark",
-)
+# the derived builtins: calculus -> (symbols, identity, relation function,
+# the model whose weak operations are the calculus's tables)
+_DOMAINS = {
+    "pc1": (("<", "=", ">"), "=", _point, "pc1-chain3"),
+    "rcc5": (("EQ", "DC", "PO", "PP", "PPi"), "EQ", _containment, "rcc5-subsets4"),
+    "cycb": (("e", "o", "l", "r"), "e", _direction, "cycb-compass8"),
+}
+
+# the models of the derived builtins: name -> (calculus, elements)
+_UNIVERSES = {
+    **{f"pc1-chain{n}": ("pc1", [str(i) for i in range(n)]) for n in (3, 4, 5)},
+    "rcc5-subsets4": ("rcc5", ["".join(c) for k in range(1, 5)
+                               for c in itertools.combinations("0123", k)]),
+    "cycb-compass4": ("cycb", [str(d) for d in range(0, 360, 90)]),
+    "cycb-compass8": ("cycb", [str(d) for d in range(0, 360, 45)]),
+}
+
+# the two-element universes of the appendix fixtures, whose tables are
+# hand-written and broken on purpose
+_FIXTURE_PHI = {
+    "appendixB1": {"r1": [("0", "0"), ("0", "1")], "r2": [("1", "0"), ("1", "1")]},
+    "appendixB2": {"r1": [("0", "0")], "r2": [("1", "1")], "r3": [("0", "1")], "r4": [("1", "0")]},
+    # identity and diversity
+    "appendixB-remark": {"r1": [("0", "0"), ("1", "1")], "r2": [("0", "1"), ("1", "0")]},
+}
+
+BUILTIN_MODEL_NAMES = (*_UNIVERSES, *_FIXTURE_PHI)
+
+
+def weak_operations(elements: list[str], rel: Callable[[str, str], str],
+                    symbols: tuple[str, ...]) -> tuple[dict, dict, dict]:
+    """The relations that ``rel(x, y) -> symbol`` induces on ``elements``: the pairs
+    of each symbol, and the weak converse and composition, whose cells hold every
+    base relation that meets the set-theoretic result.  ``rel`` is called once per
+    ordered pair of elements."""
+    rels = [[rel(x, y) for y in elements] for x in elements]
+    phi: dict[str, list[Pair]] = {s: [] for s in symbols}
+    converse: dict[str, set[str]] = {s: set() for s in symbols}
+    # a -> every (rel(y, z), rel(x, z)) over x, y, z with rel(x, y) = a
+    met: dict[str, set[tuple[str, str]]] = {s: set() for s in symbols}
+    for x, row in enumerate(rels):
+        for y, a in enumerate(row):
+            phi[a].append((elements[x], elements[y]))
+            converse[a].add(rels[y][x])
+            met[a].update(zip(rels[y], row))
+    composition: dict[tuple[str, str], set[str]] = {(a, b): set() for a in symbols for b in symbols}
+    for a, pairs in met.items():
+        for b, c in pairs:
+            composition[a, b].add(c)
+    return phi, converse, composition
+
+
+def derived_spec(name: str, **facts) -> CalculusSpec:
+    """The builtin ``name`` with the weak operations over its defining model;
+    ``facts`` are the literature's flags and notes, passed to :class:`CalculusSpec`."""
+    symbols, identity, rel, model = _DOMAINS[name]
+    _, converse, composition = weak_operations(_UNIVERSES[model][1], rel, symbols)
+    return CalculusSpec(name, symbols, [identity], converse, composition, **facts)
+
 
 @functools.cache
 def builtin_model(name: str) -> FiniteInterpretation:
     """Bundled finite interpretations for the built-in calculi (cached)."""
-    if name not in BUILTIN_MODEL_NAMES:
+    from . import registry
+
+    if name in _FIXTURE_PHI:
+        return FiniteInterpretation(registry.builtin(name), ["0", "1"], _FIXTURE_PHI[name], name=name)
+    if name not in _UNIVERSES:
         raise KeyError(
             f"unknown builtin model {name!r}; available: {', '.join(BUILTIN_MODEL_NAMES)}"
         )
-    if name.startswith("pc1-chain"):
-        return _chain_model(int(name.removeprefix("pc1-chain")))
-    if name == "cycb-compass4":
-        return _compass_model()
-    return _fixture_model(name)
+    calculus, elements = _UNIVERSES[name]
+    symbols, _, rel, _ = _DOMAINS[calculus]
+    phi = weak_operations(elements, rel, symbols)[0]
+    return FiniteInterpretation(registry.builtin(calculus), elements, phi, name=name)

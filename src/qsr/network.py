@@ -54,6 +54,8 @@ class ConstraintNetwork:
             raise NetworkError("variable names must be distinct")
         if len(var_names) < 1:
             raise NetworkError("a network needs at least one variable")
+        for v in var_names:
+            check_token("variable name", v)
         self.calculus = calculus
         self.var_names = tuple(var_names)
         self.name = name
@@ -142,7 +144,8 @@ class ConstraintNetwork:
 
     def to_text(self) -> str:
         """Network-file text that parses back to this network if it is 2-consistent."""
-        lines = [name_line("network", self.name or "net"), f"calculus {self.calculus.name}",
+        lines = [name_line("network", self.name or "net"),
+                 f"calculus {check_token('calculus name', self.calculus.name)}",
                  "vars " + " ".join(self.var_names)]
         n = len(self.var_names)
         fm = self.calculus.format_mask
@@ -243,6 +246,16 @@ def name_line(keyword: str, name: str, error: type[Exception] = NetworkError) ->
     return f'{keyword} "{escaped}"'
 
 
+def check_token(kind: str, token: str, error: type[Exception] = NetworkError,
+                forbidden: str = "#") -> str:
+    """``token`` if files read it back as one token free of ``forbidden``; else raise ``error``."""
+    if token.split() != [token] or any(c in token for c in forbidden):
+        shown = ", ".join(map(repr, forbidden))
+        raise error(f"{kind} {token!r} does not fit the file formats: "
+                    f"it is empty or holds whitespace or {shown}")
+    return token
+
+
 # the clause that lists a file's variables or elements, and its message when empty
 _ITEMS = {"network": ("vars", "vars clause needs at least one name"),
           "model": ("universe", "universe needs at least one element")}
@@ -311,12 +324,18 @@ def parse_network(text: str, calculus: Optional[CalculusSpec] = None) -> Constra
         edges.append((tokens[0], group[1:-1], tokens[-1], lineno))
 
     name, calculus, var_names = read_header(text, "network", calculus, edge)
+    declared = set(var_names)
     rel_edges = []
     for x, group, y, lineno in edges:
         try:
             rel_edges.append((x, calculus.relation_from(group.split()), y))
         except CalculusError as exc:
             raise NetworkError(str(exc), lineno) from None
+        for v in (x, y):
+            if v not in declared:
+                raise NetworkError(f"unknown variable {v!r}", lineno)
+        if x == y:
+            raise NetworkError(f"self-loop constraint on variable {x!r}", lineno)
     return normalize(calculus, rel_edges, var_names=var_names, name=name)
 
 

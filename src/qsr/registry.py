@@ -1,5 +1,9 @@
 """Built-in calculi, the calculus spec-file grammar, and structural validation.
 
+pc1, rcc5 and cycb are derived, not typed in: their converse and composition
+are the weak operations over a finite domain (:func:`qsr.models.derived_spec`).
+The appendix fixtures keep hand-written tables, broken on purpose.
+
 Spec files follow the rules shared with network and model files: lines
 come from :func:`qsr.network.read_lines`, the ``calculus`` clause is read
 by :func:`qsr.network.quoted_name` and written by
@@ -36,6 +40,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import CalculusError, CalculusSpec
+from .models import derived_spec
 from .network import name_line, quoted_name, read_lines
 
 BUILTIN_NAMES = ("pc1", "rcc5", "cycb", "appendixB1", "appendixB2", "appendixB-remark")
@@ -52,8 +57,8 @@ class CalculusSource:
 
 _RCC5_NOTE = (
     "composition cell EQ.PP is sometimes printed as (PO); that value breaks the "
-    "identity law id.r = r, whose row and column are analytically forced, so the "
-    "builtin ships (PP)"
+    "identity law id.r = r, and the builtin's table, derived over the non-empty "
+    "subsets of 4 points, has (PP)"
 )
 
 
@@ -67,56 +72,6 @@ def _table(rows: dict[str, dict[str, str]]) -> dict[tuple[str, str], tuple[str, 
 
 def _conv(entries: dict[str, str]) -> dict[str, tuple[str, ...]]:
     return {s: tuple(v.split()) for s, v in entries.items()}
-
-
-def _make_pc1() -> CalculusSpec:
-    u = "< = >"
-    return CalculusSpec(
-        name="pc1",
-        symbols=["<", "=", ">"],
-        identity=["="],
-        converse=_conv({"<": ">", "=": "=", ">": "<"}),
-        composition=_table({
-            "<": {"<": "<", "=": "<", ">": u},
-            "=": {"<": "<", "=": "=", ">": ">"},
-            ">": {"<": u, "=": ">", ">": ">"},
-        }),
-        acl_decides_atomic=True,
-    )
-
-
-def _make_rcc5() -> CalculusSpec:
-    u = "EQ DC PO PP PPi"
-    return CalculusSpec(
-        name="rcc5",
-        symbols=["EQ", "DC", "PO", "PP", "PPi"],
-        identity=["EQ"],
-        converse=_conv({"EQ": "EQ", "DC": "DC", "PO": "PO", "PP": "PPi", "PPi": "PP"}),
-        composition=_table({
-            "EQ": {"EQ": "EQ", "DC": "DC", "PO": "PO", "PP": "PP", "PPi": "PPi"},
-            "DC": {"EQ": "DC", "DC": u, "PO": "DC PO PP", "PP": "DC PO PP", "PPi": "DC"},
-            "PO": {"EQ": "PO", "DC": "DC PO PPi", "PO": u, "PP": "PO PP", "PPi": "DC PO PPi"},
-            "PP": {"EQ": "PP", "DC": "DC", "PO": "DC PO PP", "PP": "PP", "PPi": u},
-            "PPi": {"EQ": "PPi", "DC": "DC PO PPi", "PO": "PO PPi", "PP": "EQ PO PP PPi", "PPi": "PPi"},
-        }),
-        notes=(_RCC5_NOTE,),
-        acl_decides_atomic=True,
-    )
-
-
-def _make_cycb() -> CalculusSpec:
-    return CalculusSpec(
-        name="cycb",
-        symbols=["e", "o", "l", "r"],
-        identity=["e"],
-        converse=_conv({"e": "e", "o": "o", "l": "r", "r": "l"}),
-        composition=_table({
-            "e": {"e": "e", "o": "o", "l": "l", "r": "r"},
-            "o": {"e": "o", "o": "e", "l": "r", "r": "l"},
-            "l": {"e": "l", "o": "r", "l": "l o r", "r": "e l r"},
-            "r": {"e": "r", "o": "l", "l": "e l r", "r": "l o r"},
-        }),
-    )
 
 
 def _make_appendix_b1() -> CalculusSpec:
@@ -177,10 +132,11 @@ def _make_appendix_b_remark() -> CalculusSpec:
     )
 
 
+# acl_decides_atomic of pc1 and rcc5 and rcc5's note are literature facts, set here, not derived
 _FACTORIES = {
-    "pc1": _make_pc1,
-    "rcc5": _make_rcc5,
-    "cycb": _make_cycb,
+    "pc1": lambda: derived_spec("pc1", acl_decides_atomic=True),
+    "rcc5": lambda: derived_spec("rcc5", notes=(_RCC5_NOTE,), acl_decides_atomic=True),
+    "cycb": lambda: derived_spec("cycb"),
     "appendixB1": _make_appendix_b1,
     "appendixB2": _make_appendix_b2,
     "appendixB-remark": _make_appendix_b_remark,

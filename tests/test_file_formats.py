@@ -107,8 +107,10 @@ PARSE_ERRORS = [
     (parse_network, NET + "A (< B\n", NetworkError, "line 5: constraint needs a (sym ...) group"),
     (parse_network, NET + "A (<=) B\n", NetworkError,
      "line 5: calculus 'pc1' has no base relation '<='"),
-    (parse_network, NET + "A (<) D\n", NetworkError, "unknown variable 'D'"),
-    (parse_network, NET + "A (<) A\n", NetworkError, "self-loop constraint on variable 'A'"),
+    (parse_network, NET + "A (<) D\n", NetworkError, "line 5: unknown variable 'D'"),
+    (parse_network, NET.replace("A (<) B", "E (<) B") + "B (<) C\n", NetworkError,
+     "line 4: unknown variable 'E'"),
+    (parse_network, NET + "A (<) A\n", NetworkError, "line 5: self-loop constraint on variable 'A'"),
     # a body line is checked when it is met, before the missing clause
     (parse_network, "A < B\n" + NET.replace("calculus pc1\n", ""), NetworkError,
      "line 1: constraint needs a (sym ...) group"),
@@ -173,3 +175,28 @@ def test_shipped_samples_load_and_write_back():
 
 def _fields(model):
     return model.name, model.calculus, model.universe, model.phi
+
+
+@pytest.mark.parametrize("var", ["x y", "", "a#b", "a\nb"])
+def test_networks_refuse_variable_names_that_files_cannot_carry(var):
+    # "vars x y B" would read back as three variables
+    with pytest.raises(NetworkError, match="does not fit the file formats"):
+        ConstraintNetwork(pc1, [var, "B"])
+
+
+@pytest.mark.parametrize("element", ["1 2", "", "a#b", "a,b", "(a", "a)"])
+def test_models_refuse_elements_that_files_cannot_carry(element):
+    # ',', '(' and ')' would break the pair syntax (a,b)
+    phi = {"<": [("0", element)], "=": [("0", "0"), (element, element)], ">": [(element, "0")]}
+    with pytest.raises(CalculusError, match="does not fit the file formats"):
+        FiniteInterpretation(pc1, ["0", element], phi)
+
+
+@pytest.mark.parametrize("name", ["p c", "", "a#b"])
+def test_writers_refuse_calculus_names_that_files_cannot_carry(name):
+    calc = _renamed_pc1(name)
+    with pytest.raises(NetworkError, match="calculus name .* does not fit the file formats"):
+        ConstraintNetwork(calc, ["A", "B"]).to_text()
+    chain3 = builtin_model("pc1-chain3")
+    with pytest.raises(NetworkError, match="calculus name .* does not fit the file formats"):
+        FiniteInterpretation(calc, chain3.universe, chain3.phi).to_text()

@@ -1,6 +1,7 @@
 """Finite interpretations: JEPD, partition schemes, operation strength, brute force."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -139,8 +140,8 @@ def test_appendix_b2_composition_abstract_at_r3_r4():
 
 def test_strength_hierarchy_never_violated():
     # strong implies the weak criterion, weak implies soundness, across all
-    # cells of every bundled fixture
-    for name in ("pc1-chain3", "cycb-compass4", "appendixB1", "appendixB2", "appendixB-remark"):
+    # cells of every bundled model
+    for name in BUILTIN_MODEL_NAMES:
         model = builtin_model(name)
         calc = model.calculus
         for which in ("converse", "composition"):
@@ -237,7 +238,8 @@ def test_brute_force_returns_the_first_satisfying_valuation():
     models = [builtin_model(name) for name in BUILTIN_MODEL_NAMES] + [loose]
     found = missing = 0
     for m_idx, model in enumerate(models):
-        for n_vars in range(2, 7):
+        # the reference tries every valuation: stop where pc1-chain5 does at 6 variables
+        for n_vars in (n for n in range(2, 7) if len(model.universe) ** n <= 5**6):
             for d_idx, density in enumerate((0.3, 0.6, 1.0)):
                 labels = "singletons" if d_idx == 2 else "uniform"
                 seed = 100 * m_idx + 10 * n_vars + d_idx
@@ -294,9 +296,24 @@ def test_model_requires_injective_phi():
 
 
 def test_builtin_models_are_valid():
-    for name in ("pc1-chain3", "pc1-chain4", "cycb-compass4", "appendixB1", "appendixB2", "appendixB-remark"):
+    for name in BUILTIN_MODEL_NAMES:
         model = builtin_model(name)
         assert check_jepd(model).certified, name
+        assert model.calculus is builtin(model.calculus.name), name
+
+
+@pytest.mark.parametrize("name, composition, converse", [
+    ("pc1-chain3", {"strong": 5, "weak": 4}, {"strong": 3}),
+    ("rcc5-subsets4", {"strong": 9, "weak": 16}, {"strong": 5}),
+    ("cycb-compass8", {"strong": 12, "weak": 4}, {"strong": 4}),
+    # four directions are too few: l.l is (o) there, the table's (l o r) is abstract
+    ("cycb-compass4", {"strong": 12, "abstract": 4}, {"strong": 4}),
+])
+def test_derived_builtins_grade_over_their_domains(name, composition, converse):
+    model = builtin_model(name)
+    for which, want in (("composition", composition), ("converse", converse)):
+        grading = classify_operation(model, model.calculus, which)
+        assert Counter(v.value for v in grading.cells.values()) == want, which
 
 
 def test_seriality_is_a_model_property():

@@ -1,5 +1,11 @@
 """Builtin calculi, spec-file parsing, serialization, validation."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +25,38 @@ def test_builtin_names_stable():
 
 def test_builtin_is_cached():
     assert builtin("pc1") is builtin("pc1")
+
+
+@pytest.mark.parametrize("name, digest, size", [
+    ("pc1", "5e1e8b74dd4bb73fba7d9e9eb64b6d13dae7cb4ecb645dcc6bb1f46174dfeaf4", 161),
+    ("rcc5", "55255c9606b38c125cbf7acdd531f2c982ac1a0d6412464740441a8350ca0542", 500),
+    ("cycb", "865710d1b8dc622a6b7206c9c799decdf9eeb6ebc53be1c01535c64c4fe4daec", 234),
+])
+def test_derived_builtins_serialize_to_the_hand_written_tables(name, digest, size):
+    # the text of the tables these builtins shipped as literals before they
+    # were derived from their domains
+    text = serialize(builtin(name)).encode()
+    assert (hashlib.sha256(text).hexdigest(), len(text)) == (digest, size)
+
+
+LAZY_IMPORT = """
+import sys
+derived = []
+sys.setprofile(lambda frame, event, arg: event == "call"
+               and frame.f_code.co_name == "weak_operations" and derived.append(1))
+import qsr.cli
+from qsr import builtin, builtin_model, registry
+assert not derived and not registry._CACHE and builtin_model.cache_info().currsize == 0
+builtin("rcc5")
+assert len(derived) == 1 and list(registry._CACHE) == ["rcc5"]
+"""
+
+
+def test_import_derives_no_table():
+    # a command that loads a spec file never pays for deriving the builtins
+    src = Path(builtin.__code__.co_filename).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", LAZY_IMPORT], env=env, check=True, timeout=60)
 
 
 def test_source_provenance():

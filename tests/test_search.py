@@ -201,8 +201,8 @@ def _check_against_reference(calc, model, n_vars):
 
 def test_derive_completeness_matches_closing_every_network_from_scratch():
     # appendixB1 (converse not involutive) runs the mirror intersection;
-    # cycb-compass4 and appendixB-remark find counterexamples after 43 to
-    # 3,296 networks, so pruned counts precede them
+    # cycb-compass4, cycb-compass8, rcc5-subsets4 and appendixB-remark find
+    # counterexamples after 43 to 3,908 networks, so pruned counts precede them
     cases = counterexamples = 0
     for name in BUILTIN_MODEL_NAMES:
         model = builtin_model(name)
@@ -213,7 +213,7 @@ def test_derive_completeness_matches_closing_every_network_from_scratch():
             cases += 1
             counterexamples += want[0] == "no" and want[1] > 40
             n_vars += 1
-    assert cases == 32
+    assert cases == 40
     assert counterexamples >= 4
 
 
