@@ -40,7 +40,6 @@ and ``classify`` differ only in the tuples they feed it.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
@@ -364,6 +363,8 @@ def classify(spec: CalculusSpec, jobs: int = 1) -> AxiomReport:
     for large calculi).
     """
     if jobs > 1:
+        # imported here: the pool's modules would slow every start of ``qsr``
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(MAIN_AXIOMS))) as pool:
             audits = list(pool.map(_base_audit, [spec] * len(MAIN_AXIOMS), MAIN_AXIOMS))
     else:

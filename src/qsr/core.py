@@ -338,9 +338,6 @@ class CalculusSpec:
     def relation(self, *symbols: str) -> "RelationSet":
         return RelationSet(self, self.mask_of(symbols))
 
-    def relation_from(self, symbols: Iterable[str]) -> "RelationSet":
-        return RelationSet(self, self.mask_of(symbols))
-
     def from_mask(self, mask: int) -> "RelationSet":
         if mask & ~self.universal:
             raise CalculusError("mask has bits outside the calculus width")

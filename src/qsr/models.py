@@ -46,6 +46,25 @@ class BudgetExceededError(Exception):
     """Brute-force enumeration would exceed the configured budget."""
 
 
+def _universe(elements: Iterable[str]) -> tuple[str, ...]:
+    universe = tuple(elements)
+    if len(set(universe)) != len(universe):
+        raise CalculusError("universe elements must be distinct")
+    if not universe:
+        raise CalculusError("universe must be non-empty")
+    for u in universe:
+        check_token("universe element", u, CalculusError, "#,()")
+    return universe
+
+
+def _pairs(pairs: Iterable[Pair], elems: set[str]) -> frozenset[Pair]:
+    out = frozenset((str(a), str(b)) for a, b in pairs)
+    for a, b in out:
+        if a not in elems or b not in elems:
+            raise CalculusError(f"pair ({a},{b}) uses elements outside the universe")
+    return out
+
+
 class FiniteInterpretation:
     """A finite universe plus an interpretation map from symbols to pair sets."""
 
@@ -60,23 +79,13 @@ class FiniteInterpretation:
     ) -> None:
         self.name = name
         self.calculus = calculus
-        self.universe: tuple[str, ...] = tuple(universe)
-        if len(set(self.universe)) != len(self.universe):
-            raise CalculusError("universe elements must be distinct")
-        if not self.universe:
-            raise CalculusError("universe must be non-empty")
+        self.universe = _universe(universe)
         elems = set(self.universe)
-        for u in self.universe:
-            check_token("universe element", u, CalculusError, "#,()")
         interp: dict[str, frozenset[Pair]] = {}
         for sym in calculus.symbols:
             if sym not in phi:
                 raise CalculusError(f"interpretation missing for symbol {sym!r}")
-            pairs = frozenset((str(a), str(b)) for a, b in phi[sym])
-            for a, b in pairs:
-                if a not in elems or b not in elems:
-                    raise CalculusError(f"pair ({a},{b}) uses elements outside the universe")
-            interp[sym] = pairs
+            interp[sym] = _pairs(phi[sym], elems)
         extra = set(phi) - set(calculus.symbols)
         if extra:
             raise CalculusError(f"interpretation names unknown symbols: {sorted(extra)}")
@@ -183,12 +192,8 @@ def check_partition_scheme(model: FiniteInterpretation) -> PartitionSchemeReport
     if model.calculus.identity_mask is not None:
         declared = model.phi_mask(model.calculus.identity_mask) == identity
 
-    witnesses = []
     images = {model.phi[s] for s in model.calculus.symbols}
-    for s in model.calculus.symbols:
-        conv = frozenset((b, a) for a, b in model.phi[s])
-        if conv not in images:
-            witnesses.append(s)
+    witnesses = [s for s in model.calculus.symbols if domain_converse(model, s) not in images]
 
     return PartitionSchemeReport(
         has_identity=base_hit or composite_hit,
@@ -373,6 +378,7 @@ def brute_force_solve(
 def parse_model(text: str, calculus: Optional[CalculusSpec] = None) -> FiniteInterpretation:
     """Parse model-file text; the calculus is resolved like in network files."""
     raw_phi: dict[str, list[Pair]] = {}
+    lines: dict[str, int] = {}
 
     def interpretation(lineno: int, line: str, tokens: list[str]) -> None:
         if ":" not in line:
@@ -387,13 +393,19 @@ def parse_model(text: str, calculus: Optional[CalculusSpec] = None) -> FiniteInt
             pairs.append((a.strip(), b.strip()))
         if sym in raw_phi:
             raise NetworkError(f"duplicate interpretation for {sym!r}", lineno)
-        raw_phi[sym] = pairs
+        raw_phi[sym], lines[sym] = pairs, lineno
 
-    name, calculus, universe = read_header(text, "model", calculus, interpretation)
+    name, calculus, universe, at = read_header(text, "model", calculus, interpretation)
     try:
+        # the universe and each symbol's pairs at their lines, then the model
+        elems = set(_universe(universe))
+        for sym, pairs in raw_phi.items():
+            at = lines[sym]
+            _pairs(pairs, elems)
+        at = None
         return FiniteInterpretation(calculus, universe, raw_phi, name=name)
     except CalculusError as exc:
-        raise NetworkError(str(exc)) from None
+        raise NetworkError(str(exc), at) from None
 
 
 def load_model(path: str, calculus: Optional[CalculusSpec] = None) -> FiniteInterpretation:
@@ -472,11 +484,19 @@ def weak_operations(elements: list[str], rel: Callable[[str, str], str],
     return phi, converse, composition
 
 
+@functools.cache
+def _derivation(model: str) -> tuple[dict, dict, dict]:
+    """``weak_operations`` over ``model``'s elements, once per model name."""
+    calculus, elements = _UNIVERSES[model]
+    symbols, _, rel, _ = _DOMAINS[calculus]
+    return weak_operations(elements, rel, symbols)
+
+
 def derived_spec(name: str, **facts) -> CalculusSpec:
     """The builtin ``name`` with the weak operations over its defining model;
     ``facts`` are the literature's flags and notes, passed to :class:`CalculusSpec`."""
-    symbols, identity, rel, model = _DOMAINS[name]
-    _, converse, composition = weak_operations(_UNIVERSES[model][1], rel, symbols)
+    symbols, identity, _, model = _DOMAINS[name]
+    _, converse, composition = _derivation(model)
     return CalculusSpec(name, symbols, [identity], converse, composition, **facts)
 
 
@@ -492,6 +512,4 @@ def builtin_model(name: str) -> FiniteInterpretation:
             f"unknown builtin model {name!r}; available: {', '.join(BUILTIN_MODEL_NAMES)}"
         )
     calculus, elements = _UNIVERSES[name]
-    symbols, _, rel, _ = _DOMAINS[calculus]
-    phi = weak_operations(elements, rel, symbols)[0]
-    return FiniteInterpretation(registry.builtin(calculus), elements, phi, name=name)
+    return FiniteInterpretation(registry.builtin(calculus), elements, _derivation(name)[0], name=name)

@@ -198,13 +198,7 @@ def normalize(
                 f"edge {x!r}-{y!r} uses a relation set of calculus {rel.calculus.name!r}"
             )
     if var_names is None:
-        seen: list[str] = []
-        for x, _, y in edges:
-            if x not in seen:
-                seen.append(x)
-            if y not in seen:
-                seen.append(y)
-        var_names = seen
+        var_names = list(dict.fromkeys(v for x, _, y in edges for v in (x, y)))
     net = ConstraintNetwork(calculus, var_names, name=name)
     n = len(net.var_names)
     for x, rel, y in edges:
@@ -262,16 +256,18 @@ _ITEMS = {"network": ("vars", "vars clause needs at least one name"),
 
 
 def read_header(text: str, keyword: str, calculus: Optional[CalculusSpec],
-                body: Callable[[int, str, list[str]], None]) -> tuple[str, CalculusSpec, list[str]]:
+                body: Callable[[int, str, list[str]], None]) -> tuple[str, CalculusSpec, list[str], int]:
     """Read a network or model file (``keyword``): its name, ``calculus`` and ``vars`` or
     ``universe`` clause, each at most once; every other line goes to ``body(lineno, line,
-    tokens)`` as it is met, so errors come in line order.  Returns (name, calculus, items)."""
+    tokens)`` as it is met, so errors come in line order.  Returns (name, calculus, items,
+    the line of the items clause)."""
     from . import registry
 
     items_keyword, empty = _ITEMS[keyword]
     name: Optional[str] = None
     declared: Optional[str] = None
     items: Optional[list[str]] = None
+    items_line = 0
     for lineno, line in read_lines(text):
         tokens = line.split()
         head = tokens[0]
@@ -288,7 +284,7 @@ def read_header(text: str, keyword: str, calculus: Optional[CalculusSpec],
         elif head == items_keyword:
             if items is not None:
                 raise NetworkError(f"duplicate {items_keyword} clause", lineno)
-            items = tokens[1:]
+            items, items_line = tokens[1:], lineno
             if not items:
                 raise NetworkError(empty, lineno)
         else:
@@ -303,7 +299,7 @@ def read_header(text: str, keyword: str, calculus: Optional[CalculusSpec],
                            f"but {calculus.name!r} was supplied")
     if items is None:
         raise NetworkError(f"missing {items_keyword} clause")
-    return name or "", calculus, items
+    return name or "", calculus, items, items_line
 
 
 def parse_network(text: str, calculus: Optional[CalculusSpec] = None) -> ConstraintNetwork:
@@ -323,12 +319,12 @@ def parse_network(text: str, calculus: Optional[CalculusSpec] = None) -> Constra
             raise NetworkError("constraint needs a (sym ...) group", lineno)
         edges.append((tokens[0], group[1:-1], tokens[-1], lineno))
 
-    name, calculus, var_names = read_header(text, "network", calculus, edge)
+    name, calculus, var_names, vars_line = read_header(text, "network", calculus, edge)
     declared = set(var_names)
     rel_edges = []
     for x, group, y, lineno in edges:
         try:
-            rel_edges.append((x, calculus.relation_from(group.split()), y))
+            rel_edges.append((x, calculus.relation(*group.split()), y))
         except CalculusError as exc:
             raise NetworkError(str(exc), lineno) from None
         for v in (x, y):
@@ -336,7 +332,11 @@ def parse_network(text: str, calculus: Optional[CalculusSpec] = None) -> Constra
                 raise NetworkError(f"unknown variable {v!r}", lineno)
         if x == y:
             raise NetworkError(f"self-loop constraint on variable {x!r}", lineno)
-    return normalize(calculus, rel_edges, var_names=var_names, name=name)
+    try:
+        return normalize(calculus, rel_edges, var_names=var_names, name=name)
+    except NetworkError as exc:
+        # the edges were checked above: what is left is about the variables
+        raise NetworkError(str(exc), vars_line) from None
 
 
 def load_network(path: str, calculus: Optional[CalculusSpec] = None) -> ConstraintNetwork:

@@ -7,40 +7,38 @@ decides atomic networks, which ``decide`` takes as ``acl_decides_atomic``
 (by default the calculus's fixed flag).  Otherwise an atomic closed leaf
 yields ``closed_unknown``; an exhausted search yields ``inconsistent``.
 
-Branching picks the smallest non-singleton cell first (ties by lowest pair
+``decide`` splits the smallest non-singleton cell first (ties by lowest pair
 index) and tries base relations in declaration order, so node counts are
 reproducible.
 
-Only the root is closed from all pairs.  A split sets C[i][j] to one base
-relation b of it and intersects C[j][i] with conv(b), so it tightens both
-cells: without R7, conv(b) alone can be looser than the closed C[j][i],
-and writing it would let the witness leave the input.  A child thus
-differs from its closed parent in the split pair alone, only tightened, so
-its closure is seeded with that pair (``a_closure(..., changed=(i, j))``,
-as in GQR) and reaches the same fixpoint in work proportional to what the
-split actually propagates.  The search runs on an explicit stack of open
-nodes, one frame per level, so its depth is not bounded by the
-interpreter's recursion limit.
+One walk serves ``decide`` and ``derive_completeness``, which differ in
+the pair each node splits and in what a leaf does.  Only the root is
+closed from all pairs.  A split sets C[i][j] to one base relation b of it
+and intersects C[j][i] with conv(b), so it tightens both cells: without
+R7, conv(b) alone can be looser than the closed C[j][i], and writing it
+would let the witness leave the input.  A child thus differs from its
+closed parent in the split pair alone, only tightened, so its closure is
+seeded with that pair (``a_closure(..., changed=(i, j))``, as in GQR) and
+reaches the same fixpoint in work proportional to what the split actually
+propagates.  The walk keeps its open nodes on an explicit stack, so its
+depth is not bounded by the interpreter's recursion limit.
 
-``derive_completeness`` walks the atomic networks of a variable count the
-same way: one level per pair, base relations in declaration order, each
-child closed from its split pair.  Closure is monotone, and the greatest
-fixpoint below cl(P) ∧ A equals the one below P ∧ A, so a prefix whose
-closure is inconsistent makes every atomic network below it inconsistent:
-the subtree is counted and skipped, like that of a split to a base relation
-that the closed cell of its pair excludes, which is not even closed.  Only
-the atomic networks whose closure is consistent reach brute force, in
-product order, so the flag, the count and the counterexample are those of
-closing every network from scratch.
+``derive_completeness`` splits pair d at depth d, pairs in row order, so
+its leaves are the atomic networks in product order.  Closure is monotone
+and the greatest fixpoint below cl(P) ∧ A equals the one below P ∧ A, so
+a split that a closed cell excludes, like a prefix whose closure is
+inconsistent, has no atomic network below it that closes.  Brute force
+thus sees the atomic networks that close, in product order, and the count
+is the counterexample's rank in that order plus one, or all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Any, Callable, Optional
 
-from .closure import a_closure
+from .closure import ClosureOutcome, a_closure
 from .core import CalculusMismatchError, CalculusSpec
 from .models import FiniteInterpretation, brute_force_solve
 from .network import ConstraintNetwork
@@ -77,36 +75,37 @@ def _pick_cell(net: ConstraintNetwork) -> Optional[tuple[int, int]]:
     return best
 
 
-def decide(net: ConstraintNetwork, acl_decides_atomic: Optional[bool] = None) -> Decision:
-    """Depth-first refinement search over ``net``; the input is not modified.
+def _search(out: ClosureOutcome, choose: Callable, leaf: Callable) -> tuple[Any, int]:
+    """Depth-first split-and-close walk below the root closure ``out``.
 
-    ``acl_decides_atomic`` says whether a closed atomic network is
-    consistent; ``None`` takes the calculus's ``flags.acl_decides_atomic``.
+    ``choose(network, depth)`` names the pair (i, j), i < j, that a closed
+    node splits into the base relations of its cell, or None at a leaf;
+    ``leaf(network, path)`` gets a closed leaf and its splits (i, j, base
+    relation).  Returns the first leaf value that is not None, or None,
+    with the number of nodes.
     """
-    calc = net.calculus
-    if acl_decides_atomic is None:
-        acl_decides_atomic = calc.flags.acl_decides_atomic
-    conv = calc.converse_mask
-    n = len(net.var_names)
+    conv = out.network.calculus.converse_mask
+    n = len(out.network.var_names)
     nodes = 1
-    out = a_closure(net)
     # one frame per open node: its closed network, the cell being split, the
     # base relations of that cell not tried yet and the closed mirror cell
     stack: list[list] = []
     while True:
         if out.closed:
             closed = out.network
-            cell = _pick_cell(closed)
+            cell = choose(closed, len(stack))
             if cell is None:
-                if acl_decides_atomic:
-                    return Decision(Verdict.CONSISTENT, closed, nodes)
-                return Decision(Verdict.CLOSED_UNKNOWN, None, nodes)
-            i, j = cell
-            stack.append([closed, i, j, closed.cells[i * n + j], closed.cells[j * n + i]])
+                # each frame's network holds its current split in place
+                value = leaf(closed, [(i, j, net.cells[i * n + j]) for net, i, j, _, _ in stack])
+                if value is not None:
+                    return value, nodes
+            else:
+                i, j = cell
+                stack.append([closed, i, j, closed.cells[i * n + j], closed.cells[j * n + i]])
         while stack and not stack[-1][3]:
             stack.pop()
         if not stack:
-            return Decision(Verdict.INCONSISTENT, None, nodes)
+            return None, nodes
         frame = stack[-1]
         closed, i, j, untried, mirror = frame
         bit = untried & -untried
@@ -117,6 +116,23 @@ def decide(net: ConstraintNetwork, acl_decides_atomic: Optional[bool] = None) ->
         closed.cells[j * n + i] = mirror & conv(bit)
         nodes += 1
         out = a_closure(closed, changed=(i, j))
+
+
+def decide(net: ConstraintNetwork, acl_decides_atomic: Optional[bool] = None) -> Decision:
+    """Depth-first refinement search over ``net``; the input is not modified.
+
+    ``acl_decides_atomic`` says whether a closed atomic network is
+    consistent; ``None`` takes the calculus's ``flags.acl_decides_atomic``.
+    """
+    if acl_decides_atomic is None:
+        acl_decides_atomic = net.calculus.flags.acl_decides_atomic
+    closed, nodes = _search(a_closure(net), lambda closed, depth: _pick_cell(closed),
+                            lambda closed, path: closed)
+    if closed is None:
+        return Decision(Verdict.INCONSISTENT, None, nodes)
+    if acl_decides_atomic:
+        return Decision(Verdict.CONSISTENT, closed, nodes)
+    return Decision(Verdict.CLOSED_UNKNOWN, None, nodes)
 
 
 @dataclass
@@ -135,69 +151,42 @@ def derive_completeness(
     """Check, exhaustively, whether every closed atomic ``n_vars``-variable
     network is satisfiable in ``model``.
 
-    Covers all |Rel| ** (n_vars choose 2) atomic networks, pairs (i, j) with
-    i < j in row order and base relations in declaration order, the last
-    pair varying fastest.  They are assigned pair by pair depth-first, and
-    each partial assignment is closed incrementally from its parent's
-    closure; an inconsistent prefix prunes every network below it.  Each
-    network whose closure is consistent is brute-forced against the model,
-    and the first unsatisfiable one is the counterexample.
-    ``networks_checked`` counts the networks covered up to it, pruned ones
-    included.  The answer is specific to the model and the variable count:
-    a calculus complete over its usual infinite universe can fail over a
-    small finite one.  Pass ``flag == "yes"`` to ``decide`` as its
+    Covers all |Rel| ** (n_vars choose 2) atomic networks in product order
+    (pairs (i, j), i < j, in row order, the last varying fastest; base
+    relations in declaration order) and brute-forces those whose closure is
+    consistent.  The first one unsatisfiable in the model is the
+    counterexample; ``networks_checked`` counts the networks up to it, or
+    all of them.  The answer is specific to the model and the variable
+    count: a calculus complete over its usual infinite universe can fail
+    over a small finite one.  Pass ``flag == "yes"`` to ``decide`` as its
     ``acl_decides_atomic`` to use it.
     """
     if model.calculus is not calculus:
         raise CalculusMismatchError("model interprets a different calculus")
     n_syms = len(calculus.symbols)
     pairs = [(i, j) for i in range(n_vars) for j in range(i + 1, n_vars)]
-    depth = len(pairs)
-    total = n_syms ** depth
+    total = n_syms ** len(pairs)
     if total > budget:
         raise ValueError(f"{total} atomic networks exceed the budget of {budget}")
 
     names = [f"x{k}" for k in range(n_vars)]
-    conv = calculus.converse_mask
-    n = n_vars
-    # below[d]: the atomic networks under a node that has assigned d pairs
-    below = [n_syms ** (depth - d) for d in range(depth + 1)]
-    checked = 0
-    out = a_closure(ConstraintNetwork(calculus, names))
-    # one frame per open node: its closed network, the next base relation to
-    # give its pair and the pair's two closed cells
-    stack: list[list] = []
-    while True:
-        level = len(stack)
-        if out is None or not out.closed:
-            checked += below[level]
-        elif level < depth:
-            closed = out.network
-            i, j = pairs[level]
-            stack.append([closed, 0, closed.cells[i * n + j], closed.cells[j * n + i]])
-        else:
-            checked += 1
-            # brute force gets the atomic network itself: without R7 its
-            # closure can be tighter, and the model need not make closure sound
-            leaf = ConstraintNetwork(calculus, names)
-            for (i, j), frame in zip(pairs, stack):
-                bit = 1 << (frame[1] - 1)
-                leaf.cells[i * n + j] = bit
-                leaf.cells[j * n + i] = conv(bit)
-            if brute_force_solve(leaf, model, budget=budget) is None:
-                return CompletenessResult("no", checked, leaf)
-        while stack and stack[-1][1] == n_syms:
-            stack.pop()
-        if not stack:
-            return CompletenessResult("yes", checked, None)
-        frame = stack[-1]
-        closed, sym, ij, ji = frame
-        frame[1] = sym + 1
-        bit = 1 << sym
-        i, j = pairs[len(stack) - 1]
-        # a_closure copies its input: split the open node's network in place;
-        # only pair (i, j) was tightened since it was closed.  A split that the
-        # closed C[i][j] excludes is not closed: out = None prunes its subtree
-        closed.cells[i * n + j] = ij & bit
-        closed.cells[j * n + i] = ji & conv(bit)
-        out = a_closure(closed, changed=(i, j)) if ij & bit else None
+
+    def brute_force(closed: ConstraintNetwork, path: list) -> Optional[ConstraintNetwork]:
+        # brute force gets the atomic network itself: without R7 its
+        # closure can be tighter, and the model need not make closure sound
+        atomic = ConstraintNetwork(calculus, names)
+        for i, j, bit in path:
+            atomic.cells[i * n_vars + j] = bit
+            atomic.cells[j * n_vars + i] = calculus.converse_mask(bit)
+        return atomic if brute_force_solve(atomic, model, budget=budget) is None else None
+
+    steps = [*pairs, None]  # the pair split at each depth, then a leaf
+    root = a_closure(ConstraintNetwork(calculus, names))
+    counterexample, _ = _search(root, lambda closed, depth: steps[depth], brute_force)
+    if counterexample is None:
+        return CompletenessResult("yes", total, None)
+    # the leaves come in product order: count up to the counterexample's rank
+    rank = 0
+    for i, j in pairs:
+        rank = rank * n_syms + counterexample.cells[i * n_vars + j].bit_length() - 1
+    return CompletenessResult("no", rank + 1, counterexample)

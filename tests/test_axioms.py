@@ -1,5 +1,6 @@
 """Axiom battery: verdicts, counterexamples, classification, equivalences."""
 
+import concurrent.futures
 import dataclasses
 from collections import Counter
 from random import Random
@@ -196,7 +197,8 @@ def test_audit_pool_has_at_most_one_worker_per_axiom(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(axioms, "ProcessPoolExecutor", InlinePool)
+    # classify imports the pool class when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     spec = builtin("appendixB2")
     for jobs in (3, 64):
         assert classify(spec, jobs=jobs).records == classify(spec).records

@@ -19,7 +19,7 @@ rcc5 = builtin("rcc5")
 
 
 def pc1_net(*edges):
-    return normalize(pc1, [(x, pc1.relation_from(s.split()), y) for x, s, y in edges])
+    return normalize(pc1, [(x, pc1.relation(*s.split()), y) for x, s, y in edges])
 
 
 def test_closure_detects_inconsistent_triangle():

@@ -117,6 +117,8 @@ PARSE_ERRORS = [
     (parse_network, NET + 'network "o"\n', NetworkError, "line 5: duplicate network clause"),
     (parse_network, NET + "calculus pc1\n", NetworkError, "line 5: duplicate calculus clause"),
     (parse_network, NET + "vars A\n", NetworkError, "line 5: duplicate vars clause"),
+    (parse_network, NET.replace("vars A B C", "vars A B A"), NetworkError,
+     "line 3: variable names must be distinct"),
     (parse_model, MODEL.replace("calculus pc1\n", ""), NetworkError, "missing calculus clause"),
     (parse_model, MODEL.replace("universe 0 1\n", ""), NetworkError, "missing universe clause"),
     (parse_model, MODEL.replace("universe 0 1", "universe"), NetworkError,
@@ -140,6 +142,13 @@ PARSE_ERRORS = [
     (parse_model, MODEL.replace(">: (1,0)\n", ""), NetworkError,
      "interpretation missing for symbol '>'"),
     (parse_model, MODEL + 'model "o"\n', NetworkError, "line 7: duplicate model clause"),
+    (parse_model, MODEL.replace("universe 0 1", "universe 0 0"), NetworkError,
+     "line 3: universe elements must be distinct"),
+    (parse_model, MODEL.replace("(0,1)", "(0,5)"), NetworkError,
+     "line 4: pair (0,5) uses elements outside the universe"),
+    (parse_model, MODEL.replace("universe 0 1", "universe a,b 0 1"), NetworkError,
+     "line 3: universe element 'a,b' does not fit the file formats: "
+     "it is empty or holds whitespace or '#', ',', '(', ')'"),
     (parse_spec, 'calculus "pc1\nrelations a\n', SpecParseError,
      "line 1, column 1: No closing quotation"),
     (parse_spec, 'calculus "pc1" x\nrelations a\n', SpecParseError,

@@ -19,7 +19,7 @@ pc1 = builtin("pc1")
 
 
 def edge(x, syms, y):
-    return (x, pc1.relation_from(syms.split()), y)
+    return (x, pc1.relation(*syms.split()), y)
 
 
 def test_normalize_converse_consistent_pair():

@@ -45,10 +45,13 @@ derived = []
 sys.setprofile(lambda frame, event, arg: event == "call"
                and frame.f_code.co_name == "weak_operations" and derived.append(1))
 import qsr.cli
+assert "concurrent.futures" not in sys.modules and "multiprocessing" not in sys.modules
 from qsr import builtin, builtin_model, registry
 assert not derived and not registry._CACHE and builtin_model.cache_info().currsize == 0
 builtin("rcc5")
 assert len(derived) == 1 and list(registry._CACHE) == ["rcc5"]
+builtin_model("rcc5-subsets4")
+assert len(derived) == 1
 """
 
 
