@@ -119,10 +119,8 @@ def cmd_closure(args: argparse.Namespace) -> int:
     calc = _load_calculus(args)
     net = load_network(args.network, calc)
     out = a_closure(net)
-    stats = (f"revisions: {out.revisions}, queue pops: {out.queue_pops}, "
-             f"skipped pops: {out.skipped_pops}")
-    counts = {"revisions": out.revisions, "queue_pops": out.queue_pops,
-              "skipped_pops": out.skipped_pops}
+    stats = f"revisions: {out.revisions}, queue pops: {out.queue_pops}"
+    counts = {"revisions": out.revisions, "queue_pops": out.queue_pops}
     if not out.closed:
         pair = out.empty_pair or ("?", "?")
         payload = {"status": "inconsistent", "empty_pair": list(pair), **counts}

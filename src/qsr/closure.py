@@ -48,11 +48,11 @@ lo[b] | lo[h] | hi[b] | hi[h] with b = c & 255 and h = 256 + (c >> 8):
 composition distributes over union in its left argument, and a mask with
 one non-zero byte has a row of its own in two bounded tables, so no pop
 builds a row, no read makes a call and nothing is memoised.  If U absorbs
-composition (see below), this pass also skips each half of a triangle whose
-varying operand is U: C[i][j].U == U, so the first half, by C[j][k], and
-the second, by the C[i][k] the first half may just have revised, change
-nothing when that cell is U.  The dense pass does not test this, as its
-half is only two reads.
+composition and is its own converse (see below), this pass also skips
+each half of a triangle whose varying operand is U: C[i][j].U == U, so the
+first half, by C[j][k], and the second, by the C[i][k] the first half may
+just have revised, change nothing when that cell is U.  The dense pass
+does not test this, as its half is only two reads.
 
 The other branches (no R7, or R7 without R9), the safe branches, check
 each triangle inline: for the pair (i, k) of a popped (i, j) they compute
@@ -60,8 +60,8 @@ r = C[i][k] & C[i][j].C[j][k] and rp = C[k][i] & C[k][j].C[j][i], likewise
 for (k, j), and only if r or rp is tighter than its cell does a call
 (``settle``) cross-tighten, count and write the pair.  This passes over no
 revision: every pair is 2-consistent on entry (the prologue makes the
-seeded pairs so, and the rest are closed), and each settled pair is left
-2-consistent, so the cross-tightening of two unchanged cells,
+seeded pairs so; the rest are closed or U both ways), and each settled
+pair is left 2-consistent, so the cross-tightening of two unchanged cells,
 r & conv(rp) and rp & conv(r), changes neither.  Each of the four
 compositions has C[i][j] or C[j][i] as one operand, so up to 8 base
 relations (``calc.dense_rows``) it is a read of a row (``compose_row``) or
@@ -71,17 +71,15 @@ columns, four per pop, cost more than the calls they saved, and
 ``compose_col`` exists only up to 8 relations.
 
 If the universal relation U absorbs composition (``universal_absorbs``:
-U.{s} == {s}.U == U for every base relation s), a popped pair whose cells
-C[i][j] and C[j][i] are both U is skipped in every branch.  Composition
-distributes over union, so each composition of that pop, having a universal
-operand and a non-empty other one, yields U and each intersection with it
-is a no-op.  The cross-tightening of the safe branches only repeats the
-2-consistency that the prologue and every earlier revision left on each
-pair.  The pop would change no cell and enqueue nothing, so the fixpoint,
-the revisions, the queue pops (a skipped pop still counts) and the reported
-pair are the same in every queue order.  ``ClosureOutcome.skipped_pops``
-counts these pops.  Without the flag the skip is unsound: where a.a is
-empty, the all-universal network is inconsistent.
+U.{s} == {s}.U == U for every base relation s) and is its own converse, a
+pair whose cells C[i][j] and C[j][i] are both U is not seeded: it is
+2-consistent, and each composition of its pop, having a universal operand
+and a non-empty other one, would yield U (composition distributes over
+union).  It joins the worklist once a revision tightens one of its cells.
+The fixpoint is unchanged, but the queue order, hence the revisions and
+the pair an inconsistent outcome reports, can differ from seeding every
+pair.  Without the flag this is unsound: where a.a is empty, the
+all-universal network is inconsistent.
 
 Inconsistency (an empty cell) is an outcome, not an exception: the result
 carries the offending pair.  In the prologue that is the first seeded pair
@@ -92,13 +90,13 @@ C[i][j] stays non-empty.
 refinement search.  Its precondition: ``net`` is closed except in the cells
 (i, j) and (j, i), which were only tightened since (as by a search split).
 Only those two cells are then checked for emptiness and made 2-consistent,
-and the worklist starts from that pair alone instead of from all O(n^2)
-pairs.  This holds for every calculus: a triangle that bounds a cell of the
-pair by two unchanged cells still holds after the cell shrank, so only the
-triangles that compose with the pair can fail, and popping it revises
-those.  The result equals the full closure of ``net``: the greatest
-fixpoint below a network is unique.  Full and incremental closure differ
-only in the pairs they start from.
+and the worklist starts from that pair alone (if it is seeded at all)
+instead of from all O(n^2) pairs.  This holds for every calculus: a
+triangle that bounds a cell of the pair by two unchanged cells still holds
+after the cell shrank, so only the triangles that compose with the pair
+can fail, and popping it revises those.  The result equals the full
+closure of ``net``: the greatest fixpoint below a network is unique.  Full
+and incremental closure differ only in the pairs they start from.
 
 ``naive_closure`` is an independent reference: it iterates the refinement
 rule over all ordered triples and both cell directions, together with the
@@ -134,11 +132,10 @@ class ClosureOutcome:
     # converse) and one per tightened cell otherwise; on an inconsistent
     # outcome it counts only the work done before the empty cell was met
     revisions: int
+    # pairs taken from the worklist; where U absorbs composition and is its
+    # own converse, no pair that is U both ways is queued
     queue_pops: int
     empty_pair: Optional[tuple[str, str]] = None
-    # pops that revised nothing because their pair was universal both ways
-    # (counted in ``queue_pops`` too)
-    skipped_pops: int = 0
 
     @property
     def closed(self) -> bool:
@@ -156,8 +153,8 @@ def a_closure(
 
     ``queue_order`` selects the worklist discipline (``fifo``, ``lifo`` or
     ``shuffled``, drawn from ``random.Random(seed)``); the fixpoint is the
-    same for all of them.  Each pair it starts from, every pair unless
-    ``changed`` is given, is first made strongly 2-consistent.
+    same for all of them.  Each pair it starts from (the module docstring
+    says which) is first made strongly 2-consistent.
 
     ``changed=(i, j)`` (variable indices, ``i != j``) states that ``net`` is
     closed except in cells (i, j) and (j, i), which were only tightened.
@@ -168,16 +165,6 @@ def a_closure(
     if queue_order not in (FIFO, LIFO, SHUFFLED):
         raise ValueError(f"unknown queue order {queue_order!r}")
     n = len(net.var_names)
-    if changed is None:
-        # every unordered pair, row by row
-        seeds = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    else:
-        ci, cj = changed
-        if not (0 <= ci < n and 0 <= cj < n) or ci == cj:
-            raise ValueError(f"changed pair {changed!r} is not an off-diagonal pair of {n} variables")
-        # every other pair is still closed: check and settle this one only
-        seeds = [(ci, cj) if ci < cj else (cj, ci)]
-
     calc = net.calculus
     work = net.copy()
     cells = work.cells
@@ -185,22 +172,34 @@ def a_closure(
     comp = calc.compose_masks
     comp_row = calc.compose_row
     comp_col = calc.compose_col
+    flags = calc.flags
+    ra7 = flags.ra7_holds
+    derive = ra7 and flags.ra9_holds
+    # a cell equal to ``absorbing`` is U, U absorbs composition and is its
+    # own converse; no cell equals -1.  A pair that is U both ways is then
+    # 2-consistent and no pop of it revises: it is not seeded
+    universal = calc.universal
+    absorbing = universal if flags.universal_absorbs and conv(universal) == universal else -1
+    if changed is None:
+        # the pairs with a cell other than U, row by row
+        seeds = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if cells[i * n + j] != absorbing or cells[j * n + i] != absorbing]
+    else:
+        ci, cj = changed
+        if not (0 <= ci < n and 0 <= cj < n) or ci == cj:
+            raise ValueError(f"changed pair {changed!r} is not an off-diagonal pair of {n} variables")
+        # every other pair is still closed: check and settle this one only
+        universal_pair = cells[ci * n + cj] == absorbing == cells[cj * n + ci]
+        seeds = [] if universal_pair else [(ci, cj) if ci < cj else (cj, ci)]
     revisions = 0
     pops = 0
-    skipped = 0
 
     def outcome(status: ClosureStatus, pair: Optional[tuple[int, int]]) -> ClosureOutcome:
         names = None
         if pair is not None:
             names = (work.var_names[pair[0]], work.var_names[pair[1]])
-        return ClosureOutcome(status, work, revisions, pops, names, skipped)
+        return ClosureOutcome(status, work, revisions, pops, names)
 
-    flags = calc.flags
-    ra7 = flags.ra7_holds
-    derive = ra7 and flags.ra9_holds
-    # a cell equal to ``absorbing`` is U and U absorbs composition; no cell
-    # equals -1
-    absorbing = calc.universal if flags.universal_absorbs else -1
     dense = calc.dense_rows
     chunked = calc.chunked_rows
 
@@ -288,10 +287,6 @@ def a_closure(
         # C[i][j] and C[j][i] do not change while their pair is revised
         c_ij = cells[bi + j]
         c_ji = cells[bj + i]
-        if c_ij == absorbing and c_ji == absorbing:
-            # U.R == R.U == U for every non-empty R: this pop changes no cell
-            skipped += 1
-            continue
         if derive:
             # the fused pass: the rows of C[i][j] and C[j][i] are fetched
             # once per pop

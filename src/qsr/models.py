@@ -397,10 +397,11 @@ def parse_model(text: str, calculus: Optional[CalculusSpec] = None) -> FiniteInt
 
     name, calculus, universe, at = read_header(text, "model", calculus, interpretation)
     try:
-        # the universe and each symbol's pairs at their lines, then the model
+        # the universe, each symbol and its pairs at their lines, then the model
         elems = set(_universe(universe))
         for sym, pairs in raw_phi.items():
             at = lines[sym]
+            calculus.symbol_index(sym)
             _pairs(pairs, elems)
         at = None
         return FiniteInterpretation(calculus, universe, raw_phi, name=name)

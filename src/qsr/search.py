@@ -13,7 +13,7 @@ reproducible.
 
 One walk serves ``decide`` and ``derive_completeness``, which differ in
 the pair each node splits and in what a leaf does.  Only the root is
-closed from all pairs.  A split sets C[i][j] to one base relation b of it
+closed in full.  A split sets C[i][j] to one base relation b of it
 and intersects C[j][i] with conv(b), so it tightens both cells: without
 R7, conv(b) alone can be looser than the closed C[j][i], and writing it
 would let the witness leave the input.  A child thus differs from its

@@ -184,18 +184,23 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
-def test_closure_reports_skipped_pops(capsys, tmp_path, fig_net):
+def test_closure_reports_queue_pops_and_revisions(capsys, tmp_path, fig_net):
+    # pc1 seeds the two constrained pairs; the first pop infers A (<) C and
+    # queues that pair, which had been universal both ways
     code, out, _ = run(capsys, "closure", "--builtin", "pc1", "--network", fig_net)
     assert code == 0
-    assert "skipped pops: " in out
+    assert out.splitlines()[-1] == "revisions: 1, queue pops: 3"
     code, out, _ = run(capsys, "closure", "--builtin", "pc1", "--network", fig_net, "--format", "json")
     doc = json.loads(out)
-    assert 0 <= doc["skipped_pops"] <= doc["queue_pops"]
+    assert (doc["revisions"], doc["queue_pops"]) == (1, 3)
+    assert "skipped_pops" not in doc
     path = tmp_path / "clash.net"
     path.write_text(CLASH_NET)
     code, out, _ = run(capsys, "closure", "--builtin", "pc1", "--network", str(path), "--format", "json")
     assert code == 1
-    assert json.loads(out)["skipped_pops"] == 0
+    doc = json.loads(out)
+    # the prologue meets the empty cell before any pop
+    assert (doc["revisions"], doc["queue_pops"]) == (0, 0)
 
 
 @pytest.mark.parametrize("name,line,flags", [

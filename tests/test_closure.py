@@ -455,7 +455,7 @@ def test_safe_branches_read_tables_not_compose_masks(monkeypatch):
         pops = revisions = 0
         for seed in range(6):
             out = a_closure(random_network(calc, 12, 0.5, labels, seed=seed))
-            pops += out.queue_pops - out.skipped_pops
+            pops += out.queue_pops
             revisions += out.revisions
         assert pops > 0 and calls == 0, name
     assert revisions > 0
@@ -464,14 +464,21 @@ def test_safe_branches_read_tables_not_compose_masks(monkeypatch):
 def test_closure_makes_no_call_that_changes_nothing(monkeypatch, dihedral_group):
     # Closing a closed appendixB1 network revises nothing.  The safe
     # branches then take the converse only in the prologue, twice for each
-    # of the n(n-1)/2 unordered pairs, not once more per triangle.  On 9 to 16
+    # seeded pair, not once more per triangle; one more call tests whether U
+    # is its own converse.  On 9 to 16
     # relations the fused pass fetches the rows of single bytes only and
     # builds no merged row, even where the labels have both bytes set.
     from qsr.core import CalculusSpec
 
     b1 = builtin("appendixB1")
     closed = a_closure(random_network(b1, 10, 0.5, "singletons", seed=3))
-    assert closed.closed and closed.queue_pops > closed.skipped_pops
+    assert closed.closed and closed.queue_pops > 0
+    universal = b1.universal
+    assert b1.flags.universal_absorbs and b1.converse_mask(universal) == universal
+    cells = closed.network.cells
+    seeded = sum(universal != cells[i * 10 + j] or universal != cells[j * 10 + i]
+                 for i in range(10) for j in range(i + 1, 10))
+    assert 0 < seeded < 10 * 9 // 2
     converses = 0
     orig_conv = CalculusSpec.converse_mask
 
@@ -484,7 +491,7 @@ def test_closure_makes_no_call_that_changes_nothing(monkeypatch, dihedral_group)
     again = a_closure(closed.network)
     assert again.closed and again.revisions == 0
     assert again.network.cells == closed.network.cells
-    assert converses == 10 * 9
+    assert converses == 2 * seeded + 1
 
     d8 = dihedral_group(8)
     net = random_network(d8, 8, 1.0, seed=5)
@@ -513,8 +520,7 @@ def _tally(closures):
 
 
 def test_closure_work_counts_are_pinned(random_calculus):
-    # queue pops, revisions and the reported empty pair of a seeded batch,
-    # as recorded before the R7/R9 branch was fused into one loop per pop: a
+    # queue pops, revisions and the reported empty pair of a seeded batch: a
     # kernel change must not silently change the work done or the pair named.
     # sym3 has R7 and R9 but is no relation algebra (the cycle law fails),
     # so there the second revision of a triangle can be the one that empties
@@ -540,19 +546,19 @@ def test_closure_work_counts_are_pinned(random_calculus):
 
     pops, revisions, empties = _tally(full_closures(builtin("rcc5")) + full_closures(builtin("pc1"))
                                       + full_closures(sym3))
-    assert (pops, revisions) == (1583, 513)
+    assert (pops, revisions) == (807, 470)
     assert empties == (
         # rcc5
-        ". . . x0-x5 x2-x0 x0-x5 x1-x5 x5-x2 x5-x2 . . . x3-x8 x4-x3 x3-x4 "
-        "x1-x7 x8-x2 x6-x8 . . . x0-x7 x9-x5 x0-x3 x2-x4 x3-x2 x4-x2 . . . "
+        ". . . x0-x5 x2-x0 x2-x0 x1-x5 x5-x2 x1-x2 . . . x3-x8 x4-x3 x3-x8 x1-x7 x8-x2 "
+        "x2-x8 . . . x0-x7 x9-x5 x3-x0 x2-x4 x3-x2 x4-x2 . . . . . . x0-x3 x6-x1 x6-x1 "
         # pc1
-        ". . . x0-x3 x6-x1 x1-x5 . . . x0-x4 x4-x2 x4-x2 x0-x2 x6-x1 x6-x1 "
-        ". . . x0-x9 x6-x2 x2-x9 x0-x4 x8-x2 x4-x5 x0-x5 x10-x0 x0-x5 x0-x5 "
-        "x10-x0 x5-x0 x1-x2 x3-x2 x1-x4 . . . x0-x4 x6-x2 x3-x2 x0-x3 x7-x2 x4-x8 "
+        ". . . x0-x4 x4-x2 x0-x3 x0-x2 x6-x1 x0-x1 . . . x0-x9 x6-x2 x6-x0 x0-x4 x8-x2 "
+        "x5-x1 x2-x0 x10-x0 x5-x0 x0-x5 x10-x0 x3-x6 x1-x2 x3-x2 x1-x4 . . . x0-x4 "
+        "x6-x2 x0-x4 x0-x3 x7-x2 x5-x0 "
         # sym3
-        ". . . x5-x2 x1-x0 x2-x5 x5-x2 x6-x5 x6-x5 . . . x1-x7 x7-x1 x1-x7 "
-        "x0-x4 x8-x5 x4-x9 . . . x0-x10 x0-x12 x5-x9 x3-x1 x2-x1 x0-x1 . . . "
-        ". . . x3-x1 x6-x8 x6-x8"
+        ". . . x5-x2 x0-x3 x1-x0 x5-x2 x6-x5 x5-x2 . . . x1-x7 x7-x1 x1-x7 x0-x4 x8-x5 "
+        "x4-x9 . . . x0-x10 x6-x3 x0-x12 x3-x1 x2-x1 x0-x1 . . . . . . x3-x1 x6-x8 "
+        "x6-x8"
     )
 
     # The safe branches, which take every calculus without R7 or without R9,
@@ -586,7 +592,7 @@ def test_closure_work_counts_are_pinned(random_calculus):
             split.cells[j * n + i] &= b2.converse_mask(bit)
             split_closures += [a_closure(split, queue_order=order, seed=seed, changed=(i, j))
                                for order in orders]
-    assert full["appendixB1"] == (1332, 0, " ".join(["."] * 36))
+    assert full["appendixB1"] == (798, 0, " ".join(["."] * 36))
     assert full["appendixB2"] == (105, 185, (
         ". . . x3-x0 x3-x4 x3-x4 x2-x0 x3-x5 x1-x0 x3-x0 x2-x6 x0-x2 x9-x0 x3-x8 "
         "x7-x1 x6-x0 x3-x9 x5-x4 x3-x0 x0-x10 x3-x0 x3-x0 x0-x10 x5-x1 x2-x0 x0-x4 "
@@ -607,8 +613,7 @@ def test_prologue_settles_pairs_whose_mirrors_disagree(random_calculus):
     # cells of a pair are drawn on their own, so the prologue must settle
     # each pair, on every builtin and on random calculi without R7; status
     # and cells must match the reference.  The queue pops, and under R7 the
-    # reported pairs, are pinned as recorded when the prologue still swept
-    # every ordered pair to a fixpoint.
+    # reported pairs, are pinned.
     import random as _random
 
     from qsr import BUILTIN_NAMES
@@ -639,14 +644,14 @@ def test_prologue_settles_pairs_whose_mirrors_disagree(random_calculus):
                 (with_ra7 if calc.flags.ra7_holds else without).append(got)
     assert sum(out.closed for out in with_ra7) == 75
     assert sum(out.closed for out in without) == 63
-    assert _tally(without)[0] == 860
+    assert _tally(without)[0] == 500
     pops, _, empties = _tally(with_ra7)
-    assert pops == 712
+    assert pops == 233
     assert empties == (
-        '. . . x0-x1 x0-x1 x0-x1 . . . x1-x4 x2-x1 x1-x4 . . . x0-x5 x5-x0 x3-x0 . . . x0-x3 '
+        '. . . x0-x1 x0-x1 x0-x1 . . . x1-x4 x2-x1 x1-x4 . . . x0-x5 x5-x0 x4-x3 . . . x0-x3 '
         'x0-x3 x0-x3 . . . x0-x3 x0-x3 x0-x3 . . . x0-x3 x0-x3 x0-x3 . . . x0-x2 x0-x2 x0-x2 '
-        'x2-x4 x2-x4 x2-x4 x1-x3 x1-x3 x1-x3 x3-x4 x3-x4 x3-x4 x2-x4 x2-x4 x2-x4 . . . . . '
-        '. . . . x0-x4 x0-x4 x0-x4 . . . x0-x1 x0-x1 x0-x1 . . . . . . . . . x0-x4 x4-x3 x0-x3 '
+        'x2-x4 x2-x4 x2-x4 x1-x3 x1-x3 x1-x3 x3-x4 x3-x4 x3-x4 x2-x4 x2-x4 x2-x4 . . . . . . . '
+        '. . x0-x4 x0-x4 x0-x4 . . . x0-x1 x0-x1 x0-x1 . . . . . . . . . x0-x4 x4-x3 x3-x4 '
         'x0-x6 x0-x6 x0-x6 x2-x7 x2-x7 x2-x7 . . . . . . . . . x1-x2 x1-x2 x1-x2 x0-x3 x0-x3 '
         'x0-x3 x0-x2 x0-x2 x0-x2 x0-x2 x0-x2 x0-x2 x0-x3 x0-x3 x0-x3 x2-x4 x2-x4 x2-x4 x1-x2 '
         'x1-x2 x1-x2 x5-x0 x0-x4 x1-x0 x1-x7 x1-x7 x1-x7 . . . x2-x3 x2-x3 x2-x3 x1-x4 x1-x4 '
@@ -688,14 +693,20 @@ def test_universal_pairs_are_revised_when_the_universal_relation_does_not_absorb
     for order in ("fifo", "lifo", "shuffled"):
         got = a_closure(net, queue_order=order, seed=3)
         assert got.status is ClosureStatus.INCONSISTENT, order
-        assert got.skipped_pops == 0, order
+        assert got.queue_pops >= 1, order
 
 
-def test_skipped_pops_are_counted_and_keep_the_fixpoint(cyclic_group):
+def test_universal_pairs_are_not_queued_and_keep_the_fixpoint(cyclic_group, random_calculus):
     # sparse networks on one calculus per closure branch whose universal
     # relation absorbs composition: fused (rcc5), R7 without R9 (nc2: conv is the identity and
-    # a.b != b.a), without R7 (appendixB1) and the large path (Z9)
+    # a.b != b.a), without R7 (appendixB1) and the large path (Z9).  A pair
+    # universal both ways is queued only once a revision tightens it, so the
+    # all-universal network closes without a pop, and a network with one
+    # constraint pops that pair alone.
+    import random as _random
+
     from qsr.core import CalculusSpec
+    from qsr.network import ConstraintNetwork
 
     nc2 = CalculusSpec("nc2", ("a", "b"), None, {"a": ["a"], "b": ["b"]},
                        {("a", "a"): ["a", "b"], ("a", "b"): ["a"],
@@ -705,16 +716,47 @@ def test_skipped_pops_are_counted_and_keep_the_fixpoint(cyclic_group):
         (True, True), (True, False), (False, True), (True, True)]
     for calc in calcs:
         assert calc.flags.universal_absorbs is True
-        skipped = 0
+        assert calc.converse_mask(calc.universal) == calc.universal
+        universal_net = ConstraintNetwork(calc, [f"x{k}" for k in range(8)])
+        for order in ("fifo", "lifo", "shuffled"):
+            for changed in (None, (5, 2)):
+                got = a_closure(universal_net, queue_order=order, seed=1, changed=changed)
+                assert got.closed and (got.queue_pops, got.revisions) == (0, 0), (calc.name, order)
         for seed in range(20):
             net = random_network(calc, 7, (0.2, 0.4)[seed % 2], seed=seed)
             ref = naive_closure(net)
-            assert ref.skipped_pops == 0
             for order in ("fifo", "lifo", "shuffled"):
                 got = a_closure(net, queue_order=order, seed=seed)
-                assert 0 <= got.skipped_pops <= got.queue_pops, (calc.name, seed, order)
                 assert got.status == ref.status, (calc.name, seed, order)
                 if got.closed:
                     assert got.network.cells == ref.network.cells, (calc.name, seed, order)
-                skipped += got.skipped_pops
-        assert skipped > 0, calc.name
+
+    net = ConstraintNetwork(rcc5, ["x", "y", "z", "w"])
+    net.set_mask(1, 3, rcc5.mask_of(["PP"]))
+    net.set_mask(3, 1, rcc5.mask_of(["PPi"]))
+    got = a_closure(net)
+    assert got.closed and got.queue_pops == 1 and got.revisions == 0
+
+    # U absorbs but is not its own converse: every pair is seeded, as the
+    # prologue tightens each pair that is universal both ways; the
+    # all-universal network would otherwise come back unchanged as closed
+    rng = _random.Random(5)
+    odd = []
+    while len(odd) < 3:
+        calc = random_calculus(rng, 3, f"odd{len(odd)}")
+        if calc.flags.universal_absorbs and calc.converse_mask(calc.universal) != calc.universal:
+            odd.append(calc)
+    closed = 0
+    for calc in odd:
+        nets = [ConstraintNetwork(calc, [f"x{k}" for k in range(6)])]
+        nets += [random_network(calc, 6, 0.3, seed=seed) for seed in range(12)]
+        for seed, net in enumerate(nets):
+            ref = naive_closure(net)
+            closed += ref.closed
+            for order in ("fifo", "lifo", "shuffled"):
+                got = a_closure(net, queue_order=order, seed=seed)
+                assert got.status == ref.status, (calc.name, seed, order)
+                if got.closed:
+                    assert got.network.cells == ref.network.cells, (calc.name, seed, order)
+                    assert got.queue_pops >= 6 * 5 // 2, (calc.name, seed, order)
+    assert closed > 0

@@ -139,6 +139,8 @@ PARSE_ERRORS = [
      "line 4: malformed pair '(0,1,2)'"),
     (parse_model, MODEL + "<: (1,1)\n", NetworkError,
      "line 7: duplicate interpretation for '<'"),
+    (parse_model, MODEL + "q: (0,0)\n", NetworkError,
+     "line 7: calculus 'pc1' has no base relation 'q'"),
     (parse_model, MODEL.replace(">: (1,0)\n", ""), NetworkError,
      "interpretation missing for symbol '>'"),
     (parse_model, MODEL + 'model "o"\n', NetworkError, "line 7: duplicate model clause"),
