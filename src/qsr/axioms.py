@@ -59,10 +59,6 @@ MAIN_AXIOMS = (
 
 NA_AXIOMS = ("R1", "R2", "R3", "R5", "R6", "R7", "R8", "R9", "R10")
 
-# axioms whose extension from base symbols to composite relations is forced
-# by the union extension of the operations
-UNION_PRESERVED = ("R4", "R6", "R6l", "R7", "R9")
-
 
 class Classification(Enum):
     RA = "RA"

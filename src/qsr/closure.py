@@ -26,10 +26,11 @@ calculus's tables (``calc.flags``) steer how a revision fills them:
   cross-tightens each direction with the converse of the other; optimized
   reasoners that skip this produce wrong closures on such calculi.
 
-Under R7 and R9 each popped pair (i, j) is revised in one fused pass with
-no call per triangle.  C[i][j] and C[j][i] do not change while their pair
-is revised, so their composition rows (``CalculusSpec.compose_row``) are
-read once per pop, and for every third variable k the pass does
+Under R7 and R9, up to 16 base relations, each popped pair (i, j) is
+revised in one fused pass with no call per triangle.  C[i][j] and C[j][i]
+do not change while their pair is revised, so their composition rows
+(``CalculusSpec.compose_row``) are read once per pop, and for every third
+variable k the pass does
 
     C[i][k] <- C[i][k] & row_ij[C[j][k]]
     C[j][k] <- C[j][k] & row_ji[C[i][k]]
@@ -41,8 +42,7 @@ converse of its mirror.  It tightens the same cells in the same order as
 that revision, so revisions, queue pops and reported pairs are unchanged.
 How a row is read depends only on the width, so it is fixed once per call
 (``calc.chunked_rows``): up to 8 base relations a row is indexed by the
-mask itself, row[c]; above 16 a row is a dict that composes each new mask
-on its first read.  From 9 to 16 the pass fetches lo = row(a & 255) and
+mask itself, row[c].  From 9 to 16 the pass fetches lo = row(a & 255) and
 hi = row(a & ~255) for each fixed operand a, and reads a.c as
 lo[b] | lo[h] | hi[b] | hi[h] with b = c & 255 and h = 256 + (c >> 8):
 composition distributes over union in its left argument, and a mask with
@@ -54,21 +54,26 @@ first half, by C[j][k], and the second, by the C[i][k] the first half may
 just have revised, change nothing when that cell is U.  The dense pass
 does not test this, as its half is only two reads.
 
-The other branches (no R7, or R7 without R9), the safe branches, check
-each triangle inline: for the pair (i, k) of a popped (i, j) they compute
-r = C[i][k] & C[i][j].C[j][k] and rp = C[k][i] & C[k][j].C[j][i], likewise
-for (k, j), and only if r or rp is tighter than its cell does a call
-(``settle``) cross-tighten, count and write the pair.  This passes over no
-revision: every pair is 2-consistent on entry (the prologue makes the
-seeded pairs so; the rest are closed or U both ways), and each settled
-pair is left 2-consistent, so the cross-tightening of two unchanged cells,
-r & conv(rp) and rp & conv(r), changes neither.  Each of the four
-compositions has C[i][j] or C[j][i] as one operand, so up to 8 base
-relations (``calc.dense_rows``) it is a read of a row (``compose_row``) or
-a column (``CalculusSpec.compose_col``) of one of them, fetched once per
-pop.  Above 8 they are ``compose_masks`` calls: lazily filled rows and
-columns, four per pop, cost more than the calls they saved, and
-``compose_col`` exists only up to 8 relations.
+The other branches (no R7, R7 without R9, or more than 16 base relations),
+the safe branches, check each triangle inline: for the pair (i, k) of a
+popped (i, j) they compute r = C[i][k] & C[i][j].C[j][k] and rp = C[k][i]
+& C[k][j].C[j][i], likewise for (k, j), and only if r or rp is tighter
+than its cell does a call (``settle``) cross-tighten, count and write the
+pair.  This passes over no revision: every pair is 2-consistent on entry
+(the prologue makes the seeded pairs so; the rest are closed or U both
+ways), and each settled pair is left 2-consistent, so the cross-tightening
+of two unchanged cells, r & conv(rp) and rp & conv(r), changes neither.
+Each of the four compositions has C[i][j] or C[j][i] as one operand, so up
+to 8 base relations (``calc.dense_rows``) it is a read of a row
+(``compose_row``) or a column (``CalculusSpec.compose_col``) of one of
+them, fetched once per pop.  Above 8 they are ``compose_masks`` calls:
+lazily filled rows and columns, four per pop, cost more than the calls
+they saved, and ``compose_col`` exists only up to 8 relations.
+
+Above 16 base relations, with no rows, every calculus takes this loop.
+Under R7 and R9 it does the fused pass's revisions in the same order, but
+an inconsistent outcome names the mirror of the fused pass's pair:
+``settle`` checks C[b][a] first, and under R7 both cells are empty.
 
 If the universal relation U absorbs composition (``universal_absorbs``:
 U.{s} == {s}.U == U for every base relation s) and is its own converse, a
@@ -174,7 +179,10 @@ def a_closure(
     comp_col = calc.compose_col
     flags = calc.flags
     ra7 = flags.ra7_holds
-    derive = ra7 and flags.ra9_holds
+    dense = calc.dense_rows
+    chunked = calc.chunked_rows
+    # the fused pass reads rows, which exist up to 16 relations
+    derive = ra7 and flags.ra9_holds and (dense or chunked)
     # a cell equal to ``absorbing`` is U, U absorbs composition and is its
     # own converse; no cell equals -1.  A pair that is U both ways is then
     # 2-consistent and no pop of it revises: it is not seeded
@@ -199,9 +207,6 @@ def a_closure(
         if pair is not None:
             names = (work.var_names[pair[0]], work.var_names[pair[1]])
         return ClosureOutcome(status, work, revisions, pops, names)
-
-    dense = calc.dense_rows
-    chunked = calc.chunked_rows
 
     in_queue = set(seeds)
     if queue_order == FIFO:

@@ -12,13 +12,12 @@ Converse and composition extend from symbols to composite relations by union:
 
 Widths are dynamic (calculi range from a handful to well over a thousand base
 relations); masks are plain Python integers.  The composition table is stored
-dense, |Rel|**2 cells, which stays below ~4M cells for |Rel| <= 2048.  For
-|Rel| <= 8 the extensions to composite arguments are precomputed (2**|Rel|
-entries), making closure engines cheap table lookups; a transposed copy of
-that table, built on first use, holds the composition columns.  For
-8 < |Rel| <= 16 the composition rows that closure reads are built from two
-byte-indexed tables of at most 256 rows each, filled on demand; they never
-grow past that, and closure asks only for the row of one byte at a time.
+dense, |Rel|**2 cells, which stays below ~4M cells for |Rel| <= 2048.  Up to
+16 relations the extensions to composite arguments, the composition rows,
+are built row by row on first use in two byte-indexed tables of at most 256
+rows each (``compose_row``).  For |Rel| <= 8 the low-byte table is the dense
+composite table, making closure engines cheap table lookups; a transposed
+copy, built from its rows on first use, holds the composition columns.
 ``compose_masks`` on a calculus with more than 8 relations keeps a memo of
 the pairs it was asked for.
 """
@@ -30,12 +29,13 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Iterator, Optional
 
-# Precompute the full composite tables only while they stay small:
-# converse needs 2**n ints, composition 4**n.
+# Build the full composite tables only while they stay small: converse
+# needs 2**n ints, composition (and its columns) 4**n.
 _FULL_CONV_LIMIT = 14
 _FULL_COMP_LIMIT = 8
 # compose_row reads two byte chunks of the right argument up to this width
 _CHUNK_COMP_LIMIT = 16
+_NO_ROWS = (None,) * 256  # CalculusSpec._comp_lo until the row tables are built
 
 
 class CalculusError(Exception):
@@ -89,7 +89,7 @@ class CalculusSpec:
         "_flags",
         "_index",
         "_conv_full",
-        "_comp_full",
+        "_comp_lo",
         "_comp_cols",
         "_comp_chunks",
         "_comp_cache",
@@ -149,7 +149,7 @@ class CalculusSpec:
         self.source = None  # provenance record, filled in by the registry
 
         self._conv_full: Optional[list[int]] = None
-        self._comp_full: Optional[list[list[int]]] = None
+        self._comp_lo = _NO_ROWS  # the low-byte row table, read first by compose_row
         self._comp_cols: Optional[list[list[int]]] = None
         self._comp_chunks: Optional[tuple[list, list, list[list[int]]]] = None
         self._comp_cache: dict[tuple[int, int], int] = {}
@@ -196,8 +196,9 @@ class CalculusSpec:
     def converse_mask(self, mask: int) -> int:
         full = self._conv_full
         if full is None:
-            if len(self.symbols) <= _FULL_CONV_LIMIT:
-                full = self._build_conv_full()
+            n = len(self.symbols)
+            if n <= _FULL_CONV_LIMIT:
+                full = self._conv_full = _extension(self.converse_row, 0, n)
             else:
                 # inlined rather than _union_of: this is a hot path
                 out = 0
@@ -210,108 +211,82 @@ class CalculusSpec:
         return full[mask]
 
     def compose_masks(self, a: int, b: int) -> int:
-        full = self._comp_full
-        if full is None:
-            if len(self.symbols) <= _FULL_COMP_LIMIT:
-                full = self._build_comp_full()
-            else:
-                return self._compose_large(a, b)
-        return full[a][b]
+        if self.dense_rows:
+            return (self._comp_lo[a] or self.compose_row(a))[b]
+        return self._compose_large(a, b)
 
-    def compose_row(self, a: int) -> list[int] | dict[int, int]:
+    def compose_row(self, a: int) -> list[int]:
         """The composition row of ``a``, a read-only table of ``a . b`` over masks ``b``.
 
+        Rows are built on first use, each from the row of ``a`` without its
+        lowest bit, in two tables for the low and the high byte of ``a``.
+
         * |Rel| <= 8 (``dense_rows`` is true): the row of the dense composite
-          table, built on first use as ``compose_masks`` builds it;
-          ``row[b] == compose_masks(a, b)``.
+          table, ``row[b] == compose_masks(a, b)``; the low-byte table holds
+          every row, and ``compose_masks`` and ``compose_col`` read it too.
         * 8 < |Rel| <= 16 (``chunked_rows`` is true): a flat list of width
           256 + 2**(|Rel| - 8) with ``row[x] == a . x`` for ``x < 256`` and
           ``row[256 + y] == a . (y << 8)``, read in two byte chunks:
           ``row[b & 255] | row[256 + (b >> 8)] == compose_masks(a, b)``.
-          The rows of the low and of the high byte of ``a`` come from two
-          bounded tables filled on demand; only an ``a`` with both bytes
-          non-zero costs a fresh list, the union of its two byte rows
-          (``a_closure`` ORs the reads of the two byte rows instead).
-        * |Rel| > 16: a fresh ``_ComposeRow`` that calls
-          ``compose_masks(a, b)`` on the first read of each ``b`` and keeps
-          the result; ``row[b] == compose_masks(a, b)``.
+          Only an ``a`` with both bytes non-zero costs a fresh list, the
+          union of its two byte rows (``a_closure`` ORs the reads of the
+          two byte rows instead).
+        * |Rel| > 16: raises ``CalculusError``; there are no row tables.
         """
-        full = self._comp_full
-        if full is None:
-            if self.chunked_rows:
-                lo_rows, hi_rows, _ = self._comp_chunks or self._build_comp_chunks()
-                low, high = a & 255, a >> 8
-                row = lo_rows[low] or self._chunk_row(lo_rows, low, 0)
-                if high:
-                    hi_row = hi_rows[high] or self._chunk_row(hi_rows, high, 8)
-                    row = list(map(or_, row, hi_row)) if low else hi_row
-                return row
-            if not self.dense_rows:
-                return _ComposeRow(self, a)
-            full = self._build_comp_full()
-        return full[a]
+        if a < 256:
+            return self._comp_lo[a] or self._chunk_row(self._row_tables()[0], a, 0)
+        lo_rows, hi_rows, _ = self._row_tables()
+        low, high = a & 255, a >> 8
+        hi_row = hi_rows[high] or self._chunk_row(hi_rows, high, 8)
+        if low:
+            return list(map(or_, lo_rows[low] or self._chunk_row(lo_rows, low, 0), hi_row))
+        return hi_row
 
     def compose_col(self, b: int) -> list[int]:
         """The composition column of ``b``, a read-only table of ``a . b`` over masks ``a``.
 
-        A row of the transposed dense composite table, built on first use
-        and left out of pickles; ``col[a] == compose_masks(a, b)``.  Only for
-        |Rel| <= 8 (``dense_rows`` is true): above that it raises
-        ``CalculusError`` rather than build a table of 4**|Rel| cells.
+        A row of the transposed dense composite table, built from the rows
+        on first use and left out of pickles; ``col[a] == compose_masks(a,
+        b)``.  Only for |Rel| <= 8 (``dense_rows`` is true): above that it
+        raises ``CalculusError`` rather than build a table of 4**|Rel| cells.
         """
         cols = self._comp_cols
         if cols is None:
             if not self.dense_rows:
                 raise CalculusError(f"compose_col: {self.name!r} has more than {_FULL_COMP_LIMIT} relations")
-            full = self._comp_full or self._build_comp_full()
-            cols = self._comp_cols = [list(col) for col in zip(*full)]
+            rows = map(self.compose_row, range(self.universal + 1))
+            cols = self._comp_cols = [list(col) for col in zip(*rows)]
         return cols[b]
 
     def complement_mask(self, mask: int) -> int:
         return self.universal & ~mask
 
-    def _build_conv_full(self) -> list[int]:
-        # conv(m) = conv(m without lowest bit) | conv(lowest bit); masks are
-        # enumerated in increasing order so the smaller argument is ready.
-        row = self.converse_row
-        full = [0] * (self.universal + 1)
-        for m in range(1, self.universal + 1):
-            low = m & -m
-            full[m] = full[m ^ low] | row[low.bit_length() - 1]
-        self._conv_full = full
-        return full
-
-    def _build_comp_full(self) -> list[list[int]]:
-        size = self.universal + 1
-        n = len(self.symbols)
-        # first the single-symbol rows extended to composite right arguments
-        sym_rows = [_extension(row, 0, n) for row in self.composition_row]
-        full: list[list[int]] = [[0] * size]
-        for a in range(1, size):
-            low = a & -a
-            base = full[a ^ low]
-            srow = sym_rows[low.bit_length() - 1]
-            full.append([base[b] | srow[b] for b in range(size)])
-        self._comp_full = full
-        return full
-
-    def _build_comp_chunks(self) -> tuple[list, list, list[list[int]]]:
+    def _row_tables(self) -> tuple[list, list, list[list[int]]]:
         # two tables of chunk rows, for the low and for the high byte of a
         # left argument, empty but for the zero row; and the chunk rows of
-        # the single symbols they are built from
-        high = len(self.symbols) - 8
-        sym_rows = [_extension(row, 0, 8) + _extension(row, 8, high) for row in self.composition_row]
-        zero = [0] * len(sym_rows[0])
-        chunks = self._comp_chunks = ([zero] + [None] * 255, [zero] + [None] * ((1 << high) - 1), sym_rows)
+        # the single symbols they are built from.  Up to 8 relations the
+        # low chunk is the whole row and the high table holds the zero row.
+        chunks = self._comp_chunks
+        if chunks is None:
+            if not (self.dense_rows or self.chunked_rows):
+                raise CalculusError(f"compose_row: {self.name!r} has more than {_CHUNK_COMP_LIMIT} relations")
+            n = len(self.symbols)
+            high = max(n - 8, 0)
+            sym_rows = [_extension(row, 0, n - high) + (_extension(row, 8, high) if high else [])
+                        for row in self.composition_row]
+            zero = [0] * len(sym_rows[0])
+            lo_rows = self._comp_lo = [zero] + [None] * min(self.universal, 255)
+            chunks = self._comp_chunks = (lo_rows, [zero] + [None] * ((1 << high) - 1), sym_rows)
         return chunks
 
     def _chunk_row(self, table: list, m: int, shift: int) -> list[int]:
-        # row(m) = row(m without its lowest bit) | row of that bit's symbol;
-        # shift is 8 for the high-byte table
-        low = m & -m
-        rest = m ^ low
-        base = table[rest] or self._chunk_row(table, rest, shift)
-        row = table[m] = list(map(or_, base, self._comp_chunks[2][shift + low.bit_length() - 1]))
+        # row(m) = row(m without its lowest bit) | row of that bit's symbol,
+        # built on first use; shift is 8 for the high-byte table
+        row = table[m]
+        if row is None:
+            low = m & -m
+            base = self._chunk_row(table, m ^ low, shift)
+            row = table[m] = list(map(or_, base, self._comp_chunks[2][shift + low.bit_length() - 1]))
         return row
 
     def _compose_large(self, a: int, b: int) -> int:
@@ -394,22 +369,6 @@ class CalculusSpec:
 
     def __setstate__(self, state) -> None:
         self.__init__(**state)
-
-
-class _ComposeRow(dict):
-    """A lazily filled composition row of ``m`` (``row[x] == m . x``) for a
-    calculus with more than 16 relations (see ``compose_row``)."""
-
-    __slots__ = ("_spec", "_m")
-
-    def __init__(self, spec: CalculusSpec, m: int) -> None:
-        super().__init__()
-        self._spec = spec
-        self._m = m
-
-    def __missing__(self, x: int) -> int:
-        out = self[x] = self._spec.compose_masks(self._m, x)
-        return out
 
 
 class RelationSet:

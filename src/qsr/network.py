@@ -373,7 +373,6 @@ def random_network(
     density: float,
     label_size: str = "uniform",
     seed: Optional[int] = None,
-    rng: Optional[random.Random] = None,
 ) -> ConstraintNetwork:
     """Generate a random normalized network, deterministic under ``seed``.
 
@@ -390,8 +389,7 @@ def random_network(
         raise NetworkError("density must lie in [0, 1]")
     if label_size not in ("uniform", "singletons"):
         raise NetworkError(f"unknown label distribution {label_size!r}")
-    if rng is None:
-        rng = random.Random(seed)
+    rng = random.Random(seed)
 
     names = [f"x{i}" for i in range(n_vars)]
     net = ConstraintNetwork(calculus, names, name="random")

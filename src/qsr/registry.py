@@ -95,8 +95,9 @@ def _make_appendix_b1() -> CalculusSpec:
 def _make_appendix_b2() -> CalculusSpec:
     # Four-relation fixture over the universe {0,1} with phi(r1)={(0,0)},
     # phi(r2)={(1,1)}, phi(r3)={(0,1)}, phi(r4)={(1,0)}.  Every cell is the
-    # tightest sound value except r3.r4 = (r1 r4), which over-approximates
-    # the domain result {(0,0)} on purpose: that one coarse cell breaks
+    # tightest sound value except two that over-approximate the domain
+    # result on purpose: r3.r4 = (r1 r4), where it is {(0,0)}, and
+    # r4.r2 = (r4), where it is empty.  These coarse cells break
     # associativity, converse-composition distributivity, the Tarski/De
     # Morgan axiom and the Peircean law, while the empty identity
     # row/column cells break the identity laws upward.

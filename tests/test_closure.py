@@ -280,7 +280,8 @@ def test_revised_pair_is_left_2_consistent_without_involutive_converse():
 def test_fused_pass_matches_reference_on_large_relation_algebras(cyclic_group, dihedral_group):
     # Z9, Z10, D5 and D8 satisfy R7 and R9 with 9 to 16 base relations, so
     # the fused pass reads two-byte chunk rows, from a high-byte table of 2
-    # (Z9) up to 256 (D8) rows; Z17 takes the lazy dict rows above 16.  D5
+    # (Z9) up to 256 (D8) rows; Z17 has no rows above 16 and takes the
+    # call-based safe loop (test_closure_reads_no_rows_above_16).  D5
     # and D8 are not commutative, so argument order matters there.  Every
     # network and every level of a split chain closed with ``changed=`` must
     # equal the naive closure, in all three queue orders.
@@ -382,6 +383,33 @@ def test_safe_branches_match_reference_above_16_relations(random_calculus):
             splits += 1
     assert statuses == {ClosureStatus.CLOSED, ClosureStatus.INCONSISTENT}
     assert splits > 5
+
+
+def test_closure_reads_no_rows_above_16(monkeypatch, cyclic_group, dihedral_group):
+    # Z17 and D9 satisfy R7 and R9 but have no row tables, so they close
+    # through the call-based safe loop and never ask for a row.  Every
+    # network must equal the naive closure, in all three queue orders.
+    from qsr.core import CalculusSpec
+
+    def no_rows(self, a):
+        raise AssertionError("compose_row called")
+
+    monkeypatch.setattr(CalculusSpec, "compose_row", no_rows)
+    statuses = set()
+    for calc in (cyclic_group(17), dihedral_group(9)):
+        assert calc.flags.ra7_holds and calc.flags.ra9_holds
+        assert not (calc.dense_rows or calc.chunked_rows)
+        for seed in range(10):
+            labels = "singletons" if seed % 2 else "uniform"
+            net = random_network(calc, 6 + seed % 4, 0.5, labels, seed=seed)
+            ref = naive_closure(net)
+            statuses.add(ref.status)
+            for order in ("fifo", "lifo", "shuffled"):
+                got = a_closure(net, queue_order=order, seed=seed)
+                assert got.status == ref.status, (calc.name, seed, order)
+                if got.closed:
+                    assert got.network.cells == ref.network.cells, (calc.name, seed, order)
+    assert statuses == {ClosureStatus.CLOSED, ClosureStatus.INCONSISTENT}
 
 
 def test_safe_branches_match_reference_at_11_to_16_relations(random_calculus):

@@ -220,21 +220,44 @@ def test_compose_row_reads_as_compose_masks(cyclic_group, dihedral_group):
             assert len(row) == 256 + (1 << (len(spec) - 8))
             for b in masks:
                 assert row[b & 255] | row[256 + (b >> 8)] == spec.compose_masks(a, b), (spec.name, a, b)
-        assert spec._comp_full is None and spec._comp_cols is None
-    # more than 16: a fresh dict per call, filled only by reads; D9 is not
-    # commutative, so a row that swapped its operands would differ
+        assert spec._comp_cols is None
+    # more than 16: no rows and no columns, only compose_masks
     for spec in (cyclic_group(17), dihedral_group(9)):
         assert spec.chunked_rows is False and spec.dense_rows is False
-        masks = [0, spec.universal] + [1 << k for k in range(len(spec))]
-        masks += [rng.randrange(spec.universal + 1) for _ in range(40)]
+        for a in (0, 1, 255, 256, spec.universal):
+            with pytest.raises(CalculusError):
+                spec.compose_row(a)
         with pytest.raises(CalculusError):
             spec.compose_col(spec.universal)
-        for a in masks:
-            row = spec.compose_row(a)
-            assert row is not spec.compose_row(a) and len(row) == 0
-            for b in masks + masks:
-                assert row[b] == spec.compose_masks(a, b), (spec.name, a, b)
-        assert spec._comp_full is None and spec._comp_cols is None
+        assert spec._comp_chunks is None and spec._comp_cols is None
+
+
+def test_dense_rows_are_built_only_when_asked_for(cyclic_group, dihedral_group):
+    # up to 8 relations the dense table is filled row by row: closing
+    # networks on Z8 and D4 (R7 and R9 hold, so only the fused pass reads
+    # rows) builds the rows of the labels it meets and the rows they are
+    # built from, not all 256
+    from qsr import a_closure, naive_closure, random_network
+
+    for spec in (cyclic_group(8), dihedral_group(4)):
+        assert spec.dense_rows and spec.flags.ra7_holds and spec.flags.ra9_holds
+        for seed in range(6):
+            net = random_network(spec, 6, 0.5, "singletons", seed=seed)
+            got = a_closure(net)
+            ref = naive_closure(net)
+            assert got.status == ref.status
+            if got.closed:
+                assert got.network.cells == ref.network.cells
+        lo_rows, hi_rows, _ = spec._comp_chunks
+        assert len(lo_rows) == 256 and hi_rows == [lo_rows[0]]
+        built = [m for m, row in enumerate(lo_rows) if row is not None]
+        assert 1 < len(built) < 256, spec.name
+        assert spec._comp_cols is None
+    # one read fills the row asked for and the rows it is built from, each
+    # the row of a mask without its lowest bit
+    spec = cyclic_group(8)
+    assert spec.compose_masks(0b1010, 0b10) == spec.compose_row(0b1010)[0b10] == 0b10100
+    assert [m for m, row in enumerate(spec._comp_chunks[0]) if row is not None] == [0, 0b1000, 0b1010]
 
 
 def test_chunk_rows_are_bounded_and_stay_out_of_pickles(cyclic_group, dihedral_group):

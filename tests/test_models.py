@@ -130,8 +130,13 @@ def test_pc1_converse_strong_on_chain():
 
 
 def test_appendix_b2_composition_abstract_at_r3_r4():
+    # the two coarse cells: r3.r4 widens {(0,0)}, r4.r2 widens the empty set
     grading = classify_operation(builtin_model("appendixB2"), b2, "composition")
     assert grading.strength_of("r3", "r4") is CellStrength.ABSTRACT_ONLY
+    assert domain_compose(builtin_model("appendixB2"), "r4", "r2") == set()
+    not_weak = {cell for cell, strength in grading.cells.items()
+                if strength not in (CellStrength.STRONG, CellStrength.WEAK)}
+    assert not_weak == {("r3", "r4"), ("r4", "r2")}
     assert grading.is_calculus_under_model
     assert not grading.weak
     conv = classify_operation(builtin_model("appendixB2"), b2, "converse")
