@@ -30,11 +30,15 @@ converse.
 Axioms mentioning the identity (R6, R6l, WA) are reported not-applicable for
 calculi without a designated identity.
 
-One tally loop serves the whole battery: it evaluates an axiom once per tuple
-and tests that (lhs, rhs) against all three of the axiom's records (main, ⊆,
-⊇; for PL main, PL-right, PL-left).  Only R10's ⊇ record needs a second
-evaluation, of its dual rotation.  ``check_axiom``, ``check_axiom_composite``
-and ``classify`` differ only in the tuples they feed it.
+One tally loop serves the whole battery: it tests each (lhs, rhs) evaluation
+against all three of the axiom's records (main, ⊆, ⊇; for PL main, PL-right,
+PL-left).  Only R10's ⊇ record needs a second evaluation, of its dual
+rotation.  ``check_axiom_composite`` and the unary and binary axioms of
+``check_axiom`` and ``classify`` evaluate an axiom once per tuple.  The base
+audit of the triple axioms (R2, R4, R5, PL) reads rows instead: for base r
+and s, one pair of table rows holds (lhs, rhs) for every base u, and only a
+pair whose rows differ has its lanes tested, which gives the violations and
+examples of the per-tuple evaluators.
 """
 
 from __future__ import annotations
@@ -42,8 +46,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import not_, or_
 from random import Random
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .core import CalculusError, CalculusSpec
 
@@ -171,6 +176,9 @@ class _Axiom:
     violated: Callable[[int, int], int] = _equation
     # R10: the ⊇ record tests lhs ⊆ rhs of this second evaluator
     sup_eval: Optional[Callable[[CalculusSpec, tuple[int, ...]], tuple]] = None
+    # triple axioms: the (lhs, rhs) rows over the bases u, one pair per base
+    # (r, s) in product order; lane k of a pair is eval of (r, s, {k})
+    rows: Optional[Callable[[CalculusSpec], Iterator[tuple[list[int], list[int]]]]] = None
 
 
 def _r1(c, t):
@@ -181,6 +189,14 @@ def _r1(c, t):
 def _r2(c, t):
     r, s, u = t
     return r | (s | u), (r | s) | u
+
+
+def _r2_rows(c):
+    bases = [1 << k for k in range(len(c.symbols))]
+    s_rows = [list(map(s.__or__, bases)) for s in bases]  # s + u over the bases u
+    for r in bases:
+        for s, s_row in zip(bases, s_rows):
+            yield list(map(r.__or__, s_row)), list(map((r | s).__or__, bases))
 
 
 def _r3(c, t):
@@ -194,9 +210,39 @@ def _r4(c, t):
     return c.compose_masks(c.compose_masks(r, s), u), c.compose_masks(r, c.compose_masks(s, u))
 
 
+def _union_rows(rows: list, mask: int) -> list[int]:
+    """Lane-wise union of ``rows[p]`` over the bits ``p`` of ``mask``, ``rows`` square."""
+    out = [0] * len(rows)
+    for p, row in enumerate(rows):
+        if mask >> p & 1:
+            out = list(map(or_, out, row))
+    return out
+
+
+def _r4_rows(c):
+    table = c.composition_row
+    masks = set(itertools.chain.from_iterable(table))
+    # per table mask m: the row of m.{u} over the bases u, and the column of
+    # {r}.m over the bases r
+    left = {m: _union_rows(table, m) for m in masks}
+    columns = list(zip(*table))
+    right = {m: _union_rows(columns, m) for m in masks}
+    for i, row_r in enumerate(table):
+        r_dot = {m: col[i] for m, col in right.items()}  # m -> r.m
+        for m, row_s in zip(row_r, table):
+            yield left[m], list(map(r_dot.__getitem__, row_s))
+
+
 def _r5(c, t):
     r, s, u = t
     return c.compose_masks(r | s, u), c.compose_masks(r, u) | c.compose_masks(s, u)
+
+
+def _r5_rows(c):
+    # the tables compose a mask bit by bit, so (r + s).u and r.u + s.u are
+    # both the union of the rows of r and s
+    for row_r, row_s in itertools.product(c.composition_row, repeat=2):
+        yield list(map(or_, row_r, row_s)), list(map(or_, row_r, row_s))
 
 
 def _r6(c, t):
@@ -259,12 +305,20 @@ def _pl(c, t):
     return left, right
 
 
+def _pl_rows(c):
+    table, conv = c.composition_row, c.converse_row
+    # (r.s) & conv(u) and (s.u) & conv(r) over the bases u
+    for row_r, conv_r in zip(table, conv):
+        for m, row_s in zip(row_r, table):
+            yield list(map(m.__and__, conv)), list(map(conv_r.__and__, row_s))
+
+
 _AXIOMS: dict[str, _Axiom] = {
     "R1": _Axiom(2, False, _r1),
-    "R2": _Axiom(3, False, _r2),
+    "R2": _Axiom(3, False, _r2, rows=_r2_rows),
     "R3": _Axiom(2, False, _r3),
-    "R4": _Axiom(3, False, _r4),
-    "R5": _Axiom(3, False, _r5),
+    "R4": _Axiom(3, False, _r4, rows=_r4_rows),
+    "R5": _Axiom(3, False, _r5, rows=_r5_rows),
     "R6": _Axiom(1, True, _r6),
     "R6l": _Axiom(1, True, _r6l),
     "R7": _Axiom(1, False, _r7),
@@ -273,7 +327,7 @@ _AXIOMS: dict[str, _Axiom] = {
     "R10": _Axiom(2, False, _r10, _inclusion, sup_eval=_r10_dual),
     "WA": _Axiom(1, True, _wa),
     "SA": _Axiom(1, False, _sa),
-    "PL": _Axiom(3, False, _pl, _peircean),
+    "PL": _Axiom(3, False, _pl, _peircean, rows=_pl_rows),
 }
 
 
@@ -296,53 +350,63 @@ def _record_of(axiom_id: str) -> tuple[str, int]:
         raise CalculusError(f"unknown axiom {axiom_id!r}") from None
 
 
-def _audit(
-    spec: CalculusSpec,
-    axiom: str,
-    tuples: Iterable[tuple[int, ...]],
-    universe: int,
-    operand_format: Callable[[int], str],
-) -> list[AxiomRecord]:
-    """All three records of ``axiom`` over ``tuples``, from one evaluation
-    per tuple (two for R10, whose ⊇ record has its own evaluator)."""
+def _tuple_hits(spec: CalculusSpec, axiom: str, tuples: Iterable[tuple[int, ...]]) -> Iterator[tuple]:
+    """``(masks, lhs, rhs, hit)`` of every violating evaluation, one per tuple
+    (two for R10, whose ⊇ record has its own evaluator)."""
     ax = _AXIOMS[axiom]
-    ids = [rid for rid, (a, _) in _RECORDS.items() if a == axiom]
-    if ax.needs_id and spec.identity_mask is None:
-        return [AxiomRecord(rid, holds=None, violations=0, universe=0) for rid in ids]
-    records = [AxiomRecord(rid, holds=True, violations=0, universe=universe) for rid in ids]
-
-    def note(hit: int, masks: tuple[int, ...], lhs: int, rhs: int) -> None:
-        for k, rec in enumerate(records):
-            if hit >> k & 1:
-                rec.violations += 1
-                if len(rec.examples) < EXAMPLE_CAP:
-                    rec.examples.append(Counterexample(
-                        operands=tuple(map(operand_format, masks)),
-                        lhs=spec.symbols_of(lhs),
-                        rhs=spec.symbols_of(rhs),
-                    ))
-
     evaluate, violated, dual = ax.eval, ax.violated, ax.sup_eval
     for masks in tuples:
         lhs, rhs = evaluate(spec, masks)
         hit = violated(lhs, rhs)
         if hit:
-            note(hit, masks, lhs, rhs)
+            yield masks, lhs, rhs, hit
         if dual is not None:
             lhs, rhs = dual(spec, masks)
             if lhs & ~rhs:
-                note(4, masks, lhs, rhs)
-    for rec in records:
-        rec.holds = rec.violations == 0
+                yield masks, lhs, rhs, 4
+
+
+def _row_hits(spec: CalculusSpec, axiom: str) -> Iterator[tuple]:
+    """The same over the base triples, in product order, from the rows of a
+    triple axiom: only a pair of rows that differ has its lanes tested."""
+    ax = _AXIOMS[axiom]
+    violated, bases = ax.violated, [1 << i for i in range(len(spec.symbols))]
+    for (r, s), (lhs_row, rhs_row) in zip(itertools.product(bases, repeat=2), ax.rows(spec)):
+        # PL tests only emptiness, so rows empty at the same lanes agree
+        if lhs_row == rhs_row or violated is _peircean and (
+                list(map(not_, lhs_row)) == list(map(not_, rhs_row))):
+            continue
+        for u, lhs, rhs in zip(bases, lhs_row, rhs_row):
+            hit = violated(lhs, rhs)
+            if hit:
+                yield (r, s, u), lhs, rhs, hit
+
+
+def _audit(spec: CalculusSpec, axiom: str, hits: Iterable[tuple], universe: int,
+           operand_format: Callable[[int], str]) -> list[AxiomRecord]:
+    """All three records of ``axiom`` from its violating evaluations ``hits``:
+    each counts against the records whose bit is set in its ``hit``."""
+    ids = [rid for rid, (a, _) in _RECORDS.items() if a == axiom]
+    if _AXIOMS[axiom].needs_id and spec.identity_mask is None:
+        return [AxiomRecord(rid, holds=None, violations=0, universe=0) for rid in ids]
+    records = [AxiomRecord(rid, holds=True, violations=0, universe=universe) for rid in ids]
+    for masks, lhs, rhs, hit in hits:
+        for k, rec in enumerate(records):
+            if hit >> k & 1:
+                rec.holds = False
+                rec.violations += 1
+                if len(rec.examples) < EXAMPLE_CAP:
+                    rec.examples.append(Counterexample(
+                        tuple(map(operand_format, masks)), spec.symbols_of(lhs), spec.symbols_of(rhs)))
     return records
 
 
 def _base_audit(spec: CalculusSpec, axiom: str) -> list[AxiomRecord]:
     """All three records of ``axiom`` over the base-relation tuples."""
-    n = len(spec.symbols)
-    arity = _AXIOMS[axiom].arity
-    tuples = itertools.product([1 << i for i in range(n)], repeat=arity)
-    return _audit(spec, axiom, tuples, n ** arity, lambda m: spec.symbols_of(m)[0])
+    n, ax = len(spec.symbols), _AXIOMS[axiom]
+    hits = _row_hits(spec, axiom) if ax.rows else _tuple_hits(
+        spec, axiom, itertools.product([1 << i for i in range(n)], repeat=ax.arity))
+    return _audit(spec, axiom, hits, n ** ax.arity, lambda m: spec.symbols_of(m)[0])
 
 
 def check_axiom(spec: CalculusSpec, axiom_id: str) -> AxiomRecord:
@@ -418,7 +482,7 @@ def check_axiom_composite(
         tuples = (
             tuple(rng.randrange(size) for _ in range(ax.arity)) for _ in range(samples)
         )
-    return _audit(spec, axiom, tuples, total,
+    return _audit(spec, axiom, _tuple_hits(spec, axiom, tuples), total,
                   lambda m: "(" + " ".join(spec.symbols_of(m)) + ")")[k]
 
 

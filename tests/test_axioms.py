@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import dataclasses
+import itertools
 from collections import Counter
 from random import Random
 
@@ -216,8 +217,12 @@ def test_classify_records_equal_check_axiom(random_calculus):
             assert rec == check_axiom(spec, aid), (spec.name, aid)
 
 
-def test_classify_evaluates_each_axiom_once_per_tuple(monkeypatch):
-    calls = Counter()
+def test_classify_reads_triple_axioms_a_row_at_a_time(monkeypatch):
+    # arity <= 2: one evaluator call per base tuple; arity 3: |Rel|**2 row
+    # pairs of |Rel| lanes and no per-tuple call
+    calls, pairs = Counter(), Counter()
+    spec = builtin("appendixB2")
+    n = len(spec.symbols)
 
     def counted(aid, evaluate):
         def wrapped(spec, masks):
@@ -225,13 +230,58 @@ def test_classify_evaluates_each_axiom_once_per_tuple(monkeypatch):
             return evaluate(spec, masks)
         return wrapped
 
+    def counted_rows(aid, rows):
+        def wrapped(spec):
+            for lhs, rhs in rows(spec):
+                assert len(lhs) == len(rhs) == n
+                pairs[aid] += 1
+                yield lhs, rhs
+        return wrapped
+
     for aid, ax in list(axioms._AXIOMS.items()):
         wrapped = dataclasses.replace(ax, eval=counted(aid, ax.eval))
+        if ax.rows is not None:
+            wrapped = dataclasses.replace(wrapped, rows=counted_rows(aid, ax.rows))
         monkeypatch.setitem(axioms._AXIOMS, aid, wrapped)
-    spec = builtin("appendixB2")
     classify(spec)
+    triples = {aid for aid, ax in axioms._AXIOMS.items() if ax.arity == 3}
+    assert triples == {"R2", "R4", "R5", "PL"}
+    assert {aid for aid, ax in axioms._AXIOMS.items() if ax.rows is not None} == triples
+    assert calls == {aid: n ** ax.arity for aid, ax in axioms._AXIOMS.items() if ax.arity < 3}
+    assert pairs == {aid: n ** 2 for aid in triples}
+
+
+def _triple_audits_match_per_tuple_audit(spec):
     n = len(spec.symbols)
-    assert calls == {aid: n ** ax.arity for aid, ax in axioms._AXIOMS.items()}
+    bases = [1 << i for i in range(n)]
+    for axiom in ("R2", "R4", "R5", "PL"):
+        hits = axioms._tuple_hits(spec, axiom, itertools.product(bases, repeat=3))
+        per_tuple = axioms._audit(spec, axiom, hits, n ** 3, lambda m: spec.symbols_of(m)[0])
+        assert axioms._base_audit(spec, axiom) == per_tuple, (spec.name, axiom)
+
+
+def test_row_audit_equals_the_per_tuple_audit(random_calculus, dihedral_group, cyclic_group):
+    rng = Random(20)
+    calcs = [builtin(name) for name in BUILTIN_NAMES]
+    calcs += [random_calculus(rng, rng.randint(2, 5), f"rand{t}") for t in range(20)]
+    calcs += [dihedral_group(5), cyclic_group(20)]
+    failing = Counter()
+    for spec in calcs:
+        _triple_audits_match_per_tuple_audit(spec)
+        report = classify(spec)
+        failing.update(a for a in ("R4", "PL") if report.records[a].holds is False)
+        failing["R7"] += not spec.flags.ra7_holds
+    # the draws exercise the lane tests: broken converse, R4 and PL violations
+    assert min(failing[a] for a in ("R4", "PL", "R7")) >= 3, failing
+
+
+def test_row_audit_leaves_the_composition_cache_empty(dihedral_group, cyclic_group):
+    # the row memos live for one audit only
+    for spec in (dihedral_group(5), cyclic_group(20)):
+        assert len(spec.symbols) > 8
+        for axiom in ("R2", "R4", "R5", "PL"):
+            axioms._base_audit(spec, axiom)
+        assert spec._comp_cache == {}, spec.name
 
 
 def test_classification_ra_minus_id():
