@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--network", help="optionally brute-force this network over the model")
     p.add_argument("--budget", type=int, default=2_000_000,
-                   help="max valuations for brute force")
+                   help="max |universe|^variables for brute force")
     p.set_defaults(func=cmd_model_check)
 
     p = sub.add_parser("gen", help="generate a random network on stdout")

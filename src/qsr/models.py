@@ -68,7 +68,7 @@ def _pairs(pairs: Iterable[Pair], elems: set[str]) -> frozenset[Pair]:
 class FiniteInterpretation:
     """A finite universe plus an interpretation map from symbols to pair sets."""
 
-    __slots__ = ("name", "calculus", "universe", "phi", "_cover")
+    __slots__ = ("name", "calculus", "universe", "phi", "_cover", "_lines")
 
     def __init__(
         self,
@@ -100,6 +100,17 @@ class FiniteInterpretation:
             for p in pairs:
                 cover[p] = cover.get(p, 0) | bit
         self._cover = cover
+        # per base relation, bit lines over universe indices: bit b of
+        # row[a] and bit a of col[b] both say (u_a, u_b) is in phi(r)
+        index = {u: a for a, u in enumerate(self.universe)}
+        self._lines = []
+        for sym in calculus.symbols:
+            row = [0] * len(self.universe)
+            col = [0] * len(self.universe)
+            for u, v in interp[sym]:
+                row[index[u]] |= 1 << index[v]
+                col[index[v]] |= 1 << index[u]
+            self._lines.append((row, col))
 
     def phi_mask(self, mask: int) -> frozenset[Pair]:
         """Interpretation of a composite relation given as a bitmask."""
@@ -331,16 +342,18 @@ def brute_force_solve(
     model: FiniteInterpretation,
     budget: int = 2_000_000,
 ) -> Optional[dict[str, str]]:
-    """Enumerate all valuations; return the first satisfying one, or None.
+    """Search the valuations by backtracking; return the first satisfying one, or None.
 
-    Valuations are tried in ``itertools.product(model.universe, repeat=n)``
-    order, pairs (i, j) with i != j in row order, each valuation up to its
-    first violated pair.  A pair is checked in a bit table over universe
-    indices, built once per distinct cell mask: bit b of ``table[a]`` says
-    whether the mask covers the pair of elements a and b.
+    Variables 0..n-1 are assigned in order, each trying the universe in
+    index order, so the answer is the first solution in
+    ``itertools.product(model.universe, repeat=n)`` order.  Variable k
+    tries only values that satisfy both C[i][k] and C[k][i] against every
+    earlier variable i (diagonal cells are not checked), and the search
+    backs up when none is left.  The checks read bit lines over universe
+    indices, made once per distinct cell mask from the model's lines.
 
     Raises :class:`BudgetExceededError` when |universe| ** |vars| exceeds
-    ``budget``.
+    ``budget``: the budget bounds the space searched, not the values tried.
     """
     if model.calculus is not net.calculus:
         raise CalculusMismatchError("model interprets a different calculus")
@@ -351,27 +364,47 @@ def brute_force_solve(
         raise BudgetExceededError(
             f"{total} valuations exceed the budget of {budget}"
         )
-    cover = model._cover
-    tables: dict[int, list[int]] = {}
-    checks = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            mask = net.cells[i * n + j]
-            table = tables.get(mask)
-            if table is None:
-                table = tables[mask] = [
-                    sum(1 << b for b, v in enumerate(universe) if mask & cover.get((u, v), 0))
-                    for u in universe
-                ]
-            checks.append((i, j, table))
-    for combo in itertools.product(range(len(universe)), repeat=n):
-        for i, j, table in checks:
-            if not table[combo[i]] >> combo[j] & 1:
-                break
-        else:
-            return dict(zip(net.var_names, [universe[k] for k in combo]))
+    full = (1 << len(universe)) - 1
+    mask_lines: dict[int, tuple[list[int], list[int]]] = {}
+    for mask in set(net.cells):
+        row = [0] * len(universe)
+        col = [0] * len(universe)
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            r, c = model._lines[low.bit_length() - 1]
+            row = [x | y for x, y in zip(row, r)]
+            col = [x | y for x, y in zip(col, c)]
+        mask_lines[mask] = (row, col)
+    # checks[k]: (i, allowed) for earlier i, bit v of allowed[v_i] set when
+    # v_k = v satisfies C[i][k] and C[k][i]; pairs allowing all are left out
+    checks: list[list[tuple[int, list[int]]]] = []
+    for k in range(n):
+        checks.append([])
+        for i in range(k):
+            allowed = list(map(int.__and__, mask_lines[net.cells[i * n + k]][0],
+                               mask_lines[net.cells[k * n + i]][1]))
+            if allowed.count(full) != len(allowed):
+                checks[k].append((i, allowed))
+    values = [0] * n
+    untried = [full] * n
+    k = 0
+    while k >= 0:
+        left = untried[k]
+        if not left:
+            k -= 1
+            continue
+        low = left & -left
+        untried[k] = left ^ low
+        values[k] = low.bit_length() - 1
+        k += 1
+        if k == n:
+            return dict(zip(net.var_names, [universe[v] for v in values]))
+        left = full
+        for i, allowed in checks[k]:
+            left &= allowed[values[i]]
+        untried[k] = left
     return None
 
 

@@ -1,6 +1,7 @@
 """Finite interpretations: JEPD, partition schemes, operation strength, brute force."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -11,6 +12,7 @@ from qsr import (
     CalculusMismatchError,
     CalculusSpec,
     CellStrength,
+    ConstraintNetwork,
     FiniteInterpretation,
     brute_force_solve,
     builtin,
@@ -217,6 +219,34 @@ def test_brute_force_budget():
     net = normalize(pc1, [], var_names=[f"v{i}" for i in range(8)])
     with pytest.raises(BudgetExceededError):
         brute_force_solve(net, chain3, budget=100)
+    # the budget bounds the space, not the nodes visited: an empty first
+    # pair refutes every valuation at the second variable
+    net.cells[1] = net.cells[8] = 0
+    assert brute_force_solve(net, chain3, budget=3**8) is None
+    with pytest.raises(BudgetExceededError):
+        brute_force_solve(net, chain3, budget=3**8 - 1)
+    chain5 = builtin_model("pc1-chain5")
+    lt = pc1.relation("<")
+    for n, want in ((7, None), (5, {f"x{k}": str(k) for k in range(5)})):
+        chain = normalize(pc1, [(f"x{k}", lt, f"x{k + 1}") for k in range(n - 1)])
+        assert brute_force_solve(chain, chain5, budget=5**n) == want
+        with pytest.raises(BudgetExceededError):
+            brute_force_solve(chain, chain5, budget=5**n - 1)
+
+
+def _loose_model():
+    # a model that leaves pairs uncovered and covers others twice, besides
+    # the bundled ones
+    return FiniteInterpretation(
+        b2,
+        ["0", "1", "2"],
+        {
+            "r1": [("0", "0"), ("0", "1"), ("1", "2")],
+            "r2": [("1", "1"), ("0", "1")],
+            "r3": [("2", "0"), ("2", "2")],
+            "r4": [("1", "0")],
+        },
+    )
 
 
 def _reference_solve(net, model):
@@ -228,19 +258,7 @@ def _reference_solve(net, model):
 
 
 def test_brute_force_returns_the_first_satisfying_valuation():
-    # a model that leaves pairs uncovered and covers others twice, besides
-    # the bundled ones
-    loose = FiniteInterpretation(
-        b2,
-        ["0", "1", "2"],
-        {
-            "r1": [("0", "0"), ("0", "1"), ("1", "2")],
-            "r2": [("1", "1"), ("0", "1")],
-            "r3": [("2", "0"), ("2", "2")],
-            "r4": [("1", "0")],
-        },
-    )
-    models = [builtin_model(name) for name in BUILTIN_MODEL_NAMES] + [loose]
+    models = [builtin_model(name) for name in BUILTIN_MODEL_NAMES] + [_loose_model()]
     found = missing = 0
     for m_idx, model in enumerate(models):
         # the reference tries every valuation: stop where pc1-chain5 does at 6 variables
@@ -254,6 +272,47 @@ def test_brute_force_returns_the_first_satisfying_valuation():
                 found += want is not None
                 missing += want is None
     assert found > 20 and missing > 20
+
+
+def test_brute_force_edge_cases_equal_the_reference():
+    loose = _loose_model()
+    for model in [builtin_model(name) for name in BUILTIN_MODEL_NAMES] + [loose]:
+        single = ConstraintNetwork(model.calculus, ["x"])
+        assert brute_force_solve(single, model) == _reference_solve(single, model) == {
+            "x": model.universe[0]
+        }
+    # a diagonal cell without the identity constrains nothing
+    chain3 = builtin_model("pc1-chain3")
+    net = normalize(pc1, [("A", pc1.relation("<"), "B")])
+    net.cells[0] = net.cells[3] = pc1.mask_of(">")
+    assert brute_force_solve(net, chain3) == _reference_solve(net, chain3) == {"A": "0", "B": "1"}
+    single = ConstraintNetwork(pc1, ["x"])
+    single.cells[0] = 0
+    assert brute_force_solve(single, chain3) == _reference_solve(single, chain3) == {"x": "0"}
+    # only C[k][i] constrains each pair i < k, so the check reads column lines
+    found = missing = 0
+    for seed in range(40):
+        net = ConstraintNetwork(b2, ["a", "b", "c", "d"])
+        rng = random.Random(seed)
+        for i, k in itertools.combinations(range(4), 2):
+            net.cells[k * 4 + i] = rng.randrange(1, 16)
+        want = _reference_solve(net, loose)
+        assert brute_force_solve(net, loose) == want, seed
+        found += want is not None
+        missing += want is None
+    assert found > 5 and missing > 5
+
+
+def test_bit_lines_read_as_the_cover():
+    for model in [builtin_model(name) for name in BUILTIN_MODEL_NAMES] + [_loose_model()]:
+        universe = model.universe
+        assert len(model._lines) == len(model.calculus.symbols)
+        for r, (row, col) in enumerate(model._lines):
+            for (a, u), (b, v) in itertools.product(enumerate(universe), repeat=2):
+                covered = model._cover.get((u, v), 0) >> r & 1
+                assert row[a] >> b & 1 == covered, (model.name, r, u, v)
+                assert col[b] >> a & 1 == covered, (model.name, r, u, v)
+            assert all(0 <= line < 1 << len(universe) for line in row + col)
 
 
 def test_brute_force_rejects_a_model_of_another_calculus():
