@@ -63,12 +63,13 @@ pair.  This passes over no revision: every pair is 2-consistent on entry
 (the prologue makes the seeded pairs so; the rest are closed or U both
 ways), and each settled pair is left 2-consistent, so the cross-tightening
 of two unchanged cells, r & conv(rp) and rp & conv(r), changes neither.
-Each of the four compositions has C[i][j] or C[j][i] as one operand, so up
-to 8 base relations (``calc.dense_rows``) it is a read of a row
-(``compose_row``) or a column (``CalculusSpec.compose_col``) of one of
-them, fetched once per pop.  Above 8 they are ``compose_masks`` calls:
-lazily filled rows and columns, four per pop, cost more than the calls
-they saved, and ``compose_col`` exists only up to 8 relations.
+Up to 8 base relations (``calc.dense_rows``) each of the four
+compositions is a read of the dense table, the low-byte row table of
+``compose_row``: C[i][j].C[j][k] from the row of C[i][j], fetched once per
+pop, C[k][j].C[j][i] as rows[C[k][j]][C[j][i]], and likewise for the pair
+(k, j).  A row not built yet reads as None and is built by ``compose_row``.
+Above 8 they are ``compose_masks`` calls: lazily filled rows, four per
+pop, cost more than the calls they saved.
 
 Above 16 base relations, with no rows, every calculus takes this loop.
 Under R7 and R9 it does the fused pass's revisions in the same order, but
@@ -176,7 +177,6 @@ def a_closure(
     conv = calc.converse_mask
     comp = calc.compose_masks
     comp_row = calc.compose_row
-    comp_col = calc.compose_col
     flags = calc.flags
     ra7 = flags.ra7_holds
     dense = calc.dense_rows
@@ -188,6 +188,12 @@ def a_closure(
     # 2-consistent and no pop of it revises: it is not seeded
     universal = calc.universal
     absorbing = universal if flags.universal_absorbs and conv(universal) == universal else -1
+    if dense and not derive:
+        # the dense safe loop reads the dense table, the low-byte row table
+        # of compose_row, which this first call builds; a row not built yet
+        # is None there
+        comp_row(0)
+        rows = calc._comp_lo
     if changed is None:
         # the pairs with a cell other than U, row by row
         seeds = [(i, j) for i in range(n) for j in range(i + 1, n)
@@ -368,12 +374,10 @@ def a_closure(
         # whose compositions tighten neither cell of its pair revises
         # nothing; it takes no converse and does not call settle
         if dense:
-            # the loop below with each composition a read of a row or a
-            # column of the dense table, fetched once per pop
+            # the loop below with each composition a read of the dense
+            # table; the rows of C[i][j] and C[j][i] are fetched once per pop
             row_ij = comp_row(c_ij)
             row_ji = comp_row(c_ji)
-            col_ij = comp_col(c_ij)
-            col_ji = comp_col(c_ji)
             for k in range(n):
                 if k == i or k == j:
                     continue
@@ -383,14 +387,14 @@ def a_closure(
                 c_jk = cells[bj + k]
                 c_kj = cells[bk + j]
                 r = c_ik & row_ij[c_jk]
-                rp = c_ki & col_ji[c_kj]
+                rp = c_ki & (rows[c_kj] or comp_row(c_kj))[c_ji]
                 if r != c_ik or rp != c_ki:
                     empty = settle(i, k, r, rp)
                     if empty is not None:
                         return outcome(ClosureStatus.INCONSISTENT, empty)
                     c_ik = cells[bi + k]
                     c_ki = cells[bk + i]
-                r = c_kj & col_ij[c_ki]
+                r = c_kj & (rows[c_ki] or comp_row(c_ki))[c_ij]
                 rp = c_jk & row_ji[c_ik]
                 if r != c_kj or rp != c_jk:
                     empty = settle(k, j, r, rp)

@@ -16,8 +16,7 @@ dense, |Rel|**2 cells, which stays below ~4M cells for |Rel| <= 2048.  Up to
 16 relations the extensions to composite arguments, the composition rows,
 are built row by row on first use in two byte-indexed tables of at most 256
 rows each (``compose_row``).  For |Rel| <= 8 the low-byte table is the dense
-composite table, making closure engines cheap table lookups; a transposed
-copy, built from its rows on first use, holds the composition columns.
+composite table, making closure engines cheap table lookups.
 ``compose_masks`` on a calculus with more than 8 relations keeps a memo of
 the pairs it was asked for.
 """
@@ -30,7 +29,7 @@ from operator import or_
 from typing import Iterable, Iterator, Optional
 
 # Build the full composite tables only while they stay small: converse
-# needs 2**n ints, composition (and its columns) 4**n.
+# needs 2**n ints, composition 4**n.
 _FULL_CONV_LIMIT = 14
 _FULL_COMP_LIMIT = 8
 # compose_row reads two byte chunks of the right argument up to this width
@@ -90,7 +89,6 @@ class CalculusSpec:
         "_index",
         "_conv_full",
         "_comp_lo",
-        "_comp_cols",
         "_comp_chunks",
         "_comp_cache",
     )
@@ -150,7 +148,6 @@ class CalculusSpec:
 
         self._conv_full: Optional[list[int]] = None
         self._comp_lo = _NO_ROWS  # the low-byte row table, read first by compose_row
-        self._comp_cols: Optional[list[list[int]]] = None
         self._comp_chunks: Optional[tuple[list, list, list[list[int]]]] = None
         self._comp_cache: dict[tuple[int, int], int] = {}
 
@@ -223,7 +220,7 @@ class CalculusSpec:
 
         * |Rel| <= 8 (``dense_rows`` is true): the row of the dense composite
           table, ``row[b] == compose_masks(a, b)``; the low-byte table holds
-          every row, and ``compose_masks`` and ``compose_col`` read it too.
+          every row, and ``compose_masks`` reads it too.
         * 8 < |Rel| <= 16 (``chunked_rows`` is true): a flat list of width
           256 + 2**(|Rel| - 8) with ``row[x] == a . x`` for ``x < 256`` and
           ``row[256 + y] == a . (y << 8)``, read in two byte chunks:
@@ -241,22 +238,6 @@ class CalculusSpec:
         if low:
             return list(map(or_, lo_rows[low] or self._chunk_row(lo_rows, low, 0), hi_row))
         return hi_row
-
-    def compose_col(self, b: int) -> list[int]:
-        """The composition column of ``b``, a read-only table of ``a . b`` over masks ``a``.
-
-        A row of the transposed dense composite table, built from the rows
-        on first use and left out of pickles; ``col[a] == compose_masks(a,
-        b)``.  Only for |Rel| <= 8 (``dense_rows`` is true): above that it
-        raises ``CalculusError`` rather than build a table of 4**|Rel| cells.
-        """
-        cols = self._comp_cols
-        if cols is None:
-            if not self.dense_rows:
-                raise CalculusError(f"compose_col: {self.name!r} has more than {_FULL_COMP_LIMIT} relations")
-            rows = map(self.compose_row, range(self.universal + 1))
-            cols = self._comp_cols = [list(col) for col in zip(*rows)]
-        return cols[b]
 
     def complement_mask(self, mask: int) -> int:
         return self.universal & ~mask

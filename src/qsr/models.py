@@ -22,10 +22,12 @@ Symbols without pairs use an empty pair list; every base relation of the
 calculus must have a line (relations are non-empty in a well-formed model,
 but probing broken tables is allowed).
 
-The builtins pc1, rcc5 and cycb are defined here by their domains: elements
-named as in model files and a function giving each pair's base relation.
+Every builtin calculus is defined here by its domain: elements named as in
+model files and a function giving each pair's base relation.
 :func:`weak_operations` derives from one domain the tables of ``builtin()``
-(its weak converse and composition) and the pairs of ``builtin_model``.
+(its weak converse and composition) and the pairs of ``builtin_model``.  The
+appendix fixtures are two-element domains whose tables then take a few
+composition cells that are broken on purpose (``_BROKEN_CELLS``).
 """
 
 from __future__ import annotations
@@ -466,33 +468,64 @@ def _direction(x: str, y: str) -> str:
     return "e" if d == 0 else "o" if d == 180 else "l" if d < 180 else "r"
 
 
-# the derived builtins: calculus -> (symbols, identity, relation function,
-# the model whose weak operations are the calculus's tables)
+def _first(x: str, y: str) -> str:
+    # appendixB1: the relation of a pair is set by its first element
+    return "r1" if x == "0" else "r2"
+
+
+def _pair(x: str, y: str) -> str:
+    # appendixB2: one relation per pair of the two elements
+    return {"00": "r1", "11": "r2", "01": "r3", "10": "r4"}[x + y]
+
+
+def _diversity(x: str, y: str) -> str:
+    # appendixB-remark: identity and diversity
+    return "r1" if x == y else "r2"
+
+
+# the builtins: calculus -> (symbols, identity, relation function, the model
+# whose weak operations are the calculus's tables)
 _DOMAINS = {
     "pc1": (("<", "=", ">"), "=", _point, "pc1-chain3"),
     "rcc5": (("EQ", "DC", "PO", "PP", "PPi"), "EQ", _containment, "rcc5-subsets4"),
     "cycb": (("e", "o", "l", "r"), "e", _direction, "cycb-compass8"),
+    "appendixB1": (("r1", "r2"), "r1", _first, "appendixB1"),
+    "appendixB2": (("r1", "r2", "r3", "r4"), "r1", _pair, "appendixB2"),
+    "appendixB-remark": (("r1", "r2"), "r1", _diversity, "appendixB-remark"),
 }
 
-# the models of the derived builtins: name -> (calculus, elements)
+# the models of the builtins: name -> (calculus, elements); each appendix
+# fixture has one, on the elements 0 and 1, named after it
 _UNIVERSES = {
     **{f"pc1-chain{n}": ("pc1", [str(i) for i in range(n)]) for n in (3, 4, 5)},
     "rcc5-subsets4": ("rcc5", ["".join(c) for k in range(1, 5)
                                for c in itertools.combinations("0123", k)]),
     "cycb-compass4": ("cycb", [str(d) for d in range(0, 360, 90)]),
     "cycb-compass8": ("cycb", [str(d) for d in range(0, 360, 45)]),
+    **{name: (name, ["0", "1"]) for name in ("appendixB1", "appendixB2", "appendixB-remark")},
 }
 
-# the two-element universes of the appendix fixtures, whose tables are
-# hand-written and broken on purpose
-_FIXTURE_PHI = {
-    "appendixB1": {"r1": [("0", "0"), ("0", "1")], "r2": [("1", "0"), ("1", "1")]},
-    "appendixB2": {"r1": [("0", "0")], "r2": [("1", "1")], "r3": [("0", "1")], "r4": [("1", "0")]},
-    # identity and diversity
-    "appendixB-remark": {"r1": [("0", "0"), ("1", "1")], "r2": [("0", "1"), ("1", "0")]},
+# the composition cells that the appendix fixtures break on purpose, in place
+# of the weak cells over their models; every other cell is weak
+_BROKEN_CELLS = {
+    # The weak converse is not involutive: both converses are the universal
+    # relation, so conv(conv(r)) = 1 strictly above r.  All composition
+    # cells are the universal relation; anything tighter re-introduces
+    # violations beyond the intended identity-law and involution failures.
+    "appendixB1": {(a, b): ("r1", "r2") for a in ("r1", "r2") for b in ("r1", "r2")},
+    # Two cells over-approximate the domain result: r3.r4, where it is
+    # {(0,0)}, and r4.r2, where it is empty.  These coarse cells break
+    # associativity, converse-composition distributivity, the Tarski/De
+    # Morgan axiom and the Peircean law, while the empty identity
+    # row/column cells break the identity laws upward.
+    "appendixB2": {("r3", "r4"): ("r1", "r4"), ("r4", "r2"): ("r4",)},
+    # r2.r2 is a strict over-approximation of the domain result phi(r1), so
+    # the composition is merely abstract there, yet the symbolic algebra
+    # satisfies the whole relation-algebra axiom battery.
+    "appendixB-remark": {("r2", "r2"): ("r1", "r2")},
 }
 
-BUILTIN_MODEL_NAMES = (*_UNIVERSES, *_FIXTURE_PHI)
+BUILTIN_MODEL_NAMES = tuple(_UNIVERSES)
 
 
 def weak_operations(elements: list[str], rel: Callable[[str, str], str],
@@ -527,10 +560,12 @@ def _derivation(model: str) -> tuple[dict, dict, dict]:
 
 
 def derived_spec(name: str, **facts) -> CalculusSpec:
-    """The builtin ``name`` with the weak operations over its defining model;
-    ``facts`` are the literature's flags and notes, passed to :class:`CalculusSpec`."""
+    """The builtin ``name`` with the weak operations over its defining model, but
+    for the cells it breaks on purpose; ``facts`` are the literature's flags and
+    notes, passed to :class:`CalculusSpec`."""
     symbols, identity, _, model = _DOMAINS[name]
     _, converse, composition = _derivation(model)
+    composition = {**composition, **_BROKEN_CELLS.get(name, {})}
     return CalculusSpec(name, symbols, [identity], converse, composition, **facts)
 
 
@@ -539,8 +574,6 @@ def builtin_model(name: str) -> FiniteInterpretation:
     """Bundled finite interpretations for the built-in calculi (cached)."""
     from . import registry
 
-    if name in _FIXTURE_PHI:
-        return FiniteInterpretation(registry.builtin(name), ["0", "1"], _FIXTURE_PHI[name], name=name)
     if name not in _UNIVERSES:
         raise KeyError(
             f"unknown builtin model {name!r}; available: {', '.join(BUILTIN_MODEL_NAMES)}"

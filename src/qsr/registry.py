@@ -1,8 +1,9 @@
 """Built-in calculi, the calculus spec-file grammar, and structural validation.
 
-pc1, rcc5 and cycb are derived, not typed in: their converse and composition
-are the weak operations over a finite domain (:func:`qsr.models.derived_spec`).
-The appendix fixtures keep hand-written tables, broken on purpose.
+Every builtin is derived, not typed in: its converse and composition are the
+weak operations over a finite domain (:func:`qsr.models.derived_spec`).  The
+appendix fixtures are derived over two-element domains, and then a few of
+their composition cells are broken on purpose.
 
 Spec files follow the rules shared with network and model files: lines
 come from :func:`qsr.network.read_lines`, the ``calculus`` clause is read
@@ -41,7 +42,7 @@ from typing import Optional
 
 from .core import CalculusError, CalculusSpec
 from .models import derived_spec
-from .network import name_line, quoted_name, read_lines
+from .network import check_token, name_line, quoted_name, read_lines
 
 BUILTIN_NAMES = ("pc1", "rcc5", "cycb", "appendixB1", "appendixB2", "appendixB-remark")
 
@@ -61,86 +62,10 @@ _RCC5_NOTE = (
     "subsets of 4 points, has (PP)"
 )
 
-
-def _table(rows: dict[str, dict[str, str]]) -> dict[tuple[str, str], tuple[str, ...]]:
-    out = {}
-    for a, row in rows.items():
-        for b, cell in row.items():
-            out[(a, b)] = tuple(cell.split())
-    return out
-
-
-def _conv(entries: dict[str, str]) -> dict[str, tuple[str, ...]]:
-    return {s: tuple(v.split()) for s, v in entries.items()}
-
-
-def _make_appendix_b1() -> CalculusSpec:
-    # Two-relation fixture with a deliberately non-involutive converse: both
-    # converses are the universal relation, so conv(conv(r)) = 1 strictly
-    # above r.  All composition cells are the universal relation; anything
-    # tighter re-introduces violations beyond the intended identity-law and
-    # involution failures.
-    return CalculusSpec(
-        name="appendixB1",
-        symbols=["r1", "r2"],
-        identity=["r1"],
-        converse=_conv({"r1": "r1 r2", "r2": "r1 r2"}),
-        composition=_table({
-            "r1": {"r1": "r1 r2", "r2": "r1 r2"},
-            "r2": {"r1": "r1 r2", "r2": "r1 r2"},
-        }),
-    )
-
-
-def _make_appendix_b2() -> CalculusSpec:
-    # Four-relation fixture over the universe {0,1} with phi(r1)={(0,0)},
-    # phi(r2)={(1,1)}, phi(r3)={(0,1)}, phi(r4)={(1,0)}.  Every cell is the
-    # tightest sound value except two that over-approximate the domain
-    # result on purpose: r3.r4 = (r1 r4), where it is {(0,0)}, and
-    # r4.r2 = (r4), where it is empty.  These coarse cells break
-    # associativity, converse-composition distributivity, the Tarski/De
-    # Morgan axiom and the Peircean law, while the empty identity
-    # row/column cells break the identity laws upward.
-    return CalculusSpec(
-        name="appendixB2",
-        symbols=["r1", "r2", "r3", "r4"],
-        identity=["r1"],
-        converse=_conv({"r1": "r1", "r2": "r2", "r3": "r4", "r4": "r3"}),
-        composition=_table({
-            "r1": {"r1": "r1", "r2": "", "r3": "r3", "r4": ""},
-            "r2": {"r1": "", "r2": "r2", "r3": "", "r4": "r4"},
-            "r3": {"r1": "", "r2": "r3", "r3": "", "r4": "r1 r4"},
-            "r4": {"r1": "r4", "r2": "r4", "r3": "r2", "r4": ""},
-        }),
-    )
-
-
-def _make_appendix_b_remark() -> CalculusSpec:
-    # Identity/diversity over a two-element universe: phi(r1)={(0,0),(1,1)},
-    # phi(r2)={(0,1),(1,0)}.  The cell r2.r2 = (r1 r2) is a strict
-    # over-approximation of the domain result phi(r1), so the composition is
-    # merely abstract there, yet the symbolic algebra satisfies the whole
-    # relation-algebra axiom battery.
-    return CalculusSpec(
-        name="appendixB-remark",
-        symbols=["r1", "r2"],
-        identity=["r1"],
-        converse=_conv({"r1": "r1", "r2": "r2"}),
-        composition=_table({
-            "r1": {"r1": "r1", "r2": "r2"},
-            "r2": {"r1": "r2", "r2": "r1 r2"},
-        }),
-    )
-
-
 # acl_decides_atomic of pc1 and rcc5 and rcc5's note are literature facts, set here, not derived
-_FACTORIES = {
-    "pc1": lambda: derived_spec("pc1", acl_decides_atomic=True),
-    "rcc5": lambda: derived_spec("rcc5", notes=(_RCC5_NOTE,), acl_decides_atomic=True),
-    "cycb": lambda: derived_spec("cycb"),
-    "appendixB1": _make_appendix_b1,
-    "appendixB2": _make_appendix_b2,
-    "appendixB-remark": _make_appendix_b_remark,
+_FACTS = {
+    "pc1": {"acl_decides_atomic": True},
+    "rcc5": {"notes": (_RCC5_NOTE,), "acl_decides_atomic": True},
 }
 
 _CACHE: dict[str, CalculusSpec] = {}
@@ -152,15 +77,13 @@ def builtin(name: str) -> CalculusSpec:
     Instances are cached: repeated calls return the same object, whose
     derived ``flags`` are then computed only once.
     """
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
+    if name not in BUILTIN_NAMES:
         raise KeyError(
             f"unknown builtin calculus {name!r}; available: {', '.join(BUILTIN_NAMES)}"
-        ) from None
+        )
     spec = _CACHE.get(name)
     if spec is None:
-        spec = factory()
+        spec = derived_spec(name, **_FACTS.get(name, {}))
         spec.source = CalculusSource(origin="builtin")
         _CACHE[name] = spec
     return spec
@@ -267,7 +190,7 @@ def parse_spec(source: str) -> CalculusSpec:
         else:
             raise SpecParseError(f"unexpected directive {head!r}", lineno)
 
-    end = max(1, source.count("\n") + 1)  # the line of errors about the whole file
+    end = max(1, len(source.splitlines()))  # the line of errors about the whole file
     if name is None:
         raise SpecParseError("missing calculus clause", end)
     if not symbols:
@@ -300,8 +223,16 @@ def parse_spec(source: str) -> CalculusSpec:
 
 
 def serialize(spec: CalculusSpec) -> str:
-    """Canonical spec-file text for ``spec`` (symbols and cells in declaration order)."""
+    """Canonical spec-file text for ``spec`` (symbols and cells in declaration order).
+
+    A symbol that ``parse_spec`` would not read back as itself raises
+    ``CalculusError``, as an unwritable calculus name does.
+    """
     lines = [name_line("calculus", spec.name, CalculusError)]
+    for s in spec.symbols:
+        check_token("relation symbol", s, CalculusError)
+        if s in _RESERVED:
+            raise CalculusError(f"relation symbol {s!r} collides with a directive keyword")
     lines.append("relations " + " ".join(spec.symbols))
     if spec.identity_mask is not None:
         lines.append("identity " + " ".join(spec.symbols_of(spec.identity_mask)))

@@ -193,8 +193,6 @@ def test_public_names_resolve_once():
 
 
 def test_compose_row_reads_as_compose_masks(cyclic_group, dihedral_group):
-    # and so does compose_col, with the fixed operand on the right, up to 8
-    # relations; above that it raises instead of building a 4**|Rel| table
     import random
 
     from qsr import BUILTIN_NAMES
@@ -204,32 +202,25 @@ def test_compose_row_reads_as_compose_masks(cyclic_group, dihedral_group):
         assert spec.dense_rows is True and spec.chunked_rows is False
         for a in range(spec.universal + 1):
             row = spec.compose_row(a)
-            col = spec.compose_col(a)
             assert all(row[b] == spec.compose_masks(a, b) for b in range(spec.universal + 1)), (name, a)
-            assert all(col[b] == spec.compose_masks(b, a) for b in range(spec.universal + 1)), (name, a)
     rng = random.Random(5)
     # 9 to 16 relations: flat rows read in two byte chunks
     for spec in (cyclic_group(9), cyclic_group(10), dihedral_group(5), cyclic_group(16), dihedral_group(8)):
         assert spec.chunked_rows is True and spec.dense_rows is False
         masks = [0, spec.universal, 255, spec.universal ^ 255] + [1 << k for k in range(len(spec))]
         masks += [rng.randrange(spec.universal + 1) for _ in range(40)]
-        with pytest.raises(CalculusError):
-            spec.compose_col(spec.universal)
         for a in masks:
             row = spec.compose_row(a)
             assert len(row) == 256 + (1 << (len(spec) - 8))
             for b in masks:
                 assert row[b & 255] | row[256 + (b >> 8)] == spec.compose_masks(a, b), (spec.name, a, b)
-        assert spec._comp_cols is None
-    # more than 16: no rows and no columns, only compose_masks
+    # more than 16: no rows, only compose_masks
     for spec in (cyclic_group(17), dihedral_group(9)):
         assert spec.chunked_rows is False and spec.dense_rows is False
         for a in (0, 1, 255, 256, spec.universal):
             with pytest.raises(CalculusError):
                 spec.compose_row(a)
-        with pytest.raises(CalculusError):
-            spec.compose_col(spec.universal)
-        assert spec._comp_chunks is None and spec._comp_cols is None
+        assert spec._comp_chunks is None
 
 
 def test_dense_rows_are_built_only_when_asked_for(cyclic_group, dihedral_group):
@@ -252,7 +243,6 @@ def test_dense_rows_are_built_only_when_asked_for(cyclic_group, dihedral_group):
         assert len(lo_rows) == 256 and hi_rows == [lo_rows[0]]
         built = [m for m, row in enumerate(lo_rows) if row is not None]
         assert 1 < len(built) < 256, spec.name
-        assert spec._comp_cols is None
     # one read fills the row asked for and the rows it is built from, each
     # the row of a mask without its lowest bit
     spec = cyclic_group(8)
@@ -280,12 +270,12 @@ def test_chunk_rows_are_bounded_and_stay_out_of_pickles(cyclic_group, dihedral_g
         assert sum(row is not None for row in hi_rows) > 1, spec.name
         assert pickle.dumps(spec) == before
         assert pickle.loads(before)._comp_chunks is None
-    # up to 8 relations the transposed copy of the dense table, which
-    # compose_col reads, stays out of pickles as well
+    # up to 8 relations the dense table, which the safe loop of a closure
+    # on appendixB2 (R7 without R9) reads, stays out of pickles as well
     spec = pickle.loads(pickle.dumps(builtin("appendixB2")))
     before = pickle.dumps(spec)
-    assert spec._comp_cols is None
+    assert spec._comp_chunks is None
     a_closure(random_network(spec, 8, 0.5, seed=1))
-    assert spec._comp_cols is not None
+    assert sum(row is not None for row in spec._comp_chunks[0]) > 1
     assert pickle.dumps(spec) == before
-    assert pickle.loads(before)._comp_cols is None
+    assert pickle.loads(before)._comp_chunks is None

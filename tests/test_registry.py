@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsr import builtin, parse_spec, serialize, validate
-from qsr.core import CalculusSpec
+from qsr import builtin, builtin_model, parse_spec, serialize, validate
+from qsr.core import CalculusError, CalculusSpec
 from qsr.registry import BUILTIN_NAMES, SpecParseError
 
 
@@ -31,11 +32,25 @@ def test_builtin_is_cached():
     ("pc1", "5e1e8b74dd4bb73fba7d9e9eb64b6d13dae7cb4ecb645dcc6bb1f46174dfeaf4", 161),
     ("rcc5", "55255c9606b38c125cbf7acdd531f2c982ac1a0d6412464740441a8350ca0542", 500),
     ("cycb", "865710d1b8dc622a6b7206c9c799decdf9eeb6ebc53be1c01535c64c4fe4daec", 234),
+    ("appendixB1", "c5caf2755a59f5d90e54adf810969456d28aaae45802c438a44433a65affb92c", 149),
+    ("appendixB2", "a8ff704ffc7ea38386712a60e7fe9fcde6e5806005d2f57195be0669ae872127", 274),
+    ("appendixB-remark", "7c6b154f76a7629fb22100880d2c4c637e797d769ffdb988b5cc0ed6ead4d57e", 140),
 ])
 def test_derived_builtins_serialize_to_the_hand_written_tables(name, digest, size):
     # the text of the tables these builtins shipped as literals before they
     # were derived from their domains
     text = serialize(builtin(name)).encode()
+    assert (hashlib.sha256(text).hexdigest(), len(text)) == (digest, size)
+
+
+@pytest.mark.parametrize("name, digest, size", [
+    ("appendixB1", "7567b79901cbb69bf2f9b93f7e37160b1ac132d352234b60dd08ce436e0fc238", 84),
+    ("appendixB2", "1d92c09dc78eeabac78a30316b11e08d475af983dceb7a8ba766842e9d1ed953", 92),
+    ("appendixB-remark", "43da11f9ae274a711240dcb0b162b6381ee28978317e22126d60d786cead0d2b", 96),
+])
+def test_fixture_models_write_the_hand_written_pairs(name, digest, size):
+    # the text of the models these fixtures shipped as pair literals
+    text = builtin_model(name).to_text().encode()
     assert (hashlib.sha256(text).hexdigest(), len(text)) == (digest, size)
 
 
@@ -52,6 +67,9 @@ builtin("rcc5")
 assert len(derived) == 1 and list(registry._CACHE) == ["rcc5"]
 builtin_model("rcc5-subsets4")
 assert len(derived) == 1
+builtin("appendixB2")
+builtin_model("appendixB2")
+assert len(derived) == 2
 """
 
 
@@ -208,6 +226,23 @@ def test_syntax_error_carries_line():
     with pytest.raises(SpecParseError) as err:
         parse_spec(bad)
     assert err.value.line == 5
+
+
+@pytest.mark.parametrize("ending", ["\n", ""])
+def test_whole_file_errors_name_the_last_line(ending):
+    text = 'calculus "x"\nrelations a\nidentity a\nconverse\na (a)\ncomposition' + ending
+    with pytest.raises(SpecParseError, match="composition table not total") as err:
+        parse_spec(text)
+    assert err.value.line == 6
+
+
+@pytest.mark.parametrize("symbol", ["a#b", "a b", "", "calculus"])
+def test_serialize_refuses_symbols_that_parse_spec_cannot_read_back(symbol):
+    syms = ["x", symbol]
+    spec = CalculusSpec("c", syms, None, {s: syms for s in syms},
+                        {(a, b): syms for a in syms for b in syms})
+    with pytest.raises(CalculusError, match=re.escape(repr(symbol))):
+        serialize(spec)
 
 
 def test_identity_clause_optional():

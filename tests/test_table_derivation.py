@@ -5,7 +5,9 @@ sound) operations computed over a reference model rich enough to realize
 every qualitative configuration: non-empty subsets of a 4-element set for
 the containment calculus, 45-degree rotations for the orientation calculus,
 a 5-point chain for the point calculus.  This pins every table cell to an
-independent semantic derivation, not to a transcription.
+independent semantic derivation, not to a transcription.  The appendix
+fixtures are pinned the same way over their two-element models, but for the
+composition cells each of them breaks on purpose.
 """
 
 from itertools import combinations
@@ -82,20 +84,37 @@ def chain_model():
     return phi
 
 
+# the composition cells that the appendix fixtures break on purpose, with
+# the values they take instead of the weak ones over their two-element models
+BROKEN = {
+    "appendixB1": {(a, b): {"r1", "r2"} for a in ("r1", "r2") for b in ("r1", "r2")},
+    "appendixB2": {("r3", "r4"): {"r1", "r4"}, ("r4", "r2"): {"r4"}},
+    "appendixB-remark": {("r2", "r2"): {"r1", "r2"}},
+}
+
+
 @pytest.mark.parametrize(
     "name,phi",
     [
         ("rcc5", containment_model()),
         ("cycb", rotation_model()),
         ("pc1", chain_model()),
+        ("appendixB1", {"r1": [(0, 0), (0, 1)], "r2": [(1, 0), (1, 1)]}),
+        ("appendixB2", {"r1": [(0, 0)], "r2": [(1, 1)], "r3": [(0, 1)], "r4": [(1, 0)]}),
+        # identity and diversity
+        ("appendixB-remark", {"r1": [(0, 0), (1, 1)], "r2": [(0, 1), (1, 0)]}),
     ],
 )
 def test_builtin_tables_equal_weak_operations(name, phi):
+    # every cell is weak but for exactly the cells the calculus breaks
     calc = builtin(name)
     syms = list(calc.symbols)
     comp = weak_composition(phi, syms)
+    off = {}
     for a in syms:
         assert frozenset(calc.relation(a).converse().symbols) == weak_converse(phi, syms)[a]
         for b in syms:
-            derived = comp[(a, b)]
-            assert frozenset(calc.relation(a).compose(calc.relation(b)).symbols) == derived, (a, b)
+            cell = frozenset(calc.relation(a).compose(calc.relation(b)).symbols)
+            if cell != comp[(a, b)]:
+                off[(a, b)] = cell
+    assert off == BROKEN.get(name, {})
