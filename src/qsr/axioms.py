@@ -33,12 +33,13 @@ calculi without a designated identity.
 One tally loop serves the whole battery: it tests each (lhs, rhs) evaluation
 against all three of the axiom's records (main, ⊆, ⊇; for PL main, PL-right,
 PL-left).  Only R10's ⊇ record needs a second evaluation, of its dual
-rotation.  ``check_axiom_composite`` and the unary and binary axioms of
-``check_axiom`` and ``classify`` evaluate an axiom once per tuple.  The base
-audit of the triple axioms (R2, R4, R5, PL) reads rows instead: for base r
-and s, one pair of table rows holds (lhs, rhs) for every base u, and only a
-pair whose rows differ has its lanes tested, which gives the violations and
-examples of the per-tuple evaluators.
+rotation.  ``check_axiom_composite`` and the base audit of R1, R3, R7 and R8
+evaluate once per tuple.  The base audit of every other axiom reads rows of
+the tables, never ``compose_masks``: per base prefix ((r, s), r, or none for
+the unary axioms) one pair of rows holds (lhs, rhs) for every last base.
+R2, R5, R10 and PL pack a row into one int (``_Lanes``); R4, R9 and the
+unary axioms keep lists, cheaper to build there.  Only a pair that can
+violate has its lanes tested, which gives the per-tuple counts and examples.
 """
 
 from __future__ import annotations
@@ -46,11 +47,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import not_, or_
+from functools import reduce
+from operator import lshift, or_
 from random import Random
 from typing import Callable, Iterable, Iterator, Optional
 
-from .core import CalculusError, CalculusSpec
+from .core import CalculusError, CalculusSpec, _union_of
 
 EXAMPLE_CAP = 10
 
@@ -166,6 +168,40 @@ def _peircean(lhs: int, rhs: int) -> int:
     return 3 if lhs == 0 else 5
 
 
+def _dual_inclusion(lhs: int, rhs: int) -> int:
+    """R10's ⊇ record: lhs ⊆ rhs of the dual rotation."""
+    return 4 if lhs & ~rhs else 0
+
+
+class _Lanes:
+    """Rows of n lanes packed into one int: lane k holds an n-bit mask at bit
+    k * (n + 1), below a guard bit that stays 0."""
+
+    def __init__(self, n: int) -> None:
+        self.u, self.shifts = (1 << n) - 1, range(0, n * (n + 1), n + 1)
+        self.ones = sum(1 << k for k in self.shifts)  # bit 0 of every lane
+        self.guard, self.full = self.ones << n, self.ones * self.u  # U in every lane
+        self.bases = self.pack(1 << k for k in range(n))  # {k} in lane k
+
+    def pack(self, masks: Iterable[int]) -> int:
+        return sum(map(lshift, masks, self.shifts))
+
+    def unpack(self, row) -> list[int]:
+        return row if isinstance(row, list) else [row >> k & self.u for k in self.shifts]
+
+    def union(self, row: int, values: Iterable[int]) -> int:
+        """Lane-wise union of ``values[q]`` over the bits q of each lane of ``row``."""
+        return reduce(or_, ((row >> q & self.ones) * v for q, v in enumerate(values)), 0)
+
+    def differ(self, violated: Callable[[int, int], int], lhs, rhs) -> bool:
+        """Whether some lane can violate: an equation's rows differ, PL's are
+        non-empty at different lanes (x + U carries into the guard bit of
+        exactly the non-empty lanes), an inclusion's lhs leaves its rhs."""
+        if violated is _peircean:
+            return bool((lhs + self.full ^ rhs + self.full) & self.guard)
+        return lhs != rhs if violated is _equation else bool(lhs & ~rhs)
+
+
 @dataclass(frozen=True)
 class _Axiom:
     arity: int
@@ -176,9 +212,10 @@ class _Axiom:
     violated: Callable[[int, int], int] = _equation
     # R10: the ⊇ record tests lhs ⊆ rhs of this second evaluator
     sup_eval: Optional[Callable[[CalculusSpec, tuple[int, ...]], tuple]] = None
-    # triple axioms: the (lhs, rhs) rows over the bases u, one pair per base
-    # (r, s) in product order; lane k of a pair is eval of (r, s, {k})
-    rows: Optional[Callable[[CalculusSpec], Iterator[tuple[list[int], list[int]]]]] = None
+    # (lhs, rhs) rows, packed or lists, one pair per base prefix of arity - 1
+    # operands in product order; lane k of a pair is eval of (*prefix, {k})
+    rows: Optional[Callable[[CalculusSpec, _Lanes], Iterable[tuple]]] = None
+    sup_rows: Optional[Callable[[CalculusSpec, _Lanes], Iterable[tuple]]] = None  # of sup_eval
 
 
 def _r1(c, t):
@@ -191,12 +228,12 @@ def _r2(c, t):
     return r | (s | u), (r | s) | u
 
 
-def _r2_rows(c):
-    bases = [1 << k for k in range(len(c.symbols))]
-    s_rows = [list(map(s.__or__, bases)) for s in bases]  # s + u over the bases u
-    for r in bases:
-        for s, s_row in zip(bases, s_rows):
-            yield list(map(r.__or__, s_row)), list(map((r | s).__or__, bases))
+def _r2_rows(c, lanes):
+    u = lanes.bases
+    rows = [lanes.ones << k for k in range(len(c.symbols))]  # {k} in every lane
+    for r in rows:
+        for s in rows:
+            yield r | (s | u), (r | s) | u
 
 
 def _r3(c, t):
@@ -219,7 +256,7 @@ def _union_rows(rows: list, mask: int) -> list[int]:
     return out
 
 
-def _r4_rows(c):
+def _r4_rows(c, lanes):
     table = c.composition_row
     masks = set(itertools.chain.from_iterable(table))
     # per table mask m: the row of m.{u} over the bases u, and the column of
@@ -238,11 +275,11 @@ def _r5(c, t):
     return c.compose_masks(r | s, u), c.compose_masks(r, u) | c.compose_masks(s, u)
 
 
-def _r5_rows(c):
+def _r5_rows(c, lanes):
     # the tables compose a mask bit by bit, so (r + s).u and r.u + s.u are
     # both the union of the rows of r and s
-    for row_r, row_s in itertools.product(c.composition_row, repeat=2):
-        yield list(map(or_, row_r, row_s)), list(map(or_, row_r, row_s))
+    for row_r, row_s in itertools.product(map(lanes.pack, c.composition_row), repeat=2):
+        yield row_r | row_s, row_r | row_s
 
 
 def _r6(c, t):
@@ -253,6 +290,11 @@ def _r6(c, t):
 def _r6l(c, t):
     (r,) = t
     return c.compose_masks(c.identity_mask, r), r
+
+
+def _identity_rows(c, lanes, rows):
+    # one pair over the bases r: r.id (R6, rows the columns) or id.r (R6l), and r
+    yield _union_rows(rows, c.identity_mask), lanes.unpack(lanes.bases)
 
 
 def _r7(c, t):
@@ -273,6 +315,16 @@ def _r9(c, t):
     )
 
 
+def _r9_rows(c, lanes):
+    table, conv, columns = c.composition_row, c.converse_row, list(zip(*c.composition_row))
+    conv_of = {m: _union_of(conv, m) for m in set(itertools.chain.from_iterable(table))}
+    # per base r, lanes over the bases s: conv(r.s), and conv(s).conv(r),
+    # the union of p.conv(r) over the p in conv(s)
+    for row, conv_r in zip(table, conv):
+        col = _union_rows(columns, conv_r)  # p.conv(r) over the bases p
+        yield list(map(conv_of.__getitem__, row)), [_union_of(col, conv_s) for conv_s in conv]
+
+
 def _r10(c, t):
     r, s = t
     a = c.compose_masks(c.converse_mask(r), c.complement_mask(c.compose_masks(r, s)))
@@ -283,6 +335,27 @@ def _r10_dual(c, t):
     r, s = t
     a = c.compose_masks(c.complement_mask(c.compose_masks(r, s)), c.converse_mask(s))
     return a, c.complement_mask(r)
+
+
+def _r10_rows(c, lanes):
+    full, table = lanes.full, c.composition_row
+    # per base r, lanes over the bases s: conv(r).c(r.s), the union of
+    # conv(r).q over the q in c(r.s), against c(s)
+    for row, conv_r in zip(table, c.converse_row):
+        yield lanes.union(full ^ lanes.pack(row), _union_rows(table, conv_r)), full ^ lanes.bases
+
+
+def _r10_dual_rows(c, lanes):
+    full, ones, table, conv_row = lanes.full, lanes.ones, c.composition_row, lanes.pack(c.converse_row)
+    n, dual = len(table), [lanes.union(conv_row, row) for row in table]  # lane s of dual[q]: q.conv(s)
+    # per base r, lanes over the bases s: c(r.s).conv(s) against c(r); with
+    # sel the lanes of x that hold q, (sel << n) - sel is U in those lanes
+    for k, row in enumerate(table):
+        x, lhs = full ^ lanes.pack(row), 0
+        for q, d in enumerate(dual):
+            sel = x >> q & ones
+            lhs |= ((sel << n) - sel) & d
+        yield lhs, (lanes.u ^ 1 << k) * ones
 
 
 def _wa(c, t):
@@ -298,6 +371,13 @@ def _sa(c, t):
     return c.compose_masks(c.compose_masks(r, u), u), c.compose_masks(r, u)
 
 
+def _dot_u_rows(c, keep: int):
+    # WA (keep = id) and SA (keep = U): one pair over the bases r, ((r & keep).U).U and (r & keep).U
+    dot_u = [_union_of(row, c.universal) for row in c.composition_row]  # {q}.U
+    x_u = [m if keep >> k & 1 else 0 for k, m in enumerate(dot_u)]
+    yield [_union_of(dot_u, m) for m in x_u], x_u
+
+
 def _pl(c, t):
     r, s, u = t
     left = c.compose_masks(r, s) & c.converse_mask(u)
@@ -305,12 +385,15 @@ def _pl(c, t):
     return left, right
 
 
-def _pl_rows(c):
-    table, conv = c.composition_row, c.converse_row
+def _pl_rows(c, lanes):
+    ones, table, conv = lanes.ones, c.composition_row, c.converse_row
+    rows, conv_row = list(map(lanes.pack, table)), lanes.pack(conv)
+    left = {m: m * ones & conv_row for m in set(itertools.chain.from_iterable(table))}
     # (r.s) & conv(u) and (s.u) & conv(r) over the bases u
     for row_r, conv_r in zip(table, conv):
-        for m, row_s in zip(row_r, table):
-            yield list(map(m.__and__, conv)), list(map(conv_r.__and__, row_s))
+        conv_r *= ones
+        for m, row_s in zip(row_r, rows):
+            yield left[m], conv_r & row_s
 
 
 _AXIOMS: dict[str, _Axiom] = {
@@ -319,14 +402,16 @@ _AXIOMS: dict[str, _Axiom] = {
     "R3": _Axiom(2, False, _r3),
     "R4": _Axiom(3, False, _r4, rows=_r4_rows),
     "R5": _Axiom(3, False, _r5, rows=_r5_rows),
-    "R6": _Axiom(1, True, _r6),
-    "R6l": _Axiom(1, True, _r6l),
+    "R6": _Axiom(1, True, _r6,
+                 rows=lambda c, lanes: _identity_rows(c, lanes, list(zip(*c.composition_row)))),
+    "R6l": _Axiom(1, True, _r6l, rows=lambda c, lanes: _identity_rows(c, lanes, c.composition_row)),
     "R7": _Axiom(1, False, _r7),
     "R8": _Axiom(2, False, _r8),
-    "R9": _Axiom(2, False, _r9),
-    "R10": _Axiom(2, False, _r10, _inclusion, sup_eval=_r10_dual),
-    "WA": _Axiom(1, True, _wa),
-    "SA": _Axiom(1, False, _sa),
+    "R9": _Axiom(2, False, _r9, rows=_r9_rows),
+    "R10": _Axiom(2, False, _r10, _inclusion, sup_eval=_r10_dual, rows=_r10_rows,
+                  sup_rows=_r10_dual_rows),
+    "WA": _Axiom(1, True, _wa, rows=lambda c, lanes: _dot_u_rows(c, c.identity_mask)),
+    "SA": _Axiom(1, False, _sa, rows=lambda c, lanes: _dot_u_rows(c, c.universal)),
     "PL": _Axiom(3, False, _pl, _peircean, rows=_pl_rows),
 }
 
@@ -362,24 +447,25 @@ def _tuple_hits(spec: CalculusSpec, axiom: str, tuples: Iterable[tuple[int, ...]
             yield masks, lhs, rhs, hit
         if dual is not None:
             lhs, rhs = dual(spec, masks)
-            if lhs & ~rhs:
+            if _dual_inclusion(lhs, rhs):
                 yield masks, lhs, rhs, 4
 
 
 def _row_hits(spec: CalculusSpec, axiom: str) -> Iterator[tuple]:
-    """The same over the base triples, in product order, from the rows of a
-    triple axiom: only a pair of rows that differ has its lanes tested."""
-    ax = _AXIOMS[axiom]
-    violated, bases = ax.violated, [1 << i for i in range(len(spec.symbols))]
-    for (r, s), (lhs_row, rhs_row) in zip(itertools.product(bases, repeat=2), ax.rows(spec)):
-        # PL tests only emptiness, so rows empty at the same lanes agree
-        if lhs_row == rhs_row or violated is _peircean and (
-                list(map(not_, lhs_row)) == list(map(not_, rhs_row))):
-            continue
-        for u, lhs, rhs in zip(bases, lhs_row, rhs_row):
-            hit = violated(lhs, rhs)
-            if hit:
-                yield (r, s, u), lhs, rhs, hit
+    """The same over the base tuples, in product order, from the rows of an
+    axiom (R10's ⊇ record from the rows of its dual, after the others): only
+    a pair of rows that can violate has its lanes tested."""
+    ax, n = _AXIOMS[axiom], len(spec.symbols)
+    lanes, bases = _Lanes(n), [1 << i for i in range(n)]
+    runs = [(ax.rows, ax.violated)] + ([(ax.sup_rows, _dual_inclusion)] if ax.sup_rows else [])
+    for rows, violated in runs:
+        prefixes = itertools.product(bases, repeat=ax.arity - 1)
+        for prefix, (lhs_row, rhs_row) in zip(prefixes, rows(spec, lanes)):
+            if lanes.differ(violated, lhs_row, rhs_row):
+                for u, lhs, rhs in zip(bases, lanes.unpack(lhs_row), lanes.unpack(rhs_row)):
+                    hit = violated(lhs, rhs)
+                    if hit:
+                        yield prefix + (u,), lhs, rhs, hit
 
 
 def _audit(spec: CalculusSpec, axiom: str, hits: Iterable[tuple], universe: int,
@@ -419,8 +505,9 @@ def classify(spec: CalculusSpec, jobs: int = 1) -> AxiomReport:
     """Run the full battery and derive the algebra class.
 
     The audit is a pure function of the tables; ``jobs`` > 1 audits the
-    axioms in that many processes, at most one per axiom (worthwhile only
-    for large calculi).
+    axioms in that many processes, at most one per axiom.  The pool loses at
+    every size measured, 13 to 169 relations, and stays only until the
+    benchmark stops timing it.
     """
     if jobs > 1:
         # imported here: the pool's modules would slow every start of ``qsr``

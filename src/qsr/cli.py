@@ -250,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="axiom audit and algebra classification")
     add_calc_opts(p, positional_spec=True)
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the audit (at most one per axiom)")
+                   help="worker processes for the audit (at most one per axiom); slower "
+                        "than 1 at every size measured, kept only while the benchmark times it")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("closure", help="algebraic closure of a network")

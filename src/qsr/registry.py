@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import CalculusError, CalculusSpec
+from .core import CalculusError, CalculusSpec, _union_of
 from .models import derived_spec
 from .network import check_token, name_line, quoted_name, read_lines
 
@@ -274,12 +274,13 @@ def validate(spec: CalculusSpec) -> list[Finding]:
     findings: list[Finding] = []
 
     if spec.identity_mask is not None:
-        idm = spec.identity_mask
+        # id.{s} and {s}.id as unions of table cells: no composition cache
+        idm, rows = spec.identity_mask, spec.composition_row
         bad = []
         for i, s in enumerate(spec.symbols):
             m = 1 << i
-            left = spec.compose_masks(idm, m)
-            right = spec.compose_masks(m, idm)
+            left = _union_of([row[i] for row in rows], idm)
+            right = _union_of(rows[i], idm)
             if left != m:
                 bad.append(f"id.{s} = {spec.format_mask(left)} != {s}")
             if right != m:

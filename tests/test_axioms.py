@@ -17,6 +17,7 @@ from qsr import (
     check_axiom_composite,
     classify,
     r6_r6l_equivalence_check,
+    validate,
 )
 from qsr import axioms
 from qsr.axioms import MAIN_AXIOMS, SUB, SUP
@@ -218,8 +219,9 @@ def test_classify_records_equal_check_axiom(random_calculus):
 
 
 def test_classify_reads_triple_axioms_a_row_at_a_time(monkeypatch):
-    # arity <= 2: one evaluator call per base tuple; arity 3: |Rel|**2 row
-    # pairs of |Rel| lanes and no per-tuple call
+    # R1, R3, R7 and R8: one evaluator call per base tuple; every other
+    # axiom: |Rel| ** (arity - 1) row pairs of |Rel| lanes (R10 also those of
+    # its dual rotation) and no per-tuple call
     calls, pairs = Counter(), Counter()
     spec = builtin("appendixB2")
     n = len(spec.symbols)
@@ -231,33 +233,43 @@ def test_classify_reads_triple_axioms_a_row_at_a_time(monkeypatch):
         return wrapped
 
     def counted_rows(aid, rows):
-        def wrapped(spec):
-            for lhs, rhs in rows(spec):
-                assert len(lhs) == len(rhs) == n
+        def wrapped(spec, lanes):
+            for pair in rows(spec, lanes):
+                for row in pair:
+                    assert len(lanes.unpack(row)) == n
+                    # a packed row: guard bits clear, nothing above the last lane
+                    assert isinstance(row, list) or row & lanes.guard == row >> n * (n + 1) == 0
                 pairs[aid] += 1
-                yield lhs, rhs
+                yield pair
         return wrapped
 
     for aid, ax in list(axioms._AXIOMS.items()):
         wrapped = dataclasses.replace(ax, eval=counted(aid, ax.eval))
+        if ax.sup_eval is not None:
+            wrapped = dataclasses.replace(wrapped, sup_eval=counted(aid + SUP, ax.sup_eval))
         if ax.rows is not None:
             wrapped = dataclasses.replace(wrapped, rows=counted_rows(aid, ax.rows))
+        if ax.sup_rows is not None:
+            wrapped = dataclasses.replace(wrapped, sup_rows=counted_rows(aid + SUP, ax.sup_rows))
         monkeypatch.setitem(axioms._AXIOMS, aid, wrapped)
     classify(spec)
-    triples = {aid for aid, ax in axioms._AXIOMS.items() if ax.arity == 3}
-    assert triples == {"R2", "R4", "R5", "PL"}
-    assert {aid for aid, ax in axioms._AXIOMS.items() if ax.rows is not None} == triples
-    assert calls == {aid: n ** ax.arity for aid, ax in axioms._AXIOMS.items() if ax.arity < 3}
-    assert pairs == {aid: n ** 2 for aid in triples}
+    per_tuple = {aid for aid, ax in axioms._AXIOMS.items() if ax.rows is None}
+    assert per_tuple == {"R1", "R3", "R7", "R8"}
+    assert calls == {aid: n ** axioms._AXIOMS[aid].arity for aid in per_tuple}
+    expected = {aid: n ** (ax.arity - 1) for aid, ax in axioms._AXIOMS.items() if ax.rows}
+    assert pairs == {**expected, "R10" + SUP: n}
 
 
-def _triple_audits_match_per_tuple_audit(spec):
+def _per_tuple_records(spec):
+    """Every record of the battery, one evaluator call per base tuple."""
     n = len(spec.symbols)
     bases = [1 << i for i in range(n)]
-    for axiom in ("R2", "R4", "R5", "PL"):
-        hits = axioms._tuple_hits(spec, axiom, itertools.product(bases, repeat=3))
-        per_tuple = axioms._audit(spec, axiom, hits, n ** 3, lambda m: spec.symbols_of(m)[0])
-        assert axioms._base_audit(spec, axiom) == per_tuple, (spec.name, axiom)
+    records = {}
+    for axiom, ax in axioms._AXIOMS.items():
+        hits = axioms._tuple_hits(spec, axiom, itertools.product(bases, repeat=ax.arity))
+        for rec in axioms._audit(spec, axiom, hits, n ** ax.arity, lambda m: spec.symbols_of(m)[0]):
+            records[rec.axiom_id] = rec
+    return records
 
 
 def test_row_audit_equals_the_per_tuple_audit(random_calculus, dihedral_group, cyclic_group):
@@ -267,20 +279,32 @@ def test_row_audit_equals_the_per_tuple_audit(random_calculus, dihedral_group, c
     calcs += [dihedral_group(5), cyclic_group(20)]
     failing = Counter()
     for spec in calcs:
-        _triple_audits_match_per_tuple_audit(spec)
         report = classify(spec)
-        failing.update(a for a in ("R4", "PL") if report.records[a].holds is False)
+        assert report.records == _per_tuple_records(spec), spec.name
+        failing.update(a for a, rec in report.records.items() if rec.holds is False)
         failing["R7"] += not spec.flags.ra7_holds
-    # the draws exercise the lane tests: broken converse, R4 and PL violations
-    assert min(failing[a] for a in ("R4", "PL", "R7")) >= 3, failing
+    # the draws exercise the lane tests: broken converse, violations of the
+    # triple axioms, of R9, of both R10 records and of the unary axioms
+    assert min(failing[a] for a in ("R4", "PL", "R7", "R9", "R10", "R10" + SUP, "R6", "WA", "SA")) >= 3, failing
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 16, 17])
+def test_row_audit_equals_the_per_tuple_audit_at_lane_width_edges(random_calculus, n):
+    # up to 8 relations compose_masks reads dense rows, up to 16 chunked
+    # rows and above that _compose_large; at n + 1 bits a lane's top mask
+    # bit sits right below its guard bit
+    rng = Random(n)
+    for t in range(3):
+        spec = random_calculus(rng, n, f"rand{n}-{t}")
+        assert classify(spec).records == _per_tuple_records(spec), spec.name
 
 
 def test_row_audit_leaves_the_composition_cache_empty(dihedral_group, cyclic_group):
-    # the row memos live for one audit only
+    # the row memos live for one audit only, and validate reads the table
     for spec in (dihedral_group(5), cyclic_group(20)):
         assert len(spec.symbols) > 8
-        for axiom in ("R2", "R4", "R5", "PL"):
-            axioms._base_audit(spec, axiom)
+        classify(spec)
+        validate(spec)
         assert spec._comp_cache == {}, spec.name
 
 

@@ -315,3 +315,14 @@ def test_validate_appendix_b2_findings():
 def test_validate_other_builtins_clean():
     assert validate(builtin("cycb")) == []
     assert validate(builtin("appendixB-remark")) == []
+
+
+def test_validate_names_the_side_of_a_one_sided_identity_failure():
+    # only id.< is widened, so the finding names id.< and not <.id
+    pc1 = builtin("pc1")
+    comp = {(a, b): pc1.symbols_of(pc1.composition_row[i][j])
+            for i, a in enumerate(pc1.symbols) for j, b in enumerate(pc1.symbols)}
+    comp[("=", "<")] = ("<", "=")
+    conv = {s: pc1.symbols_of(m) for s, m in zip(pc1.symbols, pc1.converse_row)}
+    findings = validate(CalculusSpec("pc1-left", pc1.symbols, ["="], conv, comp))
+    assert [f.message for f in findings] == ["identity law fails: id.< = (< =) != <"]
