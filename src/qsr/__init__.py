@@ -34,7 +34,6 @@ from .models import (
     CellStrength,
     FiniteInterpretation,
     brute_force_solve,
-    builtin_model,
     check_jepd,
     check_partition_scheme,
     check_seriality,
@@ -56,10 +55,10 @@ from .network import (
 )
 from .registry import (
     BUILTIN_NAMES,
-    CalculusSource,
     Finding,
     SpecParseError,
     builtin,
+    builtin_model,
     load_spec,
     parse_spec,
     serialize,
@@ -83,7 +82,6 @@ __all__ = [
     "CalculusError",
     "CalculusFlags",
     "CalculusMismatchError",
-    "CalculusSource",
     "CalculusSpec",
     "CellStrength",
     "Classification",

@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    qsr analyze      --builtin pc1 | --spec FILE [--format text|json] [--jobs N]
+    qsr analyze      --builtin pc1 | --spec FILE [--format text|json]
     qsr closure      --builtin pc1 --network FILE [--format text|json]
     qsr consistency  --builtin pc1 --network FILE [--format text|json]
     qsr model-check  --builtin pc1 --model FILE [--network FILE] [--budget N]
@@ -71,10 +71,8 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise CliError("--jobs must be at least 1")
     calc = _load_calculus(args)
-    report = axioms.classify(calc, jobs=args.jobs)
+    report = axioms.classify(calc)
     findings = registry.validate(calc)
 
     flags = calc.flags
@@ -249,9 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="axiom audit and algebra classification")
     add_calc_opts(p, positional_spec=True)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the audit (at most one per axiom); slower "
-                        "than 1 at every size measured, kept only while the benchmark times it")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("closure", help="algebraic closure of a network")

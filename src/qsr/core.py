@@ -80,7 +80,6 @@ class CalculusSpec:
         "converse_row",
         "composition_row",
         "notes",
-        "source",
         "universal",
         "dense_rows",
         "chunked_rows",
@@ -144,7 +143,6 @@ class CalculusSpec:
         self._acl_decides_atomic = acl_decides_atomic
         self._flags: Optional[CalculusFlags] = None
         self.notes: tuple[str, ...] = tuple(notes)
-        self.source = None  # provenance record, filled in by the registry
 
         self._conv_full: Optional[list[int]] = None
         self._comp_lo = _NO_ROWS  # the low-byte row table, read first by compose_row

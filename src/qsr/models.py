@@ -22,21 +22,15 @@ Symbols without pairs use an empty pair list; every base relation of the
 calculus must have a line (relations are non-empty in a well-formed model,
 but probing broken tables is allowed).
 
-Every builtin calculus is defined here by its domain: elements named as in
-model files and a function giving each pair's base relation.
-:func:`weak_operations` derives from one domain the tables of ``builtin()``
-(its weak converse and composition) and the pairs of ``builtin_model``.  The
-appendix fixtures are two-element domains whose tables then take a few
-composition cells that are broken on purpose (``_BROKEN_CELLS``).
+The builtin calculi and their models are defined together, by their
+domains, in :mod:`qsr.registry`.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .core import CalculusError, CalculusMismatchError, CalculusSpec
 from .network import ConstraintNetwork, NetworkError, check_token, name_line, read_header
@@ -131,10 +125,12 @@ class FiniteInterpretation:
         )
 
     def to_text(self) -> str:
+        """Model-file text; a symbol that ``parse_model`` would not read back raises ``NetworkError``."""
         lines = [name_line("model", self.name or "model"),
                  f"calculus {check_token('calculus name', self.calculus.name)}",
                  "universe " + " ".join(self.universe)]
         for sym in self.calculus.symbols:
+            check_token("relation symbol", sym, forbidden="#:")
             pairs = " ".join(f"({a},{b})" for a, b in sorted(self.phi[sym]))
             lines.append(f"{sym}: {pairs}".rstrip())
         return "\n".join(lines) + "\n"
@@ -447,136 +443,3 @@ def parse_model(text: str, calculus: Optional[CalculusSpec] = None) -> FiniteInt
 def load_model(path: str, calculus: Optional[CalculusSpec] = None) -> FiniteInterpretation:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_model(fh.read(), calculus)
-
-
-def _point(x: str, y: str) -> str:
-    # pc1: points of a line, named by their position
-    a, b = int(x), int(y)
-    return "<" if a < b else "=" if a == b else ">"
-
-
-def _containment(x: str, y: str) -> str:
-    # rcc5: regions as non-empty sets of points, named by their points
-    a, b = set(x), set(y)
-    return "EQ" if a == b else "DC" if not a & b else "PP" if a < b else "PPi" if b < a else "PO"
-
-
-def _direction(x: str, y: str) -> str:
-    # cycb: orientations in degrees; the counterclockwise angle from x to y
-    # picks the relation: 0 equal, 180 opposite, (0,180) left, (180,360) right
-    d = (int(y) - int(x)) % 360
-    return "e" if d == 0 else "o" if d == 180 else "l" if d < 180 else "r"
-
-
-def _first(x: str, y: str) -> str:
-    # appendixB1: the relation of a pair is set by its first element
-    return "r1" if x == "0" else "r2"
-
-
-def _pair(x: str, y: str) -> str:
-    # appendixB2: one relation per pair of the two elements
-    return {"00": "r1", "11": "r2", "01": "r3", "10": "r4"}[x + y]
-
-
-def _diversity(x: str, y: str) -> str:
-    # appendixB-remark: identity and diversity
-    return "r1" if x == y else "r2"
-
-
-# the builtins: calculus -> (symbols, identity, relation function, the model
-# whose weak operations are the calculus's tables)
-_DOMAINS = {
-    "pc1": (("<", "=", ">"), "=", _point, "pc1-chain3"),
-    "rcc5": (("EQ", "DC", "PO", "PP", "PPi"), "EQ", _containment, "rcc5-subsets4"),
-    "cycb": (("e", "o", "l", "r"), "e", _direction, "cycb-compass8"),
-    "appendixB1": (("r1", "r2"), "r1", _first, "appendixB1"),
-    "appendixB2": (("r1", "r2", "r3", "r4"), "r1", _pair, "appendixB2"),
-    "appendixB-remark": (("r1", "r2"), "r1", _diversity, "appendixB-remark"),
-}
-
-# the models of the builtins: name -> (calculus, elements); each appendix
-# fixture has one, on the elements 0 and 1, named after it
-_UNIVERSES = {
-    **{f"pc1-chain{n}": ("pc1", [str(i) for i in range(n)]) for n in (3, 4, 5)},
-    "rcc5-subsets4": ("rcc5", ["".join(c) for k in range(1, 5)
-                               for c in itertools.combinations("0123", k)]),
-    "cycb-compass4": ("cycb", [str(d) for d in range(0, 360, 90)]),
-    "cycb-compass8": ("cycb", [str(d) for d in range(0, 360, 45)]),
-    **{name: (name, ["0", "1"]) for name in ("appendixB1", "appendixB2", "appendixB-remark")},
-}
-
-# the composition cells that the appendix fixtures break on purpose, in place
-# of the weak cells over their models; every other cell is weak
-_BROKEN_CELLS = {
-    # The weak converse is not involutive: both converses are the universal
-    # relation, so conv(conv(r)) = 1 strictly above r.  All composition
-    # cells are the universal relation; anything tighter re-introduces
-    # violations beyond the intended identity-law and involution failures.
-    "appendixB1": {(a, b): ("r1", "r2") for a in ("r1", "r2") for b in ("r1", "r2")},
-    # Two cells over-approximate the domain result: r3.r4, where it is
-    # {(0,0)}, and r4.r2, where it is empty.  These coarse cells break
-    # associativity, converse-composition distributivity, the Tarski/De
-    # Morgan axiom and the Peircean law, while the empty identity
-    # row/column cells break the identity laws upward.
-    "appendixB2": {("r3", "r4"): ("r1", "r4"), ("r4", "r2"): ("r4",)},
-    # r2.r2 is a strict over-approximation of the domain result phi(r1), so
-    # the composition is merely abstract there, yet the symbolic algebra
-    # satisfies the whole relation-algebra axiom battery.
-    "appendixB-remark": {("r2", "r2"): ("r1", "r2")},
-}
-
-BUILTIN_MODEL_NAMES = tuple(_UNIVERSES)
-
-
-def weak_operations(elements: list[str], rel: Callable[[str, str], str],
-                    symbols: tuple[str, ...]) -> tuple[dict, dict, dict]:
-    """The relations that ``rel(x, y) -> symbol`` induces on ``elements``: the pairs
-    of each symbol, and the weak converse and composition, whose cells hold every
-    base relation that meets the set-theoretic result.  ``rel`` is called once per
-    ordered pair of elements."""
-    rels = [[rel(x, y) for y in elements] for x in elements]
-    phi: dict[str, list[Pair]] = {s: [] for s in symbols}
-    converse: dict[str, set[str]] = {s: set() for s in symbols}
-    # a -> every (rel(y, z), rel(x, z)) over x, y, z with rel(x, y) = a
-    met: dict[str, set[tuple[str, str]]] = {s: set() for s in symbols}
-    for x, row in enumerate(rels):
-        for y, a in enumerate(row):
-            phi[a].append((elements[x], elements[y]))
-            converse[a].add(rels[y][x])
-            met[a].update(zip(rels[y], row))
-    composition: dict[tuple[str, str], set[str]] = {(a, b): set() for a in symbols for b in symbols}
-    for a, pairs in met.items():
-        for b, c in pairs:
-            composition[a, b].add(c)
-    return phi, converse, composition
-
-
-@functools.cache
-def _derivation(model: str) -> tuple[dict, dict, dict]:
-    """``weak_operations`` over ``model``'s elements, once per model name."""
-    calculus, elements = _UNIVERSES[model]
-    symbols, _, rel, _ = _DOMAINS[calculus]
-    return weak_operations(elements, rel, symbols)
-
-
-def derived_spec(name: str, **facts) -> CalculusSpec:
-    """The builtin ``name`` with the weak operations over its defining model, but
-    for the cells it breaks on purpose; ``facts`` are the literature's flags and
-    notes, passed to :class:`CalculusSpec`."""
-    symbols, identity, _, model = _DOMAINS[name]
-    _, converse, composition = _derivation(model)
-    composition = {**composition, **_BROKEN_CELLS.get(name, {})}
-    return CalculusSpec(name, symbols, [identity], converse, composition, **facts)
-
-
-@functools.cache
-def builtin_model(name: str) -> FiniteInterpretation:
-    """Bundled finite interpretations for the built-in calculi (cached)."""
-    from . import registry
-
-    if name not in _UNIVERSES:
-        raise KeyError(
-            f"unknown builtin model {name!r}; available: {', '.join(BUILTIN_MODEL_NAMES)}"
-        )
-    calculus, elements = _UNIVERSES[name]
-    return FiniteInterpretation(registry.builtin(calculus), elements, _derivation(name)[0], name=name)

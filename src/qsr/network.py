@@ -55,6 +55,8 @@ class ConstraintNetwork:
         if len(var_names) < 1:
             raise NetworkError("a network needs at least one variable")
         for v in var_names:
+            if v in ("network", "calculus", "vars"):  # its lines would read as header clauses
+                raise NetworkError(f"variable name {v!r} does not fit the file formats: it is a keyword")
             check_token("variable name", v)
         self.calculus = calculus
         self.var_names = tuple(var_names)
@@ -143,7 +145,10 @@ class ConstraintNetwork:
     # -- export -------------------------------------------------------------
 
     def to_text(self) -> str:
-        """Network-file text that parses back to this network if it is 2-consistent."""
+        """Network-file text that parses back to this network if it is 2-consistent;
+        a relation symbol that files cannot carry raises ``NetworkError``."""
+        for s in self.calculus.symbols:
+            check_token("relation symbol", s)
         lines = [name_line("network", self.name or "net"),
                  f"calculus {check_token('calculus name', self.calculus.name)}",
                  "vars " + " ".join(self.var_names)]

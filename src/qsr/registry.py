@@ -1,9 +1,12 @@
-"""Built-in calculi, the calculus spec-file grammar, and structural validation.
+"""Built-in calculi and their models, the calculus spec-file grammar, and structural validation.
 
-Every builtin is derived, not typed in: its converse and composition are the
-weak operations over a finite domain (:func:`qsr.models.derived_spec`).  The
-appendix fixtures are derived over two-element domains, and then a few of
-their composition cells are broken on purpose.
+Every builtin calculus is defined by its domain (``_DOMAINS``): elements
+named as in model files and a function giving each pair's base relation.
+:func:`weak_operations` derives from one domain the tables of :func:`builtin`
+(its weak converse and composition); :func:`builtin_model` takes the pairs
+of each relation straight from the relation function.  The appendix
+fixtures are two-element domains whose tables then take a few composition
+cells that are broken on purpose (``_BROKEN_CELLS``).
 
 Spec files follow the rules shared with network and model files: lines
 come from :func:`qsr.network.read_lines`, the ``calculus`` clause is read
@@ -37,23 +40,48 @@ retired ``flags`` directive of older files is an error.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import CalculusError, CalculusSpec, _union_of
-from .models import derived_spec
+from .models import FiniteInterpretation, Pair
 from .network import check_token, name_line, quoted_name, read_lines
 
-BUILTIN_NAMES = ("pc1", "rcc5", "cycb", "appendixB1", "appendixB2", "appendixB-remark")
+
+def _point(x: str, y: str) -> str:
+    # pc1: points of a line, named by their position
+    a, b = int(x), int(y)
+    return "<" if a < b else "=" if a == b else ">"
 
 
-@dataclass(frozen=True)
-class CalculusSource:
-    """Where a calculus came from: the builtin registry or a spec file."""
+def _containment(x: str, y: str) -> str:
+    # rcc5: regions as non-empty sets of points, named by their points
+    a, b = set(x), set(y)
+    return "EQ" if a == b else "DC" if not a & b else "PP" if a < b else "PPi" if b < a else "PO"
 
-    origin: str  # "builtin" or "file"
-    path: Optional[str] = None
-    raw: Optional[str] = None
+
+def _direction(x: str, y: str) -> str:
+    # cycb: orientations in degrees; the counterclockwise angle from x to y
+    # picks the relation: 0 equal, 180 opposite, (0,180) left, (180,360) right
+    d = (int(y) - int(x)) % 360
+    return "e" if d == 0 else "o" if d == 180 else "l" if d < 180 else "r"
+
+
+def _first(x: str, y: str) -> str:
+    # appendixB1: the relation of a pair is set by its first element
+    return "r1" if x == "0" else "r2"
+
+
+def _pair(x: str, y: str) -> str:
+    # appendixB2: one relation per pair of the two elements
+    return {"00": "r1", "11": "r2", "01": "r3", "10": "r4"}[x + y]
+
+
+def _diversity(x: str, y: str) -> str:
+    # appendixB-remark: identity and diversity
+    return "r1" if x == y else "r2"
 
 
 _RCC5_NOTE = (
@@ -62,31 +90,109 @@ _RCC5_NOTE = (
     "subsets of 4 points, has (PP)"
 )
 
-# acl_decides_atomic of pc1 and rcc5 and rcc5's note are literature facts, set here, not derived
-_FACTS = {
-    "pc1": {"acl_decides_atomic": True},
-    "rcc5": {"notes": (_RCC5_NOTE,), "acl_decides_atomic": True},
+# the builtins: calculus -> (symbols, identity, relation function, the model
+# whose weak operations are the calculus's tables, the literature's facts:
+# flags and notes set here, not derived)
+_DOMAINS = {
+    "pc1": (("<", "=", ">"), "=", _point, "pc1-chain3", {"acl_decides_atomic": True}),
+    "rcc5": (("EQ", "DC", "PO", "PP", "PPi"), "EQ", _containment, "rcc5-subsets4",
+             {"notes": (_RCC5_NOTE,), "acl_decides_atomic": True}),
+    "cycb": (("e", "o", "l", "r"), "e", _direction, "cycb-compass8", {}),
+    "appendixB1": (("r1", "r2"), "r1", _first, "appendixB1", {}),
+    "appendixB2": (("r1", "r2", "r3", "r4"), "r1", _pair, "appendixB2", {}),
+    "appendixB-remark": (("r1", "r2"), "r1", _diversity, "appendixB-remark", {}),
 }
 
-_CACHE: dict[str, CalculusSpec] = {}
+BUILTIN_NAMES = tuple(_DOMAINS)
+
+# the models of the builtins: name -> (calculus, elements); each appendix
+# fixture has one, on the elements 0 and 1, named after it
+_UNIVERSES = {
+    **{f"pc1-chain{n}": ("pc1", [str(i) for i in range(n)]) for n in (3, 4, 5)},
+    "rcc5-subsets4": ("rcc5", ["".join(c) for k in range(1, 5)
+                               for c in itertools.combinations("0123", k)]),
+    "cycb-compass4": ("cycb", [str(d) for d in range(0, 360, 90)]),
+    "cycb-compass8": ("cycb", [str(d) for d in range(0, 360, 45)]),
+    **{name: (name, ["0", "1"]) for name in ("appendixB1", "appendixB2", "appendixB-remark")},
+}
+
+BUILTIN_MODEL_NAMES = tuple(_UNIVERSES)
+
+# the composition cells that the appendix fixtures break on purpose, in place
+# of the weak cells over their models; every other cell is weak
+_BROKEN_CELLS = {
+    # The weak converse is not involutive: both converses are the universal
+    # relation, so conv(conv(r)) = 1 strictly above r.  All composition
+    # cells are the universal relation; anything tighter re-introduces
+    # violations beyond the intended identity-law and involution failures.
+    "appendixB1": {(a, b): ("r1", "r2") for a in ("r1", "r2") for b in ("r1", "r2")},
+    # Two cells over-approximate the domain result: r3.r4, where it is
+    # {(0,0)}, and r4.r2, where it is empty.  These coarse cells break
+    # associativity, converse-composition distributivity, the Tarski/De
+    # Morgan axiom and the Peircean law, while the empty identity
+    # row/column cells break the identity laws upward.
+    "appendixB2": {("r3", "r4"): ("r1", "r4"), ("r4", "r2"): ("r4",)},
+    # r2.r2 is a strict over-approximation of the domain result phi(r1), so
+    # the composition is merely abstract there, yet the symbolic algebra
+    # satisfies the whole relation-algebra axiom battery.
+    "appendixB-remark": {("r2", "r2"): ("r1", "r2")},
+}
 
 
+def weak_operations(elements: list[str], rel: Callable[[str, str], str],
+                    symbols: tuple[str, ...]) -> tuple[dict, dict, dict]:
+    """The relations that ``rel(x, y) -> symbol`` induces on ``elements``: the pairs
+    of each symbol, and the weak converse and composition, whose cells hold every
+    base relation that meets the set-theoretic result.  ``rel`` is called once per
+    ordered pair of elements."""
+    rels = [[rel(x, y) for y in elements] for x in elements]
+    phi: dict[str, list[Pair]] = {s: [] for s in symbols}
+    converse: dict[str, set[str]] = {s: set() for s in symbols}
+    # a -> every (rel(y, z), rel(x, z)) over x, y, z with rel(x, y) = a
+    met: dict[str, set[tuple[str, str]]] = {s: set() for s in symbols}
+    for x, row in enumerate(rels):
+        for y, a in enumerate(row):
+            phi[a].append((elements[x], elements[y]))
+            converse[a].add(rels[y][x])
+            met[a].update(zip(rels[y], row))
+    composition: dict[tuple[str, str], set[str]] = {(a, b): set() for a in symbols for b in symbols}
+    for a, pairs in met.items():
+        for b, c in pairs:
+            composition[a, b].add(c)
+    return phi, converse, composition
+
+
+@functools.cache
 def builtin(name: str) -> CalculusSpec:
-    """Return the built-in calculus registered under ``name``.
+    """The built-in calculus ``name``: the weak operations over its defining model,
+    but for the cells it breaks on purpose.
 
     Instances are cached: repeated calls return the same object, whose
     derived ``flags`` are then computed only once.
     """
-    if name not in BUILTIN_NAMES:
+    if name not in _DOMAINS:
         raise KeyError(
             f"unknown builtin calculus {name!r}; available: {', '.join(BUILTIN_NAMES)}"
         )
-    spec = _CACHE.get(name)
-    if spec is None:
-        spec = derived_spec(name, **_FACTS.get(name, {}))
-        spec.source = CalculusSource(origin="builtin")
-        _CACHE[name] = spec
-    return spec
+    symbols, identity, rel, model, facts = _DOMAINS[name]
+    _, converse, composition = weak_operations(_UNIVERSES[model][1], rel, symbols)
+    composition.update(_BROKEN_CELLS.get(name, {}))
+    return CalculusSpec(name, symbols, [identity], converse, composition, **facts)
+
+
+@functools.cache
+def builtin_model(name: str) -> FiniteInterpretation:
+    """Bundled finite interpretations for the built-in calculi (cached)."""
+    if name not in _UNIVERSES:
+        raise KeyError(
+            f"unknown builtin model {name!r}; available: {', '.join(BUILTIN_MODEL_NAMES)}"
+        )
+    calculus, elements = _UNIVERSES[name]
+    symbols, _, rel, _, _ = _DOMAINS[calculus]
+    phi: dict[str, list[Pair]] = {s: [] for s in symbols}
+    for x, y in itertools.product(elements, repeat=2):
+        phi[rel(x, y)].append((x, y))
+    return FiniteInterpretation(builtin(calculus), elements, phi, name=name)
 
 
 _RESERVED = frozenset(
@@ -209,7 +315,7 @@ def parse_spec(source: str) -> CalculusSpec:
             end,
         )
 
-    spec = CalculusSpec(
+    return CalculusSpec(
         name=name,
         symbols=symbols,
         # an `identity` clause with zero symbols, like no clause at all,
@@ -218,8 +324,6 @@ def parse_spec(source: str) -> CalculusSpec:
         converse=converse,
         composition=composition,
     )
-    spec.source = CalculusSource(origin="file", raw=source)
-    return spec
 
 
 def serialize(spec: CalculusSpec) -> str:
@@ -250,10 +354,7 @@ def serialize(spec: CalculusSpec) -> str:
 
 def load_spec(path: str) -> CalculusSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    spec = parse_spec(text)
-    spec.source = CalculusSource(origin="file", path=path, raw=text)
-    return spec
+        return parse_spec(fh.read())
 
 
 @dataclass(frozen=True)

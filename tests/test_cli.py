@@ -69,16 +69,9 @@ def test_analyze_missing_spec_file(capsys):
 def test_analyze_spec_file_and_jobs(capsys, tmp_path):
     path = tmp_path / "pc1.spec"
     path.write_text(serialize(builtin("pc1")))
-    code, out, _ = run(capsys, "analyze", "--spec", str(path), "--jobs", "2")
+    code, out, _ = run(capsys, "analyze", "--spec", str(path))
     assert code == 0
     assert "classification: RA" in out
-
-
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_analyze_jobs_below_one_is_a_usage_error(capsys, jobs):
-    code, _, err = run(capsys, "analyze", "--builtin", "pc1", "--jobs", jobs)
-    assert code == 2
-    assert "--jobs" in err
 
 
 def test_closure_prints_inferred_edge(capsys, fig_net):

@@ -27,17 +27,23 @@ SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 pc1 = builtin("pc1")
 
 
-def _renamed_pc1(name):
-    syms = pc1.symbols
+def _renamed_pc1(name, less="<"):
+    # pc1 under another name, with its "<" written as ``less``
+    def sym(s):
+        return less if s == "<" else s
+
+    def syms(mask):
+        return [sym(s) for s in pc1.symbols_of(mask)]
+
     return CalculusSpec(
         name,
-        list(syms),
-        list(pc1.symbols_of(pc1.identity_mask)),
-        {s: pc1.symbols_of(pc1.converse_row[i]) for i, s in enumerate(syms)},
+        syms(pc1.universal),
+        syms(pc1.identity_mask),
+        {sym(s): syms(pc1.converse_row[i]) for i, s in enumerate(pc1.symbols)},
         {
-            (a, b): pc1.symbols_of(pc1.composition_row[i][j])
-            for i, a in enumerate(syms)
-            for j, b in enumerate(syms)
+            (sym(a), sym(b)): syms(pc1.composition_row[i][j])
+            for i, a in enumerate(pc1.symbols)
+            for j, b in enumerate(pc1.symbols)
         },
     )
 
@@ -188,9 +194,10 @@ def _fields(model):
     return model.name, model.calculus, model.universe, model.phi
 
 
-@pytest.mark.parametrize("var", ["x y", "", "a#b", "a\nb"])
+@pytest.mark.parametrize("var", ["x y", "", "a#b", "a\nb", "network", "calculus", "vars"])
 def test_networks_refuse_variable_names_that_files_cannot_carry(var):
-    # "vars x y B" would read back as three variables
+    # "vars x y B" would read back as three variables, and a constraint
+    # line "vars (<) B" as a second vars clause
     with pytest.raises(NetworkError, match="does not fit the file formats"):
         ConstraintNetwork(pc1, [var, "B"])
 
@@ -211,3 +218,20 @@ def test_writers_refuse_calculus_names_that_files_cannot_carry(name):
     chain3 = builtin_model("pc1-chain3")
     with pytest.raises(NetworkError, match="calculus name .* does not fit the file formats"):
         FiniteInterpretation(calc, chain3.universe, chain3.phi).to_text()
+
+
+@pytest.mark.parametrize("symbol", ["a b", "a#b", "", "x:"])
+def test_writers_refuse_relation_symbols_that_files_cannot_carry(symbol):
+    calc = _renamed_pc1("t", less=symbol)
+    chain3 = builtin_model("pc1-chain3")
+    phi = {symbol: chain3.phi["<"], "=": chain3.phi["="], ">": chain3.phi[">"]}
+    # "x:" reads back from network files, but "x:: (0,1)" is no model line
+    with pytest.raises(NetworkError, match=f"relation symbol {symbol!r} does not fit"):
+        FiniteInterpretation(calc, chain3.universe, phi).to_text()
+    net = ConstraintNetwork(calc, ["A", "B"])
+    net["A", "B"], net["B", "A"] = calc.relation(symbol), calc.relation(">")
+    if symbol == "x:":
+        assert parse_network(net.to_text(), calc) == net
+    else:
+        with pytest.raises(NetworkError, match=f"relation symbol {symbol!r} does not fit"):
+            net.to_text()

@@ -27,7 +27,7 @@ from qsr import (
     random_network,
     satisfies,
 )
-from qsr.models import BUILTIN_MODEL_NAMES
+from qsr.registry import BUILTIN_MODEL_NAMES
 
 pc1 = builtin("pc1")
 b2 = builtin("appendixB2")

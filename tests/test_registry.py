@@ -1,5 +1,6 @@
 """Builtin calculi, spec-file parsing, serialization, validation."""
 
+import ast
 import hashlib
 import os
 import re
@@ -11,9 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsr import builtin, builtin_model, parse_spec, serialize, validate
+from qsr import builtin, builtin_model, models, parse_spec, serialize, validate
 from qsr.core import CalculusError, CalculusSpec
-from qsr.registry import BUILTIN_NAMES, SpecParseError
+from qsr.registry import (
+    _DOMAINS,
+    _UNIVERSES,
+    BUILTIN_MODEL_NAMES,
+    BUILTIN_NAMES,
+    SpecParseError,
+    weak_operations,
+)
 
 
 def test_builtin_names_stable():
@@ -61,10 +69,10 @@ sys.setprofile(lambda frame, event, arg: event == "call"
                and frame.f_code.co_name == "weak_operations" and derived.append(1))
 import qsr.cli
 assert "concurrent.futures" not in sys.modules and "multiprocessing" not in sys.modules
-from qsr import builtin, builtin_model, registry
-assert not derived and not registry._CACHE and builtin_model.cache_info().currsize == 0
+from qsr import builtin, builtin_model
+assert not derived and builtin.cache_info().currsize == builtin_model.cache_info().currsize == 0
 builtin("rcc5")
-assert len(derived) == 1 and list(registry._CACHE) == ["rcc5"]
+assert len(derived) == 1 and builtin.cache_info().currsize == 1
 builtin_model("rcc5-subsets4")
 assert len(derived) == 1
 builtin("appendixB2")
@@ -75,16 +83,33 @@ assert len(derived) == 2
 
 def test_import_derives_no_table():
     # a command that loads a spec file never pays for deriving the builtins
-    src = Path(builtin.__code__.co_filename).resolve().parent.parent
+    src = Path(builtin.__wrapped__.__code__.co_filename).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     subprocess.run([sys.executable, "-c", LAZY_IMPORT], env=env, check=True, timeout=60)
 
 
-def test_source_provenance():
-    assert builtin("pc1").source.origin == "builtin"
-    spec = parse_spec(PC1_SPEC)
-    assert spec.source.origin == "file"
-    assert spec.source.raw == PC1_SPEC
+@pytest.mark.parametrize("name", BUILTIN_MODEL_NAMES)
+def test_builtin_models_hold_the_pairs_of_their_domains(name):
+    # builtin_model reads the relation function directly; weak_operations,
+    # which derives the tables of builtin(), is the reference for its pairs
+    calculus, elements = _UNIVERSES[name]
+    symbols, _, rel, _, _ = _DOMAINS[calculus]
+    phi = weak_operations(elements, rel, symbols)[0]
+    assert builtin_model(name).phi == {s: frozenset(pairs) for s, pairs in phi.items()}
+
+
+def test_models_module_does_not_import_the_registry():
+    # registry builds models on FiniteInterpretation; the reverse import
+    # would make the two modules a cycle again
+    tree = ast.parse(Path(models.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+    assert not {name for name in imported if name.split(".")[-1] == "registry"}
 
 
 def test_pc1_table_cells():

@@ -21,7 +21,7 @@ from qsr import (
     normalize,
     random_network,
 )
-from qsr.models import BUILTIN_MODEL_NAMES
+from qsr.registry import BUILTIN_MODEL_NAMES
 
 pc1 = builtin("pc1")
 rcc5 = builtin("rcc5")
