@@ -33,6 +33,7 @@ from .models import (
     BudgetExceededError,
     CellStrength,
     FiniteInterpretation,
+    Valuation,
     brute_force_solve,
     check_jepd,
     check_partition_scheme,
@@ -42,16 +43,15 @@ from .models import (
     domain_converse,
     load_model,
     parse_model,
+    satisfies,
 )
 from .network import (
     ConstraintNetwork,
     NetworkError,
-    Valuation,
     load_network,
     normalize,
     parse_network,
     random_network,
-    satisfies,
 )
 from .registry import (
     BUILTIN_NAMES,

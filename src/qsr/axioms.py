@@ -569,8 +569,7 @@ def check_axiom_composite(
         tuples = (
             tuple(rng.randrange(size) for _ in range(ax.arity)) for _ in range(samples)
         )
-    return _audit(spec, axiom, _tuple_hits(spec, axiom, tuples), total,
-                  lambda m: "(" + " ".join(spec.symbols_of(m)) + ")")[k]
+    return _audit(spec, axiom, _tuple_hits(spec, axiom, tuples), total, spec.format_mask)[k]
 
 
 def r6_r6l_equivalence_check(spec: CalculusSpec) -> Optional[bool]:

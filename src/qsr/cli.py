@@ -24,6 +24,7 @@ from .closure import a_closure
 from .core import CalculusError, CalculusSpec
 from .models import (
     BudgetExceededError,
+    CellStrength,
     brute_force_solve,
     check_jepd,
     check_partition_scheme,
@@ -46,21 +47,19 @@ class CliError(Exception):
 
 
 def _load_calculus(args: argparse.Namespace) -> CalculusSpec:
-    given = [bool(args.builtin), bool(args.spec), bool(getattr(args, "spec_path", None))]
-    if sum(given) != 1:
-        raise CliError("exactly one of --builtin NAME, --spec PATH or a spec path is required")
+    if bool(args.builtin) == bool(args.spec):
+        raise CliError("exactly one of --builtin NAME or --spec PATH is required")
     if args.builtin:
         try:
             return registry.builtin(args.builtin)
         except KeyError as exc:
             raise CliError(str(exc.args[0])) from None
-    path = args.spec or args.spec_path
     try:
-        return registry.load_spec(path)
+        return registry.load_spec(args.spec)
     except OSError as exc:
         raise CliError(f"cannot read calculus spec: {exc}") from None
     except SpecParseError as exc:
-        raise CliError(f"parse error in {path}: {exc}") from None
+        raise CliError(f"parse error in {args.spec}: {exc}") from None
 
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
@@ -213,8 +212,6 @@ def _yn(flag: bool) -> str:
 
 
 def _strength_summary(grading) -> tuple[str, str]:
-    from .models import CellStrength
-
     if not grading.is_calculus_under_model:
         return "UNSOUND", ", ".join(" ".join(c) for c in grading.unsound_cells[:3])
     if grading.strong:
@@ -238,15 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_calc_opts(p: argparse.ArgumentParser, positional_spec: bool = False) -> None:
+    def add_calc_opts(p: argparse.ArgumentParser) -> None:
         p.add_argument("--builtin", help="name of a builtin calculus")
         p.add_argument("--spec", help="path to a calculus spec file")
-        if positional_spec:
-            p.add_argument("spec_path", nargs="?", help="calculus spec file (same as --spec)")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("analyze", help="axiom audit and algebra classification")
-    add_calc_opts(p, positional_spec=True)
+    add_calc_opts(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("closure", help="algebraic closure of a network")

@@ -8,8 +8,9 @@ the strength of the symbolic operations (strong / weak / abstract-only /
 unsound per table cell), and brute-force solving of constraint networks.
 
 Model files follow the rules shared with network and spec files; their
-header is read by :func:`qsr.network.read_header`, and :func:`parse_model`
-reads only the interpretation lines:
+header is read by :func:`qsr.network.read_header` against the calculus the
+reader is given, and :func:`parse_model` reads only the interpretation
+lines:
 
     model "chain3"
     calculus pc1
@@ -36,6 +37,8 @@ from .core import CalculusError, CalculusMismatchError, CalculusSpec
 from .network import ConstraintNetwork, NetworkError, check_token, name_line, read_header
 
 Pair = tuple[str, str]
+# a valuation assigns one universe element to every variable
+Valuation = dict[str, str]
 
 
 class BudgetExceededError(Exception):
@@ -114,9 +117,6 @@ class FiniteInterpretation:
         for sym in self.calculus.symbols_of(mask):
             out |= self.phi[sym]
         return frozenset(out)
-
-    def mask_contains(self, mask: int, pair: Pair) -> bool:
-        return mask & self._cover.get(pair, 0) != 0
 
     def __repr__(self) -> str:
         return (
@@ -335,11 +335,29 @@ def classify_operation(
     return OperationClassification(which, cells)
 
 
+def satisfies(net: ConstraintNetwork, valuation: Valuation, model: FiniteInterpretation) -> bool:
+    """Does ``valuation`` (variable -> universe element) solve ``net`` in ``model``?
+
+    True iff for every ordered pair of variables the assigned element pair
+    lies in the interpretation of the pair's constraint.
+    """
+    if model.calculus is not net.calculus:
+        raise CalculusMismatchError("model interprets a different calculus")
+    missing = [v for v in net.var_names if v not in valuation]
+    if missing:
+        raise NetworkError(f"valuation is not total, missing: {', '.join(missing)}")
+    n = len(net.var_names)
+    values = [valuation[v] for v in net.var_names]
+    cover = model._cover
+    return all(net.cells[i * n + j] & cover.get((values[i], values[j]), 0)
+               for i in range(n) for j in range(n) if i != j)
+
+
 def brute_force_solve(
     net: ConstraintNetwork,
     model: FiniteInterpretation,
     budget: int = 2_000_000,
-) -> Optional[dict[str, str]]:
+) -> Optional[Valuation]:
     """Search the valuations by backtracking; return the first satisfying one, or None.
 
     Variables 0..n-1 are assigned in order, each trying the universe in
@@ -406,8 +424,9 @@ def brute_force_solve(
     return None
 
 
-def parse_model(text: str, calculus: Optional[CalculusSpec] = None) -> FiniteInterpretation:
-    """Parse model-file text; the calculus is resolved like in network files."""
+def parse_model(text: str, calculus: CalculusSpec) -> FiniteInterpretation:
+    """Parse model-file text over ``calculus``, whose name the file's ``calculus``
+    line must give, as in network files."""
     raw_phi: dict[str, list[Pair]] = {}
     lines: dict[str, int] = {}
 
@@ -426,7 +445,7 @@ def parse_model(text: str, calculus: Optional[CalculusSpec] = None) -> FiniteInt
             raise NetworkError(f"duplicate interpretation for {sym!r}", lineno)
         raw_phi[sym], lines[sym] = pairs, lineno
 
-    name, calculus, universe, at = read_header(text, "model", calculus, interpretation)
+    name, universe, at = read_header(text, "model", calculus, interpretation)
     try:
         # the universe, each symbol and its pairs at their lines, then the model
         elems = set(_universe(universe))
@@ -440,6 +459,6 @@ def parse_model(text: str, calculus: Optional[CalculusSpec] = None) -> FiniteInt
         raise NetworkError(str(exc), at) from None
 
 
-def load_model(path: str, calculus: Optional[CalculusSpec] = None) -> FiniteInterpretation:
+def load_model(path: str, calculus: CalculusSpec) -> FiniteInterpretation:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_model(fh.read(), calculus)

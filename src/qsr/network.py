@@ -21,8 +21,12 @@ network and model files, :func:`read_header`.
     x0 (<) x1
     x1 (< =) x2
 
-Duplicate pair lines are intersected, and a line for (y, x) constrains
-(x, y) through its converse, exactly like :func:`normalize`.
+A reader is given the calculus it reads into; the file's ``calculus``
+line only names it, and a line naming another calculus is an error at that
+line.  Duplicate pair lines are intersected, and a line for (y, x)
+constrains (x, y) through its converse, exactly like :func:`normalize`.
+
+This module imports nothing from the package but :mod:`qsr.core`.
 """
 
 from __future__ import annotations
@@ -32,9 +36,6 @@ import shlex
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import CalculusError, CalculusMismatchError, CalculusSpec, RelationSet
-
-# a valuation assigns one universe element to every variable
-Valuation = dict[str, str]
 
 
 class NetworkError(Exception):
@@ -80,14 +81,22 @@ class ConstraintNetwork:
         except KeyError:
             raise NetworkError(f"unknown variable {name!r}") from None
 
+    def _cell(self, i: int, j: int) -> int:
+        """The position of cell (i, j) in ``cells``; an index outside 0..n-1 raises."""
+        n = len(self.var_names)
+        if not (0 <= i < n and 0 <= j < n):
+            raise NetworkError(f"cell ({i}, {j}) is outside a network of {n} variables")
+        return i * n + j
+
     def get_mask(self, i: int, j: int) -> int:
-        return self.cells[i * len(self.var_names) + j]
+        return self.cells[self._cell(i, j)]
 
     def set_mask(self, i: int, j: int, mask: int) -> None:
         """Assign the (i, j) cell only; the (j, i) cell is left as it is."""
+        cell = self._cell(i, j)
         if i == j:
             raise NetworkError("diagonal cells are fixed and cannot be assigned")
-        self.cells[i * len(self.var_names) + j] = mask
+        self.cells[cell] = mask
 
     def __getitem__(self, pair: tuple[str, str]) -> RelationSet:
         x, y = pair
@@ -260,17 +269,15 @@ _ITEMS = {"network": ("vars", "vars clause needs at least one name"),
           "model": ("universe", "universe needs at least one element")}
 
 
-def read_header(text: str, keyword: str, calculus: Optional[CalculusSpec],
-                body: Callable[[int, str, list[str]], None]) -> tuple[str, CalculusSpec, list[str], int]:
-    """Read a network or model file (``keyword``): its name, ``calculus`` and ``vars`` or
-    ``universe`` clause, each at most once; every other line goes to ``body(lineno, line,
-    tokens)`` as it is met, so errors come in line order.  Returns (name, calculus, items,
-    the line of the items clause)."""
-    from . import registry
-
+def read_header(text: str, keyword: str, calculus: CalculusSpec,
+                body: Callable[[int, str, list[str]], None]) -> tuple[str, list[str], int]:
+    """Read a network or model file (``keyword``) over ``calculus``: its name, ``calculus``
+    and ``vars`` or ``universe`` clause, each at most once; the ``calculus`` clause must
+    name ``calculus``.  Every other line goes to ``body(lineno, line, tokens)`` as it is
+    met, so errors come in line order.  Returns (name, items, the line of the items clause)."""
     items_keyword, empty = _ITEMS[keyword]
     name: Optional[str] = None
-    declared: Optional[str] = None
+    declared = False
     items: Optional[list[str]] = None
     items_line = 0
     for lineno, line in read_lines(text):
@@ -281,11 +288,14 @@ def read_header(text: str, keyword: str, calculus: Optional[CalculusSpec],
                 raise NetworkError(f"duplicate {keyword} clause", lineno)
             name = quoted_name(line, lineno)
         elif head == "calculus":
-            if declared is not None:
+            if declared:
                 raise NetworkError("duplicate calculus clause", lineno)
             if len(tokens) != 2:
                 raise NetworkError("expected: calculus <name>", lineno)
-            declared = tokens[1]
+            if tokens[1] != calculus.name:
+                raise NetworkError(f"{keyword} declares calculus {tokens[1]!r} "
+                                   f"but {calculus.name!r} was supplied", lineno)
+            declared = True
         elif head == items_keyword:
             if items is not None:
                 raise NetworkError(f"duplicate {items_keyword} clause", lineno)
@@ -295,25 +305,16 @@ def read_header(text: str, keyword: str, calculus: Optional[CalculusSpec],
         else:
             body(lineno, line, tokens)
 
-    if declared is None:
+    if not declared:
         raise NetworkError("missing calculus clause")
-    if calculus is None:
-        calculus = registry.builtin(declared)
-    elif calculus.name != declared:
-        raise NetworkError(f"{keyword} declares calculus {declared!r} "
-                           f"but {calculus.name!r} was supplied")
     if items is None:
         raise NetworkError(f"missing {items_keyword} clause")
-    return name or "", calculus, items, items_line
+    return name or "", items, items_line
 
 
-def parse_network(text: str, calculus: Optional[CalculusSpec] = None) -> ConstraintNetwork:
-    """Parse network-file text.
-
-    ``calculus`` supplies the calculus to interpret symbols in; the file's
-    ``calculus`` line must match its name.  Without an explicit calculus the
-    name is resolved against the builtin registry.
-    """
+def parse_network(text: str, calculus: CalculusSpec) -> ConstraintNetwork:
+    """Parse network-file text over ``calculus``, whose name the file's ``calculus``
+    line must give; symbols are read in ``calculus``."""
     edges: list[tuple[str, str, str, int]] = []
 
     def edge(lineno: int, line: str, tokens: list[str]) -> None:
@@ -324,7 +325,7 @@ def parse_network(text: str, calculus: Optional[CalculusSpec] = None) -> Constra
             raise NetworkError("constraint needs a (sym ...) group", lineno)
         edges.append((tokens[0], group[1:-1], tokens[-1], lineno))
 
-    name, calculus, var_names, vars_line = read_header(text, "network", calculus, edge)
+    name, var_names, vars_line = read_header(text, "network", calculus, edge)
     declared = set(var_names)
     rel_edges = []
     for x, group, y, lineno in edges:
@@ -344,32 +345,9 @@ def parse_network(text: str, calculus: Optional[CalculusSpec] = None) -> Constra
         raise NetworkError(str(exc), vars_line) from None
 
 
-def load_network(path: str, calculus: Optional[CalculusSpec] = None) -> ConstraintNetwork:
+def load_network(path: str, calculus: CalculusSpec) -> ConstraintNetwork:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_network(fh.read(), calculus)
-
-
-def satisfies(net: ConstraintNetwork, valuation: Valuation, model) -> bool:
-    """Does ``valuation`` (variable -> universe element) solve ``net`` in ``model``?
-
-    True iff for every ordered pair of variables the assigned element pair
-    lies in the interpretation of the pair's constraint.
-    """
-    if model.calculus is not net.calculus:
-        raise CalculusMismatchError("model interprets a different calculus")
-    missing = [v for v in net.var_names if v not in valuation]
-    if missing:
-        raise NetworkError(f"valuation is not total, missing: {', '.join(missing)}")
-    n = len(net.var_names)
-    values = [valuation[v] for v in net.var_names]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            pair = (values[i], values[j])
-            if not model.mask_contains(net.get_mask(i, j), pair):
-                return False
-    return True
 
 
 def random_network(

@@ -290,9 +290,9 @@ def test_row_audit_equals_the_per_tuple_audit(random_calculus, dihedral_group, c
 
 @pytest.mark.parametrize("n", [1, 2, 8, 9, 16, 17])
 def test_row_audit_equals_the_per_tuple_audit_at_lane_width_edges(random_calculus, n):
-    # up to 8 relations compose_masks reads dense rows, up to 16 chunked
-    # rows and above that _compose_large; at n + 1 bits a lane's top mask
-    # bit sits right below its guard bit
+    # up to 8 relations compose_masks reads dense rows and above that calls
+    # _compose_large; at n + 1 bits a lane's top mask bit sits right below
+    # its guard bit
     rng = Random(n)
     for t in range(3):
         spec = random_calculus(rng, n, f"rand{n}-{t}")

@@ -61,12 +61,12 @@ def test_analyze_json_lists_counterexample(capsys):
 
 
 def test_analyze_missing_spec_file(capsys):
-    code, _, err = run(capsys, "analyze", "missing.spec")
+    code, _, err = run(capsys, "analyze", "--spec", "missing.spec")
     assert code == 2
     assert "error" in err
 
 
-def test_analyze_spec_file_and_jobs(capsys, tmp_path):
+def test_analyze_spec_file(capsys, tmp_path):
     path = tmp_path / "pc1.spec"
     path.write_text(serialize(builtin("pc1")))
     code, out, _ = run(capsys, "analyze", "--spec", str(path))
@@ -159,7 +159,7 @@ def test_gen_deterministic_and_loadable(capsys):
     assert first == second
     from qsr import parse_network
 
-    net = parse_network(first)
+    net = parse_network(first, builtin("rcc5"))
     assert len(net.var_names) == 6
 
 

@@ -63,11 +63,11 @@ def _model(name):
 @pytest.mark.parametrize("name", ["p c", 'a"b', "it's", "back\\slash", '""'])
 def test_names_round_trip_through_every_format(name):
     net = _network(name)
-    again = parse_network(net.to_text())
+    again = parse_network(net.to_text(), pc1)
     assert (again, again.name) == (net, name)
 
     model = _model(name)
-    back = parse_model(model.to_text())
+    back = parse_model(model.to_text(), pc1)
     assert (back.name, back.universe, back.phi) == (name, model.universe, model.phi)
 
     spec = _renamed_pc1(name)
@@ -87,13 +87,9 @@ def test_names_that_cannot_be_read_back_are_not_written(name):
 
 NET = 'network "n"\ncalculus pc1\nvars A B C\nA (<) B\n'
 MODEL = 'model "m"\ncalculus pc1\nuniverse 0 1\n<: (0,1)\n=: (0,0) (1,1)\n>: (1,0)\n'
-NOT_BUILTIN = (
-    "unknown builtin calculus 'allen'; available: "
-    "pc1, rcc5, cycb, appendixB1, appendixB2, appendixB-remark"
-)
 
-# (parser, text, exception type, message); a message without a line number
-# is about the whole file
+# (parser, text, exception type, message); network and model texts are read
+# into pc1, and a message without a line number is about the whole file
 PARSE_ERRORS = [
     (parse_network, NET.replace("calculus pc1\n", ""), NetworkError, "missing calculus clause"),
     (parse_network, NET.replace("vars A B C\n", ""), NetworkError, "missing vars clause"),
@@ -103,7 +99,8 @@ PARSE_ERRORS = [
      "line 2: expected: calculus <name>"),
     (parse_network, NET.replace("calculus pc1", "calculus pc1 rcc5"), NetworkError,
      "line 2: expected: calculus <name>"),
-    (parse_network, NET.replace("calculus pc1", "calculus allen"), KeyError, NOT_BUILTIN),
+    (parse_network, NET.replace("calculus pc1", "calculus allen"), NetworkError,
+     "line 2: network declares calculus 'allen' but 'pc1' was supplied"),
     (parse_network, NET.replace('"n"', '"n'), NetworkError, "line 1: No closing quotation"),
     (parse_network, NET.replace('"n"', '"n" extra'), NetworkError,
      'line 1: expected: network "<name>"'),
@@ -131,6 +128,8 @@ PARSE_ERRORS = [
      "line 3: universe needs at least one element"),
     (parse_model, MODEL.replace("calculus pc1", "calculus pc1 x"), NetworkError,
      "line 2: expected: calculus <name>"),
+    (parse_model, MODEL.replace("calculus pc1", "calculus rcc5"), NetworkError,
+     "line 2: model declares calculus 'rcc5' but 'pc1' was supplied"),
     (parse_model, MODEL.replace('"m"', "'m"), NetworkError, "line 1: No closing quotation"),
     (parse_model, MODEL.replace('"m"', '"m" "n"'), NetworkError,
      'line 1: expected: model "<name>"'),
@@ -167,7 +166,7 @@ PARSE_ERRORS = [
 @pytest.mark.parametrize("parse, text, error, message", PARSE_ERRORS)
 def test_every_parse_error_keeps_its_type_message_and_line(parse, text, error, message):
     with pytest.raises(error) as info:
-        parse(text)
+        parse(text) if parse is parse_spec else parse(text, pc1)
     assert type(info.value) is error
     assert info.value.args[0] == message
 
@@ -177,17 +176,17 @@ def test_shipped_samples_load_and_write_back():
     assert spec == pc1
     assert parse_spec(serialize(spec)) == spec
 
-    net = load_network(str(SAMPLES / "incomplete.net"))
+    net = load_network(str(SAMPLES / "incomplete.net"), pc1)
     readme = ConstraintNetwork(pc1, ["A", "B", "C"])
     readme["A", "B"] = readme["B", "C"] = pc1.relation("<")
     readme["B", "A"] = readme["C", "B"] = pc1.relation(">")
     assert (net, net.name) == (readme, "incomplete")
-    again = parse_network(net.to_text())
+    again = parse_network(net.to_text(), pc1)
     assert (again, again.name) == (net, net.name)
 
-    model = load_model(str(SAMPLES / "chain3.model"))
+    model = load_model(str(SAMPLES / "chain3.model"), pc1)
     assert _fields(model) == _fields(builtin_model("pc1-chain3"))
-    assert _fields(parse_model(model.to_text())) == _fields(model)
+    assert _fields(parse_model(model.to_text(), pc1)) == _fields(model)
 
 
 def _fields(model):

@@ -333,10 +333,10 @@ r4: (1,0)
 
 
 def test_model_file_round_trip():
-    model = parse_model(MODEL_TEXT)
+    model = parse_model(MODEL_TEXT, b2)
     assert model.universe == ("0", "1")
     assert model.phi["r3"] == {("0", "1")}
-    again = parse_model(model.to_text())
+    again = parse_model(model.to_text(), b2)
     assert again.phi == model.phi
 
 
@@ -348,7 +348,7 @@ def test_model_duplicate_header_rejected(clause):
     text = MODEL_TEXT.replace("r1: (0,0)", clause + "\nr1: (0,0)")
     head = clause.split()[0]
     with pytest.raises(NetworkError, match=f"line 4: duplicate {head} clause"):
-        parse_model(text)
+        parse_model(text, b2)
 
 
 def test_model_requires_injective_phi():
@@ -356,7 +356,7 @@ def test_model_requires_injective_phi():
     from qsr import NetworkError
 
     with pytest.raises(NetworkError, match="injective"):
-        parse_model(text)
+        parse_model(text, b2)
 
 
 def test_builtin_models_are_valid():

@@ -85,6 +85,19 @@ def test_diagonal_universal_without_identity():
     assert net["x", "x"] == free.universal_relation
 
 
+def test_cell_indices_outside_the_network_are_refused():
+    # row-major storage would read (0, -1) as the diagonal (2, 2), write
+    # (0, 3) into (1, 0) and (0, 4) over the diagonal (1, 1)
+    net = ConstraintNetwork(pc1, ["A", "B", "C"])
+    before = list(net.cells)
+    for i, j in [(0, 3), (0, 4), (3, 0), (0, -1), (-1, 2)]:
+        with pytest.raises(NetworkError, match=rf"cell \({i}, {j}\) is outside a network of 3"):
+            net.get_mask(i, j)
+        with pytest.raises(NetworkError, match=rf"cell \({i}, {j}\) is outside a network of 3"):
+            net.set_mask(i, j, pc1.relation("<").bits)
+    assert net.cells == before
+
+
 def test_satisfies_examples():
     chain3 = builtin_model("pc1-chain3")
     net = normalize(pc1, [edge("A", "<", "B"), edge("B", "<", "C")])
@@ -124,7 +137,7 @@ B (<) C
 
 
 def test_parse_network():
-    net = parse_network(NETWORK_TEXT)
+    net = parse_network(NETWORK_TEXT, pc1)
     assert net.name == "incomplete"
     assert net.var_names == ("A", "B", "C")
     assert net["A", "B"].symbols == ("<",)
@@ -132,7 +145,7 @@ def test_parse_network():
 
 
 def test_parse_network_duplicate_lines_intersect():
-    net = parse_network(NETWORK_TEXT + "A (= <) B\n")
+    net = parse_network(NETWORK_TEXT + "A (= <) B\n", pc1)
     assert net["A", "B"].symbols == ("<",)
 
 
@@ -142,7 +155,7 @@ def test_parse_network_duplicate_header_rejected(clause):
     text = NETWORK_TEXT.replace("A (<) B\n", clause + "\nA (<) B\n")
     head = clause.split()[0]
     with pytest.raises(NetworkError, match=f"line 5: duplicate {head} clause"):
-        parse_network(text)
+        parse_network(text, pc1)
 
 
 def test_parse_network_calculus_mismatch():
@@ -158,7 +171,7 @@ def test_network_text_round_trip(random_calculus):
     from qsr import a_closure
 
     rng = _random.Random(1789)
-    nets = [parse_network(NETWORK_TEXT)]
+    nets = [parse_network(NETWORK_TEXT, pc1)]
     for t in range(200):
         calc = random_calculus(rng, rng.choice((2, 3, 4, 9)), f"rand{t}")
         if calc.flags.ra7_holds:
@@ -177,7 +190,7 @@ def test_network_text_round_trip(random_calculus):
 
 
 def test_network_json_export():
-    net = parse_network(NETWORK_TEXT)
+    net = parse_network(NETWORK_TEXT, pc1)
     doc = json.loads(json.dumps(net.to_json_dict()))
     assert doc["vars"] == ["A", "B", "C"]
     assert doc["matrix"][0][1] == ["<"]

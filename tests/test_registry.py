@@ -1,6 +1,5 @@
 """Builtin calculi, spec-file parsing, serialization, validation."""
 
-import ast
 import hashlib
 import os
 import re
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsr import builtin, builtin_model, models, parse_spec, serialize, validate
+from qsr import builtin, builtin_model, parse_spec, serialize, validate
 from qsr.core import CalculusError, CalculusSpec
 from qsr.registry import (
     _DOMAINS,
@@ -96,20 +95,6 @@ def test_builtin_models_hold_the_pairs_of_their_domains(name):
     symbols, _, rel, _, _ = _DOMAINS[calculus]
     phi = weak_operations(elements, rel, symbols)[0]
     assert builtin_model(name).phi == {s: frozenset(pairs) for s, pairs in phi.items()}
-
-
-def test_models_module_does_not_import_the_registry():
-    # registry builds models on FiniteInterpretation; the reverse import
-    # would make the two modules a cycle again
-    tree = ast.parse(Path(models.__file__).read_text())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            imported.add(node.module or "")
-            imported.update(alias.name for alias in node.names)
-    assert not {name for name in imported if name.split(".")[-1] == "registry"}
 
 
 def test_pc1_table_cells():
