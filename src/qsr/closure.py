@@ -104,6 +104,11 @@ can fail, and popping it revises those.  The result equals the full
 closure of ``net``: the greatest fixpoint below a network is unique.  Full
 and incremental closure differ only in the pairs they start from.
 
+``a_closure(net, trail=lst)`` is the in-place form, also used by refinement
+search: it closes ``net`` itself and appends each written cell's index and
+old mask to ``lst``, so the caller can undo the closure.  Without a trail
+``a_closure`` copies ``net`` and runs the same code with a list of its own.
+
 ``naive_closure`` is an independent reference: it iterates the refinement
 rule over all ordered triples and both cell directions, together with the
 2-consistency rule, until nothing changes.  Both algorithms compute the same
@@ -154,8 +159,10 @@ def a_closure(
     seed: Optional[int] = None,
     *,
     changed: Optional[tuple[int, int]] = None,
+    trail: Optional[list] = None,
 ) -> ClosureOutcome:
-    """Close ``net`` under the triangle refinement rule; pure, input untouched.
+    """Close ``net`` under the triangle refinement rule; pure, input untouched,
+    unless a ``trail`` is given.
 
     ``queue_order`` selects the worklist discipline (``fifo``, ``lifo`` or
     ``shuffled``, drawn from ``random.Random(seed)``); the fixpoint is the
@@ -167,13 +174,24 @@ def a_closure(
     The closure then starts from that pair alone.  The precondition is not
     checked; if it fails, the result need not be closed.  An out-of-range
     or diagonal pair raises ``ValueError``.
+
+    ``trail=lst`` closes ``net`` itself, and the outcome's network is
+    ``net``.  Before each cell write the closure appends the cell's index
+    and then its old mask to ``lst``, so restoring the pairs it added, last
+    first, gives back the input cells, on a closed and on an inconsistent
+    outcome alike.  Without a trail the closure copies ``net`` and runs the
+    same code with a list of its own.
     """
     if queue_order not in (FIFO, LIFO, SHUFFLED):
         raise ValueError(f"unknown queue order {queue_order!r}")
     n = len(net.var_names)
     calc = net.calculus
-    work = net.copy()
+    if trail is None:
+        work, trail = net.copy(), []
+    else:
+        work = net
     cells = work.cells
+    push = trail.append
     conv = calc.converse_mask
     comp = calc.compose_masks
     comp_row = calc.compose_row
@@ -261,13 +279,22 @@ def a_closure(
             if rp == 0:
                 return b, a
             revisions += 1
+            push(ba)
+            push(cells[ba])
             cells[ba] = rp
         if r != cells[ab]:
             if r == 0:
+                # r == 0 empties rp too, so C[b][a] was empty before this
+                # call: a changed= precondition that does not hold, an
+                # empty cell outside the changed pair.  Without this
+                # return the pair would be written empty and the closure
+                # could still end "closed"
                 return a, b
             # under R7, r = conv(rp): both writes revise one unordered pair
             if not (ra7 and updated):
                 revisions += 1
+            push(ab)
+            push(cells[ab])
             cells[ab] = r
         enqueue(a, b)
         return None
@@ -327,8 +354,10 @@ def a_closure(
                             if r == 0:
                                 return outcome(ClosureStatus.INCONSISTENT, (i, k))
                             revisions += 1
+                            ki = k * n + i
+                            trail += (bi + k, c_ik, ki, cells[ki])
                             cells[bi + k] = c_ik = r
-                            cells[k * n + i] = conv(r)
+                            cells[ki] = conv(r)
                             enqueue(i, k)
                     if c_ik == absorbing:
                         continue
@@ -339,8 +368,10 @@ def a_closure(
                         if r == 0:
                             return outcome(ClosureStatus.INCONSISTENT, (k, j))
                         revisions += 1
+                        kj = k * n + j
+                        trail += (bj + k, c_jk, kj, cells[kj])
                         cells[bj + k] = r
-                        cells[k * n + j] = conv(r)
+                        cells[kj] = conv(r)
                         enqueue(k, j)
                 continue
             row_ij = comp_row(c_ij)
@@ -356,8 +387,10 @@ def a_closure(
                     if r == 0:
                         return outcome(ClosureStatus.INCONSISTENT, (i, k))
                     revisions += 1
+                    ki = k * n + i
+                    trail += (bi + k, c_ik, ki, cells[ki])
                     cells[bi + k] = c_ik = r
-                    cells[k * n + i] = conv(r)
+                    cells[ki] = conv(r)
                     enqueue(i, k)
                 # C[j][k] <- C[j][k] & C[j][i].C[i][k], the converse of
                 # C[k][j] <- C[k][j] & C[k][i].C[i][j]
@@ -366,8 +399,10 @@ def a_closure(
                     if r == 0:
                         return outcome(ClosureStatus.INCONSISTENT, (k, j))
                     revisions += 1
+                    kj = k * n + j
+                    trail += (bj + k, c_jk, kj, cells[kj])
                     cells[bj + k] = r
-                    cells[k * n + j] = conv(r)
+                    cells[kj] = conv(r)
                     enqueue(k, j)
             continue
         # the safe branches: every pair is 2-consistent here, so a triangle

@@ -9,7 +9,9 @@ yields ``closed_unknown``; an exhausted search yields ``inconsistent``.
 
 ``decide`` splits the smallest non-singleton cell first (ties by lowest pair
 index) and tries base relations in declaration order, so node counts are
-reproducible.
+reproducible.  It finds that cell without a scan: the upper cells are kept
+in one set per size, and each closure and each undo refiles only the cells
+that it wrote.
 
 One walk serves ``decide`` and ``derive_completeness``, which differ in
 the pair each node splits and in what a leaf does.  Only the root is
@@ -22,6 +24,14 @@ seeded with that pair (``a_closure(..., changed=(i, j))``, as in GQR) and
 reaches the same fixpoint in work proportional to what the split actually
 propagates.  The walk keeps its open nodes on an explicit stack, so its
 depth is not bounded by the interpreter's recursion limit.
+
+The walk works on one network, the root closure's copy of the input.  A
+split and the child's closure write it in place (``a_closure(...,
+trail=...)``), and each write appends the cell's index and old mask to one
+trail.  A node's frame holds the trail's length when it was closed;
+backtracking to it restores the cells written since, last first (as in
+GQR).  So no node copies the network, and memory grows with the writes on
+the current path, not with n^2 cells per open node.
 
 ``derive_completeness`` splits pair d at depth d, pairs in row order, so
 its leaves are the atomic networks in product order.  Closure is monotone
@@ -57,65 +67,119 @@ class Decision:
     nodes_explored: int
 
 
-def _pick_cell(net: ConstraintNetwork) -> Optional[tuple[int, int]]:
-    n = len(net.var_names)
-    cells = net.cells
-    best: Optional[tuple[int, int]] = None
-    best_size = 0
-    for i in range(n):
-        base = i * n
-        for j in range(i + 1, n):
-            size = cells[base + j].bit_count()
-            if size > 1 and (best is None or size < best_size):
-                if size == 2:
-                    # no non-singleton cell is smaller, and ties go to the
-                    # lowest pair index: the scan can stop here
-                    return i, j
-                best, best_size = (i, j), size
-    return best
+def _undo(cells: list, trail: list, mark: int) -> None:
+    """Restore the cells written since the trail had length ``mark``."""
+    pop = trail.pop
+    while len(trail) > mark:
+        old = pop()
+        cells[pop()] = old
 
 
-def _search(out: ClosureOutcome, choose: Callable, leaf: Callable) -> tuple[Any, int]:
+class _SmallestCell:
+    """``decide``'s cell choice on the working network: the upper cells
+    (i < j) in one set of cell indices per size.
+
+    ``choose`` first refiles the cells that the trail says were written
+    since its last call, then returns the first cell of the smallest size
+    above 1, ties to the lowest pair index, which is the lowest cell index.
+    The sizes it passes over are fewer than the children of the cell it
+    returns.  ``undo`` restores the trail and refiles each cell it
+    restores.  Both rely on each write tightening its cell, so that its
+    size falls with every write.
+    """
+
+    def __init__(self, net: ConstraintNetwork) -> None:
+        n = self.n = len(net.var_names)
+        upper = self.upper = bytearray(n * n)
+        by_size = self.by_size = [set() for _ in range(len(net.calculus.symbols) + 1)]
+        for i in range(n):
+            for idx in range(i * n + i + 1, i * n + n):
+                upper[idx] = 1
+                by_size[net.cells[idx].bit_count()].add(idx)
+        self.seen = 0  # trail entries refiled
+
+    def choose(self, net: ConstraintNetwork, depth: int, trail: list) -> Optional[tuple[int, int]]:
+        by_size, upper, cells = self.by_size, self.upper, net.cells
+        for t in range(self.seen, len(trail), 2):
+            idx = trail[t]
+            if upper[idx]:
+                old = trail[t + 1]
+                # a cell written twice is also discarded from the size of
+                # its second old mask, which is larger than its size now
+                by_size[old.bit_count()].discard(idx)
+                by_size[cells[idx].bit_count()].add(idx)
+        self.seen = len(trail)
+        for size in range(2, len(by_size)):
+            if by_size[size]:
+                return divmod(min(by_size[size]), self.n)
+        return None
+
+    def undo(self, cells: list, trail: list, mark: int) -> None:
+        by_size, upper, pop = self.by_size, self.upper, trail.pop
+        # a cell written only past ``seen`` is still filed under its size
+        # before those writes; refiling it last first moves it back there
+        while len(trail) > mark:
+            old = pop()
+            idx = pop()
+            if upper[idx]:
+                by_size[cells[idx].bit_count()].discard(idx)
+                by_size[old.bit_count()].add(idx)
+            cells[idx] = old
+        self.seen = min(self.seen, mark)
+
+
+def _search(out: ClosureOutcome, choose: Callable, leaf: Callable,
+            undo: Callable = _undo) -> tuple[Any, int]:
     """Depth-first split-and-close walk below the root closure ``out``.
 
-    ``choose(network, depth)`` names the pair (i, j), i < j, that a closed
-    node splits into the base relations of its cell, or None at a leaf;
-    ``leaf(network, path)`` gets a closed leaf and its splits (i, j, base
-    relation).  Returns the first leaf value that is not None, or None,
-    with the number of nodes.
+    The walk splits and closes ``out.network`` in place and keeps a trail
+    of the index and the old mask of every cell written since the root;
+    backtracking restores the trail to the mark of the node it returns to,
+    so no node copies the network.  ``choose(network, depth, trail)`` names
+    the pair (i, j), i < j, that a closed node splits into the base
+    relations of its cell, or None at a leaf; ``leaf(network, path)`` gets
+    a closed leaf and its splits (i, j, base relation).
+    ``undo(cells, trail, mark)`` restores the trail to length ``mark``.
+    Returns the first leaf value that is not None, or None, with the number
+    of nodes.
     """
-    conv = out.network.calculus.converse_mask
-    n = len(out.network.var_names)
+    net = out.network
+    cells = net.cells
+    conv = net.calculus.converse_mask
+    n = len(net.var_names)
+    trail: list = []
     nodes = 1
-    # one frame per open node: its closed network, the cell being split, the
-    # base relations of that cell not tried yet and the closed mirror cell
+    # one frame per open node: its trail mark, the cell being split and the
+    # base relations of that cell not tried yet
     stack: list[list] = []
     while True:
         if out.closed:
-            closed = out.network
-            cell = choose(closed, len(stack))
+            cell = choose(net, len(stack), trail)
             if cell is None:
-                # each frame's network holds its current split in place
-                value = leaf(closed, [(i, j, net.cells[i * n + j]) for net, i, j, _, _ in stack])
+                # the working network holds each frame's current split
+                value = leaf(net, [(i, j, cells[i * n + j]) for _, i, j, _ in stack])
                 if value is not None:
                     return value, nodes
             else:
                 i, j = cell
-                stack.append([closed, i, j, closed.cells[i * n + j], closed.cells[j * n + i]])
+                stack.append([len(trail), i, j, cells[i * n + j]])
         while stack and not stack[-1][3]:
             stack.pop()
         if not stack:
             return None, nodes
         frame = stack[-1]
-        closed, i, j, untried, mirror = frame
+        mark, i, j, untried = frame
+        # back to the closed node, whose child differs in pair (i, j) alone
+        undo(cells, trail, mark)
         bit = untried & -untried
         frame[3] = untried ^ bit
-        # a_closure copies its input: split the open node's network in place;
-        # only pair (i, j) was tightened since it was closed
-        closed.cells[i * n + j] = bit
-        closed.cells[j * n + i] = mirror & conv(bit)
+        ij = i * n + j
+        ji = j * n + i
+        trail += (ij, cells[ij], ji, cells[ji])
+        cells[ij] = bit
+        cells[ji] &= conv(bit)
         nodes += 1
-        out = a_closure(closed, changed=(i, j))
+        out = a_closure(net, changed=(i, j), trail=trail)
 
 
 def decide(net: ConstraintNetwork, acl_decides_atomic: Optional[bool] = None) -> Decision:
@@ -126,8 +190,10 @@ def decide(net: ConstraintNetwork, acl_decides_atomic: Optional[bool] = None) ->
     """
     if acl_decides_atomic is None:
         acl_decides_atomic = net.calculus.flags.acl_decides_atomic
-    closed, nodes = _search(a_closure(net), lambda closed, depth: _pick_cell(closed),
-                            lambda closed, path: closed)
+    # the root closure makes the one copy that the search works on
+    root = a_closure(net)
+    smallest = _SmallestCell(root.network)
+    closed, nodes = _search(root, smallest.choose, lambda closed, path: closed, smallest.undo)
     if closed is None:
         return Decision(Verdict.INCONSISTENT, None, nodes)
     if acl_decides_atomic:
@@ -182,7 +248,7 @@ def derive_completeness(
 
     steps = [*pairs, None]  # the pair split at each depth, then a leaf
     root = a_closure(ConstraintNetwork(calculus, names))
-    counterexample, _ = _search(root, lambda closed, depth: steps[depth], brute_force)
+    counterexample, _ = _search(root, lambda closed, depth, trail: steps[depth], brute_force)
     if counterexample is None:
         return CompletenessResult("yes", total, None)
     # the leaves come in product order: count up to the counterexample's rank

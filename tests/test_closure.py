@@ -4,6 +4,7 @@ import pytest
 
 from qsr import (
     ClosureStatus,
+    ConstraintNetwork,
     a_closure,
     builtin,
     builtin_model,
@@ -204,6 +205,87 @@ def test_changed_pair_must_be_an_off_diagonal_pair(changed):
     net = pc1_net(("A", "<", "B"), ("B", "<", "C"))
     with pytest.raises(ValueError):
         a_closure(net, changed=changed)
+
+
+def _undo(cells, trail):
+    # the trail holds a cell index and then its old mask per write: restore
+    # them last first
+    while trail:
+        old = trail.pop()
+        cells[trail.pop()] = old
+
+
+def test_trail_closes_in_place_like_the_pure_call_and_undoes_exactly(random_calculus, cyclic_group):
+    # pc1 to appendixB-remark take the dense fused pass and the dense safe
+    # branch, Z10 the chunked fused pass, the random 9- and 10-relation
+    # calculi the safe branch with compose_masks calls and the random
+    # 17-relation calculus the call-based loop above 16 relations.  Each
+    # network is closed in full, and each child of a split of its closure
+    # with changed=
+    import random as _random
+
+    rng = _random.Random(2617)
+    calcs = [builtin(name) for name in
+             ("pc1", "rcc5", "cycb", "appendixB1", "appendixB2", "appendixB-remark")]
+    calcs += [random_calculus(rng, rng.choice((9, 10)), f"rand{t}") for t in range(6)]
+    calcs += [cyclic_group(10), random_calculus(rng, 17, "wide")]
+    seen = set()
+    for calc in calcs:
+        for seed in range(8):
+            n = rng.choice((3, 4, 5, 6))
+            net = random_network(calc, n, rng.choice((0.4, 0.8, 1.0)), seed=seed)
+            cases = [(net, None)]
+            ref = a_closure(net)
+            open_pairs = [(i, j) for i in range(n) for j in range(n)
+                          if i != j and ref.network.cells[i * n + j].bit_count() > 1]
+            if ref.closed and open_pairs:
+                # every child of a split
+                i, j = rng.choice(open_pairs)
+                mask = ref.network.cells[i * n + j]
+                for bit in (1 << b for b in range(mask.bit_length()) if mask >> b & 1):
+                    split = ref.network.copy()
+                    split.cells[i * n + j] = bit
+                    split.cells[j * n + i] &= calc.converse_mask(bit)
+                    cases.append((split, (i, j)))
+            for start, changed in cases:
+                for order in ("fifo", "lifo", "shuffled"):
+                    pure = a_closure(start, order, seed, changed=changed)
+                    work = start.copy()
+                    trail = []
+                    got = a_closure(work, order, seed, changed=changed, trail=trail)
+                    assert got.network is work
+                    assert ((got.status, got.network.cells, got.revisions, got.queue_pops, got.empty_pair)
+                            == (pure.status, pure.network.cells, pure.revisions, pure.queue_pops,
+                                pure.empty_pair)), (calc.name, seed, changed, order)
+                    assert len(trail) % 2 == 0
+                    seen.add((got.status, changed is None, bool(trail)))
+                    _undo(work.cells, trail)
+                    assert work.cells == start.cells, (calc.name, seed, changed, order)
+    assert {(status, full, True) for status in ClosureStatus for full in (True, False)} <= seen
+
+
+def test_settle_reports_an_empty_cell_outside_the_changed_pair():
+    # changed=(x, y) promises that every other cell is closed, but C[z][x]
+    # is empty.  The pop of (x, y) empties C[x][z]; settle finds C[z][x]
+    # already empty and must report the pair rather than write it and let
+    # the closure end "closed"
+    b2 = builtin("appendixB2")
+    net = ConstraintNetwork(b2, ["x", "y", "z"])
+    for x, label, y in (("x", "r1", "y"), ("y", "r1 r2", "x"), ("x", "r1", "z"),
+                        ("y", "r2", "z"), ("z", "r2", "y"), ("z", "", "x")):
+        net[x, y] = b2.relation(*label.split())
+    before = list(net.cells)
+    pure = a_closure(net, changed=(0, 1))
+    trail = []
+    out = a_closure(net, changed=(0, 1), trail=trail)
+    assert (out.status, out.empty_pair) == (ClosureStatus.INCONSISTENT, ("x", "z"))
+    assert (pure.status, pure.empty_pair) == (out.status, out.empty_pair)
+    # the prologue tightened C[y][x] to the converse of C[x][y] just before
+    yx = net.var_index("y") * 3 + net.var_index("x")
+    assert trail == [yx, before[yx]]
+    assert net.cells[yx] == b2.mask_of(["r1"])
+    _undo(net.cells, trail)
+    assert net.cells == before
 
 
 def test_incremental_closure_matches_reference_on_split_networks(random_calculus):

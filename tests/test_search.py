@@ -102,7 +102,9 @@ def test_completeness_is_a_decide_argument_not_a_writable_flag():
     assert builtin("rcc5").flags.acl_decides_atomic is True
 
 
-def test_decide_copies_each_node_once_and_leaves_the_input_alone(monkeypatch):
+def test_decide_copies_its_input_at_most_once_and_leaves_it_alone(monkeypatch):
+    # the search splits and closes one working network and undoes it on
+    # backtrack, so the copy count does not grow with the node count
     from qsr.network import ConstraintNetwork
 
     copies = 0
@@ -114,13 +116,16 @@ def test_decide_copies_each_node_once_and_leaves_the_input_alone(monkeypatch):
         return orig(self)
 
     monkeypatch.setattr(ConstraintNetwork, "copy", counting_copy)
+    most_nodes = 0
     for seed in range(20):
         net = random_network(rcc5, 7, 0.5, seed=seed)
         before = list(net.cells)
         copies = 0
         decision = decide(net)
-        assert copies == decision.nodes_explored
+        assert copies <= 1
         assert net.cells == before
+        most_nodes = max(most_nodes, decision.nodes_explored)
+    assert most_nodes > 5
 
 
 def test_atomic_network_explores_one_node():
@@ -403,18 +408,40 @@ def test_child_closures_pop_only_what_the_split_propagates(monkeypatch):
     assert children > 50
 
 
-def test_deep_search_has_no_recursion_limit():
-    # 1,770 split levels on a complete 60-variable network
-    n = 60
+def _complete_dc_po(n):
+    # every cell (DC PO): the search splits each of the n(n-1)/2 pairs once
     net = ConstraintNetwork(rcc5, [f"x{i}" for i in range(n)])
     label = rcc5.mask_of(("DC", "PO"))
     for i in range(n):
         for j in range(n):
             if i != j:
                 net.cells[i * n + j] = label
-    decision = decide(net)
+    return net
+
+
+def test_deep_search_has_no_recursion_limit():
+    # 1,770 split levels on a complete 60-variable network
+    decision = decide(_complete_dc_po(60))
     assert decision.verdict is Verdict.CONSISTENT
     assert decision.nodes_explored == 1771
+
+
+def test_deep_search_memory_does_not_grow_with_the_depth():
+    # 435 split levels: a closed network per open node would hold 435
+    # copies of 900 cells, about 3 MB; one working network and its trail
+    # hold 0.2 MB
+    import tracemalloc
+
+    net = _complete_dc_po(30)
+    a_closure(net)  # build the calculus's tables outside the measurement
+    tracemalloc.start()
+    try:
+        decision = decide(net)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert decision.nodes_explored == 436
+    assert peak < 500_000
 
 
 def _two_way_network(calc, n, rng):
