@@ -315,7 +315,7 @@ def read_header(text: str, keyword: str, calculus: CalculusSpec,
 def parse_network(text: str, calculus: CalculusSpec) -> ConstraintNetwork:
     """Parse network-file text over ``calculus``, whose name the file's ``calculus``
     line must give; symbols are read in ``calculus``."""
-    edges: list[tuple[str, str, str, int]] = []
+    edges: list[tuple[str, RelationSet, str, int]] = []
 
     def edge(lineno: int, line: str, tokens: list[str]) -> None:
         if len(tokens) < 3:
@@ -323,23 +323,23 @@ def parse_network(text: str, calculus: CalculusSpec) -> ConstraintNetwork:
         group = " ".join(tokens[1:-1])
         if not (group.startswith("(") and group.endswith(")")):
             raise NetworkError("constraint needs a (sym ...) group", lineno)
-        edges.append((tokens[0], group[1:-1], tokens[-1], lineno))
-
-    name, var_names, vars_line = read_header(text, "network", calculus, edge)
-    declared = set(var_names)
-    rel_edges = []
-    for x, group, y, lineno in edges:
         try:
-            rel_edges.append((x, calculus.relation(*group.split()), y))
+            rel = calculus.relation(*group[1:-1].split())
         except CalculusError as exc:
             raise NetworkError(str(exc), lineno) from None
+        if tokens[0] == tokens[-1]:
+            raise NetworkError(f"self-loop constraint on variable {tokens[0]!r}", lineno)
+        edges.append((tokens[0], rel, tokens[-1], lineno))
+
+    name, var_names, vars_line = read_header(text, "network", calculus, edge)
+    # the vars clause may follow a constraint: variables are checked once it is read
+    declared = set(var_names)
+    for x, _, y, lineno in edges:
         for v in (x, y):
             if v not in declared:
                 raise NetworkError(f"unknown variable {v!r}", lineno)
-        if x == y:
-            raise NetworkError(f"self-loop constraint on variable {x!r}", lineno)
     try:
-        return normalize(calculus, rel_edges, var_names=var_names, name=name)
+        return normalize(calculus, [e[:3] for e in edges], var_names=var_names, name=name)
     except NetworkError as exc:
         # the edges were checked above: what is left is about the variables
         raise NetworkError(str(exc), vars_line) from None

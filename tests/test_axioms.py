@@ -336,3 +336,28 @@ def test_report_json_shape():
     assert by_id["R4"]["violations"] > 0
     assert by_id["R4"]["universe"] == 64
     assert 0 < by_id["R4"]["percentage"] < 100
+
+
+@pytest.mark.parametrize("products, classification, violated", [
+    # four atoms, each its own converse: a.b = c and its rotations, a.a = e + a.
+    # Every nonzero relation composes with U to U, so only R4 fails
+    ({"aa": "e a", "ab": "c", "ac": "b", "bb": "e", "bc": "a", "cc": "e"},
+     Classification.SA, {"R4", "R4" + SUB, "R4" + SUP}),
+    # three atoms with a.b empty: a.U = e + a but (a.U).U = U, so SA fails
+    # too; WA holds, as U.U = U
+    ({"aa": "e", "ab": "", "bb": "e"},
+     Classification.WA, {"R4", "R4" + SUB, "R4" + SUP, "SA", "SA" + SUB}),
+])
+def test_non_associative_tables_are_semi_or_weakly_associative(products, classification, violated):
+    # integral tables closed under the cycle law, found by enumerating every
+    # set of diversity cycles over two and three symmetric atoms; the
+    # smallest of each class
+    syms = ["e"] + sorted({s for pair in products for s in pair})
+    comp = {}
+    for s in syms:
+        comp[("e", s)] = comp[(s, "e")] = [s]
+    for (x, y), cell in products.items():
+        comp[(x, y)] = comp[(y, x)] = cell.split()
+    report = classify(CalculusSpec("na", syms, ["e"], {s: [s] for s in syms}, comp))
+    assert report.classification is classification
+    assert set(report.violated()) == violated

@@ -870,3 +870,92 @@ def test_universal_pairs_are_not_queued_and_keep_the_fixpoint(cyclic_group, rand
                     assert got.network.cells == ref.network.cells, (calc.name, seed, order)
                     assert got.queue_pops >= 6 * 5 // 2, (calc.name, seed, order)
     assert closed > 0
+
+
+def _sparse_network(calc, n, density, rng):
+    # each constrained pair is stated both ways, in its upper cell only or
+    # in its lower cell only: the prologue fills in a missing direction
+    net = ConstraintNetwork(calc, [f"x{k}" for k in range(n)])
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                mask = rng.randrange(1, calc.universal)
+                side = rng.randrange(3)
+                if side != 2:
+                    net.cells[i * n + j] = mask
+                if side != 1:
+                    net.cells[j * n + i] = calc.converse_mask(mask) if side == 0 else mask
+    return net
+
+
+def test_sparse_closure_work_counts_are_pinned():
+    # rcc5 and pc1 networks of 40 to 60 variables where a pop meets few
+    # third variables with a cell other than U: full closures visit only
+    # those, and must still equal the naive closure and do the work of a
+    # pass over every third variable, whose counts are pinned here
+    import random as _random
+
+    rng = _random.Random(4060)
+    closures = []
+    statuses = set()
+    for calc, densities in ((rcc5, (0.05, 0.08, 0.12)), (pc1, (0.03, 0.05, 0.08))):
+        for t in range(6):
+            net = _sparse_network(calc, rng.randint(40, 60), rng.choice(densities), rng)
+            ref = naive_closure(net)
+            statuses.add(ref.status)
+            for order in ("fifo", "lifo", "shuffled"):
+                got = a_closure(net, queue_order=order, seed=t)
+                assert got.status == ref.status, (calc.name, t, order)
+                if got.closed:
+                    assert got.network.cells == ref.network.cells, (calc.name, t, order)
+                closures.append(got)
+    assert statuses == {ClosureStatus.CLOSED, ClosureStatus.INCONSISTENT}
+    pops, revisions, empties = _tally(closures)
+    assert (pops, revisions) == (5905, 7186)
+    assert empties == (
+        # rcc5
+        ". . . x10-x21 x25-x22 x17-x19 . . . x11-x34 x18-x11 x11-x34 . . . . . . "
+        # pc1
+        ". . . x5-x3 x31-x5 x8-x41 x4-x53 x38-x4 x4-x53 x17-x7 x29-x21 x21-x29 . . . "
+        "x0-x10 x27-x24 x29-x11"
+    )
+
+
+def _padded_sym3(width):
+    # sym3 of test_closure_work_counts_are_pinned (R7 and R9, no relation
+    # algebra) with width - 3 more symbols, each composing to U: the same
+    # triangles, read by the dense pass up to 8 symbols, in chunks above
+    from qsr.core import CalculusSpec
+
+    syms = ["a", "b", "c"] + [f"p{k}" for k in range(3, width)]
+    comp = {(x, y): syms for x in syms for y in syms}
+    abc = ["a", "b", "c"]
+    cells = {("a", "a"): ["b"], ("a", "b"): ["a", "c"], ("a", "c"): abc,
+             ("b", "b"): abc, ("b", "c"): abc, ("c", "c"): ["a"]}
+    for (x, y), cell in cells.items():
+        comp[(x, y)] = comp[(y, x)] = cell
+    return CalculusSpec(f"sym3+{width - 3}", syms, None, {s: [s] for s in syms}, comp)
+
+
+@pytest.mark.parametrize("width", [3, 9])
+@pytest.mark.parametrize("third, empty_pair", [("a", ("x5", "x33")), ("c", ("x33", "x17"))])
+def test_fused_passes_reach_both_inconsistent_returns(width, third, empty_pair):
+    # a sparse network with one triangle x5 (a) x17, x5 (a) x33, x17 (third)
+    # x33 and two lone edges.  The closure stops at its second pop, (x5,
+    # x17), the first of the triangle, whose only third variable with a cell
+    # other than U is x33: C[5][33] & a.third is empty if third is a, and the
+    # first half's return names (i, k); if third is c, C[5][33] stays a and
+    # C[17][33] & a.a = c & b is empty, and the second half's names (k, j)
+    calc = _padded_sym3(width)
+    flags = calc.flags
+    assert flags.ra7_holds and flags.ra9_holds and flags.universal_absorbs
+    assert calc.chunked_rows is (width > 8)
+    n = 40
+    net = ConstraintNetwork(calc, [f"x{k}" for k in range(n)])
+    for i, j, sym in ((0, 1, "a"), (5, 17, "a"), (5, 33, "a"), (17, 33, third), (38, 39, "b")):
+        net.cells[i * n + j] = net.cells[j * n + i] = calc.mask_of([sym])
+    assert naive_closure(net).status is ClosureStatus.INCONSISTENT
+    got = a_closure(net)
+    assert got.status is ClosureStatus.INCONSISTENT
+    assert got.empty_pair == empty_pair
+    assert (got.queue_pops, got.revisions) == (2, 0)

@@ -120,6 +120,11 @@ PARSE_ERRORS = [
     (parse_network, NET + 'network "o"\n', NetworkError, "line 5: duplicate network clause"),
     (parse_network, NET + "calculus pc1\n", NetworkError, "line 5: duplicate calculus clause"),
     (parse_network, NET + "vars A\n", NetworkError, "line 5: duplicate vars clause"),
+    # a constraint's symbols and its self-loop are checked at its line, before a later error
+    (parse_network, NET + "A (<=) B\nvars A\n", NetworkError,
+     "line 5: calculus 'pc1' has no base relation '<='"),
+    (parse_network, NET + "A (<) A\nvars A\n", NetworkError,
+     "line 5: self-loop constraint on variable 'A'"),
     (parse_network, NET.replace("vars A B C", "vars A B A"), NetworkError,
      "line 3: variable names must be distinct"),
     (parse_model, MODEL.replace("calculus pc1\n", ""), NetworkError, "missing calculus clause"),
