@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from . import axioms, registry
 from .closure import a_closure
@@ -46,6 +46,17 @@ class CliError(Exception):
     """Usage-level failure mapped to exit code 2."""
 
 
+def _load(load: Callable[..., Any], path: str, *calculus: CalculusSpec) -> Any:
+    """``load(path, *calculus)`` for a spec, network or model file; an error in
+    the file names the file."""
+    try:
+        return load(path, *calculus)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except (UnicodeDecodeError, SpecParseError, NetworkError) as exc:
+        raise CliError(f"parse error in {path}: {exc}") from None
+
+
 def _load_calculus(args: argparse.Namespace) -> CalculusSpec:
     if bool(args.builtin) == bool(args.spec):
         raise CliError("exactly one of --builtin NAME or --spec PATH is required")
@@ -54,12 +65,7 @@ def _load_calculus(args: argparse.Namespace) -> CalculusSpec:
             return registry.builtin(args.builtin)
         except KeyError as exc:
             raise CliError(str(exc.args[0])) from None
-    try:
-        return registry.load_spec(args.spec)
-    except OSError as exc:
-        raise CliError(f"cannot read calculus spec: {exc}") from None
-    except SpecParseError as exc:
-        raise CliError(f"parse error in {args.spec}: {exc}") from None
+    return _load(registry.load_spec, args.spec)
 
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
@@ -114,7 +120,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_closure(args: argparse.Namespace) -> int:
     calc = _load_calculus(args)
-    net = load_network(args.network, calc)
+    net = _load(load_network, args.network, calc)
     out = a_closure(net)
     stats = f"revisions: {out.revisions}, queue pops: {out.queue_pops}"
     counts = {"revisions": out.revisions, "queue_pops": out.queue_pops}
@@ -130,7 +136,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
 
 def cmd_consistency(args: argparse.Namespace) -> int:
     calc = _load_calculus(args)
-    net = load_network(args.network, calc)
+    net = _load(load_network, args.network, calc)
     decision = decide(net)
     payload = {"verdict": decision.verdict.value, "nodes_explored": decision.nodes_explored}
     text = f"verdict: {decision.verdict.value} (nodes explored: {decision.nodes_explored})"
@@ -147,7 +153,7 @@ def cmd_consistency(args: argparse.Namespace) -> int:
 
 def cmd_model_check(args: argparse.Namespace) -> int:
     calc = _load_calculus(args)
-    model = load_model(args.model, calc)
+    model = _load(load_model, args.model, calc)
     jepd = check_jepd(model)
     lines = [f"model: {model.name or args.model} over {len(model.universe)} elements"]
     payload: dict = {
@@ -189,7 +195,7 @@ def cmd_model_check(args: argparse.Namespace) -> int:
 
     code = EXIT_OK
     if args.network:
-        net = load_network(args.network, calc)
+        net = _load(load_network, args.network, calc)
         try:
             brute = brute_force_solve(net, model, budget=args.budget)
         except BudgetExceededError as exc:
@@ -282,7 +288,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 0
     try:
         return args.func(args)
-    except (CliError, NetworkError, SpecParseError, CalculusError, OSError) as exc:
+    except (CliError, NetworkError, CalculusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -121,24 +121,18 @@ class CalculusSpec:
         else:
             self.identity_mask = self.mask_of(identity)
 
-        conv = []
-        for s in self.symbols:
-            if s not in converse:
-                raise CalculusError(f"converse table is not total: missing entry for {s!r}")
-            conv.append(self.mask_of(converse[s]))
-        self.converse_row: tuple[int, ...] = tuple(conv)
+        missing = [s for s in self.symbols if s not in converse]
+        if missing:
+            raise CalculusError(f"converse table not total: missing {', '.join(map(repr, missing))}")
+        self.converse_row: tuple[int, ...] = tuple(self.mask_of(converse[s]) for s in self.symbols)
 
-        rows = []
-        for a in self.symbols:
-            row = []
-            for b in self.symbols:
-                if (a, b) not in composition:
-                    raise CalculusError(
-                        f"composition table is not total: missing cell ({a!r}, {b!r})"
-                    )
-                row.append(self.mask_of(composition[(a, b)]))
-            rows.append(tuple(row))
-        self.composition_row: tuple[tuple[int, ...], ...] = tuple(rows)
+        missing_cells = [(a, b) for a in self.symbols for b in self.symbols
+                         if (a, b) not in composition]
+        if missing_cells:
+            raise CalculusError(f"composition table not total: missing cell {missing_cells[0]!r} "
+                                f"and {len(missing_cells) - 1} more")
+        self.composition_row: tuple[tuple[int, ...], ...] = tuple(
+            tuple(self.mask_of(composition[a, b]) for b in self.symbols) for a in self.symbols)
 
         self._acl_decides_atomic = acl_decides_atomic
         self._flags: Optional[CalculusFlags] = None

@@ -7,10 +7,9 @@ JEPD and partition-scheme conditions, domain-level converse/composition,
 the strength of the symbolic operations (strong / weak / abstract-only /
 unsound per table cell), and brute-force solving of constraint networks.
 
-Model files follow the rules shared with network and spec files; their
-header is read by :func:`qsr.network.read_header` against the calculus the
-reader is given, and :func:`parse_model` reads only the interpretation
-lines:
+Model files follow the rules shared with network and spec files, read by
+:func:`qsr.network.read_clauses`: the header clauses come first, then one
+interpretation line per base relation, each checked at its line:
 
     model "chain3"
     calculus pc1
@@ -34,7 +33,8 @@ from enum import Enum
 from typing import Iterable, Optional
 
 from .core import CalculusError, CalculusMismatchError, CalculusSpec
-from .network import ConstraintNetwork, NetworkError, check_token, name_line, read_header
+from .network import (ConstraintNetwork, NetworkError, calculus_clause, check_token, name_line,
+                      quoted_name, read_clauses)
 
 Pair = tuple[str, str]
 # a valuation assigns one universe element to every variable
@@ -426,9 +426,21 @@ def brute_force_solve(
 
 def parse_model(text: str, calculus: CalculusSpec) -> FiniteInterpretation:
     """Parse model-file text over ``calculus``, whose name the file's ``calculus``
-    line must give, as in network files."""
-    raw_phi: dict[str, list[Pair]] = {}
-    lines: dict[str, int] = {}
+    line must give, as in network files; each interpretation line is checked
+    against the universe at its line."""
+    name = ""
+    universe: tuple[str, ...]
+    raw_phi: dict[str, frozenset[Pair]] = {}
+
+    def model(lineno: int, line: str, tokens: list[str]) -> None:
+        nonlocal name
+        name = quoted_name(line, lineno)
+
+    def elements(lineno: int, line: str, tokens: list[str]) -> None:
+        nonlocal universe
+        if len(tokens) < 2:
+            raise NetworkError("universe needs at least one element", lineno)
+        universe = _universe(tokens[1:])
 
     def interpretation(lineno: int, line: str, tokens: list[str]) -> None:
         if ":" not in line:
@@ -443,20 +455,16 @@ def parse_model(text: str, calculus: CalculusSpec) -> FiniteInterpretation:
             pairs.append((a.strip(), b.strip()))
         if sym in raw_phi:
             raise NetworkError(f"duplicate interpretation for {sym!r}", lineno)
-        raw_phi[sym], lines[sym] = pairs, lineno
+        # an unknown symbol or element raises a CalculusError, reported at this line
+        calculus.symbol_index(sym)
+        raw_phi[sym] = _pairs(pairs, set(universe))
 
-    name, universe, at = read_header(text, "model", calculus, interpretation)
+    read_clauses(text, {"model": model, "calculus": calculus_clause("model", calculus),
+                        "universe": elements}, ("calculus", "universe"), interpretation, NetworkError)
     try:
-        # the universe, each symbol and its pairs at their lines, then the model
-        elems = set(_universe(universe))
-        for sym, pairs in raw_phi.items():
-            at = lines[sym]
-            calculus.symbol_index(sym)
-            _pairs(pairs, elems)
-        at = None
         return FiniteInterpretation(calculus, universe, raw_phi, name=name)
-    except CalculusError as exc:
-        raise NetworkError(str(exc), at) from None
+    except CalculusError as exc:  # about the whole file: no line
+        raise NetworkError(str(exc)) from None
 
 
 def load_model(path: str, calculus: CalculusSpec) -> FiniteInterpretation:

@@ -12,8 +12,9 @@ derived from its mirror on access, because that is lossless only for
 calculi whose converse is an involutive permutation.
 
 Network, model and spec files share one set of file rules, implemented here
-once: :func:`read_lines`, :func:`quoted_name`, :func:`name_line` and, for
-network and model files, :func:`read_header`.
+once: :func:`read_clauses` reads every file, header clauses first, and
+:func:`quoted_name`, :func:`name_line` and :func:`symbol_group` read and
+write its names and ``( sym ... )`` groups.
 
     network "chain"
     calculus pc1
@@ -264,85 +265,117 @@ def check_token(kind: str, token: str, error: type[Exception] = NetworkError,
     return token
 
 
-# the clause that lists a file's variables or elements, and its message when empty
-_ITEMS = {"network": ("vars", "vars clause needs at least one name"),
-          "model": ("universe", "universe needs at least one element")}
+def symbol_group(tokens: list[str], lineno: int, error: type[Exception],
+                 empty_ok: bool = True) -> list[str]:
+    """The symbols of the ``( sym ... )`` group that ``tokens`` spell, its parentheses
+    possibly glued to the first and last symbol; a malformed group raises ``error``."""
+    text = " ".join(tokens)
+    if not text.startswith("("):
+        raise error("expected a '(' symbol group", lineno)
+    if not text.endswith(")"):
+        raise error("unterminated symbol group, expected ')'", lineno)
+    inner = text[1:-1].split()
+    if not (inner or empty_ok):
+        raise error("symbol group may not be empty here", lineno)
+    return inner
 
 
-def read_header(text: str, keyword: str, calculus: CalculusSpec,
-                body: Callable[[int, str, list[str]], None]) -> tuple[str, list[str], int]:
-    """Read a network or model file (``keyword``) over ``calculus``: its name, ``calculus``
-    and ``vars`` or ``universe`` clause, each at most once; the ``calculus`` clause must
-    name ``calculus``.  Every other line goes to ``body(lineno, line, tokens)`` as it is
-    met, so errors come in line order.  Returns (name, items, the line of the items clause)."""
-    items_keyword, empty = _ITEMS[keyword]
-    name: Optional[str] = None
-    declared = False
-    items: Optional[list[str]] = None
-    items_line = 0
+Handler = Callable[[int, str, list[str]], None]
+
+
+def read_clauses(text: str, clauses: dict[str, Handler], required: Sequence[str],
+                 body: Handler, error: type[Exception]) -> int:
+    """Read a network, model or spec file in line order.  A line whose first token
+    is a keyword of ``clauses`` is a header clause and goes to its handler; every
+    other line goes to ``body``; both are called as ``(lineno, line, tokens)``.
+    Each header clause may appear at most once and only before the first body line,
+    which the ``required`` clauses must precede.  A broken rule, like a
+    ``CalculusError`` from a handler, raises ``error(message, lineno)``.  Returns
+    the file's last line, the line of errors about the whole file."""
+    seen: set[str] = set()
+    body_line = 0  # the first body line, once met
+
+    def require(lineno: int) -> None:
+        for keyword in required:
+            if keyword not in seen:
+                raise error(f"missing {keyword} clause", lineno)
+
     for lineno, line in read_lines(text):
         tokens = line.split()
         head = tokens[0]
-        if head == keyword:
-            if name is not None:
-                raise NetworkError(f"duplicate {keyword} clause", lineno)
-            name = quoted_name(line, lineno)
-        elif head == "calculus":
-            if declared:
-                raise NetworkError("duplicate calculus clause", lineno)
-            if len(tokens) != 2:
-                raise NetworkError("expected: calculus <name>", lineno)
-            if tokens[1] != calculus.name:
-                raise NetworkError(f"{keyword} declares calculus {tokens[1]!r} "
-                                   f"but {calculus.name!r} was supplied", lineno)
-            declared = True
-        elif head == items_keyword:
-            if items is not None:
-                raise NetworkError(f"duplicate {items_keyword} clause", lineno)
-            items, items_line = tokens[1:], lineno
-            if not items:
-                raise NetworkError(empty, lineno)
+        handler = clauses.get(head)
+        if handler is None:
+            if not body_line:
+                require(lineno)
+                body_line = lineno
+            handler = body
+        elif head in seen:
+            raise error(f"duplicate {head} clause", lineno)
+        elif body_line:
+            raise error(f"{head} clause must come before the body, which starts at line {body_line}",
+                        lineno)
         else:
-            body(lineno, line, tokens)
+            seen.add(head)
+        try:
+            handler(lineno, line, tokens)
+        except CalculusError as exc:
+            raise error(str(exc), lineno) from None
+    end = max(1, len(text.splitlines()))
+    if not body_line:
+        require(end)
+    return end
 
-    if not declared:
-        raise NetworkError("missing calculus clause")
-    if items is None:
-        raise NetworkError(f"missing {items_keyword} clause")
-    return name or "", items, items_line
+
+def calculus_clause(keyword: str, calculus: CalculusSpec) -> Handler:
+    """The handler of the ``calculus <name>`` clause of a network or model file
+    (``keyword``) read into ``calculus``: the name must be ``calculus``'s."""
+    def clause(lineno: int, line: str, tokens: list[str]) -> None:
+        if len(tokens) != 2:
+            raise NetworkError("expected: calculus <name>", lineno)
+        if tokens[1] != calculus.name:
+            raise NetworkError(f"{keyword} declares calculus {tokens[1]!r} "
+                               f"but {calculus.name!r} was supplied", lineno)
+    return clause
 
 
 def parse_network(text: str, calculus: CalculusSpec) -> ConstraintNetwork:
     """Parse network-file text over ``calculus``, whose name the file's ``calculus``
-    line must give; symbols are read in ``calculus``."""
-    edges: list[tuple[str, RelationSet, str, int]] = []
+    line must give; symbols are read in ``calculus``, and each constraint is
+    intersected into the network at its line."""
+    name = ""
+    net: ConstraintNetwork
+
+    def network(lineno: int, line: str, tokens: list[str]) -> None:
+        nonlocal name
+        name = quoted_name(line, lineno)
+
+    def variables(lineno: int, line: str, tokens: list[str]) -> None:
+        nonlocal net
+        if len(tokens) < 2:
+            raise NetworkError("vars clause needs at least one name", lineno)
+        try:
+            net = ConstraintNetwork(calculus, tokens[1:])
+        except NetworkError as exc:
+            raise NetworkError(str(exc), lineno) from None
 
     def edge(lineno: int, line: str, tokens: list[str]) -> None:
         if len(tokens) < 3:
             raise NetworkError("expected: <var> (<sym>+) <var>", lineno)
-        group = " ".join(tokens[1:-1])
-        if not (group.startswith("(") and group.endswith(")")):
-            raise NetworkError("constraint needs a (sym ...) group", lineno)
-        try:
-            rel = calculus.relation(*group[1:-1].split())
-        except CalculusError as exc:
-            raise NetworkError(str(exc), lineno) from None
-        if tokens[0] == tokens[-1]:
-            raise NetworkError(f"self-loop constraint on variable {tokens[0]!r}", lineno)
-        edges.append((tokens[0], rel, tokens[-1], lineno))
-
-    name, var_names, vars_line = read_header(text, "network", calculus, edge)
-    # the vars clause may follow a constraint: variables are checked once it is read
-    declared = set(var_names)
-    for x, _, y, lineno in edges:
+        mask = calculus.relation(*symbol_group(tokens[1:-1], lineno, NetworkError)).bits
+        x, y = tokens[0], tokens[-1]
+        if x == y:
+            raise NetworkError(f"self-loop constraint on variable {x!r}", lineno)
         for v in (x, y):
-            if v not in declared:
+            if v not in net._index:
                 raise NetworkError(f"unknown variable {v!r}", lineno)
-    try:
-        return normalize(calculus, [e[:3] for e in edges], var_names=var_names, name=name)
-    except NetworkError as exc:
-        # the edges were checked above: what is left is about the variables
-        raise NetworkError(str(exc), vars_line) from None
+        i, j, n = net._index[x], net._index[y], len(net.var_names)
+        net.cells[i * n + j] &= mask
+        net.cells[j * n + i] &= calculus.converse_mask(mask)
+
+    read_clauses(text, {"network": network, "calculus": calculus_clause("network", calculus),
+                        "vars": variables}, ("calculus", "vars"), edge, NetworkError)
+    net.name = name
+    return net
 
 
 def load_network(path: str, calculus: CalculusSpec) -> ConstraintNetwork:

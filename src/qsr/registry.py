@@ -8,10 +8,11 @@ of each relation straight from the relation function.  The appendix
 fixtures are two-element domains whose tables then take a few composition
 cells that are broken on purpose (``_BROKEN_CELLS``).
 
-Spec files follow the rules shared with network and model files: lines
-come from :func:`qsr.network.read_lines`, the ``calculus`` clause is read
-by :func:`qsr.network.quoted_name` and written by
-:func:`qsr.network.name_line`.
+Spec files follow the rules shared with network and model files, read by
+:func:`qsr.network.read_clauses`: the header clauses ``calculus``,
+``relations`` and ``identity`` come first, then the sections.  The
+``calculus`` clause is read by :func:`qsr.network.quoted_name` and written
+by :func:`qsr.network.name_line`.
 
     calculus "pc1"
     relations < = >
@@ -47,7 +48,7 @@ from typing import Callable, Optional
 
 from .core import CalculusError, CalculusSpec, _union_of
 from .models import FiniteInterpretation, Pair
-from .network import check_token, name_line, quoted_name, read_lines
+from .network import check_token, name_line, quoted_name, read_clauses, symbol_group
 
 
 def _point(x: str, y: str) -> str:
@@ -209,121 +210,73 @@ class SpecParseError(Exception):
         self.column = column
 
 
-def _parse_group(tokens: list[str], lineno: int, allow_empty: bool) -> list[str]:
-    # a parenthesised symbol group: ( sym ... ) with the parens possibly
-    # glued to the first/last symbol
-    text = " ".join(tokens)
-    if not text.startswith("("):
-        raise SpecParseError("expected a '(' symbol group", lineno)
-    if not text.endswith(")"):
-        raise SpecParseError("unterminated symbol group, expected ')'", lineno)
-    inner = text[1:-1].split()
-    if not inner and not allow_empty:
-        raise SpecParseError("symbol group may not be empty here", lineno)
-    return inner
-
-
 def parse_spec(source: str) -> CalculusSpec:
     """Parse a calculus spec file into a validated :class:`CalculusSpec`."""
-    name: Optional[str] = None
-    symbols: list[str] = []
-    symbol_set: set[str] = set()  # membership tests; ``symbols`` keeps the order
-    identity: Optional[list[str]] = None
-    have_identity_clause = False
+    name = ""
+    symbols: dict[str, None] = {}  # in declaration order
+    identity: list[str] = []
     converse: dict[str, tuple[str, ...]] = {}
     composition: dict[tuple[str, str], tuple[str, ...]] = {}
     section: Optional[str] = None
 
     def known(sym: str, lineno: int) -> str:
-        if sym not in symbol_set:
+        if sym not in symbols:
             raise SpecParseError(f"unknown symbol {sym!r}", lineno)
         return sym
 
-    for lineno, line in read_lines(source):
-        tokens = line.split()
-        head = tokens[0]
+    def calculus(lineno: int, line: str, tokens: list[str]) -> None:
+        nonlocal name
+        name = quoted_name(line, lineno, SpecParseError)
 
-        if head == "calculus":
-            if name is not None:
-                raise SpecParseError("duplicate calculus clause", lineno)
-            name = quoted_name(line, lineno, SpecParseError)
-        elif head == "relations":
-            if symbols:
-                raise SpecParseError("duplicate relations clause", lineno)
-            if len(tokens) < 2:
-                raise SpecParseError("relations clause needs at least one symbol", lineno)
-            for s in tokens[1:]:
-                if s in _RESERVED:
-                    raise SpecParseError(
-                        f"symbol {s!r} collides with a directive keyword", lineno
-                    )
-                if s in symbol_set:
-                    raise SpecParseError(f"duplicate symbol {s!r}", lineno)
-                symbols.append(s)
-                symbol_set.add(s)
-        elif head == "identity":
-            if not symbols:
-                raise SpecParseError("identity clause before relations clause", lineno)
-            if have_identity_clause:
-                raise SpecParseError("duplicate identity clause", lineno)
-            have_identity_clause = True
-            identity = [known(s, lineno) for s in tokens[1:]]
-        elif head == "converse":
+    def relations(lineno: int, line: str, tokens: list[str]) -> None:
+        if len(tokens) < 2:
+            raise SpecParseError("relations clause needs at least one symbol", lineno)
+        for s in tokens[1:]:
+            if s in _RESERVED:
+                raise SpecParseError(f"symbol {s!r} collides with a directive keyword", lineno)
+            if s in symbols:
+                raise SpecParseError(f"duplicate symbol {s!r}", lineno)
+            symbols[s] = None
+
+    def identity_clause(lineno: int, line: str, tokens: list[str]) -> None:
+        if not symbols:
+            raise SpecParseError("identity clause before relations clause", lineno)
+        identity.extend(known(s, lineno) for s in tokens[1:])
+
+    def body(lineno: int, line: str, tokens: list[str]) -> None:
+        nonlocal section
+        head = tokens[0]
+        if head in ("converse", "composition"):
             if len(tokens) != 1:
-                raise SpecParseError("converse section header takes no arguments", lineno)
-            section = "converse"
-        elif head == "composition":
-            if len(tokens) != 1:
-                raise SpecParseError("composition section header takes no arguments", lineno)
-            section = "composition"
-        elif head in _RESERVED:
-            # a leftover ``flags`` line; the other keywords matched above
+                raise SpecParseError(f"{head} section header takes no arguments", lineno)
+            section = head
+        elif section is None or head in _RESERVED:
+            # a leftover ``flags`` line, or a line outside the sections
             raise SpecParseError(f"unexpected directive {head!r}", lineno)
         elif section == "converse":
             sym = known(head, lineno)
             if sym in converse:
                 raise SpecParseError(f"duplicate converse entry for {sym!r}", lineno)
-            group = _parse_group(tokens[1:], lineno, allow_empty=False)
+            group = symbol_group(tokens[1:], lineno, SpecParseError, empty_ok=False)
             converse[sym] = tuple(known(s, lineno) for s in group)
-        elif section == "composition":
+        else:
             if len(tokens) < 3:
                 raise SpecParseError("expected: <sym> <sym> (<sym>*)", lineno)
             a, b = known(head, lineno), known(tokens[1], lineno)
             if (a, b) in composition:
                 raise SpecParseError(f"duplicate composition cell ({a!r}, {b!r})", lineno)
-            group = _parse_group(tokens[2:], lineno, allow_empty=True)
+            group = symbol_group(tokens[2:], lineno, SpecParseError)
             composition[(a, b)] = tuple(known(s, lineno) for s in group)
-        else:
-            raise SpecParseError(f"unexpected directive {head!r}", lineno)
 
-    end = max(1, len(source.splitlines()))  # the line of errors about the whole file
-    if name is None:
-        raise SpecParseError("missing calculus clause", end)
-    if not symbols:
-        raise SpecParseError("missing relations clause", end)
-    missing_conv = [s for s in symbols if s not in converse]
-    if missing_conv:
-        raise SpecParseError(
-            f"converse table not total: missing {', '.join(map(repr, missing_conv))}", end
-        )
-    missing_comp = [(a, b) for a in symbols for b in symbols if (a, b) not in composition]
-    if missing_comp:
-        a, b = missing_comp[0]
-        raise SpecParseError(
-            f"composition table not total: missing cell ({a!r}, {b!r}) "
-            f"and {len(missing_comp) - 1} more",
-            end,
-        )
-
-    return CalculusSpec(
-        name=name,
-        symbols=symbols,
+    end = read_clauses(source, {"calculus": calculus, "relations": relations,
+                                "identity": identity_clause},
+                       ("calculus", "relations"), body, SpecParseError)
+    try:
         # an `identity` clause with zero symbols, like no clause at all,
         # declares that the calculus has no identity relation
-        identity=identity if identity else None,
-        converse=converse,
-        composition=composition,
-    )
+        return CalculusSpec(name, list(symbols), identity or None, converse, composition)
+    except CalculusError as exc:  # a table that is not total: about the whole file
+        raise SpecParseError(str(exc), end) from None
 
 
 def serialize(spec: CalculusSpec) -> str:

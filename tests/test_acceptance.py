@@ -125,7 +125,7 @@ def test_criterion_5_closure_equals_oracle_universally():
                     got = a_closure(net, queue_order=order, seed=seed)
                     same = got.status == ref.status and (
                         not got.closed
-                        or got.network.to_full().cells == ref.network.to_full().cells
+                        or got.network.cells == ref.network.cells
                     )
                     if not same:
                         mismatches += 1

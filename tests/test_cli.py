@@ -207,3 +207,34 @@ def test_analyze_reports_the_derived_engine_flags(capsys, name, line, flags):
     code, out, _ = run(capsys, "analyze", "--builtin", name, "--format", "json")
     doc = json.loads(out)
     assert doc["flags"] == dict(zip(("ra7_holds", "ra9_holds", "universal_absorbs"), flags))
+
+
+@pytest.mark.parametrize("flag, bad, message", [
+    ("--spec", serialize(builtin("pc1")).replace("< < (<)", "< < (<"),
+     "line 9, column 1: unterminated symbol group, expected ')'"),
+    ("--network", FIG_NET + "A (<) D\n", "line 6: unknown variable 'D'"),
+    ("--model", builtin_model("pc1-chain3").to_text().replace("(0,1)", "(0,5)"),
+     "line 4: pair (0,5) uses elements outside the universe"),
+])
+def test_a_bad_file_is_named_with_its_line(capsys, tmp_path, flag, bad, message):
+    # model-check reads all three files: the error must say which one is bad
+    files = {"--spec": serialize(builtin("pc1")), "--network": FIG_NET,
+             "--model": builtin_model("pc1-chain3").to_text()}
+    files[flag] = bad
+    argv = ["model-check"]
+    for option, text in files.items():
+        path = tmp_path / option.strip("-")
+        path.write_text(text)
+        argv += [option, str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: parse error in {tmp_path / flag.strip('-')}: {message}\n"
+    assert "Traceback" not in err
+
+
+def test_a_file_that_is_not_utf8_is_named(capsys, tmp_path):
+    path = tmp_path / "bad.net"
+    path.write_bytes(b'network "\xff"\n')
+    code, _, err = run(capsys, "closure", "--builtin", "pc1", "--network", str(path))
+    assert code == 2
+    assert err.startswith(f"error: parse error in {path}: 'utf-8' codec can't decode byte 0xff")

@@ -88,11 +88,17 @@ def test_names_that_cannot_be_read_back_are_not_written(name):
 NET = 'network "n"\ncalculus pc1\nvars A B C\nA (<) B\n'
 MODEL = 'model "m"\ncalculus pc1\nuniverse 0 1\n<: (0,1)\n=: (0,0) (1,1)\n>: (1,0)\n'
 
+SPEC = ('calculus "t"\nrelations a b\nidentity a\nconverse\na (a)\nb (b)\n'
+        "composition\na a (a)\na b (b)\nb a (b)\nb b (a b)\n")
+
 # (parser, text, exception type, message); network and model texts are read
-# into pc1, and a message without a line number is about the whole file
+# into pc1, a model message without a line number is about the whole file,
+# and a missing clause is reported at the first body line, else at the last line
 PARSE_ERRORS = [
-    (parse_network, NET.replace("calculus pc1\n", ""), NetworkError, "missing calculus clause"),
-    (parse_network, NET.replace("vars A B C\n", ""), NetworkError, "missing vars clause"),
+    (parse_network, NET.replace("calculus pc1\n", ""), NetworkError,
+     "line 3: missing calculus clause"),
+    (parse_network, NET.replace("vars A B C\n", ""), NetworkError, "line 3: missing vars clause"),
+    (parse_network, 'network "n"\ncalculus pc1\n', NetworkError, "line 2: missing vars clause"),
     (parse_network, NET.replace("vars A B C", "vars"), NetworkError,
      "line 3: vars clause needs at least one name"),
     (parse_network, NET.replace("calculus pc1", "calculus"), NetworkError,
@@ -106,17 +112,23 @@ PARSE_ERRORS = [
      'line 1: expected: network "<name>"'),
     (parse_network, NET.replace(' "n"', ""), NetworkError, 'line 1: expected: network "<name>"'),
     (parse_network, NET + "A (<)\n", NetworkError, "line 5: expected: <var> (<sym>+) <var>"),
-    (parse_network, NET + "A < B\n", NetworkError, "line 5: constraint needs a (sym ...) group"),
-    (parse_network, NET + "A (< B\n", NetworkError, "line 5: constraint needs a (sym ...) group"),
+    (parse_network, NET + "A < B\n", NetworkError, "line 5: expected a '(' symbol group"),
+    (parse_network, NET + "A (< B\n", NetworkError,
+     "line 5: unterminated symbol group, expected ')'"),
     (parse_network, NET + "A (<=) B\n", NetworkError,
      "line 5: calculus 'pc1' has no base relation '<='"),
     (parse_network, NET + "A (<) D\n", NetworkError, "line 5: unknown variable 'D'"),
+    (parse_network, NET + 'A (<) D\nnetwork "x"\n', NetworkError, "line 5: unknown variable 'D'"),
     (parse_network, NET.replace("A (<) B", "E (<) B") + "B (<) C\n", NetworkError,
      "line 4: unknown variable 'E'"),
     (parse_network, NET + "A (<) A\n", NetworkError, "line 5: self-loop constraint on variable 'A'"),
-    # a body line is checked when it is met, before the missing clause
+    # the required clauses come before the first body line
     (parse_network, "A < B\n" + NET.replace("calculus pc1\n", ""), NetworkError,
-     "line 1: constraint needs a (sym ...) group"),
+     "line 1: missing calculus clause"),
+    (parse_network, NET.replace("vars A B C\n", "") + "vars A B C\n", NetworkError,
+     "line 3: missing vars clause"),
+    (parse_network, NET.replace('network "n"\n', "") + 'network "n"\n', NetworkError,
+     "line 4: network clause must come before the body, which starts at line 3"),
     (parse_network, NET + 'network "o"\n', NetworkError, "line 5: duplicate network clause"),
     (parse_network, NET + "calculus pc1\n", NetworkError, "line 5: duplicate calculus clause"),
     (parse_network, NET + "vars A\n", NetworkError, "line 5: duplicate vars clause"),
@@ -127,8 +139,17 @@ PARSE_ERRORS = [
      "line 5: self-loop constraint on variable 'A'"),
     (parse_network, NET.replace("vars A B C", "vars A B A"), NetworkError,
      "line 3: variable names must be distinct"),
-    (parse_model, MODEL.replace("calculus pc1\n", ""), NetworkError, "missing calculus clause"),
-    (parse_model, MODEL.replace("universe 0 1\n", ""), NetworkError, "missing universe clause"),
+    (parse_network, NET.replace("vars A B C", "vars A network"), NetworkError,
+     "line 3: variable name 'network' does not fit the file formats: it is a keyword"),
+    (parse_model, MODEL.replace("calculus pc1\n", ""), NetworkError,
+     "line 3: missing calculus clause"),
+    (parse_model, MODEL.replace("universe 0 1\n", ""), NetworkError,
+     "line 3: missing universe clause"),
+    (parse_model, 'model "m"\nuniverse 0\n', NetworkError, "line 2: missing calculus clause"),
+    (parse_model, MODEL.replace("universe 0 1\n", "") + "universe 0 1\n", NetworkError,
+     "line 3: missing universe clause"),
+    (parse_model, MODEL.replace('model "m"\n', "") + 'model "m"\n', NetworkError,
+     "line 6: model clause must come before the body, which starts at line 3"),
     (parse_model, MODEL.replace("universe 0 1", "universe"), NetworkError,
      "line 3: universe needs at least one element"),
     (parse_model, MODEL.replace("calculus pc1", "calculus pc1 x"), NetworkError,
@@ -140,7 +161,7 @@ PARSE_ERRORS = [
      'line 1: expected: model "<name>"'),
     (parse_model, MODEL + "foo bar\n", NetworkError, "line 7: unexpected directive 'foo'"),
     (parse_model, "foo\n" + MODEL.replace("calculus pc1\n", ""), NetworkError,
-     "line 1: unexpected directive 'foo'"),
+     "line 1: missing calculus clause"),
     (parse_model, MODEL.replace("(0,1)", "(0,1", 1), NetworkError,
      "line 4: malformed pair '(0,1'"),
     (parse_model, MODEL.replace("(0,1)", "(0;1)", 1), NetworkError,
@@ -151,12 +172,18 @@ PARSE_ERRORS = [
      "line 7: duplicate interpretation for '<'"),
     (parse_model, MODEL + "q: (0,0)\n", NetworkError,
      "line 7: calculus 'pc1' has no base relation 'q'"),
+    (parse_model, MODEL + "q: (0,0)\nuniverse 0\n", NetworkError,
+     "line 7: calculus 'pc1' has no base relation 'q'"),
     (parse_model, MODEL.replace(">: (1,0)\n", ""), NetworkError,
      "interpretation missing for symbol '>'"),
+    (parse_model, MODEL.replace(">: (1,0)", ">: (0,1)"), NetworkError,
+     "interpretation map must be injective on symbols"),
     (parse_model, MODEL + 'model "o"\n', NetworkError, "line 7: duplicate model clause"),
     (parse_model, MODEL.replace("universe 0 1", "universe 0 0"), NetworkError,
      "line 3: universe elements must be distinct"),
     (parse_model, MODEL.replace("(0,1)", "(0,5)"), NetworkError,
+     "line 4: pair (0,5) uses elements outside the universe"),
+    (parse_model, MODEL.replace("(0,1)", "(0,5)") + 'model "o"\n', NetworkError,
      "line 4: pair (0,5) uses elements outside the universe"),
     (parse_model, MODEL.replace("universe 0 1", "universe a,b 0 1"), NetworkError,
      "line 3: universe element 'a,b' does not fit the file formats: "
@@ -165,7 +192,65 @@ PARSE_ERRORS = [
      "line 1, column 1: No closing quotation"),
     (parse_spec, 'calculus "pc1" x\nrelations a\n', SpecParseError,
      'line 1, column 1: expected: calculus "<name>"'),
+    (parse_spec, SPEC + 'calculus "u"\n', SpecParseError, "line 12, column 1: duplicate calculus clause"),
+    (parse_spec, SPEC.replace("identity a", "relations c"), SpecParseError,
+     "line 3, column 1: duplicate relations clause"),
+    (parse_spec, SPEC.replace("converse\n", "identity a\nconverse\n"), SpecParseError,
+     "line 4, column 1: duplicate identity clause"),
+    (parse_spec, SPEC.replace("identity a\n", "") + "identity a\n", SpecParseError,
+     "line 11, column 1: identity clause must come before the body, which starts at line 3"),
+    (parse_spec, SPEC.replace('calculus "t"\n', ""), SpecParseError,
+     "line 3, column 1: missing calculus clause"),
+    (parse_spec, "relations a\n", SpecParseError, "line 1, column 1: missing calculus clause"),
+    (parse_spec, SPEC.replace("relations a b\nidentity a\n", ""), SpecParseError,
+     "line 2, column 1: missing relations clause"),
+    (parse_spec, 'calculus "t"\n\n# no relations\n', SpecParseError,
+     "line 3, column 1: missing relations clause"),
+    (parse_spec, SPEC.replace("relations a b", "relations"), SpecParseError,
+     "line 2, column 1: relations clause needs at least one symbol"),
+    (parse_spec, SPEC.replace("relations a b", "relations a flags"), SpecParseError,
+     "line 2, column 1: symbol 'flags' collides with a directive keyword"),
+    (parse_spec, SPEC.replace("relations a b", "relations a a"), SpecParseError,
+     "line 2, column 1: duplicate symbol 'a'"),
+    (parse_spec, SPEC.replace("relations a b\nidentity a", "identity a\nrelations a b"),
+     SpecParseError, "line 2, column 1: identity clause before relations clause"),
+    (parse_spec, SPEC.replace("identity a", "identity c"), SpecParseError,
+     "line 3, column 1: unknown symbol 'c'"),
+    (parse_spec, SPEC.replace("converse\n", "converse x\n"), SpecParseError,
+     "line 4, column 1: converse section header takes no arguments"),
+    (parse_spec, SPEC.replace("composition\n", "composition x\n"), SpecParseError,
+     "line 7, column 1: composition section header takes no arguments"),
+    (parse_spec, SPEC.replace("converse\n", "foo\nconverse\n"), SpecParseError,
+     "line 4, column 1: unexpected directive 'foo'"),
+    (parse_spec, SPEC + "flags ra7=no\n", SpecParseError,
+     "line 12, column 1: unexpected directive 'flags'"),
+    (parse_spec, SPEC.replace("\nb (b)", "\nc (b)"), SpecParseError,
+     "line 6, column 1: unknown symbol 'c'"),
+    (parse_spec, SPEC.replace("\nb (b)", "\na (a)"), SpecParseError,
+     "line 6, column 1: duplicate converse entry for 'a'"),
+    (parse_spec, SPEC.replace("\nb (b)", "\nb b"), SpecParseError,
+     "line 6, column 1: expected a '(' symbol group"),
+    (parse_spec, SPEC.replace("\nb (b)", "\nb (b"), SpecParseError,
+     "line 6, column 1: unterminated symbol group, expected ')'"),
+    (parse_spec, SPEC.replace("\nb (b)", "\nb ()"), SpecParseError,
+     "line 6, column 1: symbol group may not be empty here"),
+    (parse_spec, SPEC.replace("a b (b)", "a (b)"), SpecParseError,
+     "line 9, column 1: expected: <sym> <sym> (<sym>*)"),
+    (parse_spec, SPEC.replace("a b (b)", "a a (b)"), SpecParseError,
+     "line 9, column 1: duplicate composition cell ('a', 'a')"),
+    (parse_spec, SPEC.replace("a a (a)", "a a (c)"), SpecParseError,
+     "line 8, column 1: unknown symbol 'c'"),
+    (parse_spec, SPEC.replace("\nb (b)\n", "\n"), SpecParseError,
+     "line 10, column 1: converse table not total: missing 'b'"),
+    (parse_spec, SPEC.replace("b a (b)\nb b (a b)\n", ""), SpecParseError,
+     "line 9, column 1: composition table not total: missing cell ('b', 'a') and 1 more"),
 ]
+
+
+def test_the_texts_of_the_parse_error_table_parse():
+    assert parse_spec(SPEC).symbols == ("a", "b")
+    assert parse_network(NET, pc1).var_names == ("A", "B", "C")
+    assert parse_model(MODEL, pc1).universe == ("0", "1")
 
 
 @pytest.mark.parametrize("parse, text, error, message", PARSE_ERRORS)

@@ -1,4 +1,5 @@
-"""The import graph of the package: no cycle, and the network layer on the core alone."""
+"""The import graph of the package: no cycle, and the network layer on the core alone;
+and one clause reader for every file format."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -40,3 +41,23 @@ def test_package_imports_have_no_cycle_and_network_imports_only_core():
     except CycleError as exc:
         pytest.fail("import cycle: " + " -> ".join(exc.args[1]))
     assert graph["network"] == {"core"}
+
+
+def _callers(node: ast.AST, name: str, scope: str = "<module>") -> set[str]:
+    """The innermost functions (or ``<module>``) under ``node`` that call ``name``."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                      getattr(child.func, "attr", None)):
+            found.add(scope)
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        found |= _callers(child, name, inner)
+    return found
+
+
+def test_only_the_clause_reader_reads_file_lines():
+    # spec, network and model files keep their clause rules in one place: a
+    # parser that read lines itself would keep its own copy of those rules
+    callers = {f"{path.stem}.{scope}" for path in PACKAGE.glob("*.py")
+               for scope in _callers(ast.parse(path.read_text(encoding="utf-8")), "read_lines")}
+    assert callers == {"network.read_clauses"}
