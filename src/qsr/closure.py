@@ -59,11 +59,11 @@ The other branches (no R7, R7 without R9, or more than 16 base relations),
 the safe branches, check each triangle inline: for the pair (i, k) of a
 popped (i, j) they compute r = C[i][k] & C[i][j].C[j][k] and rp = C[k][i]
 & C[k][j].C[j][i], likewise for (k, j), and only if r or rp is tighter
-than its cell does a call (``settle``) cross-tighten, count and write the
-pair.  This passes over no revision: every pair is 2-consistent on entry
-(the prologue makes the seeded pairs so; the rest are closed or U both
-ways), and each settled pair is left 2-consistent, so the cross-tightening
-of two unchanged cells, r & conv(rp) and rp & conv(r), changes neither.
+than its cell does ``settle`` cross-tighten and write the pair.  This
+passes over no revision: every pair is 2-consistent on entry (the prologue
+makes the seeded pairs so; the rest are closed or U both ways), and each
+settled pair is left 2-consistent, so the cross-tightening of two
+unchanged cells, r & conv(rp) and rp & conv(r), changes neither.
 Up to 8 base relations (``calc.dense_rows``) each of the four
 compositions is a read of the dense table, the low-byte row table of
 ``compose_row``: C[i][j].C[j][k] from the row of C[i][j], fetched once per
@@ -90,7 +90,7 @@ all-universal network is inconsistent.
 
 Under the same flag a full closure's dense fused pass keeps a support set
 per variable, nbr[x]: each y with a cell other than U between x and y.
-The seeds fill the sets and each write of the pass adds its pair, so a pop
+The seeds fill the sets and ``write`` adds each pair it queues, so a pop
 of (i, j) visits only the k of sorted(nbr[i] | nbr[j]), in the order of
 range(n).  Skipping the other k is exact, as C[i][k] == C[j][k] == U there
 and C[i][j].U == C[j][i].U == U tightens neither: revisions, pops, the
@@ -100,6 +100,15 @@ networks they cost more than they skip.  Incremental closures (their sets
 would cost an O(n^2) scan), the chunked pass (it skips each half with a U
 operand; a support there measured 8 % slower on IA13) and the safe
 branches keep range(n).
+
+Every pass stores cells through one nested routine, ``write(a, b, r,
+rp)``, which sets C[a][b] to r and C[b][a] to rp, each a subset of its
+cell.  It checks C[b][a] first and returns the pair of a cell that
+empties.  Otherwise it counts one revision per tightened pair under R7 and
+one per tightened cell elsewhere, appends each changed cell's index and old
+mask to the trail, and queues the pair.  The fused passes call
+write(k, i, conv(r), r) for C[i][k] and write(j, k, r, conv(r)) for
+C[j][k]; ``settle`` ends in a write.
 
 Inconsistency (an empty cell) is an outcome, not an exception: the result
 carries the offending pair.  In the prologue that is the first seeded pair
@@ -119,9 +128,8 @@ closure of ``net``: the greatest fixpoint below a network is unique.  Full
 and incremental closure differ only in the pairs they start from.
 
 ``a_closure(net, trail=lst)`` is the in-place form, also used by refinement
-search: it closes ``net`` itself and appends each written cell's index and
-old mask to ``lst``, so the caller can undo the closure.  Without a trail
-``a_closure`` copies ``net`` and runs the same code with a list of its own.
+search: it closes ``net`` itself with ``lst`` as the trail, so the caller
+can undo the closure.
 
 ``naive_closure`` is an independent reference: it iterates the refinement
 rule over all ordered triples and both cell directions, together with the
@@ -205,7 +213,6 @@ def a_closure(
     else:
         work = net
     cells = work.cells
-    push = trail.append
     conv = calc.converse_mask
     comp = calc.compose_masks
     comp_row = calc.compose_row
@@ -270,20 +277,50 @@ def a_closure(
                 queue[idx], queue[-1] = queue[-1], queue[idx]
                 return queue.pop()
 
-    def enqueue(i: int, j: int) -> None:
-        # one pop of the unordered pair revises the triangles of both cells
-        p = (i, j) if i < j else (j, i)
+    def write(a: int, b: int, r: int, rp: int) -> Optional[tuple[int, int]]:
+        # C[a][b] <- r and C[b][a] <- rp; returns the pair that empties, if one does
+        nonlocal revisions, trail
+        ab = a * n + b
+        ba = b * n + a
+        old_ab = cells[ab]
+        old_ba = cells[ba]
+        if rp != old_ba:
+            if rp == 0:
+                return b, a
+            # rp != 0 leaves r != 0: r is conv(rp), or settle cut it by conv(rp)
+            if r != old_ab:
+                # under R7, r = conv(rp): both cells revise one unordered pair
+                revisions += 1 if ra7 else 2
+                trail += (ba, old_ba, ab, old_ab)
+                cells[ab] = r
+            else:
+                revisions += 1
+                trail += (ba, old_ba)
+            cells[ba] = rp
+        elif r != old_ab:
+            if r == 0:
+                # r == 0 empties rp too, so C[b][a] was empty already: a
+                # changed= precondition that does not hold.  Written empty,
+                # the pair could let the closure end "closed"
+                return a, b
+            revisions += 1
+            trail += (ab, old_ab)
+            cells[ab] = r
+        # one pop of the unordered pair revises the triangles of both cells;
+        # a queued pair is already in the support sets
+        p = (a, b) if a < b else (b, a)
         if p not in in_queue:
             in_queue.add(p)
             queue.append(p)
+            if nbr is not None:
+                nbr[a].add(b)
+                nbr[b].add(a)
+        return None
 
     def settle(a: int, b: int, r: int, rp: int) -> Optional[tuple[int, int]]:
         # C[a][b] and C[b][a] were refined on their own to r and rp (or are
-        # a seeded pair that one exchange of converses would tighten);
-        # cross-tighten both directions, which leaves the pair 2-consistent,
-        # then count, write and enqueue.  Returns the pair that empties, if
-        # one does.
-        nonlocal revisions
+        # a seeded pair that one exchange of converses would tighten): make
+        # the pair 2-consistent by cross-tightening, then write it
         r &= conv(rp)
         tight = rp & conv(r)
         # without R7 one exchange need not leave the pair 2-consistent:
@@ -292,36 +329,10 @@ def a_closure(
             rp = tight
             r &= conv(rp)
             tight = rp & conv(r)
-        rp = tight
-        ab = a * n + b
-        ba = b * n + a
-        updated = rp != cells[ba]
-        if updated:
-            if rp == 0:
-                return b, a
-            revisions += 1
-            push(ba)
-            push(cells[ba])
-            cells[ba] = rp
-        if r != cells[ab]:
-            if r == 0:
-                # r == 0 empties rp too, so C[b][a] was empty before this
-                # call: a changed= precondition that does not hold, an
-                # empty cell outside the changed pair.  Without this
-                # return the pair would be written empty and the closure
-                # could still end "closed"
-                return a, b
-            # under R7, r = conv(rp): both writes revise one unordered pair
-            if not (ra7 and updated):
-                revisions += 1
-            push(ab)
-            push(cells[ab])
-            cells[ab] = r
-        enqueue(a, b)
-        return None
+        return write(a, b, r, tight)
 
     # Strong 2-consistency of the seeded pairs, all queued already, so
-    # settle enqueues nothing here.  It checks C[b][a] first, so under R7,
+    # write queues nothing here.  It checks C[b][a] first, so under R7,
     # where both cells empty together, settle(j, i) reports (i, j): the
     # cell that a row-order sweep over the ordered pairs meets first.
     for i, j in seeds:
@@ -350,14 +361,9 @@ def a_closure(
             # the fused pass: the rows of C[i][j] and C[j][i] are fetched
             # once per pop
             if chunked:
-                # the loop below with each read split into two byte chunks;
-                # kept apart so that the dense loop tests nothing per read.
-                # Composition distributes over union in its left argument,
-                # so the row of C[i][j] is the union of the rows of its low
-                # and of its high byte: four reads, and no pop builds a row.
-                # Where U absorbs, a half whose varying operand is U is
-                # skipped: C[i][j].U == U leaves C[i][k] as it is.  (The
-                # dense loop does not test this: its half is two reads.)
+                # the loop below with each read split into two byte chunks,
+                # the rows of the low and of the high byte of each fixed
+                # operand; a half whose varying operand is U is skipped
                 lo_ij = comp_row(c_ij & 255)
                 hi_ij = comp_row(c_ij & ~255)
                 lo_ji = comp_row(c_ji & 255)
@@ -372,28 +378,19 @@ def a_closure(
                         h = 256 + (c_jk >> 8)
                         r = c_ik & (lo_ij[b] | lo_ij[h] | hi_ij[b] | hi_ij[h])
                         if r != c_ik:
-                            if r == 0:
-                                return outcome(ClosureStatus.INCONSISTENT, (i, k))
-                            revisions += 1
-                            ki = k * n + i
-                            trail += (bi + k, c_ik, ki, cells[ki])
-                            cells[bi + k] = c_ik = r
-                            cells[ki] = conv(r)
-                            enqueue(i, k)
+                            empty = write(k, i, conv(r), r)
+                            if empty is not None:
+                                return outcome(ClosureStatus.INCONSISTENT, empty)
+                            c_ik = r
                     if c_ik == absorbing:
                         continue
                     b = c_ik & 255
                     h = 256 + (c_ik >> 8)
                     r = c_jk & (lo_ji[b] | lo_ji[h] | hi_ji[b] | hi_ji[h])
                     if r != c_jk:
-                        if r == 0:
-                            return outcome(ClosureStatus.INCONSISTENT, (k, j))
-                        revisions += 1
-                        kj = k * n + j
-                        trail += (bj + k, c_jk, kj, cells[kj])
-                        cells[bj + k] = r
-                        cells[kj] = conv(r)
-                        enqueue(k, j)
+                        empty = write(j, k, r, conv(r))
+                        if empty is not None:
+                            return outcome(ClosureStatus.INCONSISTENT, empty)
                 continue
             row_ij = comp_row(c_ij)
             row_ji = comp_row(c_ji)
@@ -406,32 +403,17 @@ def a_closure(
                 # C[i][k] <- C[i][k] & C[i][j].C[j][k]
                 r = c_ik & row_ij[c_jk]
                 if r != c_ik:
-                    if r == 0:
-                        return outcome(ClosureStatus.INCONSISTENT, (i, k))
-                    revisions += 1
-                    ki = k * n + i
-                    trail += (bi + k, c_ik, ki, cells[ki])
-                    cells[bi + k] = c_ik = r
-                    cells[ki] = conv(r)
-                    enqueue(i, k)
-                    if nbr is not None:
-                        nbr[i].add(k)
-                        nbr[k].add(i)
+                    empty = write(k, i, conv(r), r)
+                    if empty is not None:
+                        return outcome(ClosureStatus.INCONSISTENT, empty)
+                    c_ik = r
                 # C[j][k] <- C[j][k] & C[j][i].C[i][k], the converse of
                 # C[k][j] <- C[k][j] & C[k][i].C[i][j]
                 r = c_jk & row_ji[c_ik]
                 if r != c_jk:
-                    if r == 0:
-                        return outcome(ClosureStatus.INCONSISTENT, (k, j))
-                    revisions += 1
-                    kj = k * n + j
-                    trail += (bj + k, c_jk, kj, cells[kj])
-                    cells[bj + k] = r
-                    cells[kj] = conv(r)
-                    enqueue(k, j)
-                    if nbr is not None:
-                        nbr[j].add(k)
-                        nbr[k].add(j)
+                    empty = write(j, k, r, conv(r))
+                    if empty is not None:
+                        return outcome(ClosureStatus.INCONSISTENT, empty)
             continue
         # the safe branches: every pair is 2-consistent here, so a triangle
         # whose compositions tighten neither cell of its pair revises

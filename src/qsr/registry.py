@@ -204,10 +204,9 @@ _RESERVED = frozenset(
 class SpecParseError(Exception):
     """Syntax or semantic error in a calculus spec file."""
 
-    def __init__(self, message: str, line: int, column: int = 1) -> None:
-        super().__init__(f"line {line}, column {column}: {message}")
+    def __init__(self, message: str, line: int) -> None:
+        super().__init__(f"line {line}: {message}")
         self.line = line
-        self.column = column
 
 
 def parse_spec(source: str) -> CalculusSpec:

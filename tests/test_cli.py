@@ -211,7 +211,7 @@ def test_analyze_reports_the_derived_engine_flags(capsys, name, line, flags):
 
 @pytest.mark.parametrize("flag, bad, message", [
     ("--spec", serialize(builtin("pc1")).replace("< < (<)", "< < (<"),
-     "line 9, column 1: unterminated symbol group, expected ')'"),
+     "line 9: unterminated symbol group, expected ')'"),
     ("--network", FIG_NET + "A (<) D\n", "line 6: unknown variable 'D'"),
     ("--model", builtin_model("pc1-chain3").to_text().replace("(0,1)", "(0,5)"),
      "line 4: pair (0,5) uses elements outside the universe"),

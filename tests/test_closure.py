@@ -258,6 +258,9 @@ def test_trail_closes_in_place_like_the_pure_call_and_undoes_exactly(random_calc
                             == (pure.status, pure.network.cells, pure.revisions, pure.queue_pops,
                                 pure.empty_pair)), (calc.name, seed, changed, order)
                     assert len(trail) % 2 == 0
+                    # each entry is a strict tightening, as _SmallestCell assumes
+                    assert all(work.cells[k] & old == work.cells[k] != old
+                               for k, old in zip(trail[::2], trail[1::2])), (calc.name, seed, changed, order)
                     seen.add((got.status, changed is None, bool(trail)))
                     _undo(work.cells, trail)
                     assert work.cells == start.cells, (calc.name, seed, changed, order)

@@ -189,61 +189,61 @@ PARSE_ERRORS = [
      "line 3: universe element 'a,b' does not fit the file formats: "
      "it is empty or holds whitespace or '#', ',', '(', ')'"),
     (parse_spec, 'calculus "pc1\nrelations a\n', SpecParseError,
-     "line 1, column 1: No closing quotation"),
+     "line 1: No closing quotation"),
     (parse_spec, 'calculus "pc1" x\nrelations a\n', SpecParseError,
-     'line 1, column 1: expected: calculus "<name>"'),
-    (parse_spec, SPEC + 'calculus "u"\n', SpecParseError, "line 12, column 1: duplicate calculus clause"),
+     'line 1: expected: calculus "<name>"'),
+    (parse_spec, SPEC + 'calculus "u"\n', SpecParseError, "line 12: duplicate calculus clause"),
     (parse_spec, SPEC.replace("identity a", "relations c"), SpecParseError,
-     "line 3, column 1: duplicate relations clause"),
+     "line 3: duplicate relations clause"),
     (parse_spec, SPEC.replace("converse\n", "identity a\nconverse\n"), SpecParseError,
-     "line 4, column 1: duplicate identity clause"),
+     "line 4: duplicate identity clause"),
     (parse_spec, SPEC.replace("identity a\n", "") + "identity a\n", SpecParseError,
-     "line 11, column 1: identity clause must come before the body, which starts at line 3"),
+     "line 11: identity clause must come before the body, which starts at line 3"),
     (parse_spec, SPEC.replace('calculus "t"\n', ""), SpecParseError,
-     "line 3, column 1: missing calculus clause"),
-    (parse_spec, "relations a\n", SpecParseError, "line 1, column 1: missing calculus clause"),
+     "line 3: missing calculus clause"),
+    (parse_spec, "relations a\n", SpecParseError, "line 1: missing calculus clause"),
     (parse_spec, SPEC.replace("relations a b\nidentity a\n", ""), SpecParseError,
-     "line 2, column 1: missing relations clause"),
+     "line 2: missing relations clause"),
     (parse_spec, 'calculus "t"\n\n# no relations\n', SpecParseError,
-     "line 3, column 1: missing relations clause"),
+     "line 3: missing relations clause"),
     (parse_spec, SPEC.replace("relations a b", "relations"), SpecParseError,
-     "line 2, column 1: relations clause needs at least one symbol"),
+     "line 2: relations clause needs at least one symbol"),
     (parse_spec, SPEC.replace("relations a b", "relations a flags"), SpecParseError,
-     "line 2, column 1: symbol 'flags' collides with a directive keyword"),
+     "line 2: symbol 'flags' collides with a directive keyword"),
     (parse_spec, SPEC.replace("relations a b", "relations a a"), SpecParseError,
-     "line 2, column 1: duplicate symbol 'a'"),
+     "line 2: duplicate symbol 'a'"),
     (parse_spec, SPEC.replace("relations a b\nidentity a", "identity a\nrelations a b"),
-     SpecParseError, "line 2, column 1: identity clause before relations clause"),
+     SpecParseError, "line 2: identity clause before relations clause"),
     (parse_spec, SPEC.replace("identity a", "identity c"), SpecParseError,
-     "line 3, column 1: unknown symbol 'c'"),
+     "line 3: unknown symbol 'c'"),
     (parse_spec, SPEC.replace("converse\n", "converse x\n"), SpecParseError,
-     "line 4, column 1: converse section header takes no arguments"),
+     "line 4: converse section header takes no arguments"),
     (parse_spec, SPEC.replace("composition\n", "composition x\n"), SpecParseError,
-     "line 7, column 1: composition section header takes no arguments"),
+     "line 7: composition section header takes no arguments"),
     (parse_spec, SPEC.replace("converse\n", "foo\nconverse\n"), SpecParseError,
-     "line 4, column 1: unexpected directive 'foo'"),
+     "line 4: unexpected directive 'foo'"),
     (parse_spec, SPEC + "flags ra7=no\n", SpecParseError,
-     "line 12, column 1: unexpected directive 'flags'"),
+     "line 12: unexpected directive 'flags'"),
     (parse_spec, SPEC.replace("\nb (b)", "\nc (b)"), SpecParseError,
-     "line 6, column 1: unknown symbol 'c'"),
+     "line 6: unknown symbol 'c'"),
     (parse_spec, SPEC.replace("\nb (b)", "\na (a)"), SpecParseError,
-     "line 6, column 1: duplicate converse entry for 'a'"),
+     "line 6: duplicate converse entry for 'a'"),
     (parse_spec, SPEC.replace("\nb (b)", "\nb b"), SpecParseError,
-     "line 6, column 1: expected a '(' symbol group"),
+     "line 6: expected a '(' symbol group"),
     (parse_spec, SPEC.replace("\nb (b)", "\nb (b"), SpecParseError,
-     "line 6, column 1: unterminated symbol group, expected ')'"),
+     "line 6: unterminated symbol group, expected ')'"),
     (parse_spec, SPEC.replace("\nb (b)", "\nb ()"), SpecParseError,
-     "line 6, column 1: symbol group may not be empty here"),
+     "line 6: symbol group may not be empty here"),
     (parse_spec, SPEC.replace("a b (b)", "a (b)"), SpecParseError,
-     "line 9, column 1: expected: <sym> <sym> (<sym>*)"),
+     "line 9: expected: <sym> <sym> (<sym>*)"),
     (parse_spec, SPEC.replace("a b (b)", "a a (b)"), SpecParseError,
-     "line 9, column 1: duplicate composition cell ('a', 'a')"),
+     "line 9: duplicate composition cell ('a', 'a')"),
     (parse_spec, SPEC.replace("a a (a)", "a a (c)"), SpecParseError,
-     "line 8, column 1: unknown symbol 'c'"),
+     "line 8: unknown symbol 'c'"),
     (parse_spec, SPEC.replace("\nb (b)\n", "\n"), SpecParseError,
-     "line 10, column 1: converse table not total: missing 'b'"),
+     "line 10: converse table not total: missing 'b'"),
     (parse_spec, SPEC.replace("b a (b)\nb b (a b)\n", ""), SpecParseError,
-     "line 9, column 1: composition table not total: missing cell ('b', 'a') and 1 more"),
+     "line 9: composition table not total: missing cell ('b', 'a') and 1 more"),
 ]
 
 

@@ -1,5 +1,5 @@
 """The import graph of the package: no cycle, and the network layer on the core alone;
-and one clause reader for every file format."""
+one clause reader for every file format, and one write routine in the closure."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -43,21 +43,45 @@ def test_package_imports_have_no_cycle_and_network_imports_only_core():
     assert graph["network"] == {"core"}
 
 
-def _callers(node: ast.AST, name: str, scope: str = "<module>") -> set[str]:
-    """The innermost functions (or ``<module>``) under ``node`` that call ``name``."""
+def _scopes(node: ast.AST, match, scope: str = "<module>") -> set[str]:
+    """The innermost functions (or ``<module>``) under ``node`` that hold a node ``match`` accepts."""
     found = set()
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
-                                                      getattr(child.func, "attr", None)):
+        if match(child):
             found.add(scope)
         inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
-        found |= _callers(child, name, inner)
+        found |= _scopes(child, match, inner)
     return found
+
+
+def _calls(name: str):
+    return lambda node: isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                                getattr(node.func, "attr", None))
 
 
 def test_only_the_clause_reader_reads_file_lines():
     # spec, network and model files keep their clause rules in one place: a
     # parser that read lines itself would keep its own copy of those rules
     callers = {f"{path.stem}.{scope}" for path in PACKAGE.glob("*.py")
-               for scope in _callers(ast.parse(path.read_text(encoding="utf-8")), "read_lines")}
+               for scope in _scopes(ast.parse(path.read_text(encoding="utf-8")), _calls("read_lines"))}
     assert callers == {"network.read_clauses"}
+
+
+def _writes(node: ast.AST) -> bool:
+    """``cells[...] = ``, ``revisions +=``, ``trail +=``, or ``.append`` or
+    ``.extend`` of the trail or the queue, called or bound."""
+    if isinstance(node, ast.Subscript):
+        return isinstance(node.ctx, ast.Store) and getattr(node.value, "id", None) == "cells"
+    if isinstance(node, ast.AugAssign):
+        return getattr(node.target, "id", None) in ("revisions", "trail")
+    return (isinstance(node, ast.Attribute) and node.attr in ("append", "extend")
+            and getattr(node.value, "id", None) in ("trail", "queue"))
+
+
+def test_only_write_stores_counts_trails_and_queues_in_the_closure():
+    # a certificate or a stats record hooks one routine, not a copy per pass
+    tree = ast.parse((PACKAGE / "closure.py").read_text(encoding="utf-8"))
+    closure = next(node for node in tree.body if getattr(node, "name", None) == "a_closure")
+    assert _scopes(closure, _writes, closure.name) == {"write"}
+    settle = next(node for node in ast.walk(closure) if getattr(node, "name", None) == "settle")
+    assert isinstance(settle.body[-1], ast.Return) and _calls("write")(settle.body[-1].value)
