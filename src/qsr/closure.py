@@ -115,21 +115,22 @@ carries the offending pair.  In the prologue that is the first seeded pair
 (i, j), i < j, in row order that is or becomes empty, named (j, i) only if
 C[i][j] stays non-empty.
 
-``a_closure(net, changed=(i, j))`` is the incremental form used by
-refinement search.  Its precondition: ``net`` is closed except in the cells
-(i, j) and (j, i), which were only tightened since (as by a search split).
-Only those two cells are then checked for emptiness and made 2-consistent,
-and the worklist starts from that pair alone (if it is seeded at all)
-instead of from all O(n^2) pairs.  This holds for every calculus: a
-triangle that bounds a cell of the pair by two unchanged cells still holds
-after the cell shrank, so only the triangles that compose with the pair
-can fail, and popping it revises those.  The result equals the full
-closure of ``net``: the greatest fixpoint below a network is unique.  Full
-and incremental closure differ only in the pairs they start from.
+``a_closure(net, changed=(i, j))`` is the incremental form.  Its
+precondition: ``net`` is closed except in the cells (i, j) and (j, i),
+which were only tightened since (as by a search split).  Only those two
+cells are then checked for emptiness and made 2-consistent, and the
+worklist starts from that pair alone (if it is seeded at all) instead of
+from all O(n^2) pairs.  This holds for every calculus: a triangle that
+bounds a cell of the pair by two unchanged cells still holds after the
+cell shrank, so only the triangles that compose with the pair can fail,
+and popping it revises those.  The result equals the full closure of
+``net``: the greatest fixpoint below a network is unique.
 
-``a_closure(net, trail=lst)`` is the in-place form, also used by refinement
-search: it closes ``net`` itself with ``lst`` as the trail, so the caller
-can undo the closure.
+``a_closure`` is one set-up and one run of ``closure_runner``: the set-up
+reads the flags and tables and binds ``write`` and ``settle`` once per
+network, and a run is the prologue and the worklist.  Refinement search
+sets up once per walk and closes each child node with one run from its
+split pair, so a node pays for what its split propagates, not a set-up.
 
 ``naive_closure`` is an independent reference: it iterates the refinement
 rule over all ordered triples and both cell directions, together with the
@@ -143,7 +144,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 from .network import ConstraintNetwork
 
@@ -207,11 +208,28 @@ def a_closure(
     if queue_order not in (FIFO, LIFO, SHUFFLED):
         raise ValueError(f"unknown queue order {queue_order!r}")
     n = len(net.var_names)
-    calc = net.calculus
+    if changed is not None and (changed[0] == changed[1] or not 0 <= min(changed) <= max(changed) < n):
+        raise ValueError(f"changed pair {changed!r} is not an off-diagonal pair of {n} variables")
     if trail is None:
         work, trail = net.copy(), []
     else:
         work = net
+    empty, revisions, pops = closure_runner(work, trail, queue_order, seed)(changed)
+    if empty is None:
+        return ClosureOutcome(ClosureStatus.CLOSED, work, revisions, pops)
+    names = (work.var_names[empty[0]], work.var_names[empty[1]])
+    return ClosureOutcome(ClosureStatus.INCONSISTENT, work, revisions, pops, names)
+
+
+def closure_runner(work: ConstraintNetwork, trail: list, queue_order: str = FIFO,
+                   seed: Optional[int] = None) -> Callable:
+    """Set up closing ``work`` in place with ``trail`` as its trail; return
+    ``run(changed=None)``, which closes ``work`` as it stands, as a_closure
+    with that ``changed`` and trail does but unchecked, and returns the
+    emptied cell's pair (indices) or None, its revisions and queue pops.
+    Each run starts from a worklist of its own."""
+    n = len(work.var_names)
+    calc = work.calculus
     cells = work.cells
     conv = calc.converse_mask
     comp = calc.compose_masks
@@ -233,49 +251,16 @@ def a_closure(
         # is None there
         comp_row(0)
         rows = calc._comp_lo
-    nbr = None  # the support sets of the dense fused pass, where it keeps them
-    if changed is None:
-        # the pairs with a cell other than U, row by row
-        seeds = [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if cells[i * n + j] != absorbing or cells[j * n + i] != absorbing]
-        # the seeds average fewer than n / 8 neighbours
-        if dense and derive and absorbing != -1 and 16 * len(seeds) < n * n:
-            nbr = [set() for _ in range(n)]
-            for i, j in seeds:
-                nbr[i].add(j)
-                nbr[j].add(i)
-    else:
-        ci, cj = changed
-        if not (0 <= ci < n and 0 <= cj < n) or ci == cj:
-            raise ValueError(f"changed pair {changed!r} is not an off-diagonal pair of {n} variables")
-        # every other pair is still closed: check and settle this one only
-        universal_pair = cells[ci * n + cj] == absorbing == cells[cj * n + ci]
-        seeds = [] if universal_pair else [(ci, cj) if ci < cj else (cj, ci)]
-    revisions = 0
-    pops = 0
+    # bound afresh by each run: its revisions, worklist, queued pairs and support sets
+    revisions = queue = in_queue = nbr = None
+    if queue_order == SHUFFLED:
+        rng = random.Random(seed)
 
-    def outcome(status: ClosureStatus, pair: Optional[tuple[int, int]]) -> ClosureOutcome:
-        names = None
-        if pair is not None:
-            names = (work.var_names[pair[0]], work.var_names[pair[1]])
-        return ClosureOutcome(status, work, revisions, pops, names)
-
-    in_queue = set(seeds)
-    if queue_order == FIFO:
-        queue = deque(seeds)
-        take = queue.popleft
-    else:
-        queue = seeds
-        if queue_order == LIFO:
-            take = queue.pop
-        else:
-            rng = random.Random(seed)
-
-            def take() -> tuple[int, int]:
-                # O(1): swap a random entry to the end and pop it
-                idx = rng.randrange(len(queue))
-                queue[idx], queue[-1] = queue[-1], queue[idx]
-                return queue.pop()
+        def take_random() -> tuple[int, int]:
+            # O(1): swap a random entry to the end and pop it
+            idx = rng.randrange(len(queue))
+            queue[idx], queue[-1] = queue[-1], queue[idx]
+            return queue.pop()
 
     def write(a: int, b: int, r: int, rp: int) -> Optional[tuple[int, int]]:
         # C[a][b] <- r and C[b][a] <- rp; returns the pair that empties, if one does
@@ -331,98 +316,148 @@ def a_closure(
             tight = rp & conv(r)
         return write(a, b, r, tight)
 
-    # Strong 2-consistency of the seeded pairs, all queued already, so
-    # write queues nothing here.  It checks C[b][a] first, so under R7,
-    # where both cells empty together, settle(j, i) reports (i, j): the
-    # cell that a row-order sweep over the ordered pairs meets first.
-    for i, j in seeds:
-        c_ij = cells[i * n + j]
-        c_ji = cells[j * n + i]
-        if c_ij == 0 or c_ji == 0:
-            return outcome(ClosureStatus.INCONSISTENT, (i, j) if c_ij == 0 else (j, i))
-        if (c_ij & conv(c_ji)) != c_ij or (c_ji & conv(c_ij)) != c_ji:
-            empty = settle(j, i, c_ji, c_ij)
-            if empty is not None:
-                return outcome(ClosureStatus.INCONSISTENT, empty)
-    # Every pair is now 2-consistent.  Under R7 that makes each cell the
-    # converse of its mirror, and each revision below keeps it so.
+    def run(changed: Optional[tuple[int, int]] = None) -> tuple[Optional[tuple[int, int]], int, int]:
+        nonlocal revisions, queue, in_queue, nbr
+        nbr = None
+        if changed is None:
+            # the pairs with a cell other than U, row by row
+            seeds = [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if cells[i * n + j] != absorbing or cells[j * n + i] != absorbing]
+            # the seeds average fewer than n / 8 neighbours
+            if dense and derive and absorbing != -1 and 16 * len(seeds) < n * n:
+                nbr = [set() for _ in range(n)]
+                for i, j in seeds:
+                    nbr[i].add(j)
+                    nbr[j].add(i)
+        else:
+            # every other pair is still closed: check and settle this one only
+            ci, cj = changed
+            universal_pair = cells[ci * n + cj] == absorbing == cells[cj * n + ci]
+            seeds = [] if universal_pair else [(ci, cj) if ci < cj else (cj, ci)]
+        revisions = pops = 0
+        in_queue = set(seeds)
+        if queue_order == FIFO:
+            queue = deque(seeds)
+            take = queue.popleft
+        else:
+            queue = seeds
+            take = queue.pop if queue_order == LIFO else take_random
 
-    while queue:
-        p = take()
-        in_queue.discard(p)
-        i, j = p
-        pops += 1
-        bi = i * n
-        bj = j * n
-        # C[i][j] and C[j][i] do not change while their pair is revised
-        c_ij = cells[bi + j]
-        c_ji = cells[bj + i]
-        if derive:
-            # the fused pass: the rows of C[i][j] and C[j][i] are fetched
-            # once per pop
-            if chunked:
-                # the loop below with each read split into two byte chunks,
-                # the rows of the low and of the high byte of each fixed
-                # operand; a half whose varying operand is U is skipped
-                lo_ij = comp_row(c_ij & 255)
-                hi_ij = comp_row(c_ij & ~255)
-                lo_ji = comp_row(c_ji & 255)
-                hi_ji = comp_row(c_ji & ~255)
-                for k in range(n):
+        # Strong 2-consistency of the seeded pairs, all queued already, so
+        # write queues nothing here.  It checks C[b][a] first, so under R7,
+        # where both cells empty together, settle(j, i) reports (i, j): the
+        # cell that a row-order sweep over the ordered pairs meets first.
+        for i, j in seeds:
+            c_ij = cells[i * n + j]
+            c_ji = cells[j * n + i]
+            if c_ij == 0 or c_ji == 0:
+                return (i, j) if c_ij == 0 else (j, i), revisions, pops
+            if (c_ij & conv(c_ji)) != c_ij or (c_ji & conv(c_ij)) != c_ji:
+                empty = settle(j, i, c_ji, c_ij)
+                if empty is not None:
+                    return empty, revisions, pops
+        # Every pair is now 2-consistent.  Under R7 that makes each cell the
+        # converse of its mirror, and each revision below keeps it so.
+
+        while queue:
+            p = take()
+            in_queue.discard(p)
+            i, j = p
+            pops += 1
+            bi = i * n
+            bj = j * n
+            # C[i][j] and C[j][i] do not change while their pair is revised
+            c_ij = cells[bi + j]
+            c_ji = cells[bj + i]
+            if derive:
+                # the fused pass: the rows of C[i][j] and C[j][i] are fetched
+                # once per pop
+                if chunked:
+                    # the loop below with each read split into two byte chunks,
+                    # the rows of the low and of the high byte of each fixed
+                    # operand; a half whose varying operand is U is skipped
+                    lo_ij = comp_row(c_ij & 255)
+                    hi_ij = comp_row(c_ij & ~255)
+                    lo_ji = comp_row(c_ji & 255)
+                    hi_ji = comp_row(c_ji & ~255)
+                    for k in range(n):
+                        if k == i or k == j:
+                            continue
+                        c_ik = cells[bi + k]
+                        c_jk = cells[bj + k]
+                        if c_jk != absorbing:
+                            b = c_jk & 255
+                            h = 256 + (c_jk >> 8)
+                            r = c_ik & (lo_ij[b] | lo_ij[h] | hi_ij[b] | hi_ij[h])
+                            if r != c_ik:
+                                empty = write(k, i, conv(r), r)
+                                if empty is not None:
+                                    return empty, revisions, pops
+                                c_ik = r
+                        if c_ik == absorbing:
+                            continue
+                        b = c_ik & 255
+                        h = 256 + (c_ik >> 8)
+                        r = c_jk & (lo_ji[b] | lo_ji[h] | hi_ji[b] | hi_ji[h])
+                        if r != c_jk:
+                            empty = write(j, k, r, conv(r))
+                            if empty is not None:
+                                return empty, revisions, pops
+                    continue
+                row_ij = comp_row(c_ij)
+                row_ji = comp_row(c_ji)
+                # a k outside the support has C[i][k] == C[j][k] == U
+                for k in range(n) if nbr is None else sorted(nbr[i] | nbr[j]):
                     if k == i or k == j:
                         continue
                     c_ik = cells[bi + k]
                     c_jk = cells[bj + k]
-                    if c_jk != absorbing:
-                        b = c_jk & 255
-                        h = 256 + (c_jk >> 8)
-                        r = c_ik & (lo_ij[b] | lo_ij[h] | hi_ij[b] | hi_ij[h])
-                        if r != c_ik:
-                            empty = write(k, i, conv(r), r)
-                            if empty is not None:
-                                return outcome(ClosureStatus.INCONSISTENT, empty)
-                            c_ik = r
-                    if c_ik == absorbing:
-                        continue
-                    b = c_ik & 255
-                    h = 256 + (c_ik >> 8)
-                    r = c_jk & (lo_ji[b] | lo_ji[h] | hi_ji[b] | hi_ji[h])
+                    # C[i][k] <- C[i][k] & C[i][j].C[j][k]
+                    r = c_ik & row_ij[c_jk]
+                    if r != c_ik:
+                        empty = write(k, i, conv(r), r)
+                        if empty is not None:
+                            return empty, revisions, pops
+                        c_ik = r
+                    # C[j][k] <- C[j][k] & C[j][i].C[i][k], the converse of
+                    # C[k][j] <- C[k][j] & C[k][i].C[i][j]
+                    r = c_jk & row_ji[c_ik]
                     if r != c_jk:
                         empty = write(j, k, r, conv(r))
                         if empty is not None:
-                            return outcome(ClosureStatus.INCONSISTENT, empty)
+                            return empty, revisions, pops
                 continue
-            row_ij = comp_row(c_ij)
-            row_ji = comp_row(c_ji)
-            # a k outside the support has C[i][k] == C[j][k] == U
-            for k in range(n) if nbr is None else sorted(nbr[i] | nbr[j]):
-                if k == i or k == j:
-                    continue
-                c_ik = cells[bi + k]
-                c_jk = cells[bj + k]
-                # C[i][k] <- C[i][k] & C[i][j].C[j][k]
-                r = c_ik & row_ij[c_jk]
-                if r != c_ik:
-                    empty = write(k, i, conv(r), r)
-                    if empty is not None:
-                        return outcome(ClosureStatus.INCONSISTENT, empty)
-                    c_ik = r
-                # C[j][k] <- C[j][k] & C[j][i].C[i][k], the converse of
-                # C[k][j] <- C[k][j] & C[k][i].C[i][j]
-                r = c_jk & row_ji[c_ik]
-                if r != c_jk:
-                    empty = write(j, k, r, conv(r))
-                    if empty is not None:
-                        return outcome(ClosureStatus.INCONSISTENT, empty)
-            continue
-        # the safe branches: every pair is 2-consistent here, so a triangle
-        # whose compositions tighten neither cell of its pair revises
-        # nothing; it takes no converse and does not call settle
-        if dense:
-            # the loop below with each composition a read of the dense
-            # table; the rows of C[i][j] and C[j][i] are fetched once per pop
-            row_ij = comp_row(c_ij)
-            row_ji = comp_row(c_ji)
+            # the safe branches: every pair is 2-consistent here, so a triangle
+            # whose compositions tighten neither cell of its pair revises
+            # nothing; it takes no converse and does not call settle
+            if dense:
+                # the loop below with each composition a read of the dense
+                # table; the rows of C[i][j] and C[j][i] are fetched once per pop
+                row_ij = comp_row(c_ij)
+                row_ji = comp_row(c_ji)
+                for k in range(n):
+                    if k == i or k == j:
+                        continue
+                    bk = k * n
+                    c_ik = cells[bi + k]
+                    c_ki = cells[bk + i]
+                    c_jk = cells[bj + k]
+                    c_kj = cells[bk + j]
+                    r = c_ik & row_ij[c_jk]
+                    rp = c_ki & (rows[c_kj] or comp_row(c_kj))[c_ji]
+                    if r != c_ik or rp != c_ki:
+                        empty = settle(i, k, r, rp)
+                        if empty is not None:
+                            return empty, revisions, pops
+                        c_ik = cells[bi + k]
+                        c_ki = cells[bk + i]
+                    r = c_kj & (rows[c_ki] or comp_row(c_ki))[c_ij]
+                    rp = c_jk & row_ji[c_ik]
+                    if r != c_kj or rp != c_jk:
+                        empty = settle(k, j, r, rp)
+                        if empty is not None:
+                            return empty, revisions, pops
+                continue
             for k in range(n):
                 if k == i or k == j:
                     continue
@@ -431,47 +466,26 @@ def a_closure(
                 c_ki = cells[bk + i]
                 c_jk = cells[bj + k]
                 c_kj = cells[bk + j]
-                r = c_ik & row_ij[c_jk]
-                rp = c_ki & (rows[c_kj] or comp_row(c_kj))[c_ji]
+                # the pair (i, k) by C[i][j].C[j][k] and C[k][j].C[j][i]
+                r = c_ik & comp(c_ij, c_jk)
+                rp = c_ki & comp(c_kj, c_ji)
                 if r != c_ik or rp != c_ki:
                     empty = settle(i, k, r, rp)
                     if empty is not None:
-                        return outcome(ClosureStatus.INCONSISTENT, empty)
+                        return empty, revisions, pops
                     c_ik = cells[bi + k]
                     c_ki = cells[bk + i]
-                r = c_kj & (rows[c_ki] or comp_row(c_ki))[c_ij]
-                rp = c_jk & row_ji[c_ik]
+                # the pair (k, j) by C[k][i].C[i][j] and C[j][i].C[i][k]
+                r = c_kj & comp(c_ki, c_ij)
+                rp = c_jk & comp(c_ji, c_ik)
                 if r != c_kj or rp != c_jk:
                     empty = settle(k, j, r, rp)
                     if empty is not None:
-                        return outcome(ClosureStatus.INCONSISTENT, empty)
-            continue
-        for k in range(n):
-            if k == i or k == j:
-                continue
-            bk = k * n
-            c_ik = cells[bi + k]
-            c_ki = cells[bk + i]
-            c_jk = cells[bj + k]
-            c_kj = cells[bk + j]
-            # the pair (i, k) by C[i][j].C[j][k] and C[k][j].C[j][i]
-            r = c_ik & comp(c_ij, c_jk)
-            rp = c_ki & comp(c_kj, c_ji)
-            if r != c_ik or rp != c_ki:
-                empty = settle(i, k, r, rp)
-                if empty is not None:
-                    return outcome(ClosureStatus.INCONSISTENT, empty)
-                c_ik = cells[bi + k]
-                c_ki = cells[bk + i]
-            # the pair (k, j) by C[k][i].C[i][j] and C[j][i].C[i][k]
-            r = c_kj & comp(c_ki, c_ij)
-            rp = c_jk & comp(c_ji, c_ik)
-            if r != c_kj or rp != c_jk:
-                empty = settle(k, j, r, rp)
-                if empty is not None:
-                    return outcome(ClosureStatus.INCONSISTENT, empty)
+                        return empty, revisions, pops
 
-    return outcome(ClosureStatus.CLOSED, None)
+        return None, revisions, pops
+
+    return run
 
 
 def naive_closure(net: ConstraintNetwork) -> ClosureOutcome:

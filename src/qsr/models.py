@@ -56,8 +56,8 @@ def _universe(elements: Iterable[str]) -> tuple[str, ...]:
     return universe
 
 
-def _pairs(pairs: Iterable[Pair], elems: set[str]) -> frozenset[Pair]:
-    out = frozenset((str(a), str(b)) for a, b in pairs)
+def _pairs(pairs: Iterable[Pair], elems: set[str]) -> list[Pair]:
+    out = [(str(a), str(b)) for a, b in pairs]
     for a, b in out:
         if a not in elems or b not in elems:
             raise CalculusError(f"pair ({a},{b}) uses elements outside the universe")
@@ -84,7 +84,7 @@ class FiniteInterpretation:
         for sym in calculus.symbols:
             if sym not in phi:
                 raise CalculusError(f"interpretation missing for symbol {sym!r}")
-            interp[sym] = _pairs(phi[sym], elems)
+            interp[sym] = frozenset(_pairs(phi[sym], elems))
         extra = set(phi) - set(calculus.symbols)
         if extra:
             raise CalculusError(f"interpretation names unknown symbols: {sorted(extra)}")
@@ -430,17 +430,19 @@ def parse_model(text: str, calculus: CalculusSpec) -> FiniteInterpretation:
     against the universe at its line."""
     name = ""
     universe: tuple[str, ...]
-    raw_phi: dict[str, frozenset[Pair]] = {}
+    elems: set[str]
+    raw_phi: dict[str, list[Pair]] = {}
 
     def model(lineno: int, line: str, tokens: list[str]) -> None:
         nonlocal name
         name = quoted_name(line, lineno)
 
     def elements(lineno: int, line: str, tokens: list[str]) -> None:
-        nonlocal universe
+        nonlocal universe, elems
         if len(tokens) < 2:
             raise NetworkError("universe needs at least one element", lineno)
         universe = _universe(tokens[1:])
+        elems = set(universe)
 
     def interpretation(lineno: int, line: str, tokens: list[str]) -> None:
         if ":" not in line:
@@ -457,7 +459,7 @@ def parse_model(text: str, calculus: CalculusSpec) -> FiniteInterpretation:
             raise NetworkError(f"duplicate interpretation for {sym!r}", lineno)
         # an unknown symbol or element raises a CalculusError, reported at this line
         calculus.symbol_index(sym)
-        raw_phi[sym] = _pairs(pairs, set(universe))
+        raw_phi[sym] = _pairs(pairs, elems)
 
     read_clauses(text, {"model": model, "calculus": calculus_clause("model", calculus),
                         "universe": elements}, ("calculus", "universe"), interpretation, NetworkError)

@@ -20,17 +20,18 @@ and intersects C[j][i] with conv(b), so it tightens both cells: without
 R7, conv(b) alone can be looser than the closed C[j][i], and writing it
 would let the witness leave the input.  A child thus differs from its
 closed parent in the split pair alone, only tightened, so its closure is
-seeded with that pair (``a_closure(..., changed=(i, j))``, as in GQR) and
-reaches the same fixpoint in work proportional to what the split actually
-propagates.  The walk keeps its open nodes on an explicit stack, so its
-depth is not bounded by the interpreter's recursion limit.
+seeded with that pair, as ``a_closure(..., changed=(i, j))`` is (as in
+GQR), and reaches the same fixpoint in work proportional to what the split
+actually propagates.  The walk keeps its open nodes on an explicit stack,
+so its depth is not bounded by the interpreter's recursion limit.
 
-The walk works on one network, the root closure's copy of the input.  A
-split and the child's closure write it in place (``a_closure(...,
-trail=...)``), and each write appends the cell's index and old mask to one
-trail.  A node's frame holds the trail's length when it was closed;
-backtracking to it restores the cells written since, last first (as in
-GQR).  So no node copies the network, and memory grows with the writes on
+The walk works on one network, the root closure's copy of the input.  It
+sets up its closure once (``closure_runner``), on that network and one
+trail, and closes each child with one run of it.  A split and the run
+write the network in place, and each write appends the cell's index and
+old mask to the trail.  A node's frame holds the trail's length when it
+was closed; backtracking to it restores the cells written since, last
+first (as in GQR).  So no node copies the network, and memory grows with the writes on
 the current path, not with n^2 cells per open node.
 
 ``derive_completeness`` splits pair d at depth d, pairs in row order, so
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Optional
 
-from .closure import ClosureOutcome, a_closure
+from .closure import ClosureOutcome, a_closure, closure_runner
 from .core import CalculusMismatchError, CalculusSpec
 from .models import FiniteInterpretation, brute_force_solve
 from .network import ConstraintNetwork
@@ -148,12 +149,14 @@ def _search(out: ClosureOutcome, choose: Callable, leaf: Callable,
     conv = net.calculus.converse_mask
     n = len(net.var_names)
     trail: list = []
+    run = closure_runner(net, trail)
+    closed = out.closed
     nodes = 1
     # one frame per open node: its trail mark, the cell being split and the
     # base relations of that cell not tried yet
     stack: list[list] = []
     while True:
-        if out.closed:
+        if closed:
             cell = choose(net, len(stack), trail)
             if cell is None:
                 # the working network holds each frame's current split
@@ -179,7 +182,7 @@ def _search(out: ClosureOutcome, choose: Callable, leaf: Callable,
         cells[ij] = bit
         cells[ji] &= conv(bit)
         nodes += 1
-        out = a_closure(net, changed=(i, j), trail=trail)
+        closed = run((i, j))[0] is None
 
 
 def decide(net: ConstraintNetwork, acl_decides_atomic: Optional[bool] = None) -> Decision:

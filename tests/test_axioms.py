@@ -21,7 +21,7 @@ from qsr import (
 )
 from qsr import axioms
 from qsr.axioms import MAIN_AXIOMS, SUB, SUP
-from qsr.registry import BUILTIN_NAMES
+from qsr.registry import BUILTIN_NAMES, weak_operations
 
 ALWAYS_HOLD = ("R1", "R2", "R3", "R5", "R7" + SUP, "R8", "WA" + SUP, "SA" + SUP)
 
@@ -359,5 +359,35 @@ def test_non_associative_tables_are_semi_or_weakly_associative(products, classif
     for (x, y), cell in products.items():
         comp[(x, y)] = comp[(y, x)] = cell.split()
     report = classify(CalculusSpec("na", syms, ["e"], {s: [s] for s in syms}, comp))
+    assert report.classification is classification
+    assert set(report.violated()) == violated
+
+
+_SA4 = {frozenset(pair): sym for pair, sym in [((0, 1), "s"), ((0, 2), "s"), ((0, 3), "s"),
+                                               ((2, 3), "s"), ((1, 2), "t"), ((1, 3), "u")]}
+
+
+@pytest.mark.parametrize("size, label, classification, violated", [
+    # a 2-element chain: a.a is empty, so a.U = e + a, but (a.U).U = U and
+    # SA fails; WA holds, as U.U = U
+    (2, lambda x, y: "a" if x < y else "b",
+     Classification.WA, {"R4", "R4" + SUB, "R4" + SUP, "SA", "SA" + SUB}),
+    # four elements, every relation symmetric: each base relation composes
+    # with U to U, so SA holds, while R4 fails
+    (4, lambda x, y: _SA4[frozenset((x, y))],
+     Classification.SA, {"R4", "R4" + SUB, "R4" + SUP}),
+])
+def test_weak_operations_over_tiny_domains_are_semi_or_weakly_associative(size, label, classification,
+                                                                          violated):
+    # calculi derived from a domain, as the builtins are: the weak converse
+    # and composition that ``label`` induces on 0 .. size - 1, with the
+    # identity e on the diagonal
+    syms = ("e", *sorted({label(x, y) for x in range(size) for y in range(size) if x != y}))
+
+    def rel(x: str, y: str) -> str:
+        return "e" if x == y else label(int(x), int(y))
+
+    _, converse, composition = weak_operations([str(x) for x in range(size)], rel, syms)
+    report = classify(CalculusSpec(f"domain{size}", syms, ["e"], converse, composition))
     assert report.classification is classification
     assert set(report.violated()) == violated

@@ -81,7 +81,7 @@ def _writes(node: ast.AST) -> bool:
 def test_only_write_stores_counts_trails_and_queues_in_the_closure():
     # a certificate or a stats record hooks one routine, not a copy per pass
     tree = ast.parse((PACKAGE / "closure.py").read_text(encoding="utf-8"))
-    closure = next(node for node in tree.body if getattr(node, "name", None) == "a_closure")
+    closure = next(node for node in tree.body if getattr(node, "name", None) == "closure_runner")
     assert _scopes(closure, _writes, closure.name) == {"write"}
     settle = next(node for node in ast.walk(closure) if getattr(node, "name", None) == "settle")
     assert isinstance(settle.body[-1], ast.Return) and _calls("write")(settle.body[-1].value)

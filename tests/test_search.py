@@ -7,6 +7,7 @@ import pytest
 
 from qsr import (
     CalculusMismatchError,
+    CalculusSpec,
     ConstraintNetwork,
     FiniteInterpretation,
     NetworkError,
@@ -251,37 +252,61 @@ def test_derive_completeness_matches_the_reference_on_random_calculi(random_calc
     assert outcomes == {("yes", True), ("no", True), ("no", False)}
 
 
+def _node_closures(monkeypatch) -> list:
+    """Make the search log each closure it makes, the root's ``a_closure``
+    and each run of its closure set-up, one per child, as (changed pair,
+    its C[i][j] before the closure, empty pair, revisions, queue pops); the
+    root's changed pair and mask are None."""
+    import qsr.search
+
+    log = []
+    orig_closure, orig_runner = qsr.search.a_closure, qsr.search.closure_runner
+
+    def closure(*args, **kwargs):
+        out = orig_closure(*args, **kwargs)
+        log.append((None, None, out.empty_pair, out.revisions, out.queue_pops))
+        return out
+
+    def runner(net, *args, **kwargs):
+        run = orig_runner(net, *args, **kwargs)
+
+        def logged(changed):
+            mask = net.get_mask(*changed)
+            result = run(changed)
+            log.append((changed, mask, *result))
+            return result
+
+        return logged
+
+    monkeypatch.setattr(qsr.search, "a_closure", closure)
+    monkeypatch.setattr(qsr.search, "closure_runner", runner)
+    return log
+
+
 def test_derive_completeness_prunes_inconsistent_prefixes(monkeypatch):
     # 59,049 atomic networks, 541 of them closed; closing every one of them
     # from scratch takes 59,049 closures
     import qsr.search
 
-    calls = {"closure": 0, "brute": 0}
-    orig_closure, orig_brute = qsr.search.a_closure, qsr.search.brute_force_solve
-
-    def counting_closure(*args, **kwargs):
-        calls["closure"] += 1
-        if kwargs.get("changed") is not None:
-            # a split that the closed cell excludes is pruned, not closed
-            i, j = kwargs["changed"]
-            assert args[0].get_mask(i, j) != 0
-        return orig_closure(*args, **kwargs)
+    brute_calls = 0
+    orig_brute = qsr.search.brute_force_solve
 
     def counting_brute(*args, **kwargs):
-        calls["brute"] += 1
+        nonlocal brute_calls
+        brute_calls += 1
         return orig_brute(*args, **kwargs)
 
-    monkeypatch.setattr(qsr.search, "a_closure", counting_closure)
+    closures = _node_closures(monkeypatch)
     monkeypatch.setattr(qsr.search, "brute_force_solve", counting_brute)
     result = derive_completeness(pc1, builtin_model("pc1-chain5"), n_vars=5)
     assert (result.flag, result.networks_checked) == ("yes", 59_049)
-    assert calls["brute"] == 541
-    assert calls["closure"] == 2_035
+    assert brute_calls == 541
+    assert len(closures) == 2_035
+    # a split that the closed cell excludes is pruned, not closed
+    assert all(mask != 0 for _, mask, *_ in closures[1:])
 
 
 def test_derive_completeness_edge_cases(monkeypatch):
-    import qsr.search
-
     chain3 = builtin_model("pc1-chain3")
     result = derive_completeness(pc1, chain3, n_vars=1)
     assert (result.flag, result.networks_checked, result.counterexample) == ("yes", 1, None)
@@ -289,22 +314,14 @@ def test_derive_completeness_edge_cases(monkeypatch):
         with pytest.raises(NetworkError):
             derive_completeness(pc1, chain3, n_vars=n_vars)
 
-    closures = 0
-    orig = qsr.search.a_closure
-
-    def counting(*args, **kwargs):
-        nonlocal closures
-        closures += 1
-        return orig(*args, **kwargs)
-
-    monkeypatch.setattr(qsr.search, "a_closure", counting)
+    closures = _node_closures(monkeypatch)
     with pytest.raises(ValueError):
         derive_completeness(pc1, chain3, n_vars=4, budget=728)
     # the model's calculus is checked before anything is closed, not first
     # by brute force at the first closed network
     with pytest.raises(CalculusMismatchError):
         derive_completeness(rcc5, chain3, n_vars=3)
-    assert closures == 0
+    assert closures == []
 
 
 def test_decide_agrees_with_brute_force_on_small_networks():
@@ -385,27 +402,96 @@ def test_child_closures_pop_only_what_the_split_propagates(monkeypatch):
     # each child closure starts from the split pair alone, so every pop past
     # that pair is paid for by a revision; re-seeding all O(n^2) pairs per
     # node breaks this bound
-    import qsr.search
-
-    calls = []
-    orig = qsr.search.a_closure
-
-    def recording(net, *args, **kwargs):
-        out = orig(net, *args, **kwargs)
-        calls.append(out)
-        return out
-
-    monkeypatch.setattr(qsr.search, "a_closure", recording)
+    closures = _node_closures(monkeypatch)
     children = 0
     for name in ("rcc5", "appendixB1"):
         calc = builtin(name)
         for seed in range(12):
-            calls.clear()
+            closures.clear()
             decide(random_network(calc, 8, 0.5, seed=seed))
-            for out in calls[1:]:
-                assert out.queue_pops <= 1 + out.revisions, (name, seed)
-            children += len(calls) - 1
+            for *_, revisions, pops in closures[1:]:
+                assert pops <= 1 + revisions, (name, seed)
+            children += len(closures) - 1
     assert children > 50
+
+
+def _random_r7_r9_calculus(rng, n_syms, name):
+    # random tables on which R7 and R9 hold: the converse pairs symbols up
+    # or fixes them, and each cell a.b sets its mirror conv(b).conv(a) to
+    # conv(a.b), or is closed under converse where it is its own mirror
+    syms = [f"s{i}" for i in range(n_syms)]
+    rest = syms[:]
+    rng.shuffle(rest)
+    conv = {}
+    while rest:
+        a = rest.pop()
+        b = rest.pop() if rest and rng.random() < 0.6 else a
+        conv[a], conv[b] = [b], [a]
+    comp = {}
+    for a in syms:
+        for b in syms:
+            if (a, b) not in comp:
+                cell = {s for s in syms if rng.random() < 0.4}
+                mirror = (conv[b][0], conv[a][0])
+                if mirror == (a, b):
+                    cell |= {conv[s][0] for s in cell}
+                comp[a, b] = sorted(cell)
+                comp[mirror] = sorted(conv[s][0] for s in cell)
+    return CalculusSpec(name, syms, None, conv, comp)
+
+
+def test_child_runs_match_closing_each_child_with_a_closure(monkeypatch):
+    # a child run that ends inconsistent stops with pairs still queued, and
+    # the next run of the same set-up must start clean: a walk that closes
+    # each child with a_closure(net, changed=(i, j), trail=trail), a set-up
+    # of its own per child, makes the same runs, node for node.  appendixB1
+    # lacks R7, appendixB2 R9, and the random calculus takes the chunked pass
+    import qsr.search
+    from qsr.closure import closure_runner
+
+    def reference_runner(net, trail):
+        def run(changed):
+            out = a_closure(net, changed=changed, trail=trail)
+            empty = None if out.closed else tuple(map(net.var_names.index, out.empty_pair))
+            return empty, out.revisions, out.queue_pops
+
+        return run
+
+    def labelled_network(calc, n, rng):
+        # 70 % of the pairs labelled with three base relations (one fewer
+        # than all on smaller calculi); without R7 the mirror cell is only cut
+        net = ConstraintNetwork(calc, [f"x{k}" for k in range(n)])
+        width = min(3, len(calc) - 1)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.7:
+                    mask = sum(1 << b for b in rng.sample(range(len(calc)), width))
+                    net.cells[i * n + j] = mask
+                    net.cells[j * n + i] &= calc.converse_mask(mask)
+        return net
+
+    rng = random.Random(3003)
+    rand = _random_r7_r9_calculus(rng, rng.randint(9, 12), "rand-r7-r9")
+    assert rand.flags.ra7_holds and rand.flags.ra9_holds and rand.chunked_rows
+    restarts = {}
+    for calc in (rcc5, builtin("appendixB1"), builtin("appendixB2"), rand):
+        restarts[calc.name] = 0
+        for seed in range(40):
+            net = labelled_network(calc, 10 if calc is rcc5 else rng.choice((5, 6, 8)), rng)
+            walks = []
+            for runner in (closure_runner, reference_runner):
+                monkeypatch.undo()
+                monkeypatch.setattr(qsr.search, "closure_runner", runner)
+                log = _node_closures(monkeypatch)
+                got = decide(net)
+                witness = got.witness.cells[:] if got.witness is not None else None
+                walks.append((got.verdict, got.nodes_explored, witness, log))
+            assert walks[0] == walks[1], (calc.name, seed)
+            # inconsistent child runs that another run follows
+            restarts[calc.name] += sum(empty is not None for _, _, empty, _, _ in log[1:-1])
+    # the search on appendixB1 and appendixB2 refutes no child of these
+    # networks; their runs differ from rcc5's in branch and bookkeeping
+    assert restarts["rcc5"] > 0 and restarts[rand.name] > 100, restarts
 
 
 def _complete_dc_po(n):
