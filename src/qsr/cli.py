@@ -84,7 +84,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     lines = [f"calculus: {calc.name} ({len(calc.symbols)} base relations)"]
     lines.append(f"classification: {report.classification.value}")
     lines.append(f"engine flags: R7 {_yn(flags.ra7_holds)}, R9 {_yn(flags.ra9_holds)}, "
-                 f"universal absorbs {_yn(flags.universal_absorbs)}")
+                 f"universal absorbs {_yn(flags.universal_absorbs)}, "
+                 f"universal idempotent {_yn(flags.universal_idempotent)}")
     if report.all_main_hold():
         if all(report.records[a].applicable for a in axioms.MAIN_AXIOMS):
             lines.append("all axioms hold")
@@ -111,7 +112,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     payload = report.to_json_dict()
     payload["flags"] = {"ra7_holds": flags.ra7_holds, "ra9_holds": flags.ra9_holds,
-                        "universal_absorbs": flags.universal_absorbs}
+                        "universal_absorbs": flags.universal_absorbs,
+                        "universal_idempotent": flags.universal_idempotent}
     payload["findings"] = [{"kind": f.kind, "message": f.message} for f in findings]
     payload["violated_sides"] = sides
     _emit(args, payload, "\n".join(lines))

@@ -77,19 +77,25 @@ Under R7 and R9 it does the fused pass's revisions in the same order, but
 an inconsistent outcome names the mirror of the fused pass's pair:
 ``settle`` checks C[b][a] first, and under R7 both cells are empty.
 
-If the universal relation U absorbs composition (``universal_absorbs``:
-U.{s} == {s}.U == U for every base relation s) and is its own converse, a
-pair whose cells C[i][j] and C[j][i] are both U is not seeded: it is
-2-consistent, and each composition of its pop, having a universal operand
-and a non-empty other one, would yield U (composition distributes over
-union).  It joins the worklist once a revision tightens one of its cells.
-The fixpoint is unchanged, but the queue order, hence the revisions and
-the pair an inconsistent outcome reports, can differ from seeding every
-pair.  Without the flag this is unsound: where a.a is empty, the
-all-universal network is inconsistent.
+If the universal relation U is idempotent (``universal_idempotent``: U.U
+== U) and is its own converse, a pair whose cells C[i][j] and C[j][i] are
+both U is not seeded; it joins the worklist once a revision tightens one
+of its cells.  This is exact by the invariant of the PC-2 worklist: a
+triangle C[i][k] <- C[i][k] & C[i][j].C[j][k] can tighten its cell only
+while the pair (i, j) or (j, k) is queued.  A triangle whose two operand
+pairs are U both ways bounds its cell by U.U == U, so it tightens nothing;
+every other one has a seeded operand pair; and a pair that is U both ways
+is 2-consistent, as conv(U) == U.  The fixpoint is unchanged, but the
+queue order, hence the revisions and the pair an inconsistent outcome
+reports, can differ from seeding every pair.  Where U.U != U this is
+unsound: an all-universal network of three or more variables is then
+inconsistent if U.U is empty, and otherwise closure tightens each of its
+cells to a subset of U.U.
 
-Under the same flag a full closure's dense fused pass keeps a support set
-per variable, nbr[x]: each y with a cell other than U between x and y.
+If U moreover absorbs composition (``universal_absorbs``: U.{s} == {s}.U
+== U for every base relation s, so C.U == U.C == U for every non-empty C),
+a full closure's dense fused pass keeps a support set per variable,
+nbr[x]: each y with a cell other than U between x and y.
 The seeds fill the sets and ``write`` adds each pair it queues, so a pop
 of (i, j) visits only the k of sorted(nbr[i] | nbr[j]), in the order of
 range(n).  Skipping the other k is exact, as C[i][k] == C[j][k] == U there
@@ -166,8 +172,8 @@ class ClosureOutcome:
     # converse) and one per tightened cell otherwise; on an inconsistent
     # outcome it counts only the work done before the empty cell was met
     revisions: int
-    # pairs taken from the worklist; where U absorbs composition and is its
-    # own converse, no pair that is U both ways is queued
+    # pairs taken from the worklist; where U.U == U and U is its own
+    # converse, no pair that is U both ways is queued until a write tightens it
     queue_pops: int
     empty_pair: Optional[tuple[str, str]] = None
 
@@ -240,11 +246,14 @@ def closure_runner(work: ConstraintNetwork, trail: list, queue_order: str = FIFO
     chunked = calc.chunked_rows
     # the fused pass reads rows, which exist up to 16 relations
     derive = ra7 and flags.ra9_holds and (dense or chunked)
-    # a cell equal to ``absorbing`` is U, U absorbs composition and is its
-    # own converse; no cell equals -1.  A pair that is U both ways is then
-    # 2-consistent and no pop of it revises: it is not seeded
+    # a cell equal to ``waiting`` is U, U.U == U and U is its own converse;
+    # no cell equals -1.  A pair that is U both ways is then 2-consistent
+    # and waits for a write to queue it: it is not seeded.  A cell equal to
+    # ``absorbing`` is such a U that also absorbs composition, C.U == U for
+    # every non-empty C, which the support sets and the chunked half-skip need
     universal = calc.universal
-    absorbing = universal if flags.universal_absorbs and conv(universal) == universal else -1
+    waiting = universal if flags.universal_idempotent and conv(universal) == universal else -1
+    absorbing = waiting if flags.universal_absorbs else -1
     if dense and not derive:
         # the dense safe loop reads the dense table, the low-byte row table
         # of compose_row, which this first call builds; a row not built yet
@@ -322,7 +331,7 @@ def closure_runner(work: ConstraintNetwork, trail: list, queue_order: str = FIFO
         if changed is None:
             # the pairs with a cell other than U, row by row
             seeds = [(i, j) for i in range(n) for j in range(i + 1, n)
-                     if cells[i * n + j] != absorbing or cells[j * n + i] != absorbing]
+                     if cells[i * n + j] != waiting or cells[j * n + i] != waiting]
             # the seeds average fewer than n / 8 neighbours
             if dense and derive and absorbing != -1 and 16 * len(seeds) < n * n:
                 nbr = [set() for _ in range(n)]
@@ -332,7 +341,7 @@ def closure_runner(work: ConstraintNetwork, trail: list, queue_order: str = FIFO
         else:
             # every other pair is still closed: check and settle this one only
             ci, cj = changed
-            universal_pair = cells[ci * n + cj] == absorbing == cells[cj * n + ci]
+            universal_pair = cells[ci * n + cj] == waiting == cells[cj * n + ci]
             seeds = [] if universal_pair else [(ci, cj) if ci < cj else (cj, ci)]
         revisions = pops = 0
         in_queue = set(seeds)

@@ -53,16 +53,23 @@ class UnknownSymbolError(CalculusError):
 class CalculusFlags:
     """Read-only properties of a calculus that the reasoning engines act on.
 
-    ``ra7_holds``, ``ra9_holds`` and ``universal_absorbs`` (U.{s} == U ==
-    {s}.U for every base relation s) are derived from the tables on the first
-    read of ``CalculusSpec.flags``; ``acl_decides_atomic`` (closure decides
-    atomic networks) is fixed at construction, and ``decide`` may override it.
+    ``ra7_holds``, ``ra9_holds``, ``universal_absorbs`` (U.{s} == U ==
+    {s}.U for every base relation s) and ``universal_idempotent`` (U.U == U:
+    the cells of the composition table together cover U) are derived from
+    the tables on the first read of ``CalculusSpec.flags``.  Absorption
+    implies idempotence, and so does an identity relation e, as e.{s} ==
+    {s}; a calculus whose compositions are all empty has neither.  The
+    closure engine seeds no pair that is U both ways under idempotence and
+    skips universal operands only under absorption (see ``qsr.closure``).
+    ``acl_decides_atomic`` (closure decides atomic networks) is fixed at
+    construction, and ``decide`` may override it.
     """
 
     ra7_holds: bool
     ra9_holds: bool
     acl_decides_atomic: bool
     universal_absorbs: bool
+    universal_idempotent: bool
 
 
 class CalculusSpec:
@@ -152,6 +159,7 @@ class CalculusSpec:
                 compute_ra9(self),
                 self._acl_decides_atomic,
                 compute_universal_absorbs(self),
+                compute_universal_idempotent(self),
             )
         return flags
 
@@ -482,8 +490,8 @@ def compute_universal_absorbs(spec: CalculusSpec) -> bool:
     """The universal relation absorbs composition: U.{s} == U == {s}.U for every base symbol s.
 
     Composition distributes over union, so then U.R == R.U == U for every
-    non-empty R, and a closure pop whose pair is universal both ways refines
-    nothing.  {s}.U is the union of row s of the table and U.{s} the union of
+    non-empty R, and a triangle with a universal operand refines nothing.
+    {s}.U is the union of row s of the table and U.{s} the union of
     column s.  Reads the tables directly, leaving the composition cache empty.
     """
     u = spec.universal
@@ -491,3 +499,20 @@ def compute_universal_absorbs(spec: CalculusSpec) -> bool:
     return all(_union_of(row, u) == u for row in rows) and all(
         reduce(or_, column) == u for column in zip(*rows)
     )
+
+
+def compute_universal_idempotent(spec: CalculusSpec) -> bool:
+    """The universal relation is idempotent: U.U == U.
+
+    Composition distributes over union, so U.U is the union of every cell
+    of the table, read row by row until it covers U.  A triangle whose two operand cells are U then bounds its
+    third cell by U, which tightens nothing.  Reads the tables directly,
+    leaving the composition cache empty.
+    """
+    u = spec.universal
+    cover = 0
+    for row in spec.composition_row:
+        cover |= reduce(or_, row)
+        if cover == u:
+            return True
+    return False

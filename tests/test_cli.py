@@ -197,8 +197,10 @@ def test_closure_reports_queue_pops_and_revisions(capsys, tmp_path, fig_net):
 
 
 @pytest.mark.parametrize("name,line,flags", [
-    ("rcc5", "engine flags: R7 yes, R9 yes, universal absorbs yes", (True, True, True)),
-    ("appendixB2", "engine flags: R7 yes, R9 no, universal absorbs no", (True, False, False)),
+    ("rcc5", "engine flags: R7 yes, R9 yes, universal absorbs yes, universal idempotent yes",
+     (True, True, True, True)),
+    ("appendixB2", "engine flags: R7 yes, R9 no, universal absorbs no, universal idempotent yes",
+     (True, False, False, True)),
 ])
 def test_analyze_reports_the_derived_engine_flags(capsys, name, line, flags):
     code, out, _ = run(capsys, "analyze", "--builtin", name)
@@ -206,7 +208,8 @@ def test_analyze_reports_the_derived_engine_flags(capsys, name, line, flags):
     assert line in out.splitlines()
     code, out, _ = run(capsys, "analyze", "--builtin", name, "--format", "json")
     doc = json.loads(out)
-    assert doc["flags"] == dict(zip(("ra7_holds", "ra9_holds", "universal_absorbs"), flags))
+    assert doc["flags"] == dict(zip(("ra7_holds", "ra9_holds", "universal_absorbs", "universal_idempotent"),
+                                    flags))
 
 
 @pytest.mark.parametrize("flag, bad, message", [

@@ -680,7 +680,9 @@ def test_closure_work_counts_are_pinned(random_calculus):
     # without R9) and on a random calculus with neither, and changed=
     # closures of every split of the first open pair of closed appendixB2
     # networks.  The appendixB1 and rand4 counts were recorded again when
-    # calculi without R7 moved to the unordered-pair worklist.
+    # calculi without R7 moved to the unordered-pair worklist, and the
+    # appendixB2 and rand4 counts when a pair that is U both ways stopped
+    # being seeded wherever U.U == U, not only where U absorbs.
     rand4 = random_calculus(_random.Random(6), 4, "rand4")
     assert not (rand4.flags.ra7_holds or rand4.flags.ra9_holds)
     full = {calc.name: _tally(full_closures(calc))
@@ -706,15 +708,15 @@ def test_closure_work_counts_are_pinned(random_calculus):
             split_closures += [a_closure(split, queue_order=order, seed=seed, changed=(i, j))
                                for order in orders]
     assert full["appendixB1"] == (798, 0, " ".join(["."] * 36))
-    assert full["appendixB2"] == (105, 185, (
-        ". . . x3-x0 x3-x4 x3-x4 x2-x0 x3-x5 x1-x0 x3-x0 x2-x6 x0-x2 x9-x0 x3-x8 "
-        "x7-x1 x6-x0 x3-x9 x5-x4 x3-x0 x0-x10 x3-x0 x3-x0 x0-x10 x5-x1 x2-x0 x0-x4 "
-        "x2-x0 x6-x0 x1-x4 x1-x4 x3-x0 x1-x6 x5-x3 x2-x0 x4-x7 x0-x4"
+    assert full["appendixB2"] == (96, 198, (
+        ". . . x3-x0 x3-x4 x3-x0 x2-x0 x1-x3 x1-x0 x2-x0 x2-x6 x0-x2 x9-x0 x1-x7 "
+        "x7-x1 x6-x0 x2-x8 x0-x5 x3-x0 x1-x8 x1-x0 x2-x0 x0-x10 x0-x4 x2-x0 x0-x4 "
+        "x2-x0 x0-x1 x1-x4 x0-x1 x7-x0 x1-x6 x4-x3 x2-x0 x4-x7 x7-x5"
     ))
-    assert full["rand4"] == (233, 243, (
-        "x3-x1 x5-x3 x1-x3 x2-x4 x4-x2 x4-x2 x2-x3 x1-x5 x2-x3 x7-x1 x8-x1 x7-x1 "
-        "x7-x1 x3-x4 x4-x3 x5-x0 x9-x0 x8-x2 x10-x1 x11-x0 x11-x0 x3-x2 x7-x10 x12-x0 "
-        "x1-x2 x5-x2 x2-x3 . . . x2-x0 x7-x5 x0-x2 x3-x0 x7-x0 x7-x0"
+    assert full["rand4"] == (168, 274, (
+        "x1-x3 x5-x3 x1-x3 x2-x4 x4-x2 x5-x0 x2-x3 x1-x5 x2-x3 x7-x1 x8-x1 x7-x1 "
+        "x7-x1 x7-x8 x5-x3 x5-x0 x9-x0 x5-x2 x10-x1 x11-x0 x10-x0 x3-x2 x7-x10 x12-x0 "
+        "x1-x2 x5-x2 x2-x3 . . . x2-x0 x7-x5 x5-x2 x3-x0 x7-x0 x6-x3"
     ))
     # no split of a closed appendixB2 network in this batch is inconsistent
     assert _tally(split_closures) == (1212, 1050, " ".join(["."] * 162))
@@ -726,7 +728,8 @@ def test_prologue_settles_pairs_whose_mirrors_disagree(random_calculus):
     # cells of a pair are drawn on their own, so the prologue must settle
     # each pair, on every builtin and on random calculi without R7; status
     # and cells must match the reference.  The queue pops, and under R7 the
-    # reported pairs, are pinned.
+    # reported pairs, are pinned; they were recorded again when a pair that
+    # is U both ways stopped being seeded wherever U.U == U.
     import random as _random
 
     from qsr import BUILTIN_NAMES
@@ -757,9 +760,9 @@ def test_prologue_settles_pairs_whose_mirrors_disagree(random_calculus):
                 (with_ra7 if calc.flags.ra7_holds else without).append(got)
     assert sum(out.closed for out in with_ra7) == 75
     assert sum(out.closed for out in without) == 63
-    assert _tally(without)[0] == 500
+    assert _tally(without)[0] == 296
     pops, _, empties = _tally(with_ra7)
-    assert pops == 233
+    assert pops == 209
     assert empties == (
         '. . . x0-x1 x0-x1 x0-x1 . . . x1-x4 x2-x1 x1-x4 . . . x0-x5 x5-x0 x4-x3 . . . x0-x3 '
         'x0-x3 x0-x3 . . . x0-x3 x0-x3 x0-x3 . . . x0-x3 x0-x3 x0-x3 . . . x0-x2 x0-x2 x0-x2 '
@@ -767,8 +770,8 @@ def test_prologue_settles_pairs_whose_mirrors_disagree(random_calculus):
         '. . x0-x4 x0-x4 x0-x4 . . . x0-x1 x0-x1 x0-x1 . . . . . . . . . x0-x4 x4-x3 x3-x4 '
         'x0-x6 x0-x6 x0-x6 x2-x7 x2-x7 x2-x7 . . . . . . . . . x1-x2 x1-x2 x1-x2 x0-x3 x0-x3 '
         'x0-x3 x0-x2 x0-x2 x0-x2 x0-x2 x0-x2 x0-x2 x0-x3 x0-x3 x0-x3 x2-x4 x2-x4 x2-x4 x1-x2 '
-        'x1-x2 x1-x2 x5-x0 x0-x4 x1-x0 x1-x7 x1-x7 x1-x7 . . . x2-x3 x2-x3 x2-x3 x1-x4 x1-x4 '
-        'x1-x4 x0-x1 x0-x1 x0-x1 x5-x0 x1-x2 x1-x2 x0-x3 x0-x3 x0-x3 . . . . . . . . . x1-x2 '
+        'x1-x2 x1-x2 x5-x0 x0-x4 x5-x0 x1-x7 x1-x7 x1-x7 . . . x2-x3 x2-x3 x2-x3 x1-x4 x1-x4 '
+        'x1-x4 x0-x1 x0-x1 x0-x1 x5-x1 x1-x2 x1-x2 x0-x3 x0-x3 x0-x3 . . . . . . . . . x1-x2 '
         'x1-x2 x1-x2 . . . x4-x6 x4-x6 x4-x6 . . . . . . . . . x2-x4 x2-x4 x2-x4 x0-x2 x0-x2 '
         'x0-x2 x1-x5 x1-x5 x1-x5'
     )
@@ -791,31 +794,50 @@ def _void2():
                         {(x, y): [] for x in syms for y in syms})
 
 
-@pytest.mark.parametrize("make,ra7,ra9", [(_void1, True, True), (_void2, False, True)])
+def _tight2():
+    # two symbols, each its own converse, every composition {a}: R7 and R9
+    # hold and U is its own converse, but U.U == {a}, so the all-universal
+    # network closes to {a} off the diagonal
+    from qsr.core import CalculusSpec
+
+    syms = ("a", "b")
+    return CalculusSpec("tight2", syms, None, {s: [s] for s in syms},
+                        {(x, y): ["a"] for x in syms for y in syms})
+
+
+@pytest.mark.parametrize("make,ra7,ra9", [(_void1, True, True), (_void2, False, True),
+                                          (_tight2, True, True)])
 def test_universal_pairs_are_revised_when_the_universal_relation_does_not_absorb(make, ra7, ra9):
-    # every pair of the all-universal network is universal, yet each pop
-    # empties a cell: skipping such pops without the derived flag would
-    # report this network closed
+    # every pair of the all-universal network is universal, yet the pops
+    # empty or tighten its cells: skipping them where U.U != U would report
+    # this network closed and unchanged
     from qsr.network import ConstraintNetwork
 
     calc = make()
-    assert (calc.flags.ra7_holds, calc.flags.ra9_holds, calc.flags.universal_absorbs) == (ra7, ra9, False)
+    flags = calc.flags
+    assert (flags.ra7_holds, flags.ra9_holds, flags.universal_absorbs, flags.universal_idempotent) == (
+        ra7, ra9, False, False)
     net = ConstraintNetwork(calc, ["x", "y", "z"])
     ref = naive_closure(net)
-    assert ref.status is ClosureStatus.INCONSISTENT
+    assert ref.closed is (make is _tight2)
+    if ref.closed:
+        assert [c for k, c in enumerate(ref.network.cells) if k % 4] == [calc.mask_of(["a"])] * 6
     for order in ("fifo", "lifo", "shuffled"):
         got = a_closure(net, queue_order=order, seed=3)
-        assert got.status is ClosureStatus.INCONSISTENT, order
+        assert got.status is ref.status, order
+        if got.closed:
+            assert got.network.cells == ref.network.cells, order
         assert got.queue_pops >= 1, order
 
 
 def test_universal_pairs_are_not_queued_and_keep_the_fixpoint(cyclic_group, random_calculus):
     # sparse networks on one calculus per closure branch whose universal
     # relation absorbs composition: fused (rcc5), R7 without R9 (nc2: conv is the identity and
-    # a.b != b.a), without R7 (appendixB1) and the large path (Z9).  A pair
-    # universal both ways is queued only once a revision tightens it, so the
-    # all-universal network closes without a pop, and a network with one
-    # constraint pops that pair alone.
+    # a.b != b.a), without R7 (appendixB1) and the large path (Z9); and on
+    # appendixB2 (R7 without R9), whose U does not absorb but has U.U == U.
+    # A pair universal both ways is queued only once a revision tightens
+    # it, so the all-universal network closes without a pop, and a network
+    # with one constraint pops that pair alone.
     import random as _random
 
     from qsr.core import CalculusSpec
@@ -824,11 +846,12 @@ def test_universal_pairs_are_not_queued_and_keep_the_fixpoint(cyclic_group, rand
     nc2 = CalculusSpec("nc2", ("a", "b"), None, {"a": ["a"], "b": ["b"]},
                        {("a", "a"): ["a", "b"], ("a", "b"): ["a"],
                         ("b", "a"): ["b"], ("b", "b"): ["a", "b"]})
-    calcs = [builtin("rcc5"), nc2, builtin("appendixB1"), cyclic_group(9)]
-    assert [(c.flags.ra7_holds, c.flags.ra9_holds) for c in calcs] == [
-        (True, True), (True, False), (False, True), (True, True)]
+    calcs = [builtin("rcc5"), nc2, builtin("appendixB1"), cyclic_group(9), builtin("appendixB2")]
+    assert [(c.flags.ra7_holds, c.flags.ra9_holds, c.flags.universal_absorbs) for c in calcs] == [
+        (True, True, True), (True, False, True), (False, True, True), (True, True, True),
+        (True, False, False)]
     for calc in calcs:
-        assert calc.flags.universal_absorbs is True
+        assert calc.flags.universal_idempotent is True
         assert calc.converse_mask(calc.universal) == calc.universal
         universal_net = ConstraintNetwork(calc, [f"x{k}" for k in range(8)])
         for order in ("fifo", "lifo", "shuffled"):
@@ -849,6 +872,24 @@ def test_universal_pairs_are_not_queued_and_keep_the_fixpoint(cyclic_group, rand
     net.set_mask(3, 1, rcc5.mask_of(["PPi"]))
     got = a_closure(net)
     assert got.closed and got.queue_pops == 1 and got.revisions == 0
+
+    # U.U == U under R7 and R9 without absorption, on the dense (2
+    # relations) and the chunked (9) fused pass: s_p.s_q = {s_max(p, q)},
+    # so s0 is the identity and s_top.U == {s_top}.  The support sets and
+    # the half-skip need absorption: one constraint s_top tightens every cell
+    for m in (2, 9):
+        syms = [f"s{p}" for p in range(m)]
+        chain = CalculusSpec(f"chain{m}", syms, ["s0"], {s: [s] for s in syms},
+                             {(x, y): [syms[max(p, q)]] for p, x in enumerate(syms)
+                              for q, y in enumerate(syms)})
+        assert (chain.flags.ra7_holds, chain.flags.ra9_holds) == (True, True)
+        assert (chain.flags.universal_absorbs, chain.flags.universal_idempotent) == (False, True)
+        net = ConstraintNetwork(chain, [f"x{k}" for k in range(8)])
+        net.set_mask(1, 3, chain.mask_of([syms[-1]]))
+        ref = naive_closure(net)
+        got = a_closure(net)
+        assert got.closed and got.network.cells == ref.network.cells, m
+        assert [c for k, c in enumerate(got.network.cells) if k % 9] == [chain.mask_of([syms[-1]])] * 56
 
     # U absorbs but is not its own converse: every pair is seeded, as the
     # prologue tightens each pair that is universal both ways; the

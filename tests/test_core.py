@@ -122,13 +122,15 @@ def _random_tables(rng, n_syms):
 
 
 def test_compute_ra9_leaves_the_composition_cache_empty(cyclic_group):
-    from qsr.core import compute_ra9, compute_universal_absorbs
+    from qsr.core import compute_ra9, compute_universal_absorbs, compute_universal_idempotent
 
     spec = cyclic_group(12)
     assert compute_ra9(spec) is True
     assert compute_universal_absorbs(spec) is True
+    assert compute_universal_idempotent(spec) is True
     assert spec.flags.ra9_holds is True
     assert spec.flags.universal_absorbs is True
+    assert spec.flags.universal_idempotent is True
     assert spec._comp_cache == {}
 
 
@@ -153,25 +155,35 @@ def test_compute_ra9_matches_the_axiom_check(cyclic_group):
 
 
 def test_universal_absorbs_matches_its_definition(cyclic_group, dihedral_group, random_calculus):
-    # U.{s} == U == {s}.U for every base relation s, read through compose_masks
+    # U.{s} == U == {s}.U for every base relation s, and U.U == U, read
+    # through compose_masks after the flags, which leave the cache empty.
+    # Absorption and an identity relation each imply U.U == U.
     import random
 
     from qsr import BUILTIN_NAMES
 
     specs = [builtin(name) for name in BUILTIN_NAMES]
-    specs += [cyclic_group(9), cyclic_group(10), dihedral_group(5)]
+    fresh = [cyclic_group(9), cyclic_group(10), dihedral_group(5)]
     rng = random.Random(8)
-    specs += [random_calculus(rng, rng.choice((1, 2, 3, 4, 9)), f"rand{t}") for t in range(60)]
+    fresh += [random_calculus(rng, rng.choice((1, 2, 3, 4, 9)), f"rand{t}") for t in range(60)]
+    for spec in fresh:
+        spec.flags
+        assert spec._comp_cache == {}, spec.name
     seen = set()
-    for spec in specs:
+    for spec in specs + fresh:
         u = spec.universal
-        expected = all(
+        absorbs = all(
             spec.compose_masks(u, 1 << s) == u and spec.compose_masks(1 << s, u) == u
             for s in range(len(spec))
         )
-        assert spec.flags.universal_absorbs is expected, spec.name
-        seen.add(expected)
-    assert seen == {True, False}
+        idempotent = spec.compose_masks(u, u) == u
+        e = spec.identity_mask
+        identity = e is not None and all(spec.compose_masks(e, 1 << s) == 1 << s for s in range(len(spec)))
+        assert spec.flags.universal_absorbs is absorbs, spec.name
+        assert spec.flags.universal_idempotent is idempotent, spec.name
+        assert idempotent or not (absorbs or identity), spec.name
+        seen.add((absorbs, idempotent))
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_directly_built_calculus_derives_its_flags():
@@ -181,6 +193,7 @@ def test_directly_built_calculus_derives_its_flags():
     assert spec.flags.ra7_holds is True
     assert spec.flags.ra9_holds is False
     assert spec.flags.universal_absorbs is False
+    assert spec.flags.universal_idempotent is True
     assert spec.flags.acl_decides_atomic is False
 
 
