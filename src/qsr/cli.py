@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, Callable, Optional
 
@@ -68,11 +69,23 @@ def _load_calculus(args: argparse.Namespace) -> CalculusSpec:
     return _load(registry.load_spec, args.spec)
 
 
+def _write(text: str) -> None:
+    """Write ``text`` to stdout.  A reader that closed the pipe ends the
+    output, not the command: stdout then points at os.devnull, so the flush
+    at exit neither fails nor warns, and the command's exit code stands."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2, ensure_ascii=False))
-    else:
-        print(text)
+        text = json.dumps(payload, indent=2, ensure_ascii=False)
+    _write(text + "\n")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -234,7 +247,7 @@ def _strength_summary(grading) -> tuple[str, str]:
 def cmd_gen(args: argparse.Namespace) -> int:
     calc = _load_calculus(args)
     net = random_network(calc, args.vars, args.density, label_size=args.labels, seed=args.seed)
-    sys.stdout.write(net.to_text())
+    _write(net.to_text())
     return EXIT_OK
 
 

@@ -102,7 +102,7 @@ range(n).  Skipping the other k is exact, as C[i][k] == C[j][k] == U there
 and C[i][j].U == C[j][i].U == U tightens neither: revisions, pops, the
 reported pair and the trail are unchanged.  The sets are kept only where
 the seeds average fewer than n / 8 neighbours; on denser or smaller
-networks they cost more than they skip.  Incremental closures (their sets
+networks they cost more than they skip.  Incremental runs (their sets
 would cost an O(n^2) scan), the chunked pass (it skips each half with a U
 operand; a support there measured 8 % slower on IA13) and the safe
 branches keep range(n).
@@ -121,22 +121,22 @@ carries the offending pair.  In the prologue that is the first seeded pair
 (i, j), i < j, in row order that is or becomes empty, named (j, i) only if
 C[i][j] stays non-empty.
 
-``a_closure(net, changed=(i, j))`` is the incremental form.  Its
-precondition: ``net`` is closed except in the cells (i, j) and (j, i),
-which were only tightened since (as by a search split).  Only those two
-cells are then checked for emptiness and made 2-consistent, and the
-worklist starts from that pair alone (if it is seeded at all) instead of
-from all O(n^2) pairs.  This holds for every calculus: a triangle that
-bounds a cell of the pair by two unchanged cells still holds after the
-cell shrank, so only the triangles that compose with the pair can fail,
-and popping it revises those.  The result equals the full closure of
-``net``: the greatest fixpoint below a network is unique.
-
-``a_closure`` is one set-up and one run of ``closure_runner``: the set-up
-reads the flags and tables and binds ``write`` and ``settle`` once per
-network, and a run is the prologue and the worklist.  Refinement search
-sets up once per walk and closes each child node with one run from its
-split pair, so a node pays for what its split propagates, not a set-up.
+``a_closure`` closes a copy of its input: one set-up and one full run of
+``closure_runner``.  The set-up reads the flags and tables and binds
+``write`` and ``settle`` once per network; a run is the prologue and the
+worklist, and works on the network in place.  ``run(changed=(i, j))`` is
+the incremental run.  Its precondition: the network is closed except in
+the cells (i, j) and (j, i), which were only tightened since.  Refinement
+search makes it true by construction: it splits a closed node, sets up
+once per walk and closes each child with one run from its split pair, so
+a node pays for what its split propagates, not a set-up (as in GQR).
+Only those two cells are then checked for emptiness and made
+2-consistent, and the worklist starts from that pair alone (if it is
+seeded at all) instead of from all O(n^2) pairs.  This holds for every
+calculus: a triangle that bounds a cell of the pair by two unchanged
+cells still holds after the cell shrank, so only the triangles that
+compose with the pair can fail, and popping it revises those.  The result
+equals the full closure: the greatest fixpoint below a network is unique.
 
 ``naive_closure`` is an independent reference: it iterates the refinement
 rule over all ordered triples and both cell directions, together with the
@@ -182,45 +182,18 @@ class ClosureOutcome:
         return self.status is ClosureStatus.CLOSED
 
 
-def a_closure(
-    net: ConstraintNetwork,
-    queue_order: str = FIFO,
-    seed: Optional[int] = None,
-    *,
-    changed: Optional[tuple[int, int]] = None,
-    trail: Optional[list] = None,
-) -> ClosureOutcome:
-    """Close ``net`` under the triangle refinement rule; pure, input untouched,
-    unless a ``trail`` is given.
+def a_closure(net: ConstraintNetwork, queue_order: str = FIFO,
+              seed: Optional[int] = None) -> ClosureOutcome:
+    """Close a copy of ``net`` under the triangle refinement rule; ``net``
+    is untouched.
 
     ``queue_order`` selects the worklist discipline (``fifo``, ``lifo`` or
     ``shuffled``, drawn from ``random.Random(seed)``); the fixpoint is the
     same for all of them.  Each pair it starts from (the module docstring
     says which) is first made strongly 2-consistent.
-
-    ``changed=(i, j)`` (variable indices, ``i != j``) states that ``net`` is
-    closed except in cells (i, j) and (j, i), which were only tightened.
-    The closure then starts from that pair alone.  The precondition is not
-    checked; if it fails, the result need not be closed.  An out-of-range
-    or diagonal pair raises ``ValueError``.
-
-    ``trail=lst`` closes ``net`` itself, and the outcome's network is
-    ``net``.  Before each cell write the closure appends the cell's index
-    and then its old mask to ``lst``, so restoring the pairs it added, last
-    first, gives back the input cells, on a closed and on an inconsistent
-    outcome alike.  Without a trail the closure copies ``net`` and runs the
-    same code with a list of its own.
     """
-    if queue_order not in (FIFO, LIFO, SHUFFLED):
-        raise ValueError(f"unknown queue order {queue_order!r}")
-    n = len(net.var_names)
-    if changed is not None and (changed[0] == changed[1] or not 0 <= min(changed) <= max(changed) < n):
-        raise ValueError(f"changed pair {changed!r} is not an off-diagonal pair of {n} variables")
-    if trail is None:
-        work, trail = net.copy(), []
-    else:
-        work = net
-    empty, revisions, pops = closure_runner(work, trail, queue_order, seed)(changed)
+    work = net.copy()
+    empty, revisions, pops = closure_runner(work, [], queue_order, seed)()
     if empty is None:
         return ClosureOutcome(ClosureStatus.CLOSED, work, revisions, pops)
     names = (work.var_names[empty[0]], work.var_names[empty[1]])
@@ -230,10 +203,16 @@ def a_closure(
 def closure_runner(work: ConstraintNetwork, trail: list, queue_order: str = FIFO,
                    seed: Optional[int] = None) -> Callable:
     """Set up closing ``work`` in place with ``trail`` as its trail; return
-    ``run(changed=None)``, which closes ``work`` as it stands, as a_closure
-    with that ``changed`` and trail does but unchecked, and returns the
-    emptied cell's pair (indices) or None, its revisions and queue pops.
-    Each run starts from a worklist of its own."""
+    ``run(changed=None)``, which closes ``work`` as it stands: in full, or
+    from the pair ``changed`` (indices, unchecked) under the precondition
+    of the module docstring.  It returns the emptied cell's pair (indices)
+    or None, its revisions and queue pops.  Before each cell write it
+    appends the cell's index and then its old mask to ``trail``, so
+    restoring the pairs it added, last first, gives back the cells it
+    started from, on a closed and on an inconsistent outcome alike.  Each
+    run starts from a worklist of its own."""
+    if queue_order not in (FIFO, LIFO, SHUFFLED):
+        raise ValueError(f"unknown queue order {queue_order!r}")
     n = len(work.var_names)
     calc = work.calculus
     cells = work.cells
@@ -294,8 +273,8 @@ def closure_runner(work: ConstraintNetwork, trail: list, queue_order: str = FIFO
         elif r != old_ab:
             if r == 0:
                 # r == 0 empties rp too, so C[b][a] was empty already: a
-                # changed= precondition that does not hold.  Written empty,
-                # the pair could let the closure end "closed"
+                # run(changed) precondition that does not hold.  Written
+                # empty, the pair could let the closure end "closed"
                 return a, b
             revisions += 1
             trail += (ab, old_ab)

@@ -496,7 +496,7 @@ def compute_universal_absorbs(spec: CalculusSpec) -> bool:
     """
     u = spec.universal
     rows = spec.composition_row
-    return all(_union_of(row, u) == u for row in rows) and all(
+    return all(reduce(or_, row) == u for row in rows) and all(
         reduce(or_, column) == u for column in zip(*rows)
     )
 

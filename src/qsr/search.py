@@ -20,10 +20,10 @@ and intersects C[j][i] with conv(b), so it tightens both cells: without
 R7, conv(b) alone can be looser than the closed C[j][i], and writing it
 would let the witness leave the input.  A child thus differs from its
 closed parent in the split pair alone, only tightened, so its closure is
-seeded with that pair, as ``a_closure(..., changed=(i, j))`` is (as in
-GQR), and reaches the same fixpoint in work proportional to what the split
-actually propagates.  The walk keeps its open nodes on an explicit stack,
-so its depth is not bounded by the interpreter's recursion limit.
+one run of the walk's ``closure_runner`` seeded with that pair (as in
+GQR), which reaches the same fixpoint in work proportional to what the
+split actually propagates.  The walk keeps its open nodes on an explicit
+stack, so its depth is not bounded by the interpreter's recursion limit.
 
 The walk works on one network, the root closure's copy of the input.  It
 sets up its closure once (``closure_runner``), on that network and one
@@ -138,8 +138,8 @@ def _search(out: ClosureOutcome, choose: Callable, leaf: Callable,
     backtracking restores the trail to the mark of the node it returns to,
     so no node copies the network.  ``choose(network, depth, trail)`` names
     the pair (i, j), i < j, that a closed node splits into the base
-    relations of its cell, or None at a leaf; ``leaf(network, path)`` gets
-    a closed leaf and its splits (i, j, base relation).
+    relations of its cell, or None at a leaf; ``leaf(network)`` gets a
+    closed leaf.
     ``undo(cells, trail, mark)`` restores the trail to length ``mark``.
     Returns the first leaf value that is not None, or None, with the number
     of nodes.
@@ -159,8 +159,7 @@ def _search(out: ClosureOutcome, choose: Callable, leaf: Callable,
         if closed:
             cell = choose(net, len(stack), trail)
             if cell is None:
-                # the working network holds each frame's current split
-                value = leaf(net, [(i, j, cells[i * n + j]) for _, i, j, _ in stack])
+                value = leaf(net)
                 if value is not None:
                     return value, nodes
             else:
@@ -196,7 +195,7 @@ def decide(net: ConstraintNetwork, acl_decides_atomic: Optional[bool] = None) ->
     # the root closure makes the one copy that the search works on
     root = a_closure(net)
     smallest = _SmallestCell(root.network)
-    closed, nodes = _search(root, smallest.choose, lambda closed, path: closed, smallest.undo)
+    closed, nodes = _search(root, smallest.choose, lambda closed: closed, smallest.undo)
     if closed is None:
         return Decision(Verdict.INCONSISTENT, None, nodes)
     if acl_decides_atomic:
@@ -240,11 +239,13 @@ def derive_completeness(
 
     names = [f"x{k}" for k in range(n_vars)]
 
-    def brute_force(closed: ConstraintNetwork, path: list) -> Optional[ConstraintNetwork]:
-        # brute force gets the atomic network itself: without R7 its
-        # closure can be tighter, and the model need not make closure sound
+    def brute_force(closed: ConstraintNetwork) -> Optional[ConstraintNetwork]:
+        # every pair is split at a leaf, so C[i][j] holds its split.  Brute
+        # force gets the atomic network itself: without R7 its closure can
+        # be tighter, and the model need not make closure sound
         atomic = ConstraintNetwork(calculus, names)
-        for i, j, bit in path:
+        for i, j in pairs:
+            bit = closed.cells[i * n_vars + j]
             atomic.cells[i * n_vars + j] = bit
             atomic.cells[j * n_vars + i] = calculus.converse_mask(bit)
         return atomic if brute_force_solve(atomic, model, budget=budget) is None else None

@@ -1,6 +1,10 @@
 """Command-line interface: outputs, exit codes, schemas."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,9 @@ vars A B C
 A (<) B
 B (<) C
 """
+
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = ROOT / "samples"
 
 CLASH_NET = """\
 network "clash"
@@ -235,9 +242,57 @@ def test_a_bad_file_is_named_with_its_line(capsys, tmp_path, flag, bad, message)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit, argv, code, want", [
+    # no identity relation: the identity axioms do not apply
+    (("pc1.spec", "identity =", "identity"), ["analyze", "--spec", "{edited}"], 0,
+     ["classification: RA-minus-id", "all applicable axioms hold"]),
+    (("chain3.model", "=: (0,0) ", "=: "), ["model-check", "--builtin", "pc1", "--model", "{edited}"], 0,
+     ["jointly exhaustive: no (uncovered: [('0', '0')])",
+      "partition-scheme and strength checks skipped (model is not JEPD)"]),
+    (("pc1.spec", "< < (<)", "< < (=)"),
+     ["model-check", "--spec", "{edited}", "--model", "{samples}/chain3.model"], 0,
+     ["composition: UNSOUND at < <", "  NOT a calculus under this model: unsound at ['< <']"]),
+    (None, ["model-check", "--builtin", "pc1", "--model", "{samples}/chain3.model",
+            "--network", "{samples}/incomplete.net", "--budget", "1"], 2,
+     ["error: 27 valuations exceed the budget of 1"]),
+])
+def test_edited_samples_reach_each_report(capsys, tmp_path, edit, argv, code, want):
+    edited = tmp_path / "edited"
+    if edit is not None:
+        name, old, new = edit
+        text = (SAMPLES / name).read_text()
+        assert text.count(old) == 1
+        edited.write_text(text.replace(old, new))
+    got, out, err = run(capsys, *(a.format(edited=edited, samples=SAMPLES) for a in argv))
+    assert got == code
+    lines = (out + err).splitlines()
+    assert all(line in lines for line in want), lines
+
+
 def test_a_file_that_is_not_utf8_is_named(capsys, tmp_path):
     path = tmp_path / "bad.net"
     path.write_bytes(b'network "\xff"\n')
     code, _, err = run(capsys, "closure", "--builtin", "pc1", "--network", str(path))
     assert code == 2
     assert err.startswith(f"error: parse error in {path}: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["analyze", "--builtin", "rcc5"], 0),
+    (["closure", "--builtin", "pc1", "--network", "clash.net"], 1),
+])
+def test_a_closed_stdout_pipe_keeps_the_exit_code(tmp_path, argv, code):
+    # a reader that closed its end of the pipe before the command wrote
+    # (``qsr analyze | head -1``) ends the output, not the command: no usage
+    # error, nothing on stderr and no warning from the flush at exit
+    (tmp_path / "clash.net").write_text(CLASH_NET)
+    paths = (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "qsr.cli", *argv], cwd=tmp_path, env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (code, b"")

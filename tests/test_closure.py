@@ -3,6 +3,7 @@
 import pytest
 
 from qsr import (
+    ClosureOutcome,
     ClosureStatus,
     ConstraintNetwork,
     a_closure,
@@ -14,6 +15,7 @@ from qsr import (
     random_network,
     satisfies,
 )
+from qsr.closure import closure_runner
 
 pc1 = builtin("pc1")
 rcc5 = builtin("rcc5")
@@ -200,11 +202,25 @@ def test_closure_counts_pops_and_revisions():
     assert out.revisions == 1
 
 
-@pytest.mark.parametrize("changed", [(0, 0), (2, 2), (0, 3), (-1, 1), (1, 7)])
-def test_changed_pair_must_be_an_off_diagonal_pair(changed):
+def _run(work, changed=None, queue_order="fifo", seed=None, trail=None):
+    # one run of closure_runner on ``work`` in place, in full or from the
+    # split pair ``changed`` as the search closes a child, wrapped as
+    # a_closure wraps its run
+    run = closure_runner(work, [] if trail is None else trail, queue_order, seed)
+    empty, revisions, pops = run(changed)
+    if empty is None:
+        return ClosureOutcome(ClosureStatus.CLOSED, work, revisions, pops)
+    names = (work.var_names[empty[0]], work.var_names[empty[1]])
+    return ClosureOutcome(ClosureStatus.INCONSISTENT, work, revisions, pops, names)
+
+
+def test_unknown_queue_order_is_refused_by_the_set_up():
+    # a_closure and the search's closure_runner share one check
     net = pc1_net(("A", "<", "B"), ("B", "<", "C"))
-    with pytest.raises(ValueError):
-        a_closure(net, changed=changed)
+    with pytest.raises(ValueError, match="unknown queue order 'random'"):
+        a_closure(net, queue_order="random")
+    with pytest.raises(ValueError, match="unknown queue order 'random'"):
+        closure_runner(net, [], "random")
 
 
 def _undo(cells, trail):
@@ -220,8 +236,9 @@ def test_trail_closes_in_place_like_the_pure_call_and_undoes_exactly(random_calc
     # branch, Z10 the chunked fused pass, the random 9- and 10-relation
     # calculi the safe branch with compose_masks calls and the random
     # 17-relation calculus the call-based loop above 16 relations.  Each
-    # network is closed in full, and each child of a split of its closure
-    # with changed=
+    # network is closed in full, where the pure call is a_closure, and each
+    # child of a split of its closure from its split pair, where it is a
+    # run on a copy
     import random as _random
 
     rng = _random.Random(2617)
@@ -249,10 +266,13 @@ def test_trail_closes_in_place_like_the_pure_call_and_undoes_exactly(random_calc
                     cases.append((split, (i, j)))
             for start, changed in cases:
                 for order in ("fifo", "lifo", "shuffled"):
-                    pure = a_closure(start, order, seed, changed=changed)
+                    if changed is None:
+                        pure = a_closure(start, order, seed)
+                    else:
+                        pure = _run(start.copy(), changed, order, seed)
                     work = start.copy()
                     trail = []
-                    got = a_closure(work, order, seed, changed=changed, trail=trail)
+                    got = _run(work, changed, order, seed, trail)
                     assert got.network is work
                     assert ((got.status, got.network.cells, got.revisions, got.queue_pops, got.empty_pair)
                             == (pure.status, pure.network.cells, pure.revisions, pure.queue_pops,
@@ -268,7 +288,7 @@ def test_trail_closes_in_place_like_the_pure_call_and_undoes_exactly(random_calc
 
 
 def test_settle_reports_an_empty_cell_outside_the_changed_pair():
-    # changed=(x, y) promises that every other cell is closed, but C[z][x]
+    # run((x, y)) presumes that every other cell is closed, but C[z][x]
     # is empty.  The pop of (x, y) empties C[x][z]; settle finds C[z][x]
     # already empty and must report the pair rather than write it and let
     # the closure end "closed"
@@ -278,9 +298,9 @@ def test_settle_reports_an_empty_cell_outside_the_changed_pair():
                         ("y", "r2", "z"), ("z", "r2", "y"), ("z", "", "x")):
         net[x, y] = b2.relation(*label.split())
     before = list(net.cells)
-    pure = a_closure(net, changed=(0, 1))
+    pure = _run(net.copy(), (0, 1))
     trail = []
-    out = a_closure(net, changed=(0, 1), trail=trail)
+    out = _run(net, (0, 1), trail=trail)
     assert (out.status, out.empty_pair) == (ClosureStatus.INCONSISTENT, ("x", "z"))
     assert (pure.status, pure.empty_pair) == (out.status, out.empty_pair)
     # the prologue tightened C[y][x] to the converse of C[x][y] just before
@@ -292,8 +312,8 @@ def test_settle_reports_an_empty_cell_outside_the_changed_pair():
 
 
 def test_incremental_closure_matches_reference_on_split_networks(random_calculus):
-    # split a closed network down to a leaf, closing each level with
-    # ``changed=`` from the level above; every level must equal the naive
+    # split a closed network down to a leaf, closing each level with a run
+    # from its split pair on the level above; every level must equal the naive
     # closure of the split network from scratch.  Random calculi add more
     # calculi without R7 or R9.
     import random as _random
@@ -322,11 +342,10 @@ def test_incremental_closure_matches_reference_on_split_networks(random_calculus
                 split.cells[j * n + i] &= calc.converse_mask(bit)
                 ref = naive_closure(split)
                 for order in ("fifo", "lifo", "shuffled"):
-                    got = a_closure(split, queue_order=order, seed=seed, changed=(i, j))
+                    got = _run(split.copy(), (i, j), order, seed)
                     assert got.status == ref.status, (calc.name, seed, order)
                     if got.closed:
                         assert got.network.cells == ref.network.cells, (calc.name, seed, order)
-                assert split.cells[i * n + j] == bit  # input untouched
                 levels += 1
                 out = got
     assert levels > 500
@@ -336,7 +355,8 @@ def test_revised_pair_is_left_2_consistent_without_involutive_converse():
     # conv(conv(s0)) = {s0, s1, s2}: one exchange of converses between C[i][j]
     # and C[j][i] after a revision can leave the pair not 2-consistent.  The
     # incremental closure has no later pops that would repair it, so it must
-    # settle the pair in place; the split below is inconsistent.
+    # settle the pair in place; the split below is inconsistent, closed in
+    # full and from its split pair.
     from qsr.core import CalculusSpec
     from qsr.network import ConstraintNetwork
 
@@ -358,7 +378,7 @@ def test_revised_pair_is_left_2_consistent_without_involutive_converse():
     assert ref.status is ClosureStatus.INCONSISTENT
     for order in ("fifo", "lifo", "shuffled"):
         for changed in ((1, 2), None):
-            got = a_closure(split, queue_order=order, seed=0, changed=changed)
+            got = _run(split.copy(), changed, order, 0)
             assert got.status is ClosureStatus.INCONSISTENT, (order, changed)
 
 
@@ -368,8 +388,8 @@ def test_fused_pass_matches_reference_on_large_relation_algebras(cyclic_group, d
     # (Z9) up to 256 (D8) rows; Z17 has no rows above 16 and takes the
     # call-based safe loop (test_closure_reads_no_rows_above_16).  D5
     # and D8 are not commutative, so argument order matters there.  Every
-    # network and every level of a split chain closed with ``changed=`` must
-    # equal the naive closure, in all three queue orders.
+    # network and every level of a split chain closed by a run from its
+    # split pair must equal the naive closure, in all three queue orders.
     import random as _random
 
     from qsr.network import ConstraintNetwork
@@ -414,7 +434,7 @@ def test_fused_pass_matches_reference_on_large_relation_algebras(cyclic_group, d
                 out = naive_closure(split)
                 statuses.add(out.status)
                 for order in ("fifo", "lifo", "shuffled"):
-                    got = a_closure(split, queue_order=order, seed=seed, changed=(i, j))
+                    got = _run(split.copy(), (i, j), order, seed)
                     assert got.status == out.status, (calc.name, seed, order)
                     if got.closed:
                         assert got.network.cells == out.network.cells, (calc.name, seed, order)
@@ -427,7 +447,7 @@ def test_safe_branches_match_reference_above_16_relations(random_calculus):
     # random calculi of 17 and 20 symbols lack R7 or R9, so they take the
     # safe branches with compositions of the large path, which the random
     # calculi of at most 10 symbols above never reach.  Full closures and
-    # changed= closures of a split must equal the naive closure.
+    # runs from the split pair of a split must equal the naive closure.
     import itertools
     import random as _random
 
@@ -461,7 +481,7 @@ def test_safe_branches_match_reference_above_16_relations(random_calculus):
             split.cells[j * n + i] &= calc.converse_mask(bit)
             ref = naive_closure(split)
             for order in ("fifo", "lifo", "shuffled"):
-                got = a_closure(split, queue_order=order, seed=t, changed=(i, j))
+                got = _run(split.copy(), (i, j), order, t)
                 assert got.status == ref.status, (calc.name, n, order)
                 if got.closed:
                     assert got.network.cells == ref.network.cells, (calc.name, n, order)
@@ -502,8 +522,8 @@ def test_safe_branches_match_reference_at_11_to_16_relations(random_calculus):
     # branches at the widths where compose_row reads byte chunks, on
     # networks of 5 and 6 variables.  Singleton labels on part of the pairs
     # leave the rest to be refined.  Every network and every level of a
-    # split chain closed with ``changed=`` must equal the naive closure, in
-    # all three queue orders.
+    # split chain closed by a run from its split pair must equal the naive
+    # closure, in all three queue orders.
     import random as _random
 
     rng = _random.Random(1116)
@@ -537,7 +557,7 @@ def test_safe_branches_match_reference_at_11_to_16_relations(random_calculus):
                 out = naive_closure(split)
                 statuses.add(out.status)
                 for order in ("fifo", "lifo", "shuffled"):
-                    got = a_closure(split, queue_order=order, seed=t, changed=(i, j))
+                    got = _run(split.copy(), (i, j), order, t)
                     assert got.status == out.status, (calc.name, n, order)
                     if got.closed:
                         assert got.network.cells == out.network.cells, (calc.name, n, order)
@@ -677,8 +697,8 @@ def test_closure_work_counts_are_pinned(random_calculus):
     # The safe branches, which take every calculus without R7 or without R9,
     # recorded before the full and incremental prologues were merged: full
     # closures on appendixB1 (converse not involutive), on appendixB2 (R7
-    # without R9) and on a random calculus with neither, and changed=
-    # closures of every split of the first open pair of closed appendixB2
+    # without R9) and on a random calculus with neither, and runs from the
+    # split pair of every split of the first open pair of closed appendixB2
     # networks.  The appendixB1 and rand4 counts were recorded again when
     # calculi without R7 moved to the unordered-pair worklist, and the
     # appendixB2 and rand4 counts when a pair that is U both ways stopped
@@ -705,8 +725,7 @@ def test_closure_work_counts_are_pinned(random_calculus):
             split = closed.copy()
             split.cells[i * n + j] = bit
             split.cells[j * n + i] &= b2.converse_mask(bit)
-            split_closures += [a_closure(split, queue_order=order, seed=seed, changed=(i, j))
-                               for order in orders]
+            split_closures += [_run(split.copy(), (i, j), order, seed) for order in orders]
     assert full["appendixB1"] == (798, 0, " ".join(["."] * 36))
     assert full["appendixB2"] == (96, 198, (
         ". . . x3-x0 x3-x4 x3-x0 x2-x0 x1-x3 x1-x0 x2-x0 x2-x6 x0-x2 x9-x0 x1-x7 "
@@ -856,7 +875,7 @@ def test_universal_pairs_are_not_queued_and_keep_the_fixpoint(cyclic_group, rand
         universal_net = ConstraintNetwork(calc, [f"x{k}" for k in range(8)])
         for order in ("fifo", "lifo", "shuffled"):
             for changed in (None, (5, 2)):
-                got = a_closure(universal_net, queue_order=order, seed=1, changed=changed)
+                got = _run(universal_net.copy(), changed, order, 1)
                 assert got.closed and (got.queue_pops, got.revisions) == (0, 0), (calc.name, order)
         for seed in range(20):
             net = random_network(calc, 7, (0.2, 0.4)[seed % 2], seed=seed)

@@ -327,6 +327,15 @@ def test_validate_other_builtins_clean():
     assert validate(builtin("appendixB-remark")) == []
 
 
+def test_validate_reports_a_converse_that_is_not_involutive():
+    # conv(a) = (b) and conv(b) = (b), so conv(conv(a)) = (b) misses a
+    syms = ("a", "b")
+    spec = CalculusSpec("conv-b", syms, None, {"a": ["b"], "b": ["b"]},
+                        {(x, y): syms for x in syms for y in syms})
+    assert [(f.kind, f.message) for f in validate(spec)] == [
+        ("converse-involution", "conv(conv(a)) = (b) does not contain a")]
+
+
 def test_validate_names_the_side_of_a_one_sided_identity_failure():
     # only id.< is widened, so the finding names id.< and not <.id
     pc1 = builtin("pc1")

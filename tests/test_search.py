@@ -443,17 +443,15 @@ def _random_r7_r9_calculus(rng, n_syms, name):
 def test_child_runs_match_closing_each_child_with_a_closure(monkeypatch):
     # a child run that ends inconsistent stops with pairs still queued, and
     # the next run of the same set-up must start clean: a walk that closes
-    # each child with a_closure(net, changed=(i, j), trail=trail), a set-up
-    # of its own per child, makes the same runs, node for node.  appendixB1
-    # lacks R7, appendixB2 R9, and the random calculus takes the chunked pass
+    # each child with a fresh closure_runner(net, trail), a set-up of its own
+    # per child, makes the same runs, node for node.  appendixB1 lacks R7,
+    # appendixB2 R9, and the random calculus takes the chunked pass
     import qsr.search
     from qsr.closure import closure_runner
 
     def reference_runner(net, trail):
         def run(changed):
-            out = a_closure(net, changed=changed, trail=trail)
-            empty = None if out.closed else tuple(map(net.var_names.index, out.empty_pair))
-            return empty, out.revisions, out.queue_pops
+            return closure_runner(net, trail)(changed)
 
         return run
 
