@@ -1022,3 +1022,102 @@ def test_fused_passes_reach_both_inconsistent_returns(width, third, empty_pair):
     assert got.status is ClosureStatus.INCONSISTENT
     assert got.empty_pair == empty_pair
     assert (got.queue_pops, got.revisions) == (2, 0)
+
+
+def _a_network(calc, n, degree, label, rng):
+    # Renz & Nebel's A(n, d, l): each pair is constrained with probability
+    # d / (n - 1) by a label holding each base relation with probability
+    # l / |Rel|, drawn again while empty or U; the mirror is its converse
+    net = ConstraintNetwork(calc, [f"x{k}" for k in range(n)])
+    width = len(calc)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < degree / (n - 1):
+                mask = 0
+                while mask in (0, calc.universal):
+                    mask = sum(1 << b for b in range(width) if rng.random() < label / width)
+                net.cells[i * n + j] = mask
+                net.cells[j * n + i] = calc.converse_mask(mask)
+    return net
+
+
+def _pinned_batch(nets):
+    # full closures of each network in all three queue orders, and runs from
+    # the split pair of every split of the first open pair of its closure
+    orders = ("fifo", "lifo", "shuffled")
+    full, splits = [], []
+    for seed, net in enumerate(nets):
+        calc, n = net.calculus, len(net.var_names)
+        full += [a_closure(net, queue_order=order, seed=seed) for order in orders]
+        if not full[-3].closed:
+            continue
+        closed = full[-3].network
+        open_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                      if closed.cells[i * n + j].bit_count() > 1]
+        if not open_pairs:
+            continue
+        i, j = open_pairs[0]
+        mask = closed.cells[i * n + j]
+        for bit in (1 << b for b in range(mask.bit_length()) if mask >> b & 1):
+            split = closed.copy()
+            split.cells[i * n + j] = bit
+            split.cells[j * n + i] &= calc.converse_mask(bit)
+            splits += [_run(split.copy(), (i, j), order, seed) for order in orders]
+    return _tally(full), _tally(splits)
+
+
+def test_chunked_and_wide_safe_work_counts_are_pinned(cyclic_group, dihedral_group):
+    # The chunked fused pass (R7 and R9, 9 to 16 relations) on group
+    # relation algebras and on sym3 padded to 12 symbols, and the dense safe
+    # pass on appendixB1 (no R7) and appendixB2 (R7 without R9) networks of
+    # 30 to 40 variables, where most third variables of a pop tighten
+    # nothing: queue pops, revisions and reported pairs, of full closures
+    # and of runs from split pairs, must not move with a kernel change
+    import random as _random
+
+    rng = _random.Random(3316)
+    got = {}
+    for calc in (cyclic_group(9), dihedral_group(5), cyclic_group(16), dihedral_group(8), _padded_sym3(12)):
+        assert calc.chunked_rows and calc.flags.ra7_holds and calc.flags.ra9_holds
+        nets = []
+        for t in range(6):
+            n = rng.randint(12, 24)
+            density = (0.1, 0.2, 0.3)[t % 3]
+            net = ConstraintNetwork(calc, [f"x{k}" for k in range(n)])
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < density:
+                        mask = 0
+                        for _ in range(rng.randint(1, 5)):
+                            mask |= 1 << rng.randrange(len(calc))
+                        net.cells[i * n + j] = mask
+                        net.cells[j * n + i] = calc.converse_mask(mask)
+            nets.append(net)
+        got[calc.name] = _pinned_batch(nets)
+    b1, b2 = builtin("appendixB1"), builtin("appendixB2")
+    got[b1.name] = _pinned_batch([random_network(b1, rng.randint(30, 40), (1.0, 0.5)[t % 2],
+                                                 "singletons", seed=t) for t in range(4)])
+    rng = _random.Random(4012)
+    got[b2.name] = _pinned_batch([_a_network(b2, rng.randint(30, 40), 1.0, 2.0, rng) for _ in range(10)])
+    assert got == {
+        # full closures, then split runs (none of which is inconsistent)
+        "Z9": ((458, 642, ". . . x1-x5 x8-x2 x1-x2 x0-x8 x14-x4 x1-x11 x1-x5 x6-x5 x1-x3 . . . "
+                          "x0-x6 x21-x14 x13-x16"),
+               (333, 294, " ".join(["."] * 39))),
+        "D5": ((293, 573, ". . . x0-x6 x15-x6 x15-x6 x1-x7 x18-x12 x1-x2 x0-x19 x0-x9 x11-x19 "
+                          "x0-x9 x4-x3 x8-x11 x0-x3 x13-x2 x3-x11"),
+               (240, 210, " ".join(["."] * 30))),
+        "Z16": ((1383, 2403, ". . . x1-x2 x17-x2 x11-x2 x0-x10 x0-x10 x0-x3 x7-x21 x7-x10 x7-x10 "
+                             "x0-x13 x0-x11 x3-x1 x0-x18 x13-x16 x7-x18"),
+                (192, 144, " ".join(["."] * 48))),
+        "D8": ((1361, 2091, ". . . x3-x11 x11-x4 x4-x3 x1-x6 x13-x6 x6-x1 . . . x3-x1 x6-x8 x1-x3 "
+                            "x0-x13 x21-x2 x21-x2"),
+               (1233, 1176, " ".join(["."] * 57))),
+        "sym3+9": ((526, 9, ". . . . . . x3-x7 x3-x7 x3-x7 . . . x10-x9 x9-x10 x9-x10 . . ."),
+                   (156, 36, " ".join(["."] * 120))),
+        "appendixB1": ((5796, 0, " ".join(["."] * 12)), (12, 0, " ".join(["."] * 12))),
+        "appendixB2": ((2161, 5194, "x20-x10 x8-x10 x10-x8 x28-x1 x25-x31 x1-x25 x11-x8 x11-x9 "
+                                    "x11-x8 x31-x2 x5-x2 x5-x2 x5-x6 x12-x5 x5-x1 x10-x4 x11-x17 "
+                                    "x29-x11 x7-x4 x29-x16 x14-x7 . . . x2-x1 x1-x27 x1-x2 . . ."),
+                       (408, 396, " ".join(["."] * 12))),
+    }
