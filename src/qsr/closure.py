@@ -47,13 +47,7 @@ hi = row(a & ~255) for each fixed operand a, and reads a.c as
 lo[b] | lo[h] | hi[b] | hi[h] with b = c & 255 and h = 256 + (c >> 8):
 composition distributes over union in its left argument, and a mask with
 one non-zero byte has a row of its own in two bounded tables, so no pop
-builds a row, no read makes a call and nothing is memoised.  If U absorbs
-composition and is its own converse (see below), this pass also skips
-each half of a triangle whose varying operand is U: C[i][j].U == U, so the
-first half, by C[j][k], and the second, by the C[i][k] the first half may
-just have revised, change nothing when that cell is U.  The dense pass
-does not test this, as its half is only two reads; it skips whole third
-variables instead (below).
+builds a row, no read makes a call and nothing is memoised.
 
 The other branches (no R7, R7 without R9, or more than 16 base relations),
 the safe branches, check each triangle inline: for the pair (i, k) of a
@@ -76,6 +70,31 @@ Above 16 base relations, with no rows, every calculus takes this loop.
 Under R7 and R9 it does the fused pass's revisions in the same order, but
 an inconsistent outcome names the mirror of the fused pass's pair:
 ``settle`` checks C[b][a] first, and under R7 both cells are empty.
+
+The chunked fused pass and the dense safe pass start each pop with a
+filter that finds, for all third variables at once, the k whose triangle
+can tighten a cell; only those k run the loop, in increasing order.  The
+filter turns row i and row j of the network into bytes (the safe pass
+also column i and column j) and computes each composition of the pass
+over every k with ``bytes.translate``, through 256-byte tables of the
+fixed operand (``CalculusSpec._byte_table``): the row of C[i][j] or
+C[j][i], and in the safe pass their columns, x.C[i][j] and x.C[j][i].
+From 9 to 16 relations a cell is two bytes, and each composition is the union
+of the four translates by the low and the high byte of the fixed operand
+and of the cell: 16 per pop.  Each composition is ANDed with its target
+cells through ``int.from_bytes``, and byte k of the result is non-zero
+where the target would tighten: C[i][k] and C[j][k] in the fused pass,
+and C[k][i] and C[k][j] as well in the safe pass.  The filter is exact:
+within one pop the triangle at k reads and writes only the pairs (i, k)
+and (k, j), besides C[i][j] and C[j][i], which do not change.  So a k
+whose compositions, taken from the cells at the start of the pop, tighten
+nothing still finds those cells when the loop reaches it, and changes
+nothing (its second half reads the cells its first half left alone).  The
+other k make the same writes in the same order as a loop over range(n),
+so revisions, queue pops, the trail, the queue order and the reported
+pair are unchanged.  The dense fused pass keeps its per-k loop: its half
+is two reads, and a filter in place of its support sets (below) measured
+a third slower on sparse networks of 200 variables.
 
 If the universal relation U is idempotent (``universal_idempotent``: U.U
 == U) and is its own converse, a pair whose cells C[i][j] and C[j][i] are
@@ -103,9 +122,8 @@ and C[i][j].U == C[j][i].U == U tightens neither: revisions, pops, the
 reported pair and the trail are unchanged.  The sets are kept only where
 the seeds average fewer than n / 8 neighbours; on denser or smaller
 networks they cost more than they skip.  Incremental runs (their sets
-would cost an O(n^2) scan), the chunked pass (it skips each half with a U
-operand; a support there measured 8 % slower on IA13) and the safe
-branches keep range(n).
+would cost an O(n^2) scan) keep range(n); the chunked and the dense safe
+pass filter their third variables instead.
 
 Every pass stores cells through one nested routine, ``write(a, b, r,
 rp)``, which sets C[a][b] to r and C[b][a] to rp, each a subset of its
@@ -150,6 +168,8 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
+from struct import Struct
 from typing import Callable, Optional
 
 from .network import ConstraintNetwork
@@ -227,18 +247,83 @@ def closure_runner(work: ConstraintNetwork, trail: list, queue_order: str = FIFO
     derive = ra7 and flags.ra9_holds and (dense or chunked)
     # a cell equal to ``waiting`` is U, U.U == U and U is its own converse;
     # no cell equals -1.  A pair that is U both ways is then 2-consistent
-    # and waits for a write to queue it: it is not seeded.  A cell equal to
-    # ``absorbing`` is such a U that also absorbs composition, C.U == U for
-    # every non-empty C, which the support sets and the chunked half-skip need
+    # and waits for a write to queue it: it is not seeded.  The support sets
+    # of the dense fused pass also need such a U to absorb composition, C.U
+    # == U for every non-empty C
     universal = calc.universal
     waiting = universal if flags.universal_idempotent and conv(universal) == universal else -1
-    absorbing = waiting if flags.universal_absorbs else -1
+    supported = dense and derive and waiting != -1 and flags.universal_absorbs
     if dense and not derive:
         # the dense safe loop reads the dense table, the low-byte row table
         # of compose_row, which this first call builds; a row not built yet
         # is None there
         comp_row(0)
         rows = calc._comp_lo
+    if (dense and not derive) or (chunked and derive):
+        # the filter's byte tables (CalculusSpec._byte_table); a table not
+        # built yet is None
+        tables = calc._comp_bytes
+        table = calc._byte_table
+        from_bytes = int.from_bytes
+        if dense:
+            def tightening(i: int, j: int, c_ij: int, c_ji: int) -> bytes:
+                # byte k is non-zero if C[i][j].C[j][k], C[j][i].C[i][k],
+                # C[k][j].C[j][i] or C[k][i].C[i][j], read from the cells at
+                # the start of the pop, tightens C[i][k], C[j][k], C[k][i]
+                # or C[k][j]: four segments of n bytes, folded into one
+                row_i = bytes(cells[i * n:i * n + n])
+                row_j = bytes(cells[j * n:j * n + n])
+                col_i = bytes(cells[i::n])
+                col_j = bytes(cells[j::n])
+                new = b"".join((row_j.translate(tables[c_ij] or table(c_ij)),
+                                row_i.translate(tables[c_ji] or table(c_ji)),
+                                col_j.translate(tables[256 + c_ji] or table(256 + c_ji)),
+                                col_i.translate(tables[256 + c_ij] or table(256 + c_ij))))
+                diff = from_bytes(row_i + row_j + col_i + col_j, "little") & ~from_bytes(new, "little")
+                if not diff:
+                    return b""
+                diff |= diff >> 16 * n
+                return (diff | diff >> 8 * n).to_bytes(4 * n, "little")[:n]
+        else:
+            # a row of n cells as 2n bytes, low byte first
+            pack = Struct(f"<{n}H").pack
+            block = 32 * n  # bits in four segments
+
+            def tightening(i: int, j: int, c_ij: int, c_ji: int) -> bytes:
+                # byte k is non-zero if C[i][j].C[j][k] or C[j][i].C[i][k],
+                # read from the cells at the start of the pop, tightens
+                # C[i][k] or C[j][k].  Segments of n bytes: the low and the
+                # high bytes of C[i][k] and of C[j][k], and of the two
+                # compositions, each in four blocks to be ORed, by the low
+                # and the high byte of the fixed operand and of the cell
+                row_i = pack(*cells[i * n:i * n + n])
+                row_j = pack(*cells[j * n:j * n + n])
+                lo_i, hi_i, lo_j, hi_j = row_i[::2], row_i[1::2], row_j[::2], row_j[1::2]
+                a = c_ij & 255
+                lo_ij = tables[a] or table(a)
+                a = 256 + (c_ij >> 8)
+                hi_ij = tables[a] or table(a)
+                a = c_ji & 255
+                lo_ji = tables[a] or table(a)
+                a = 256 + (c_ji >> 8)
+                hi_ji = tables[a] or table(a)
+                new = from_bytes(b"".join((
+                    lo_j.translate(lo_ij[0]), lo_j.translate(lo_ij[1]),
+                    lo_i.translate(lo_ji[0]), lo_i.translate(lo_ji[1]),
+                    hi_j.translate(lo_ij[2]), hi_j.translate(lo_ij[3]),
+                    hi_i.translate(lo_ji[2]), hi_i.translate(lo_ji[3]),
+                    lo_j.translate(hi_ij[0]), lo_j.translate(hi_ij[1]),
+                    lo_i.translate(hi_ji[0]), lo_i.translate(hi_ji[1]),
+                    hi_j.translate(hi_ij[2]), hi_j.translate(hi_ij[3]),
+                    hi_i.translate(hi_ji[2]), hi_i.translate(hi_ji[3]))), "little")
+                # the blocks shifted onto the first; the bits they leave
+                # above it meet no bit of the cells
+                new |= new >> block | new >> 2 * block | new >> 3 * block
+                diff = from_bytes(lo_i + hi_i + lo_j + hi_j, "little") & ~new
+                if not diff:
+                    return b""
+                diff |= diff >> 16 * n
+                return (diff | diff >> 8 * n).to_bytes(4 * n, "little")[:n]
     # bound afresh by each run: its revisions, worklist, queued pairs and support sets
     revisions = queue = in_queue = nbr = None
     if queue_order == SHUFFLED:
@@ -312,7 +397,7 @@ def closure_runner(work: ConstraintNetwork, trail: list, queue_order: str = FIFO
             seeds = [(i, j) for i in range(n) for j in range(i + 1, n)
                      if cells[i * n + j] != waiting or cells[j * n + i] != waiting]
             # the seeds average fewer than n / 8 neighbours
-            if dense and derive and absorbing != -1 and 16 * len(seeds) < n * n:
+            if supported and 16 * len(seeds) < n * n:
                 nbr = [set() for _ in range(n)]
                 for i, j in seeds:
                     nbr[i].add(j)
@@ -363,27 +448,27 @@ def closure_runner(work: ConstraintNetwork, trail: list, queue_order: str = FIFO
                 if chunked:
                     # the loop below with each read split into two byte chunks,
                     # the rows of the low and of the high byte of each fixed
-                    # operand; a half whose varying operand is U is skipped
+                    # operand, over the k that the filter finds
+                    keys = tightening(i, j, c_ij, c_ji)
+                    if not keys:
+                        continue
                     lo_ij = comp_row(c_ij & 255)
                     hi_ij = comp_row(c_ij & ~255)
                     lo_ji = comp_row(c_ji & 255)
                     hi_ji = comp_row(c_ji & ~255)
-                    for k in range(n):
+                    for k in compress(range(n), keys):
                         if k == i or k == j:
                             continue
                         c_ik = cells[bi + k]
                         c_jk = cells[bj + k]
-                        if c_jk != absorbing:
-                            b = c_jk & 255
-                            h = 256 + (c_jk >> 8)
-                            r = c_ik & (lo_ij[b] | lo_ij[h] | hi_ij[b] | hi_ij[h])
-                            if r != c_ik:
-                                empty = write(k, i, conv(r), r)
-                                if empty is not None:
-                                    return empty, revisions, pops
-                                c_ik = r
-                        if c_ik == absorbing:
-                            continue
+                        b = c_jk & 255
+                        h = 256 + (c_jk >> 8)
+                        r = c_ik & (lo_ij[b] | lo_ij[h] | hi_ij[b] | hi_ij[h])
+                        if r != c_ik:
+                            empty = write(k, i, conv(r), r)
+                            if empty is not None:
+                                return empty, revisions, pops
+                            c_ik = r
                         b = c_ik & 255
                         h = 256 + (c_ik >> 8)
                         r = c_jk & (lo_ji[b] | lo_ji[h] | hi_ji[b] | hi_ji[h])
@@ -420,10 +505,14 @@ def closure_runner(work: ConstraintNetwork, trail: list, queue_order: str = FIFO
             # nothing; it takes no converse and does not call settle
             if dense:
                 # the loop below with each composition a read of the dense
-                # table; the rows of C[i][j] and C[j][i] are fetched once per pop
+                # table, over the k that the filter finds; the rows of C[i][j]
+                # and C[j][i] are fetched once per pop
+                keys = tightening(i, j, c_ij, c_ji)
+                if not keys:
+                    continue
                 row_ij = comp_row(c_ij)
                 row_ji = comp_row(c_ji)
-                for k in range(n):
+                for k in compress(range(n), keys):
                     if k == i or k == j:
                         continue
                     bk = k * n

@@ -16,7 +16,10 @@ dense, |Rel|**2 cells, which stays below ~4M cells for |Rel| <= 2048.  Up to
 16 relations the extensions to composite arguments, the composition rows,
 are built row by row on first use in two byte-indexed tables of at most 256
 rows each (``compose_row``).  For |Rel| <= 8 the low-byte table is the dense
-composite table, making closure engines cheap table lookups.
+composite table, making closure engines cheap table lookups.  Up to 16
+relations there are also 256-byte tables of compositions for
+``bytes.translate``, each built on first use, with which the closure tests
+every third variable of a popped pair at once (``_byte_table``).
 ``compose_masks`` on a calculus with more than 8 relations keeps a memo of
 the pairs it was asked for.
 """
@@ -59,8 +62,10 @@ class CalculusFlags:
     the tables on the first read of ``CalculusSpec.flags``.  Absorption
     implies idempotence, and so does an identity relation e, as e.{s} ==
     {s}; a calculus whose compositions are all empty has neither.  The
-    closure engine seeds no pair that is U both ways under idempotence and
-    skips universal operands only under absorption (see ``qsr.closure``).
+    closure engine seeds no pair that is U both ways under idempotence, and
+    keeps the support sets of its dense fused pass, which skip third
+    variables with universal operands, only under absorption (see
+    ``qsr.closure``).
     ``acl_decides_atomic`` (closure decides atomic networks) is fixed at
     construction, and ``decide`` may override it.
     """
@@ -97,6 +102,7 @@ class CalculusSpec:
         "_comp_lo",
         "_comp_chunks",
         "_comp_cache",
+        "_comp_bytes",
     )
 
     def __init__(
@@ -149,6 +155,8 @@ class CalculusSpec:
         self._comp_lo = _NO_ROWS  # the low-byte row table, read first by compose_row
         self._comp_chunks: Optional[tuple[list, list, list[list[int]]]] = None
         self._comp_cache: dict[tuple[int, int], int] = {}
+        # the byte tables of the closure's triangle filter, by index (see _byte_table)
+        self._comp_bytes: Optional[list] = [None] * 512 if n <= _CHUNK_COMP_LIMIT else None
 
     @property
     def flags(self) -> CalculusFlags:
@@ -270,6 +278,38 @@ class CalculusSpec:
             row = table[m] = list(map(or_, base, self._comp_chunks[2][shift + low.bit_length() - 1]))
         return row
 
+    def _byte_table(self, index: int) -> bytes | tuple[bytes, bytes, bytes, bytes]:
+        """The byte tables at ``index`` of the triangle filter of ``qsr.closure``,
+        built on first use and kept in ``_comp_bytes``.
+
+        Each table is 256 bytes for ``bytes.translate``: byte ``x`` holds a
+        composition with ``x``, and bytes past the last mask are zero.
+
+        * |Rel| <= 8: index ``a`` holds the row of ``a``, ``a . x`` at byte
+          ``x``; index ``256 + a`` the column of ``a``, ``x . a`` at byte ``x``.
+        * 8 < |Rel| <= 16: index ``m`` holds four tables for the chunk row
+          of the low byte ``m``, index ``256 + h`` for that of the high byte
+          ``h << 8`` (the rows of ``compose_row``): the low and the high
+          byte of ``a . x`` and the low and the high byte of ``a . (x << 8)``.
+        """
+        if self.dense_rows:
+            if index < 256:
+                out = self.compose_row(index)
+            else:
+                # {s}.a over the base relations s, extended to masks by union
+                self._row_tables()
+                a = index - 256
+                out = _extension(tuple(row[a] for row in self._comp_chunks[2]), 0, len(self.symbols))
+            table = bytes(out).ljust(256, b"\0")
+        else:
+            row = self.compose_row(index if index < 256 else (index - 256) << 8)
+            low, high = row[:256], row[256:]
+            table = (bytes([c & 255 for c in low]), bytes([c >> 8 for c in low]),
+                     bytes([c & 255 for c in high]).ljust(256, b"\0"),
+                     bytes([c >> 8 for c in high]).ljust(256, b"\0"))
+        self._comp_bytes[index] = table
+        return table
+
     def _compose_large(self, a: int, b: int) -> int:
         cache = self._comp_cache
         hit = cache.get((a, b))
@@ -332,7 +372,8 @@ class CalculusSpec:
     def __repr__(self) -> str:
         return f"CalculusSpec({self.name!r}, |Rel|={len(self.symbols)})"
 
-    # caches are derived data; keep pickles small for worker processes
+    # caches and row and byte tables are derived data; keep pickles small
+    # for worker processes
     def __getstate__(self):
         return {
             "name": self.name,

@@ -111,7 +111,7 @@ def test_closure_matches_naive_reference(name, seeds):
                     assert got.network.cells == ref.network.cells, (name, seed, order)
 
 
-def test_closure_matches_reference_on_random_calculi():
+def test_closure_matches_reference_on_random_calculi(random_calculus):
     # arbitrary total tables, mostly violating converse involution and
     # distributivity: the engine must agree with the reference for all of
     # them, not just the curated builtins
@@ -143,6 +143,50 @@ def test_closure_matches_reference_on_random_calculi():
                 assert got.status == ref.status, (trial, n_vars, order)
                 if got.closed:
                     assert got.network.cells == ref.network.cells, (trial, n_vars, order)
+
+    # 5 to 8 relations without R7 or R9: the dense safe pass and its byte
+    # filter up to the byte boundary, on networks of up to 12 variables,
+    # closed in full and from the split pair of each level of a split chain
+    rng = _random.Random(5808)
+    statuses = set()
+    levels = revisions = 0
+    for trial in range(32):
+        calc = random_calculus(rng, 5 + trial % 4, f"dense{trial}")
+        assert calc.dense_rows and not (calc.flags.ra7_holds and calc.flags.ra9_holds), calc.name
+        for n in (6, 9, 12):
+            net = random_network(calc, n, rng.choice((0.3, 0.5, 0.8)), rng.choice(("uniform", "singletons")),
+                                 seed=trial)
+            out = naive_closure(net)
+            statuses.add(out.status)
+            for order in ("fifo", "lifo", "shuffled"):
+                got = a_closure(net, queue_order=order, seed=trial)
+                assert got.status == out.status, (calc.name, n, order)
+                if got.closed:
+                    assert got.network.cells == out.network.cells, (calc.name, n, order)
+                revisions += got.revisions
+            while out.closed:
+                closed = out.network
+                open_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                              if closed.cells[i * n + j].bit_count() > 1]
+                if not open_pairs:
+                    break
+                i, j = rng.choice(open_pairs)
+                mask = closed.cells[i * n + j]
+                bit = rng.choice([1 << b for b in range(mask.bit_length()) if mask >> b & 1])
+                split = closed.copy()
+                split.cells[i * n + j] = bit
+                split.cells[j * n + i] &= calc.converse_mask(bit)
+                out = naive_closure(split)
+                statuses.add(out.status)
+                for order in ("fifo", "lifo", "shuffled"):
+                    got = _run(split.copy(), (i, j), order, trial)
+                    assert got.status == out.status, (calc.name, n, order)
+                    if got.closed:
+                        assert got.network.cells == out.network.cells, (calc.name, n, order)
+                    revisions += got.revisions
+                levels += 1
+    assert statuses == {ClosureStatus.CLOSED, ClosureStatus.INCONSISTENT}
+    assert levels > 30 and revisions > 500, (levels, revisions)
 
 
 def test_closure_two_variable_network_on_broken_converse():
@@ -894,8 +938,8 @@ def test_universal_pairs_are_not_queued_and_keep_the_fixpoint(cyclic_group, rand
 
     # U.U == U under R7 and R9 without absorption, on the dense (2
     # relations) and the chunked (9) fused pass: s_p.s_q = {s_max(p, q)},
-    # so s0 is the identity and s_top.U == {s_top}.  The support sets and
-    # the half-skip need absorption: one constraint s_top tightens every cell
+    # so s0 is the identity and s_top.U == {s_top}.  The support sets need
+    # absorption: one constraint s_top tightens every cell
     for m in (2, 9):
         syms = [f"s{p}" for p in range(m)]
         chain = CalculusSpec(f"chain{m}", syms, ["s0"], {s: [s] for s in syms},
@@ -1121,3 +1165,43 @@ def test_chunked_and_wide_safe_work_counts_are_pinned(cyclic_group, dihedral_gro
                                     "x29-x11 x7-x4 x29-x16 x14-x7 . . . x2-x1 x1-x27 x1-x2 . . ."),
                        (408, 396, " ".join(["."] * 12))),
     }
+
+
+def test_filter_visits_no_third_variable_that_revises_nothing(monkeypatch, cyclic_group, dihedral_group):
+    # The byte filter hands the per-k loop only the third variables whose
+    # compositions, read from the cells at the start of the pop, tighten a
+    # cell.  In a group each such k revises at least one pair (C[i][j].C[j][i]
+    # holds the identity, so k = i and k = j never pass), and the empty cell
+    # of an inconsistent outcome is met by one more: the chunked pass visits
+    # at most revisions + 1 third variables per closure.  appendixB1
+    # composes every pair to U, so there no third variable passes at all.
+    import itertools
+
+    import qsr.closure
+
+    visited = 0
+
+    def counting(data, selectors):
+        # the third variables the loop takes, counted as it takes them
+        nonlocal visited
+        for k in itertools.compress(data, selectors):
+            visited += 1
+            yield k
+
+    monkeypatch.setattr(qsr.closure, "compress", counting)
+    total = revisions = 0
+    for calc in (cyclic_group(9), dihedral_group(5), cyclic_group(16), dihedral_group(8)):
+        for seed in range(12):
+            net = random_network(calc, 8 + seed, 0.3, "singletons" if seed % 3 else "uniform", seed=seed)
+            for order in ("fifo", "lifo", "shuffled"):
+                visited = 0
+                got = a_closure(net, queue_order=order, seed=seed)
+                assert visited <= got.revisions + (not got.closed), (calc.name, seed, order)
+                total += visited
+                revisions += got.revisions
+    assert total > 100 and revisions > 100
+    b1 = builtin("appendixB1")
+    visited = 0
+    for seed in range(4):
+        got = a_closure(random_network(b1, 20, 1.0, "singletons", seed=seed))
+        assert got.queue_pops > 0 and got.revisions == visited == 0

@@ -1,5 +1,7 @@
 """Relation-set operations: Boolean structure, converse, composition."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -263,6 +265,72 @@ def test_dense_rows_are_built_only_when_asked_for(cyclic_group, dihedral_group):
     assert [m for m, row in enumerate(spec._comp_chunks[0]) if row is not None] == [0, 0b1000, 0b1010]
 
 
+def test_byte_tables_read_as_compose_masks(cyclic_group, dihedral_group, random_calculus):
+    # the closure's triangle filter translates cells through 256-byte
+    # tables.  Up to 8 relations index a holds the row of a (a.x at byte x)
+    # and 256 + a its column (x.a); from 9 to 16 an index holds four tables
+    # for a chunk row of compose_row, m for the low byte m and 256 + h for
+    # the high byte h << 8: the low and the high byte of a.x and of
+    # a.(x << 8).  Every entry is the composition; bytes past the last mask
+    # are zero
+    import random
+
+    from qsr import BUILTIN_NAMES
+
+    rng = random.Random(88)
+    dense = [builtin(name) for name in BUILTIN_NAMES]
+    dense += [random_calculus(rng, width, f"rand{width}") for width in range(1, 9)]
+    for spec in dense:
+        u = spec.universal
+        for a in range(u + 1):
+            row, col = spec._byte_table(a), spec._byte_table(256 + a)
+            assert len(row) == len(col) == 256
+            assert list(row[:u + 1]) == [spec.compose_masks(a, x) for x in range(u + 1)], (spec.name, a)
+            assert list(col[:u + 1]) == [spec.compose_masks(x, a) for x in range(u + 1)], (spec.name, a)
+            assert not any(row[u + 1:]) and not any(col[u + 1:]), (spec.name, a)
+    for spec in (cyclic_group(9), dihedral_group(5), cyclic_group(16), dihedral_group(8)):
+        high = 1 << (len(spec) - 8)
+        # every table up to 10 relations, every fifth one at 16
+        step = 1 if high <= 4 else 5
+        for index in [*range(0, 256, step), *range(256, 256 + high, step), 255, 255 + high]:
+            a = index if index < 256 else (index - 256) << 8
+            tables = spec._byte_table(index)
+            assert [len(t) for t in tables] == [256] * 4
+            lo_lo, lo_hi, hi_lo, hi_hi = tables
+            assert [lo_lo[x] | lo_hi[x] << 8 for x in range(256)] == [
+                spec.compose_masks(a, x) for x in range(256)], (spec.name, a)
+            assert [hi_lo[y] | hi_hi[y] << 8 for y in range(high)] == [
+                spec.compose_masks(a, y << 8) for y in range(high)], (spec.name, a)
+            assert not any(hi_lo[high:]) and not any(hi_hi[high:]), (spec.name, a)
+
+
+def test_closure_builds_only_the_byte_tables_it_reads(cyclic_group, dihedral_group):
+    # the dense safe pass (appendixB1, appendixB2) and the chunked fused
+    # pass (Z9, D5) build a table on its first read and no other; the dense
+    # fused pass (rcc5) reads none, and above 16 relations there are none
+    from qsr import a_closure, random_network
+
+    class Reads(list):
+        def __getitem__(self, index):
+            read.add(index)
+            return super().__getitem__(index)
+
+    for spec in (builtin("appendixB1"), builtin("appendixB2"), cyclic_group(9), dihedral_group(5)):
+        spec = pickle.loads(pickle.dumps(spec))  # no table built yet
+        read = set()
+        spec._comp_bytes = Reads(spec._comp_bytes)
+        assert not any(spec._comp_bytes)
+        for seed in range(4):
+            a_closure(random_network(spec, 10, 0.5, seed=seed))
+        built = {index for index, table in enumerate(spec._comp_bytes) if table is not None}
+        assert read and built == read, spec.name
+        assert len(built) < (512 if spec.dense_rows else 256 + (1 << (len(spec) - 8))), spec.name
+    rcc5 = pickle.loads(pickle.dumps(builtin("rcc5")))
+    a_closure(random_network(rcc5, 10, 0.5, seed=1))
+    assert rcc5._comp_chunks is not None and not any(rcc5._comp_bytes)
+    assert cyclic_group(17)._comp_bytes is None
+
+
 def test_chunk_rows_are_bounded_and_stay_out_of_pickles(cyclic_group, dihedral_group):
     # closure on a 9 to 16 relation algebra (R7 and R9 hold) reads only the
     # two byte-indexed tables: the compose_masks memo stays empty, each table
@@ -281,8 +349,10 @@ def test_chunk_rows_are_bounded_and_stay_out_of_pickles(cyclic_group, dihedral_g
         lo_rows, hi_rows, _ = spec._comp_chunks
         assert (len(lo_rows), len(hi_rows)) == (256, 1 << (len(spec) - 8))
         assert sum(row is not None for row in hi_rows) > 1, spec.name
+        assert any(spec._comp_bytes), spec.name
         assert pickle.dumps(spec) == before
         assert pickle.loads(before)._comp_chunks is None
+        assert not any(pickle.loads(before)._comp_bytes)
     # up to 8 relations the dense table, which the safe loop of a closure
     # on appendixB2 (R7 without R9) reads, stays out of pickles as well
     spec = pickle.loads(pickle.dumps(builtin("appendixB2")))
@@ -290,5 +360,7 @@ def test_chunk_rows_are_bounded_and_stay_out_of_pickles(cyclic_group, dihedral_g
     assert spec._comp_chunks is None
     a_closure(random_network(spec, 8, 0.5, seed=1))
     assert sum(row is not None for row in spec._comp_chunks[0]) > 1
+    assert any(spec._comp_bytes)
     assert pickle.dumps(spec) == before
     assert pickle.loads(before)._comp_chunks is None
+    assert not any(pickle.loads(before)._comp_bytes)
