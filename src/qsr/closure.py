@@ -292,10 +292,11 @@ def closure_runner(work: ConstraintNetwork, trail: list, queue_order: str = FIFO
             def tightening(i: int, j: int, c_ij: int, c_ji: int) -> bytes:
                 # byte k is non-zero if C[i][j].C[j][k] or C[j][i].C[i][k],
                 # read from the cells at the start of the pop, tightens
-                # C[i][k] or C[j][k].  Segments of n bytes: the low and the
-                # high bytes of C[i][k] and of C[j][k], and of the two
-                # compositions, each in four blocks to be ORed, by the low
-                # and the high byte of the fixed operand and of the cell
+                # C[i][k] or C[j][k].  Cells and compositions are split
+                # into their low and high bytes, four segments of n bytes:
+                # lo_i, hi_i, lo_j, hi_j.  ``new`` holds four blocks of
+                # such segments, one for each byte of the fixed operand
+                # and of the varying cell; their union is the compositions
                 row_i = pack(*cells[i * n:i * n + n])
                 row_j = pack(*cells[j * n:j * n + n])
                 lo_i, hi_i, lo_j, hi_j = row_i[::2], row_i[1::2], row_j[::2], row_j[1::2]

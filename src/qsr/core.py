@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
+from struct import pack
 from typing import Iterable, Iterator, Optional
 
 # Build the full composite tables only while they stay small: converse
@@ -303,10 +304,9 @@ class CalculusSpec:
             table = bytes(out).ljust(256, b"\0")
         else:
             row = self.compose_row(index if index < 256 else (index - 256) << 8)
-            low, high = row[:256], row[256:]
-            table = (bytes([c & 255 for c in low]), bytes([c >> 8 for c in low]),
-                     bytes([c & 255 for c in high]).ljust(256, b"\0"),
-                     bytes([c >> 8 for c in high]).ljust(256, b"\0"))
+            # 512 cells of two bytes, low byte first, zero past the row
+            packed = pack(f"<{len(row)}H", *row).ljust(1024, b"\0")
+            table = (packed[0:512:2], packed[1:512:2], packed[512::2], packed[513::2])
         self._comp_bytes[index] = table
         return table
 
