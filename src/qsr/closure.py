@@ -74,27 +74,27 @@ an inconsistent outcome names the mirror of the fused pass's pair:
 The chunked fused pass and the dense safe pass start each pop with a
 filter that finds, for all third variables at once, the k whose triangle
 can tighten a cell; only those k run the loop, in increasing order.  The
-filter turns row i and row j of the network into bytes (the safe pass
-also column i and column j) and computes each composition of the pass
-over every k with ``bytes.translate``, through 256-byte tables of the
-fixed operand (``CalculusSpec._byte_table``): the row of C[i][j] or
-C[j][i], and in the safe pass their columns, x.C[i][j] and x.C[j][i].
-From 9 to 16 relations a cell is two bytes, and each composition is the union
-of the four translates by the low and the high byte of the fixed operand
-and of the cell: 16 per pop.  Each composition is ANDed with its target
-cells through ``int.from_bytes``, and byte k of the result is non-zero
-where the target would tighten: C[i][k] and C[j][k] in the fused pass,
-and C[k][i] and C[k][j] as well in the safe pass.  The filter is exact:
-within one pop the triangle at k reads and writes only the pairs (i, k)
-and (k, j), besides C[i][j] and C[j][i], which do not change.  So a k
-whose compositions, taken from the cells at the start of the pop, tighten
+filter turns row i and row j of the network into bytes (the safe pass also
+column i and column j) and computes each composition of the pass over
+every k with ``bytes.translate``, through 256-byte tables of the fixed
+operand (``CalculusSpec._byte_table``): the row of C[i][j] or C[j][i], and
+in the safe pass their columns, x.C[i][j] and x.C[j][i].  From 9 to 16
+relations a cell is two bytes, and each composition is the union of the
+four translates by the low and the high byte of the fixed operand and of
+the cell: 16 per pop.  Each composition is ANDed with its target cells
+through ``int.from_bytes``, and byte k of the result is non-zero where the
+target would tighten: C[i][k] and C[j][k] in the fused pass, and C[k][i]
+and C[k][j] as well in the safe pass.  The filter is exact: within one pop
+the triangle at k reads and writes only the pairs (i, k) and (k, j),
+besides C[i][j] and C[j][i], which do not change.  So a k whose
+compositions, taken from the cells at the start of the pop, tighten
 nothing still finds those cells when the loop reaches it, and changes
 nothing (its second half reads the cells its first half left alone).  The
-other k make the same writes in the same order as a loop over range(n),
-so revisions, queue pops, the trail, the queue order and the reported
-pair are unchanged.  The dense fused pass keeps its per-k loop: its half
-is two reads, and a filter in place of its support sets (below) measured
-a third slower on sparse networks of 200 variables.
+other k make the same writes in the same order as a loop over range(n), so
+revisions, queue pops, the trail, the queue order and the reported pair
+are unchanged.  The dense fused pass keeps its per-k loop: its half is two
+reads, and a filter in place of its support sets (below) measured a third
+slower on sparse networks of 200 variables.
 
 If the universal relation U is idempotent (``universal_idempotent``: U.U
 == U) and is its own converse, a pair whose cells C[i][j] and C[j][i] are
