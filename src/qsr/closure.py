@@ -58,33 +58,31 @@ passes over no revision: every pair is 2-consistent on entry (the prologue
 makes the seeded pairs so; the rest are closed or U both ways), and each
 settled pair is left 2-consistent, so the cross-tightening of two
 unchanged cells, r & conv(rp) and rp & conv(r), changes neither.
-Up to 8 base relations (``calc.dense_rows``) each of the four
-compositions is a read of the dense table, the low-byte row table of
-``compose_row``: C[i][j].C[j][k] from the row of C[i][j], fetched once per
-pop, C[k][j].C[j][i] as rows[C[k][j]][C[j][i]], and likewise for the pair
-(k, j).  A row not built yet reads as None and is built by ``compose_row``.
-Above 8 they are ``compose_masks`` calls: lazily filled rows, four per
-pop, cost more than the calls they saved.
+The safe branches share one loop, and each of its four compositions is a
+``compose_masks`` call.  Up to 8 base relations (``calc.dense_rows``) it
+visits only the third variables that the filter below finds, so table
+reads of its own would save few calls; above 8 it visits every k, where
+lazily filled rows, four per pop, cost more than the calls they saved.
 
 Above 16 base relations, with no rows, every calculus takes this loop.
 Under R7 and R9 it does the fused pass's revisions in the same order, but
 an inconsistent outcome names the mirror of the fused pass's pair:
 ``settle`` checks C[b][a] first, and under R7 both cells are empty.
 
-The chunked fused pass and the dense safe pass start each pop with a
-filter that finds, for all third variables at once, the k whose triangle
-can tighten a cell; only those k run the loop, in increasing order.  The
-filter turns row i and row j of the network into bytes (the safe pass also
-column i and column j) and computes each composition of the pass over
-every k with ``bytes.translate``, through 256-byte tables of the fixed
-operand (``CalculusSpec._byte_table``): the row of C[i][j] or C[j][i], and
-in the safe pass their columns, x.C[i][j] and x.C[j][i].  From 9 to 16
-relations a cell is two bytes, and each composition is the union of the
-four translates by the low and the high byte of the fixed operand and of
-the cell: 16 per pop.  Each composition is ANDed with its target cells
+The chunked fused pass and the safe loop up to 8 relations start each pop
+with a filter that finds, for all third variables at once, the k whose
+triangle can tighten a cell; only those k run the loop, in increasing
+order.  The filter turns row i and row j of the network into bytes (the
+safe loop also column i and column j) and computes each composition of the
+pass over every k with ``bytes.translate``, through 256-byte tables of the
+fixed operand (``CalculusSpec._byte_table``): the row of C[i][j] or
+C[j][i], and in the safe loop their columns, x.C[i][j] and x.C[j][i].
+From 9 to 16 relations a cell is two bytes, and each composition is the
+union of the four translates by the low and the high byte of the fixed
+operand and of the cell: 16 per pop.  Each composition is ANDed with its target cells
 through ``int.from_bytes``, and byte k of the result is non-zero where the
 target would tighten: C[i][k] and C[j][k] in the fused pass, and C[k][i]
-and C[k][j] as well in the safe pass.  The filter is exact: within one pop
+and C[k][j] as well in the safe loop.  The filter is exact: within one pop
 the triangle at k reads and writes only the pairs (i, k) and (k, j),
 besides C[i][j] and C[j][i], which do not change.  So a k whose
 compositions, taken from the cells at the start of the pop, tighten
@@ -122,8 +120,8 @@ and C[i][j].U == C[j][i].U == U tightens neither: revisions, pops, the
 reported pair and the trail are unchanged.  The sets are kept only where
 the seeds average fewer than n / 8 neighbours; on denser or smaller
 networks they cost more than they skip.  Incremental runs (their sets
-would cost an O(n^2) scan) keep range(n); the chunked and the dense safe
-pass filter their third variables instead.
+would cost an O(n^2) scan) keep range(n); the chunked fused pass and the
+safe loop up to 8 relations filter their third variables instead.
 
 Every pass stores cells through one nested routine, ``write(a, b, r,
 rp)``, which sets C[a][b] to r and C[b][a] to rp, each a subset of its
@@ -253,12 +251,6 @@ def closure_runner(work: ConstraintNetwork, trail: list, queue_order: str = FIFO
     universal = calc.universal
     waiting = universal if flags.universal_idempotent and conv(universal) == universal else -1
     supported = dense and derive and waiting != -1 and flags.universal_absorbs
-    if dense and not derive:
-        # the dense safe loop reads the dense table, the low-byte row table
-        # of compose_row, which this first call builds; a row not built yet
-        # is None there
-        comp_row(0)
-        rows = calc._comp_lo
     if (dense and not derive) or (chunked and derive):
         # the filter's byte tables (CalculusSpec._byte_table); a table not
         # built yet is None
@@ -505,38 +497,14 @@ def closure_runner(work: ConstraintNetwork, trail: list, queue_order: str = FIFO
             # whose compositions tighten neither cell of its pair revises
             # nothing; it takes no converse and does not call settle
             if dense:
-                # the loop below with each composition a read of the dense
-                # table, over the k that the filter finds; the rows of C[i][j]
-                # and C[j][i] are fetched once per pop
+                # only the k that the filter finds
                 keys = tightening(i, j, c_ij, c_ji)
                 if not keys:
                     continue
-                row_ij = comp_row(c_ij)
-                row_ji = comp_row(c_ji)
-                for k in compress(range(n), keys):
-                    if k == i or k == j:
-                        continue
-                    bk = k * n
-                    c_ik = cells[bi + k]
-                    c_ki = cells[bk + i]
-                    c_jk = cells[bj + k]
-                    c_kj = cells[bk + j]
-                    r = c_ik & row_ij[c_jk]
-                    rp = c_ki & (rows[c_kj] or comp_row(c_kj))[c_ji]
-                    if r != c_ik or rp != c_ki:
-                        empty = settle(i, k, r, rp)
-                        if empty is not None:
-                            return empty, revisions, pops
-                        c_ik = cells[bi + k]
-                        c_ki = cells[bk + i]
-                    r = c_kj & (rows[c_ki] or comp_row(c_ki))[c_ij]
-                    rp = c_jk & row_ji[c_ik]
-                    if r != c_kj or rp != c_jk:
-                        empty = settle(k, j, r, rp)
-                        if empty is not None:
-                            return empty, revisions, pops
-                continue
-            for k in range(n):
+                ks = compress(range(n), keys)
+            else:
+                ks = range(n)
+            for k in ks:
                 if k == i or k == j:
                     continue
                 bk = k * n

@@ -16,7 +16,7 @@ dense, |Rel|**2 cells, which stays below ~4M cells for |Rel| <= 2048.  Up to
 16 relations the extensions to composite arguments, the composition rows,
 are built row by row on first use in two byte-indexed tables of at most 256
 rows each (``compose_row``).  For |Rel| <= 8 the low-byte table is the dense
-composite table, making closure engines cheap table lookups.  Up to 16
+composite table, which ``compose_masks`` reads too.  Up to 16
 relations there are also 256-byte tables of compositions for
 ``bytes.translate``, each built on first use, with which the closure tests
 every third variable of a popped pair at once (``_byte_table``).

@@ -97,6 +97,9 @@ class ConstraintNetwork:
         cell = self._cell(i, j)
         if i == j:
             raise NetworkError("diagonal cells are fixed and cannot be assigned")
+        if mask & ~self.calculus.universal:
+            # a negative mask would read as a label through negative indexing
+            raise NetworkError(f"mask {mask} has bits outside the calculus width")
         self.cells[cell] = mask
 
     def __getitem__(self, pair: tuple[str, str]) -> RelationSet:

@@ -144,7 +144,7 @@ def test_closure_matches_reference_on_random_calculi(random_calculus):
                 if got.closed:
                     assert got.network.cells == ref.network.cells, (trial, n_vars, order)
 
-    # 5 to 8 relations without R7 or R9: the dense safe pass and its byte
+    # 5 to 8 relations without R7 or R9: the safe loop behind its byte
     # filter up to the byte boundary, on networks of up to 12 variables,
     # closed in full and from the split pair of each level of a split chain
     rng = _random.Random(5808)
@@ -276,10 +276,10 @@ def _undo(cells, trail):
 
 
 def test_trail_closes_in_place_like_the_pure_call_and_undoes_exactly(random_calculus, cyclic_group):
-    # pc1 to appendixB-remark take the dense fused pass and the dense safe
-    # branch, Z10 the chunked fused pass, the random 9- and 10-relation
-    # calculi the safe branch with compose_masks calls and the random
-    # 17-relation calculus the call-based loop above 16 relations.  Each
+    # pc1 to appendixB-remark take the dense fused pass and the safe loop
+    # behind its byte filter, Z10 the chunked fused pass, the random 9- and
+    # 10-relation calculi the safe loop over every third variable and the
+    # random 17-relation calculus the same loop above 16 relations.  Each
     # network is closed in full, where the pure call is a_closure, and each
     # child of a split of its closure from its split pair, where it is a
     # run on a copy
@@ -609,33 +609,6 @@ def test_safe_branches_match_reference_at_11_to_16_relations(random_calculus):
                 levels += 1
     assert statuses == {ClosureStatus.CLOSED, ClosureStatus.INCONSISTENT}
     assert levels > 50 and revisions > 500
-
-
-def test_safe_branches_read_tables_not_compose_masks(monkeypatch):
-    # Up to 8 relations the safe branches read each composition from a row
-    # or a column of the dense table: closing appendixB1 (no R7) and
-    # appendixB2 (R7 without R9) networks calls compose_masks not once.
-    from qsr.core import CalculusSpec
-
-    calls = 0
-    orig_comp = CalculusSpec.compose_masks
-
-    def counting(self, a, b):
-        nonlocal calls
-        calls += 1
-        return orig_comp(self, a, b)
-
-    monkeypatch.setattr(CalculusSpec, "compose_masks", counting)
-    for name, labels in (("appendixB1", "singletons"), ("appendixB2", "uniform")):
-        calc = builtin(name)
-        assert not (calc.flags.ra7_holds and calc.flags.ra9_holds)
-        pops = revisions = 0
-        for seed in range(6):
-            out = a_closure(random_network(calc, 12, 0.5, labels, seed=seed))
-            pops += out.queue_pops
-            revisions += out.revisions
-        assert pops > 0 and calls == 0, name
-    assert revisions > 0
 
 
 def test_closure_makes_no_call_that_changes_nothing(monkeypatch, dihedral_group):
@@ -1112,8 +1085,8 @@ def _pinned_batch(nets):
 
 def test_chunked_and_wide_safe_work_counts_are_pinned(cyclic_group, dihedral_group):
     # The chunked fused pass (R7 and R9, 9 to 16 relations) on group
-    # relation algebras and on sym3 padded to 12 symbols, and the dense safe
-    # pass on appendixB1 (no R7) and appendixB2 (R7 without R9) networks of
+    # relation algebras and on sym3 padded to 12 symbols, and the filtered
+    # safe loop on appendixB1 (no R7) and appendixB2 (R7 without R9) networks of
     # 30 to 40 variables, where most third variables of a pop tighten
     # nothing: queue pops, revisions and reported pairs, of full closures
     # and of runs from split pairs, must not move with a kernel change

@@ -305,9 +305,10 @@ def test_byte_tables_read_as_compose_masks(cyclic_group, dihedral_group, random_
 
 
 def test_closure_builds_only_the_byte_tables_it_reads(cyclic_group, dihedral_group):
-    # the dense safe pass (appendixB1, appendixB2) and the chunked fused
-    # pass (Z9, D5) build a table on its first read and no other; the dense
-    # fused pass (rcc5) reads none, and above 16 relations there are none
+    # the byte filter of the safe loop up to 8 relations (appendixB1,
+    # appendixB2) and of the chunked fused pass (Z9, D5) builds a table on
+    # its first read and no other; the dense fused pass (rcc5) reads none,
+    # and above 16 relations there are none
     from qsr import a_closure, random_network
 
     class Reads(list):

@@ -1,5 +1,6 @@
 """The import graph of the package: no cycle, and the network layer on the core alone;
-one clause reader for every file format, and one write routine in the closure."""
+one clause reader for every file format, and one write routine and one safe
+loop in the closure."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -78,10 +79,22 @@ def _writes(node: ast.AST) -> bool:
             and getattr(node.value, "id", None) in ("trail", "queue"))
 
 
+def _closure_runner() -> ast.FunctionDef:
+    tree = ast.parse((PACKAGE / "closure.py").read_text(encoding="utf-8"))
+    return next(node for node in tree.body if getattr(node, "name", None) == "closure_runner")
+
+
 def test_only_write_stores_counts_trails_and_queues_in_the_closure():
     # a certificate or a stats record hooks one routine, not a copy per pass
-    tree = ast.parse((PACKAGE / "closure.py").read_text(encoding="utf-8"))
-    closure = next(node for node in tree.body if getattr(node, "name", None) == "closure_runner")
+    closure = _closure_runner()
     assert _scopes(closure, _writes, closure.name) == {"write"}
     settle = next(node for node in ast.walk(closure) if getattr(node, "name", None) == "settle")
     assert isinstance(settle.body[-1], ast.Return) and _calls("write")(settle.body[-1].value)
+
+
+def test_closure_runner_has_one_loop_over_third_variables_per_pass():
+    # the dense fused, the chunked fused and the safe pass: the safe
+    # revision body has one copy, whichever third variables it visits
+    loops = [node for node in ast.walk(_closure_runner())
+             if isinstance(node, ast.For) and getattr(node.target, "id", None) == "k"]
+    assert len(loops) == 3

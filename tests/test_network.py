@@ -98,6 +98,19 @@ def test_cell_indices_outside_the_network_are_refused():
     assert net.cells == before
 
 
+def test_masks_outside_the_calculus_width_are_refused():
+    # stored, -1 reads as a label through negative indexing, so closure and
+    # search would give a verdict on a cell no relation set names; U + 1
+    # raises an IndexError deep in converse_mask
+    net = ConstraintNetwork(pc1, ["A", "B", "C"])
+    net.set_mask(0, 1, pc1.relation("<").bits)
+    before = list(net.cells)
+    for mask in (-1, pc1.universal + 1):
+        with pytest.raises(NetworkError, match=f"mask {mask} has bits outside the calculus width"):
+            net.set_mask(0, 1, mask)
+    assert net.cells == before
+
+
 def test_satisfies_examples():
     chain3 = builtin_model("pc1-chain3")
     net = normalize(pc1, [edge("A", "<", "B"), edge("B", "<", "C")])
