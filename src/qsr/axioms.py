@@ -33,13 +33,15 @@ calculi without a designated identity.
 One tally loop serves the whole battery: it tests each (lhs, rhs) evaluation
 against all three of the axiom's records (main, ⊆, ⊇; for PL main, PL-right,
 PL-left).  Only R10's ⊇ record needs a second evaluation, of its dual
-rotation.  ``check_axiom_composite`` and the base audit of R1, R3, R7 and R8
+rotation.  ``check_axiom_composite`` and the base audit of R1, R3 and R8
 evaluate once per tuple.  The base audit of every other axiom reads rows of
 the tables, never ``compose_masks``: per base prefix ((r, s), r, or none for
 the unary axioms) one pair of rows holds (lhs, rhs) for every last base.
 R2, R5, R10 and PL pack a row into one int (``_Lanes``); R4, R9 and the
-unary axioms keep lists, cheaper to build there.  Only a pair that can
-violate has its lanes tested, which gives the per-tuple counts and examples.
+unary axioms keep lists, cheaper to build there.  The rows of R7 and R9 live
+in ``qsr.core``, whose engine flags ``ra7_holds`` and ``ra9_holds`` are
+their verdicts.  Only a pair that can violate has its lanes tested, which
+gives the per-tuple counts and examples.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from operator import lshift, or_
 from random import Random
 from typing import Callable, Iterable, Iterator, Optional
 
-from .core import CalculusError, CalculusSpec, _union_of
+from .core import CalculusError, CalculusSpec, _r7_rows, _r9_rows, _union_of, _union_rows
 
 EXAMPLE_CAP = 10
 
@@ -247,15 +249,6 @@ def _r4(c, t):
     return c.compose_masks(c.compose_masks(r, s), u), c.compose_masks(r, c.compose_masks(s, u))
 
 
-def _union_rows(rows: list, mask: int) -> list[int]:
-    """Lane-wise union of ``rows[p]`` over the bits ``p`` of ``mask``, ``rows`` square."""
-    out = [0] * len(rows)
-    for p, row in enumerate(rows):
-        if mask >> p & 1:
-            out = list(map(or_, out, row))
-    return out
-
-
 def _r4_rows(c, lanes):
     table = c.composition_row
     masks = set(itertools.chain.from_iterable(table))
@@ -313,16 +306,6 @@ def _r9(c, t):
         c.converse_mask(c.compose_masks(r, s)),
         c.compose_masks(c.converse_mask(s), c.converse_mask(r)),
     )
-
-
-def _r9_rows(c, lanes):
-    table, conv, columns = c.composition_row, c.converse_row, list(zip(*c.composition_row))
-    conv_of = {m: _union_of(conv, m) for m in set(itertools.chain.from_iterable(table))}
-    # per base r, lanes over the bases s: conv(r.s), and conv(s).conv(r),
-    # the union of p.conv(r) over the p in conv(s)
-    for row, conv_r in zip(table, conv):
-        col = _union_rows(columns, conv_r)  # p.conv(r) over the bases p
-        yield list(map(conv_of.__getitem__, row)), [_union_of(col, conv_s) for conv_s in conv]
 
 
 def _r10(c, t):
@@ -405,9 +388,9 @@ _AXIOMS: dict[str, _Axiom] = {
     "R6": _Axiom(1, True, _r6,
                  rows=lambda c, lanes: _identity_rows(c, lanes, list(zip(*c.composition_row)))),
     "R6l": _Axiom(1, True, _r6l, rows=lambda c, lanes: _identity_rows(c, lanes, c.composition_row)),
-    "R7": _Axiom(1, False, _r7),
+    "R7": _Axiom(1, False, _r7, rows=lambda c, lanes: _r7_rows(c)),
     "R8": _Axiom(2, False, _r8),
-    "R9": _Axiom(2, False, _r9, rows=_r9_rows),
+    "R9": _Axiom(2, False, _r9, rows=lambda c, lanes: _r9_rows(c)),
     "R10": _Axiom(2, False, _r10, _inclusion, sup_eval=_r10_dual, rows=_r10_rows,
                   sup_rows=_r10_dual_rows),
     "WA": _Axiom(1, True, _wa, rows=lambda c, lanes: _dot_u_rows(c, c.identity_mask)),

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from operator import or_
 from struct import pack
 from typing import Iterable, Iterator, Optional
@@ -134,6 +135,8 @@ class CalculusSpec:
             self.identity_mask = None
         else:
             self.identity_mask = self.mask_of(identity)
+            if not self.identity_mask:
+                raise CalculusError("the identity relation is empty: pass None for a calculus without one")
 
         missing = [s for s in self.symbols if s not in converse]
         if missing:
@@ -496,35 +499,48 @@ def _union_of(row: tuple[int, ...], mask: int) -> int:
     return out
 
 
+def _union_rows(rows: list, mask: int) -> list[int]:
+    """Lane-wise union of ``rows[p]`` over the bits ``p`` of ``mask``, ``rows`` square."""
+    out = [0] * len(rows)
+    for p, row in enumerate(rows):
+        if mask >> p & 1:
+            out = list(map(or_, out, row))
+    return out
+
+
+def _r7_rows(spec: CalculusSpec) -> Iterator[tuple[list[int], list[int]]]:
+    """R7, one pair of rows over the bases r: conv(conv(r)), and r."""
+    conv = spec.converse_row
+    yield [_union_of(conv, m) for m in conv], [1 << k for k in range(len(conv))]
+
+
+def _r9_rows(spec: CalculusSpec) -> Iterator[tuple[list[int], list[int]]]:
+    """R9, per base r the rows over the bases s of conv(r.s) and of conv(s).conv(r), the
+    union of p.conv(r) over all p in conv(s), which keeps it exact when R7 fails."""
+    table, conv, columns = spec.composition_row, spec.converse_row, list(zip(*spec.composition_row))
+    conv_of = {m: _union_of(conv, m) for m in set(chain.from_iterable(table))}
+    for row, conv_r in zip(table, conv):
+        col = _union_rows(columns, conv_r)  # p.conv(r) over the bases p
+        yield list(map(conv_of.__getitem__, row)), [_union_of(col, conv_s) for conv_s in conv]
+
+
 def compute_ra7(spec: CalculusSpec) -> bool:
     """Converse involution on base symbols: conv(conv({r})) == {r} for all r.
 
-    When this holds the converse table is an involutive permutation of the
-    symbols, converse distributes over intersection, and a reasoner may store
-    only one direction of each constraint.
+    The verdict of the audit's R7 row.  When it holds the converse table is
+    an involutive permutation of the symbols, converse distributes over
+    intersection, and a reasoner may store only one direction of each constraint.
     """
-    conv = spec.converse_row
-    return all(_union_of(conv, conv[i]) == 1 << i for i in range(len(conv)))
+    return all(lhs == rhs for lhs, rhs in _r7_rows(spec))
 
 
 def compute_ra9(spec: CalculusSpec) -> bool:
     """Converse-composition distributivity on base pairs: conv(r.s) == conv(s).conv(r).
 
-    Reads the tables directly, leaving the composition cache empty; the right
-    side unions over all converse symbols, so it stays exact when R7 fails.
+    The verdict of the audit's R9 rows, which read the tables directly and
+    leave the composition cache empty.
     """
-    conv = spec.converse_row
-    rows = spec.composition_row
-    for j, conv_s in enumerate(conv):
-        # composition rows of the symbols in conv(s), with s the j-th symbol
-        conv_s_rows = [row for p, row in enumerate(rows) if conv_s >> p & 1]
-        for i, conv_r in enumerate(conv):
-            rhs = 0
-            for row in conv_s_rows:
-                rhs |= _union_of(row, conv_r)
-            if _union_of(conv, rows[i][j]) != rhs:
-                return False
-    return True
+    return all(lhs == rhs for lhs, rhs in _r9_rows(spec))
 
 
 def compute_universal_absorbs(spec: CalculusSpec) -> bool:

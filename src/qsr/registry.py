@@ -46,7 +46,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import CalculusError, CalculusSpec, _union_of
+from .core import CalculusError, CalculusSpec, _r7_rows, _union_rows
 from .models import FiniteInterpretation, Pair
 from .network import check_token, name_line, quoted_name, read_clauses, symbol_group
 
@@ -282,7 +282,8 @@ def serialize(spec: CalculusSpec) -> str:
     """Canonical spec-file text for ``spec`` (symbols and cells in declaration order).
 
     A symbol that ``parse_spec`` would not read back as itself raises
-    ``CalculusError``, as an unwritable calculus name does.
+    ``CalculusError``, as do an unwritable calculus name and an empty
+    converse entry.
     """
     lines = [name_line("calculus", spec.name, CalculusError)]
     for s in spec.symbols:
@@ -295,8 +296,10 @@ def serialize(spec: CalculusSpec) -> str:
     else:
         lines.append("identity")
     lines.append("converse")
-    for i, s in enumerate(spec.symbols):
-        lines.append(f"{s} {spec.format_mask(spec.converse_row[i])}")
+    for s, conv in zip(spec.symbols, spec.converse_row):
+        if not conv:
+            raise CalculusError(f"the converse of {s!r} is empty, which a spec file cannot state")
+        lines.append(f"{s} {spec.format_mask(conv)}")
     lines.append("composition")
     for i, a in enumerate(spec.symbols):
         for j, b in enumerate(spec.symbols):
@@ -318,34 +321,32 @@ class Finding:
 
 
 def validate(spec: CalculusSpec) -> list[Finding]:
-    """Structural findings for a calculus: identity-law consistency, converse
-    involution, empty cells, plus any curated notes the spec carries.
+    """Structural findings for a calculus: identity-law consistency, each s
+    that conv(conv(s)) leaves out, empty cells, plus any curated notes.
 
+    They read the audit's R6l, R6 and R7 rows.  A conv(conv(s)) strictly
+    above s, as appendixB1's U, fails R7 in the audit but is no finding.
     All findings are informational; a calculus may legitimately fail the
     identity law or converse involution.
     """
     findings: list[Finding] = []
 
     if spec.identity_mask is not None:
-        # id.{s} and {s}.id as unions of table cells: no composition cache
+        # id.{s} and {s}.id over the bases s, the R6l and R6 rows: no composition cache
         idm, rows = spec.identity_mask, spec.composition_row
+        left, right = _union_rows(rows, idm), _union_rows(list(zip(*rows)), idm)
         bad = []
         for i, s in enumerate(spec.symbols):
-            m = 1 << i
-            left = _union_of([row[i] for row in rows], idm)
-            right = _union_of(rows[i], idm)
-            if left != m:
-                bad.append(f"id.{s} = {spec.format_mask(left)} != {s}")
-            if right != m:
-                bad.append(f"{s}.id = {spec.format_mask(right)} != {s}")
+            if left[i] != 1 << i:
+                bad.append(f"id.{s} = {spec.format_mask(left[i])} != {s}")
+            if right[i] != 1 << i:
+                bad.append(f"{s}.id = {spec.format_mask(right[i])} != {s}")
         if bad:
             findings.append(Finding("identity-law", "identity law fails: " + "; ".join(bad)))
 
-    bad_conv = []
-    for i, s in enumerate(spec.symbols):
-        back = spec.converse_mask(spec.converse_row[i])
-        if back & (1 << i) == 0:
-            bad_conv.append(f"conv(conv({s})) = {spec.format_mask(back)} does not contain {s}")
+    ((back_row, base_row),) = _r7_rows(spec)
+    bad_conv = [f"conv(conv({s})) = {spec.format_mask(back)} does not contain {s}"
+                for s, back, base in zip(spec.symbols, back_row, base_row) if not back & base]
     if bad_conv:
         findings.append(Finding("converse-involution", "; ".join(bad_conv)))
 

@@ -242,12 +242,11 @@ def derive_completeness(
     def brute_force(closed: ConstraintNetwork) -> Optional[ConstraintNetwork]:
         # every pair is split at a leaf, so C[i][j] holds its split.  Brute
         # force gets the atomic network itself: without R7 its closure can
-        # be tighter, and the model need not make closure sound
-        atomic = ConstraintNetwork(calculus, names)
+        # be tighter, and the model need not make closure sound.  The
+        # closure leaves the diagonal as built, so only C[j][i] is reset
+        atomic = closed.copy()
         for i, j in pairs:
-            bit = closed.cells[i * n_vars + j]
-            atomic.cells[i * n_vars + j] = bit
-            atomic.cells[j * n_vars + i] = calculus.converse_mask(bit)
+            atomic.cells[j * n_vars + i] = calculus.converse_mask(atomic.cells[i * n_vars + j])
         return atomic if brute_force_solve(atomic, model, budget=budget) is None else None
 
     steps = [*pairs, None]  # the pair split at each depth, then a leaf

@@ -219,7 +219,7 @@ def test_classify_records_equal_check_axiom(random_calculus):
 
 
 def test_classify_reads_triple_axioms_a_row_at_a_time(monkeypatch):
-    # R1, R3, R7 and R8: one evaluator call per base tuple; every other
+    # R1, R3 and R8: one evaluator call per base tuple; every other
     # axiom: |Rel| ** (arity - 1) row pairs of |Rel| lanes (R10 also those of
     # its dual rotation) and no per-tuple call
     calls, pairs = Counter(), Counter()
@@ -254,7 +254,7 @@ def test_classify_reads_triple_axioms_a_row_at_a_time(monkeypatch):
         monkeypatch.setitem(axioms._AXIOMS, aid, wrapped)
     classify(spec)
     per_tuple = {aid for aid, ax in axioms._AXIOMS.items() if ax.rows is None}
-    assert per_tuple == {"R1", "R3", "R7", "R8"}
+    assert per_tuple == {"R1", "R3", "R8"}
     assert calls == {aid: n ** axioms._AXIOMS[aid].arity for aid in per_tuple}
     expected = {aid: n ** (ax.arity - 1) for aid, ax in axioms._AXIOMS.items() if ax.rows}
     assert pairs == {**expected, "R10" + SUP: n}

@@ -255,6 +255,16 @@ def test_serialize_refuses_symbols_that_parse_spec_cannot_read_back(symbol):
         serialize(spec)
 
 
+def test_serialize_refuses_an_empty_converse_entry():
+    # the calculus may hold one, and the audit reads it, but `a ()` is no
+    # converse line that parse_spec accepts
+    syms = ["a", "b"]
+    spec = CalculusSpec("c", syms, None, {"a": [], "b": ["b"]},
+                        {(x, y): syms for x in syms for y in syms})
+    with pytest.raises(CalculusError, match="converse of 'a' is empty"):
+        serialize(spec)
+
+
 def test_identity_clause_optional():
     text = PC1_SPEC.replace("identity =\n", "")
     assert parse_spec(text).identity_mask is None
