@@ -82,10 +82,12 @@ def _write(text: str) -> None:
         os.close(devnull)
 
 
-def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
+def _emit(args: argparse.Namespace, payload: Callable[[], dict], text: Callable[[], str]) -> None:
+    """Print the JSON of ``payload()`` or the ``text()``, building only that one."""
     if args.format == "json":
-        text = json.dumps(payload, indent=2, ensure_ascii=False)
-    _write(text + "\n")
+        _write(json.dumps(payload(), indent=2, ensure_ascii=False) + "\n")
+    else:
+        _write(text() + "\n")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -129,7 +131,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                         "universal_idempotent": flags.universal_idempotent}
     payload["findings"] = [{"kind": f.kind, "message": f.message} for f in findings]
     payload["violated_sides"] = sides
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, lambda: payload, lambda: "\n".join(lines))
     return EXIT_OK
 
 
@@ -142,10 +144,11 @@ def cmd_closure(args: argparse.Namespace) -> int:
     if not out.closed:
         pair = out.empty_pair or ("?", "?")
         payload = {"status": "inconsistent", "empty_pair": list(pair), **counts}
-        _emit(args, payload, f"inconsistent: empty relation between {pair[0]} and {pair[1]}\n{stats}")
+        _emit(args, lambda: payload,
+              lambda: f"inconsistent: empty relation between {pair[0]} and {pair[1]}\n{stats}")
         return EXIT_INCONSISTENT
-    payload = {"status": "closed", **counts, "network": out.network.to_json_dict()}
-    _emit(args, payload, out.network.to_text().rstrip() + "\n" + stats)
+    _emit(args, lambda: {"status": "closed", **counts, "network": out.network.to_json_dict()},
+          lambda: out.network.to_text().rstrip() + "\n" + stats)
     return EXIT_OK
 
 
@@ -155,10 +158,12 @@ def cmd_consistency(args: argparse.Namespace) -> int:
     decision = decide(net)
     payload = {"verdict": decision.verdict.value, "nodes_explored": decision.nodes_explored}
     text = f"verdict: {decision.verdict.value} (nodes explored: {decision.nodes_explored})"
-    if decision.witness is not None:
-        payload["witness"] = decision.witness.to_json_dict()
-        text += "\nwitness:\n" + decision.witness.to_text().rstrip()
-    _emit(args, payload, text)
+    witness = decision.witness
+    if witness is None:
+        _emit(args, lambda: payload, lambda: text)
+    else:
+        _emit(args, lambda: {**payload, "witness": witness.to_json_dict()},
+              lambda: text + "\nwitness:\n" + witness.to_text().rstrip())
     if decision.verdict is Verdict.CONSISTENT:
         return EXIT_OK
     if decision.verdict is Verdict.INCONSISTENT:
@@ -224,7 +229,7 @@ def cmd_model_check(args: argparse.Namespace) -> int:
             lines.append("solution: " + " ".join(f"{v}={e}" for v, e in solution.items()))
             payload["solution"] = solution
 
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, lambda: payload, lambda: "\n".join(lines))
     return code
 
 

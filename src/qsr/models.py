@@ -67,7 +67,7 @@ def _pairs(pairs: Iterable[Pair], elems: set[str]) -> list[Pair]:
 class FiniteInterpretation:
     """A finite universe plus an interpretation map from symbols to pair sets."""
 
-    __slots__ = ("name", "calculus", "universe", "phi", "_cover", "_lines")
+    __slots__ = ("name", "calculus", "universe", "phi", "_cover", "_lines", "_pair_lines")
 
     def __init__(
         self,
@@ -110,6 +110,20 @@ class FiniteInterpretation:
                 row[index[u]] |= 1 << index[v]
                 col[index[v]] |= 1 << index[u]
             self._lines.append((row, col))
+        # (C[i][k], C[k][i]) of base relations -> brute force's allowed lines
+        # for that pair, or None where it allows every value: filled on first
+        # use, at most |Rel|^2 entries
+        self._pair_lines: dict[tuple[int, int], Optional[list[int]]] = {}
+
+    def _mask_lines(self, mask: int, side: int) -> list[int]:
+        """The row (side 0) or column (side 1) lines of ``mask``: the OR of its
+        base relations' lines."""
+        out = [0] * len(self.universe)
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            out = list(map(int.__or__, out, self._lines[low.bit_length() - 1][side]))
+        return out
 
     def phi_mask(self, mask: int) -> frozenset[Pair]:
         """Interpretation of a composite relation given as a bitmask."""
@@ -227,28 +241,39 @@ def check_seriality(model: FiniteInterpretation) -> dict[str, bool]:
     return out
 
 
-def _compose_pairs(r: frozenset[Pair], s: frozenset[Pair]) -> frozenset[Pair]:
-    by_first: dict[str, set[str]] = {}
-    for v, w in s:
-        by_first.setdefault(v, set()).add(w)
-    out = set()
-    for u, v in r:
-        for w in by_first.get(v, ()):
-            out.add((u, w))
-    return frozenset(out)
+def _line_pairs(model: FiniteInterpretation, rows: list[int]) -> frozenset[Pair]:
+    """The pair set whose row lines are ``rows``."""
+    u = model.universe
+    return frozenset((u[a], v) for a, row in enumerate(rows) for b, v in enumerate(u) if row >> b & 1)
+
+
+def _compose_lines(model: FiniteInterpretation, r: int, s: int) -> list[int]:
+    """Row lines of phi(r) ; phi(s): row a ORs the rows of s named by row a of r."""
+    rows = model._lines[s][0]
+    out = []
+    for line in model._lines[r][0]:
+        acc = 0
+        while line:
+            low = line & -line
+            line ^= low
+            acc |= rows[low.bit_length() - 1]
+        out.append(acc)
+    return out
 
 
 def domain_compose(model: FiniteInterpretation, r: str, s: str) -> frozenset[Pair]:
     """Set-theoretic composition of two base relations over the universe."""
     if r not in model.phi or s not in model.phi:
         raise CalculusError(f"symbols {r!r}, {s!r} must be interpreted by the model")
-    return _compose_pairs(model.phi[r], model.phi[s])
+    index = model.calculus.symbol_index
+    return _line_pairs(model, _compose_lines(model, index(r), index(s)))
 
 
 def domain_converse(model: FiniteInterpretation, r: str) -> frozenset[Pair]:
     if r not in model.phi:
         raise CalculusError(f"symbol {r!r} must be interpreted by the model")
-    return frozenset((b, a) for a, b in model.phi[r])
+    # the rows of the converse are the columns of r
+    return _line_pairs(model, model._lines[model.calculus.symbol_index(r)][1])
 
 
 class CellStrength(Enum):
@@ -305,33 +330,39 @@ def classify_operation(
     if not check_jepd(model).certified:
         raise CalculusError("operation classification requires a JEPD-certified model")
 
-    def hull(domain: frozenset[Pair]) -> int:
-        mask = 0
-        for idx, sym in enumerate(spec.symbols):
-            if model.phi[sym] & domain:
-                mask |= 1 << idx
-        return mask
+    # every relation and domain result as its row lines packed into one
+    # integer, row a at bit a * |universe|: phi(T) >= D iff D & ~T is 0
+    width = len(model.universe)
 
-    def grade(table_mask: int, domain: frozenset[Pair]) -> CellStrength:
-        interp = model.phi_mask(table_mask)
-        if not interp >= domain:
+    def packed(rows: list[int]) -> int:
+        return sum(row << a * width for a, row in enumerate(rows))
+
+    base = [packed(row) for row, _ in model._lines]
+    interps: dict[int, int] = {}
+
+    def grade(table_mask: int, domain_rows: list[int]) -> CellStrength:
+        domain = packed(domain_rows)
+        if table_mask not in interps:
+            # a sum is the union here: JEPD makes the relations disjoint
+            interps[table_mask] = sum(p for r, p in enumerate(base) if table_mask >> r & 1)
+        interp = interps[table_mask]
+        if domain & ~interp:
             return CellStrength.UNSOUND
         if interp == domain:
             return CellStrength.STRONG
-        if table_mask == hull(domain):
+        # the weak hull: the relations that meet D
+        if table_mask == sum(1 << r for r, p in enumerate(base) if p & domain):
             return CellStrength.WEAK
         return CellStrength.ABSTRACT_ONLY
 
     cells: dict[tuple, CellStrength] = {}
     if which == "converse":
         for idx, sym in enumerate(spec.symbols):
-            cells[(sym,)] = grade(spec.converse_row[idx], domain_converse(model, sym))
+            cells[(sym,)] = grade(spec.converse_row[idx], model._lines[idx][1])
     else:
         for i, a in enumerate(spec.symbols):
             for j, b in enumerate(spec.symbols):
-                cells[(a, b)] = grade(
-                    spec.composition_row[i][j], domain_compose(model, a, b)
-                )
+                cells[(a, b)] = grade(spec.composition_row[i][j], _compose_lines(model, i, j))
     return OperationClassification(which, cells)
 
 
@@ -366,7 +397,8 @@ def brute_force_solve(
     tries only values that satisfy both C[i][k] and C[k][i] against every
     earlier variable i (diagonal cells are not checked), and the search
     backs up when none is left.  The checks read bit lines over universe
-    indices, made once per distinct cell mask from the model's lines.
+    indices: a pair of two base relations from the model's pair table, any
+    other pair from lines this call ORs from the model's own.
 
     Raises :class:`BudgetExceededError` when |universe| ** |vars| exceeds
     ``budget``: the budget bounds the space searched, not the values tried.
@@ -381,28 +413,25 @@ def brute_force_solve(
             f"{total} valuations exceed the budget of {budget}"
         )
     full = (1 << len(universe)) - 1
-    mask_lines: dict[int, tuple[list[int], list[int]]] = {}
-    for mask in set(net.cells):
-        row = [0] * len(universe)
-        col = [0] * len(universe)
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            r, c = model._lines[low.bit_length() - 1]
-            row = [x | y for x, y in zip(row, r)]
-            col = [x | y for x, y in zip(col, c)]
-        mask_lines[mask] = (row, col)
-    # checks[k]: (i, allowed) for earlier i, bit v of allowed[v_i] set when
-    # v_k = v satisfies C[i][k] and C[k][i]; pairs allowing all are left out
+
+    def allowed(a: int, b: int) -> Optional[list[int]]:
+        # bit v of allowed[v_i] is set when v_k = v satisfies a = C[i][k] and
+        # b = C[k][i]; None when every value does
+        both = list(map(int.__and__, model._mask_lines(a, 0), model._mask_lines(b, 1)))
+        return None if both.count(full) == len(both) else both
+
+    # checks[k]: (i, allowed) for earlier i, pairs allowing all left out
+    table, composite = model._pair_lines, {}
+    cells = net.cells
     checks: list[list[tuple[int, list[int]]]] = []
     for k in range(n):
         checks.append([])
         for i in range(k):
-            allowed = list(map(int.__and__, mask_lines[net.cells[i * n + k]][0],
-                               mask_lines[net.cells[k * n + i]][1]))
-            if allowed.count(full) != len(allowed):
-                checks[k].append((i, allowed))
+            key = a, b = cells[i * n + k], cells[k * n + i]
+            store = table if a and b and not (a & (a - 1) or b & (b - 1)) else composite
+            lines = store[key] if key in store else store.setdefault(key, allowed(a, b))
+            if lines is not None:
+                checks[k].append((i, lines))
     values = [0] * n
     untried = [full] * n
     k = 0

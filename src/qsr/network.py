@@ -181,14 +181,14 @@ class ConstraintNetwork:
 
     def to_json_dict(self) -> dict:
         n = len(self.var_names)
+        cells = self.cells
+        # the symbols of each distinct mask, read once
+        symbols = {mask: self.calculus.symbols_of(mask) for mask in set(cells)}
         return {
             "name": self.name,
             "calculus": self.calculus.name,
             "vars": list(self.var_names),
-            "matrix": [
-                [list(self.calculus.symbols_of(self.get_mask(i, j))) for j in range(n)]
-                for i in range(n)
-            ],
+            "matrix": [[list(symbols[mask]) for mask in cells[i * n:(i + 1) * n]] for i in range(n)],
         }
 
 

@@ -184,6 +184,20 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["closure", "consistency"])
+def test_only_the_printed_format_is_built(capsys, monkeypatch, fig_net, command):
+    import qsr.network
+
+    def refuse(self):
+        raise AssertionError("built an output that is not printed")
+
+    for fmt, unused in (("json", "to_text"), ("text", "to_json_dict")):
+        with monkeypatch.context() as patch:
+            patch.setattr(qsr.network.ConstraintNetwork, unused, refuse)
+            code, out, _ = run(capsys, command, "--builtin", "pc1", "--network", fig_net, "--format", fmt)
+        assert code == 0 and "A" in out, fmt
+
+
 def test_closure_reports_queue_pops_and_revisions(capsys, tmp_path, fig_net):
     # pc1 seeds the two constrained pairs; the first pop infers A (<) C and
     # queues that pair, which had been universal both ways

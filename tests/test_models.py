@@ -20,6 +20,7 @@ from qsr import (
     check_jepd,
     check_partition_scheme,
     classify_operation,
+    derive_completeness,
     domain_compose,
     domain_converse,
     normalize,
@@ -145,32 +146,35 @@ def test_appendix_b2_composition_abstract_at_r3_r4():
     assert conv.strong
 
 
-def test_strength_hierarchy_never_violated():
-    # strong implies the weak criterion, weak implies soundness, across all
-    # cells of every bundled model
-    for name in BUILTIN_MODEL_NAMES:
-        model = builtin_model(name)
-        calc = model.calculus
-        for which in ("converse", "composition"):
-            grading = classify_operation(model, calc, which)
-            for key, strength in grading.cells.items():
-                if which == "converse":
-                    domain = domain_converse(model, key[0])
-                    table = calc.converse_row[calc.symbol_index(key[0])]
-                else:
-                    domain = domain_compose(model, *key)
-                    i, j = (calc.symbol_index(k) for k in key)
-                    table = calc.composition_row[i][j]
-                interp = model.phi_mask(table)
-                if strength is CellStrength.STRONG:
-                    assert interp == domain
-                if strength in (CellStrength.STRONG, CellStrength.WEAK):
-                    assert all(model.phi[s] & domain for s in calc.symbols_of(table))
-                if strength is not CellStrength.UNSOUND:
-                    assert interp >= domain
+def _compose_pairs(r, s):
+    """Set-theoretic composition of two pair sets, by pairs, not bit lines."""
+    by_first = {}
+    for v, w in s:
+        by_first.setdefault(v, set()).add(w)
+    return frozenset((u, w) for u, v in r for w in by_first.get(v, ()))
 
 
-def test_unsound_cell_detected():
+def _pair_set_cells(model, which):
+    """(key, table mask, domain pair set) per cell of ``which``, from pair sets only."""
+    calc = model.calculus
+    if which == "converse":
+        return [((a,), calc.converse_row[i], frozenset((y, x) for x, y in model.phi[a]))
+                for i, a in enumerate(calc.symbols)]
+    return [((a, b), calc.composition_row[i][j], _compose_pairs(model.phi[a], model.phi[b]))
+            for i, a in enumerate(calc.symbols) for j, b in enumerate(calc.symbols)]
+
+
+def _pair_set_grade(model, table, domain):
+    interp = model.phi_mask(table)
+    if not interp >= domain:
+        return CellStrength.UNSOUND
+    if interp == domain:
+        return CellStrength.STRONG
+    hull = sum(1 << i for i, sym in enumerate(model.calculus.symbols) if model.phi[sym] & domain)
+    return CellStrength.WEAK if table == hull else CellStrength.ABSTRACT_ONLY
+
+
+def _broken_pc1_model():
     # drop a needed symbol from one cell: the table now denies a real
     # configuration and stops being a calculus under the model
     rows = {
@@ -187,7 +191,7 @@ def test_unsound_cell_detected():
         rows,
     )
     elems = ["0", "1", "2"]
-    model = FiniteInterpretation(
+    return FiniteInterpretation(
         broken,
         elems,
         {
@@ -196,7 +200,47 @@ def test_unsound_cell_detected():
             ">": [(a, b) for a in elems for b in elems if int(a) > int(b)],
         },
     )
-    grading = classify_operation(model, broken, "composition")
+
+
+def test_strength_hierarchy_never_violated():
+    # strong implies the weak criterion, weak implies soundness, across all
+    # cells of every bundled model, against domains composed from pair sets
+    for name in BUILTIN_MODEL_NAMES:
+        model = builtin_model(name)
+        calc = model.calculus
+        for which in ("converse", "composition"):
+            grading = classify_operation(model, calc, which)
+            for key, table, domain in _pair_set_cells(model, which):
+                strength = grading.cells[key]
+                interp = model.phi_mask(table)
+                if strength is CellStrength.STRONG:
+                    assert interp == domain
+                if strength in (CellStrength.STRONG, CellStrength.WEAK):
+                    assert all(model.phi[s] & domain for s in calc.symbols_of(table))
+                if strength is not CellStrength.UNSOUND:
+                    assert interp >= domain
+
+
+def test_grading_on_bit_lines_equals_a_pair_set_grading():
+    seen = set()
+    for model in [builtin_model(name) for name in BUILTIN_MODEL_NAMES] + [_broken_pc1_model()]:
+        for which in ("converse", "composition"):
+            grading = classify_operation(model, model.calculus, which)
+            cells = _pair_set_cells(model, which)
+            assert list(grading.cells) == [key for key, _, _ in cells]
+            for key, table, domain in cells:
+                assert grading.cells[key] is _pair_set_grade(model, table, domain), (model.name, key)
+                if which == "converse":
+                    assert domain_converse(model, *key) == domain
+                else:
+                    assert domain_compose(model, *key) == domain
+                seen.add(grading.cells[key])
+    assert seen == set(CellStrength)
+
+
+def test_unsound_cell_detected():
+    model = _broken_pc1_model()
+    grading = classify_operation(model, model.calculus, "composition")
     assert grading.strength_of("<", ">") is CellStrength.UNSOUND
     assert not grading.is_calculus_under_model
 
@@ -301,6 +345,9 @@ def test_brute_force_edge_cases_equal_the_reference():
         found += want is not None
         missing += want is None
     assert found > 5 and missing > 5
+    # C[i][k] stays U for i < k: every pair has a composite cell, and none
+    # enters the model's pair table
+    assert loose._pair_lines == {}
 
 
 def test_bit_lines_read_as_the_cover():
@@ -313,6 +360,16 @@ def test_bit_lines_read_as_the_cover():
                 assert row[a] >> b & 1 == covered, (model.name, r, u, v)
                 assert col[b] >> a & 1 == covered, (model.name, r, u, v)
             assert all(0 <= line < 1 << len(universe) for line in row + col)
+
+
+def test_pair_table_is_filled_on_first_use_with_atomic_pairs_only():
+    chain5 = builtin_model("pc1-chain5")
+    fresh = FiniteInterpretation(pc1, chain5.universe, chain5.phi)
+    assert fresh._pair_lines == {}
+    assert parse_model(MODEL_TEXT, b2)._pair_lines == {}
+    assert derive_completeness(pc1, fresh, 5).flag == "yes"
+    assert 0 < len(fresh._pair_lines) <= len(pc1.symbols) ** 2
+    assert all(a.bit_count() == b.bit_count() == 1 for a, b in fresh._pair_lines)
 
 
 def test_brute_force_rejects_a_model_of_another_calculus():
