@@ -96,14 +96,14 @@ slower on sparse networks of 200 variables.
 
 If the universal relation U is idempotent (``universal_idempotent``: U.U
 == U) and is its own converse, a pair whose cells C[i][j] and C[j][i] are
-both U is not seeded; it joins the worklist once a revision tightens one
-of its cells.  This is exact by the invariant of the PC-2 worklist: a
-triangle C[i][k] <- C[i][k] & C[i][j].C[j][k] can tighten its cell only
-while the pair (i, j) or (j, k) is queued.  A triangle whose two operand
-pairs are U both ways bounds its cell by U.U == U, so it tightens nothing;
-every other one has a seeded operand pair; and a pair that is U both ways
-is 2-consistent, as conv(U) == U.  The fixpoint is unchanged, but the
-queue order, hence the revisions and the pair an inconsistent outcome
+both U is not seeded by a full run; it joins the worklist once a revision
+tightens one of its cells.  This is exact by the invariant of the PC-2
+worklist: a triangle C[i][k] <- C[i][k] & C[i][j].C[j][k] can tighten its
+cell only while the pair (i, j) or (j, k) is queued.  A triangle whose two
+operand pairs are U both ways bounds its cell by U.U == U, so it tightens
+nothing; every other one has a seeded operand pair; and a pair that is U
+both ways is 2-consistent, as conv(U) == U.  The fixpoint is unchanged, but
+the queue order, hence the revisions and the pair an inconsistent outcome
 reports, can differ from seeding every pair.  Where U.U != U this is
 unsound: an all-universal network of three or more variables is then
 inconsistent if U.U is empty, and otherwise closure tightens each of its
@@ -137,22 +137,25 @@ carries the offending pair.  In the prologue that is the first seeded pair
 (i, j), i < j, in row order that is or becomes empty, named (j, i) only if
 C[i][j] stays non-empty.
 
-``a_closure`` closes a copy of its input: one set-up and one full run of
-``closure_runner``.  The set-up reads the flags and tables and binds
-``write`` and ``settle`` once per network; a run is the prologue and the
-worklist, and works on the network in place.  ``run(changed=(i, j))`` is
-the incremental run.  Its precondition: the network is closed except in
-the cells (i, j) and (j, i), which were only tightened since.  Refinement
-search makes it true by construction: it splits a closed node, sets up
-once per walk and closes each child with one run from its split pair, so
-a node pays for what its split propagates, not a set-up (as in GQR).
-Only those two cells are then checked for emptiness and made
-2-consistent, and the worklist starts from that pair alone (if it is
-seeded at all) instead of from all O(n^2) pairs.  This holds for every
-calculus: a triangle that bounds a cell of the pair by two unchanged
-cells still holds after the cell shrank, so only the triangles that
-compose with the pair can fail, and popping it revises those.  The result
-equals the full closure: the greatest fixpoint below a network is unique.
+``closure_runner`` sets up a session on one working network: it reads the
+flags and tables, binds ``write`` and ``settle`` once, and owns the trail.
+A run is the prologue and the worklist, on the network in place;
+``a_closure`` closes a copy of its input with one set-up and one full run.
+``run(changed=(i, j))`` is the incremental run.  Its precondition: the
+network is closed except in the cells (i, j) and (j, i), which were only
+tightened since.  Only those two cells are then checked for emptiness and
+made 2-consistent, and the worklist starts from that pair alone instead
+of from all O(n^2) pairs.  This holds for every calculus: a triangle that
+bounds a cell of the pair by two unchanged cells still holds after the
+cell shrank, so only the triangles that compose with the pair can fail,
+and popping it revises those.  The result equals the full closure: the
+greatest fixpoint below a network is unique.  ``restrict(i, j, b)`` makes
+the precondition true by construction: it sets the closed C[i][j] to a
+base relation b of it, cuts C[j][i] by conv(b) (the prologue would make
+the same cut, and count it), and runs from (i, j).  Refinement search
+sets up once per walk, closes each child with one ``restrict`` and
+backtracks with ``undo(mark)``, so a node pays for what its split
+propagates, not a set-up (as in GQR).
 
 ``naive_closure`` is an independent reference: it iterates the refinement
 rule over all ordered triples and both cell directions, together with the
@@ -163,12 +166,12 @@ greatest fixpoint regardless of worklist discipline.
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 from struct import Struct
-from typing import Callable, Optional
+from typing import Optional
 
 from .network import ConstraintNetwork
 
@@ -211,24 +214,30 @@ def a_closure(net: ConstraintNetwork, queue_order: str = FIFO,
     says which) is first made strongly 2-consistent.
     """
     work = net.copy()
-    empty, revisions, pops = closure_runner(work, [], queue_order, seed)()
+    empty, revisions, pops = closure_runner(work, queue_order, seed).run()
     if empty is None:
         return ClosureOutcome(ClosureStatus.CLOSED, work, revisions, pops)
     names = (work.var_names[empty[0]], work.var_names[empty[1]])
     return ClosureOutcome(ClosureStatus.INCONSISTENT, work, revisions, pops, names)
 
 
-def closure_runner(work: ConstraintNetwork, trail: list, queue_order: str = FIFO,
-                   seed: Optional[int] = None) -> Callable:
-    """Set up closing ``work`` in place with ``trail`` as its trail; return
-    ``run(changed=None)``, which closes ``work`` as it stands: in full, or
-    from the pair ``changed`` (indices, unchecked) under the precondition
-    of the module docstring.  It returns the emptied cell's pair (indices)
-    or None, its revisions and queue pops.  Before each cell write it
-    appends the cell's index and then its old mask to ``trail``, so
-    restoring the pairs it added, last first, gives back the cells it
-    started from, on a closed and on an inconsistent outcome alike.  Each
-    run starts from a worklist of its own."""
+# the operations of closure_runner's session, bound once per set-up
+_Session = namedtuple("_Session", "run restrict mark undo written")
+
+
+def closure_runner(work: ConstraintNetwork, queue_order: str = FIFO,
+                   seed: Optional[int] = None) -> _Session:
+    """Set up closing ``work`` in place, and return the session's five
+    operations (``_Session``).  ``run(changed=None)`` closes ``work`` as it
+    stands: in full, or from the pair ``changed`` (indices, unchecked) under
+    the precondition of the module docstring.  It returns the emptied
+    cell's pair (indices) or None, its revisions and queue pops, and starts
+    from a worklist of its own.  ``restrict(i, j, bit)`` splits a closed
+    pair and runs from it, with run's result (module docstring).  Each cell
+    write is trailed with the cell's old mask, so ``undo(mark)`` gives back
+    the cells as they were at ``mark()``, after a closed and an
+    inconsistent outcome alike; ``written(mark)`` names the cells written
+    since."""
     if queue_order not in (FIFO, LIFO, SHUFFLED):
         raise ValueError(f"unknown queue order {queue_order!r}")
     n = len(work.var_names)
@@ -317,6 +326,8 @@ def closure_runner(work: ConstraintNetwork, trail: list, queue_order: str = FIFO
                     return b""
                 diff |= diff >> 16 * n
                 return (diff | diff >> 8 * n).to_bytes(4 * n, "little")[:n]
+    # each write appends the cell's index and then its old mask
+    trail: list = []
     # bound afresh by each run: its revisions, worklist, queued pairs and support sets
     revisions = queue = in_queue = nbr = None
     if queue_order == SHUFFLED:
@@ -398,8 +409,7 @@ def closure_runner(work: ConstraintNetwork, trail: list, queue_order: str = FIFO
         else:
             # every other pair is still closed: check and settle this one only
             ci, cj = changed
-            universal_pair = cells[ci * n + cj] == waiting == cells[cj * n + ci]
-            seeds = [] if universal_pair else [(ci, cj) if ci < cj else (cj, ci)]
+            seeds = [(ci, cj) if ci < cj else (cj, ci)]
         revisions = pops = 0
         in_queue = set(seeds)
         if queue_order == FIFO:
@@ -531,7 +541,22 @@ def closure_runner(work: ConstraintNetwork, trail: list, queue_order: str = FIFO
 
         return None, revisions, pops
 
-    return run
+    def restrict(i: int, j: int, bit: int) -> tuple[Optional[tuple[int, int]], int, int]:
+        nonlocal trail
+        ij = i * n + j
+        ji = j * n + i
+        trail += (ij, cells[ij], ji, cells[ji])
+        cells[ij] = bit
+        cells[ji] &= conv(bit)
+        return run((i, j))
+
+    def undo(mark: int) -> None:
+        pop = trail.pop
+        while len(trail) > mark:
+            old = pop()
+            cells[pop()] = old
+
+    return _Session(run, restrict, trail.__len__, undo, lambda mark: trail[mark::2])
 
 
 def naive_closure(net: ConstraintNetwork) -> ClosureOutcome:

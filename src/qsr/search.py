@@ -10,29 +10,23 @@ yields ``closed_unknown``; an exhausted search yields ``inconsistent``.
 ``decide`` splits the smallest non-singleton cell first (ties by lowest pair
 index) and tries base relations in declaration order, so node counts are
 reproducible.  It finds that cell without a scan: the upper cells are kept
-in one set per size, and each closure and each undo refiles only the cells
-that it wrote.
+in one set per size, and each choice refiles only the cells written since
+the parent's choice and those that backtracking may have restored.
 
 One walk serves ``decide`` and ``derive_completeness``, which differ in
 the pair each node splits and in what a leaf does.  Only the root is
-closed in full.  A split sets C[i][j] to one base relation b of it
-and intersects C[j][i] with conv(b), so it tightens both cells: without
-R7, conv(b) alone can be looser than the closed C[j][i], and writing it
-would let the witness leave the input.  A child thus differs from its
-closed parent in the split pair alone, only tightened, so its closure is
-one run of the walk's ``closure_runner`` seeded with that pair (as in
-GQR), which reaches the same fixpoint in work proportional to what the
-split actually propagates.  The walk keeps its open nodes on an explicit
-stack, so its depth is not bounded by the interpreter's recursion limit.
-
-The walk works on one network, the root closure's copy of the input.  It
-sets up its closure once (``closure_runner``), on that network and one
-trail, and closes each child with one run of it.  A split and the run
-write the network in place, and each write appends the cell's index and
-old mask to the trail.  A node's frame holds the trail's length when it
-was closed; backtracking to it restores the cells written since, last
-first (as in GQR).  So no node copies the network, and memory grows with the writes on
-the current path, not with n^2 cells per open node.
+closed in full, by ``a_closure``; the walk works on that closure's copy of
+the input through one closure session (``closure_runner``).  The session's
+``restrict`` closes a child: it sets C[i][j] to one base relation b of the
+closed cell and cuts C[j][i] by conv(b), so both cells only tighten
+(without R7, conv(b) alone can be looser than the closed C[j][i], and
+writing it would let the witness leave the input), and one run from that
+pair reaches the child's fixpoint in work proportional to what the split
+propagates (as in GQR).  A node's frame holds the session's mark, and
+backtracking undoes to it, so no node copies the network and memory grows
+with the writes on the current path, not with n^2 cells per open node.
+Open nodes are on an explicit stack, so the depth is not bounded by the
+interpreter's recursion limit.
 
 ``derive_completeness`` splits pair d at depth d, pairs in row order, so
 its leaves are the atomic networks in product order.  Closure is monotone
@@ -68,120 +62,100 @@ class Decision:
     nodes_explored: int
 
 
-def _undo(cells: list, trail: list, mark: int) -> None:
-    """Restore the cells written since the trail had length ``mark``."""
-    pop = trail.pop
-    while len(trail) > mark:
-        old = pop()
-        cells[pop()] = old
+def _smallest_cell(net: ConstraintNetwork, session: Any) -> Callable:
+    """``decide``'s cell choice on ``net``, worked on through ``session``:
+    the upper cells (i < j) in one set of cell indices per size.
 
-
-class _SmallestCell:
-    """``decide``'s cell choice on the working network: the upper cells
-    (i < j) in one set of cell indices per size.
-
-    ``choose`` first refiles the cells that the trail says were written
-    since its last call, then returns the first cell of the smallest size
-    above 1, ties to the lowest pair index, which is the lowest cell index.
-    The sizes it passes over are fewer than the children of the cell it
-    returns.  ``undo`` restores the trail and refiles each cell it
-    restores.  Both rely on each write tightening its cell, so that its
-    size falls with every write.
+    The returned ``choose(depth)``, at a closed node below ``depth`` open
+    ones, first refiles the cells the session wrote since the parent chose,
+    and those that choices below the parent refiled, which backtracking may
+    have restored.  It returns the first cell of the smallest size above 1,
+    ties to the lowest pair index, which is the lowest cell index.  The
+    sizes it passes over are fewer than the children of that cell.
     """
+    n = len(net.var_names)
+    cells = net.cells
+    upper = bytearray(n * n)
+    # the size each upper cell is filed under
+    filed = [cell.bit_count() for cell in cells]
+    by_size = [set() for _ in range(len(net.calculus.symbols) + 1)]
+    for i in range(n):
+        for idx in range(i * n + i + 1, i * n + n):
+            upper[idx] = 1
+            by_size[filed[idx]].add(idx)
+    mark, written = session.mark, session.written
+    # by depth on the path: the mark of each open node, and the cells
+    # refiled when each node was chosen
+    marks: list[int] = []
+    moved: list[list[int]] = []
 
-    def __init__(self, net: ConstraintNetwork) -> None:
-        n = self.n = len(net.var_names)
-        upper = self.upper = bytearray(n * n)
-        by_size = self.by_size = [set() for _ in range(len(net.calculus.symbols) + 1)]
-        for i in range(n):
-            for idx in range(i * n + i + 1, i * n + n):
-                upper[idx] = 1
-                by_size[net.cells[idx].bit_count()].add(idx)
-        self.seen = 0  # trail entries refiled
-
-    def choose(self, net: ConstraintNetwork, depth: int, trail: list) -> Optional[tuple[int, int]]:
-        by_size, upper, cells = self.by_size, self.upper, net.cells
-        for t in range(self.seen, len(trail), 2):
-            idx = trail[t]
-            if upper[idx]:
-                old = trail[t + 1]
-                # a cell written twice is also discarded from the size of
-                # its second old mask, which is larger than its size now
-                by_size[old.bit_count()].discard(idx)
-                by_size[cells[idx].bit_count()].add(idx)
-        self.seen = len(trail)
+    def choose(depth: int) -> Optional[tuple[int, int]]:
+        groups = moved[depth:]
+        del moved[depth:], marks[depth:]
+        new = written(marks[-1] if depth else 0)
+        moved.append(new)
+        groups.append(new)
+        for group in groups:
+            for idx in group:
+                if upper[idx]:
+                    size = cells[idx].bit_count()
+                    if size != filed[idx]:
+                        by_size[filed[idx]].discard(idx)
+                        by_size[size].add(idx)
+                        filed[idx] = size
         for size in range(2, len(by_size)):
             if by_size[size]:
-                return divmod(min(by_size[size]), self.n)
+                idx = min(by_size[size])
+                if cells[idx].bit_count() < 2:
+                    # a stale filing would split this cell forever
+                    raise RuntimeError(f"cell {divmod(idx, n)} is filed under size {size}")
+                marks.append(mark())
+                return divmod(idx, n)
         return None
 
-    def undo(self, cells: list, trail: list, mark: int) -> None:
-        by_size, upper, pop = self.by_size, self.upper, trail.pop
-        # a cell written only past ``seen`` is still filed under its size
-        # before those writes; refiling it last first moves it back there
-        while len(trail) > mark:
-            old = pop()
-            idx = pop()
-            if upper[idx]:
-                by_size[cells[idx].bit_count()].discard(idx)
-                by_size[old.bit_count()].add(idx)
-            cells[idx] = old
-        self.seen = min(self.seen, mark)
+    return choose
 
 
-def _search(out: ClosureOutcome, choose: Callable, leaf: Callable,
-            undo: Callable = _undo) -> tuple[Any, int]:
-    """Depth-first split-and-close walk below the root closure ``out``.
+def _search(out: ClosureOutcome, session: Any, choose: Callable, leaf: Callable) -> tuple[Any, int]:
+    """Depth-first split-and-close walk below the root closure ``out``,
+    through ``session``, the closure session on ``out.network``.
 
-    The walk splits and closes ``out.network`` in place and keeps a trail
-    of the index and the old mask of every cell written since the root;
-    backtracking restores the trail to the mark of the node it returns to,
-    so no node copies the network.  ``choose(network, depth, trail)`` names
-    the pair (i, j), i < j, that a closed node splits into the base
-    relations of its cell, or None at a leaf; ``leaf(network)`` gets a
-    closed leaf.
-    ``undo(cells, trail, mark)`` restores the trail to length ``mark``.
-    Returns the first leaf value that is not None, or None, with the number
-    of nodes.
+    ``choose(depth)`` names the pair (i, j), i < j, that a closed node below
+    ``depth`` open ones splits into the base relations of its cell, or None
+    at a leaf; ``leaf(network)`` gets a closed leaf.  Returns the first
+    leaf value that is not None, or None, with the number of nodes.
     """
     net = out.network
     cells = net.cells
-    conv = net.calculus.converse_mask
     n = len(net.var_names)
-    trail: list = []
-    run = closure_runner(net, trail)
+    restrict, mark, undo = session.restrict, session.mark, session.undo
     closed = out.closed
     nodes = 1
-    # one frame per open node: its trail mark, the cell being split and the
-    # base relations of that cell not tried yet
+    # one frame per open node: its mark, the cell being split and the base
+    # relations of that cell not tried yet
     stack: list[list] = []
     while True:
         if closed:
-            cell = choose(net, len(stack), trail)
+            cell = choose(len(stack))
             if cell is None:
                 value = leaf(net)
                 if value is not None:
                     return value, nodes
             else:
                 i, j = cell
-                stack.append([len(trail), i, j, cells[i * n + j]])
+                stack.append([mark(), i, j, cells[i * n + j]])
         while stack and not stack[-1][3]:
             stack.pop()
         if not stack:
             return None, nodes
         frame = stack[-1]
-        mark, i, j, untried = frame
+        at, i, j, untried = frame
         # back to the closed node, whose child differs in pair (i, j) alone
-        undo(cells, trail, mark)
+        undo(at)
         bit = untried & -untried
         frame[3] = untried ^ bit
-        ij = i * n + j
-        ji = j * n + i
-        trail += (ij, cells[ij], ji, cells[ji])
-        cells[ij] = bit
-        cells[ji] &= conv(bit)
         nodes += 1
-        closed = run((i, j))[0] is None
+        closed = restrict(i, j, bit)[0] is None
 
 
 def decide(net: ConstraintNetwork, acl_decides_atomic: Optional[bool] = None) -> Decision:
@@ -194,8 +168,8 @@ def decide(net: ConstraintNetwork, acl_decides_atomic: Optional[bool] = None) ->
         acl_decides_atomic = net.calculus.flags.acl_decides_atomic
     # the root closure makes the one copy that the search works on
     root = a_closure(net)
-    smallest = _SmallestCell(root.network)
-    closed, nodes = _search(root, smallest.choose, lambda closed: closed, smallest.undo)
+    session = closure_runner(root.network)
+    closed, nodes = _search(root, session, _smallest_cell(root.network, session), lambda closed: closed)
     if closed is None:
         return Decision(Verdict.INCONSISTENT, None, nodes)
     if acl_decides_atomic:
@@ -251,7 +225,7 @@ def derive_completeness(
 
     steps = [*pairs, None]  # the pair split at each depth, then a leaf
     root = a_closure(ConstraintNetwork(calculus, names))
-    counterexample, _ = _search(root, lambda closed, depth, trail: steps[depth], brute_force)
+    counterexample, _ = _search(root, closure_runner(root.network), steps.__getitem__, brute_force)
     if counterexample is None:
         return CompletenessResult("yes", total, None)
     # the leaves come in product order: count up to the counterexample's rank

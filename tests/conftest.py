@@ -1,8 +1,33 @@
 """Shared test helpers."""
 
+import signal
+
 import pytest
 
 from qsr.core import CalculusSpec
+
+# the slowest test takes about a second; one that runs this long hangs
+TIME_LIMIT_S = 60
+
+
+@pytest.fixture(autouse=True)
+def _time_limit():
+    """Fail a test that runs past ``TIME_LIMIT_S`` seconds, on platforms with
+    ``SIGALRM``, instead of letting it hold the whole run."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"the test ran past {TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _draw_calculus(rng, n_syms, name):

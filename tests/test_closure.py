@@ -246,16 +246,19 @@ def test_closure_counts_pops_and_revisions():
     assert out.revisions == 1
 
 
-def _run(work, changed=None, queue_order="fifo", seed=None, trail=None):
-    # one run of closure_runner on ``work`` in place, in full or from the
-    # split pair ``changed`` as the search closes a child, wrapped as
-    # a_closure wraps its run
-    run = closure_runner(work, [] if trail is None else trail, queue_order, seed)
-    empty, revisions, pops = run(changed)
+def _outcome(work, result):
+    # a run's result wrapped as a_closure wraps it
+    empty, revisions, pops = result
     if empty is None:
         return ClosureOutcome(ClosureStatus.CLOSED, work, revisions, pops)
     names = (work.var_names[empty[0]], work.var_names[empty[1]])
     return ClosureOutcome(ClosureStatus.INCONSISTENT, work, revisions, pops, names)
+
+
+def _run(work, changed=None, queue_order="fifo", seed=None):
+    # one run of a closure_runner session on ``work`` in place, in full or
+    # from the pair ``changed``, as the search closes a child after a split
+    return _outcome(work, closure_runner(work, queue_order, seed).run(changed))
 
 
 def test_unknown_queue_order_is_refused_by_the_set_up():
@@ -264,15 +267,7 @@ def test_unknown_queue_order_is_refused_by_the_set_up():
     with pytest.raises(ValueError, match="unknown queue order 'random'"):
         a_closure(net, queue_order="random")
     with pytest.raises(ValueError, match="unknown queue order 'random'"):
-        closure_runner(net, [], "random")
-
-
-def _undo(cells, trail):
-    # the trail holds a cell index and then its old mask per write: restore
-    # them last first
-    while trail:
-        old = trail.pop()
-        cells[trail.pop()] = old
+        closure_runner(net, "random")
 
 
 def test_trail_closes_in_place_like_the_pure_call_and_undoes_exactly(random_calculus, cyclic_group):
@@ -280,9 +275,9 @@ def test_trail_closes_in_place_like_the_pure_call_and_undoes_exactly(random_calc
     # behind its byte filter, Z10 the chunked fused pass, the random 9- and
     # 10-relation calculi the safe loop over every third variable and the
     # random 17-relation calculus the same loop above 16 relations.  Each
-    # network is closed in full, where the pure call is a_closure, and each
-    # child of a split of its closure from its split pair, where it is a
-    # run on a copy
+    # network is closed in full by run(), where the pure call is a_closure,
+    # and each child of a split of its closure by restrict, where the pure
+    # call is a run from the split pair on a copy split by hand
     import random as _random
 
     rng = _random.Random(2617)
@@ -295,7 +290,7 @@ def test_trail_closes_in_place_like_the_pure_call_and_undoes_exactly(random_calc
         for seed in range(8):
             n = rng.choice((3, 4, 5, 6))
             net = random_network(calc, n, rng.choice((0.4, 0.8, 1.0)), seed=seed)
-            cases = [(net, None)]
+            cases = [(net, None, None)]
             ref = a_closure(net)
             open_pairs = [(i, j) for i in range(n) for j in range(n)
                           if i != j and ref.network.cells[i * n + j].bit_count() > 1]
@@ -304,30 +299,38 @@ def test_trail_closes_in_place_like_the_pure_call_and_undoes_exactly(random_calc
                 i, j = rng.choice(open_pairs)
                 mask = ref.network.cells[i * n + j]
                 for bit in (1 << b for b in range(mask.bit_length()) if mask >> b & 1):
-                    split = ref.network.copy()
-                    split.cells[i * n + j] = bit
-                    split.cells[j * n + i] &= calc.converse_mask(bit)
-                    cases.append((split, (i, j)))
-            for start, changed in cases:
+                    cases.append((ref.network, (i, j), bit))
+            for start, changed, bit in cases:
                 for order in ("fifo", "lifo", "shuffled"):
+                    work = start.copy()
+                    session = closure_runner(work, order, seed)
+                    mark = session.mark()
                     if changed is None:
                         pure = a_closure(start, order, seed)
+                        got = _outcome(work, session.run())
                     else:
-                        pure = _run(start.copy(), changed, order, seed)
-                    work = start.copy()
-                    trail = []
-                    got = _run(work, changed, order, seed, trail)
+                        split = start.copy()
+                        split.cells[changed[0] * n + changed[1]] = bit
+                        split.cells[changed[1] * n + changed[0]] &= calc.converse_mask(bit)
+                        pure = _run(split, changed, order, seed)
+                        got = _outcome(work, session.restrict(*changed, bit))
                     assert got.network is work
                     assert ((got.status, got.network.cells, got.revisions, got.queue_pops, got.empty_pair)
                             == (pure.status, pure.network.cells, pure.revisions, pure.queue_pops,
                                 pure.empty_pair)), (calc.name, seed, changed, order)
-                    assert len(trail) % 2 == 0
-                    # each entry is a strict tightening, as _SmallestCell assumes
-                    assert all(work.cells[k] & old == work.cells[k] != old
-                               for k, old in zip(trail[::2], trail[1::2])), (calc.name, seed, changed, order)
-                    seen.add((got.status, changed is None, bool(trail)))
-                    _undo(work.cells, trail)
+                    # the session names every cell that changed, and besides
+                    # them only the split pair, which restrict records whole;
+                    # each only tightened
+                    written = session.written(mark)
+                    moved = {k for k, (a, b) in enumerate(zip(start.cells, work.cells)) if a != b}
+                    split_pair = set() if changed is None else {changed[0] * n + changed[1],
+                                                                changed[1] * n + changed[0]}
+                    assert moved <= set(written) <= moved | split_pair, (calc.name, seed, changed, order)
+                    assert all(work.cells[k] & start.cells[k] == work.cells[k] for k in written)
+                    seen.add((got.status, changed is None, bool(written)))
+                    session.undo(mark)
                     assert work.cells == start.cells, (calc.name, seed, changed, order)
+                    assert session.written(mark) == [] and session.mark() == mark
     assert {(status, full, True) for status in ClosureStatus for full in (True, False)} <= seen
 
 
@@ -343,15 +346,15 @@ def test_settle_reports_an_empty_cell_outside_the_changed_pair():
         net[x, y] = b2.relation(*label.split())
     before = list(net.cells)
     pure = _run(net.copy(), (0, 1))
-    trail = []
-    out = _run(net, (0, 1), trail=trail)
+    session = closure_runner(net)
+    out = _outcome(net, session.run((0, 1)))
     assert (out.status, out.empty_pair) == (ClosureStatus.INCONSISTENT, ("x", "z"))
     assert (pure.status, pure.empty_pair) == (out.status, out.empty_pair)
     # the prologue tightened C[y][x] to the converse of C[x][y] just before
     yx = net.var_index("y") * 3 + net.var_index("x")
-    assert trail == [yx, before[yx]]
+    assert session.written(0) == [yx]
     assert net.cells[yx] == b2.mask_of(["r1"])
-    _undo(net.cells, trail)
+    session.undo(0)
     assert net.cells == before
 
 
@@ -873,7 +876,9 @@ def test_universal_pairs_are_not_queued_and_keep_the_fixpoint(cyclic_group, rand
     # appendixB2 (R7 without R9), whose U does not absorb but has U.U == U.
     # A pair universal both ways is queued only once a revision tightens
     # it, so the all-universal network closes without a pop, and a network
-    # with one constraint pops that pair alone.
+    # with one constraint pops that pair alone.  A run from a changed pair
+    # seeds that pair even if it is universal both ways: one pop that
+    # revises nothing, as the precondition makes the network closed.
     import random as _random
 
     from qsr.core import CalculusSpec
@@ -893,7 +898,8 @@ def test_universal_pairs_are_not_queued_and_keep_the_fixpoint(cyclic_group, rand
         for order in ("fifo", "lifo", "shuffled"):
             for changed in (None, (5, 2)):
                 got = _run(universal_net.copy(), changed, order, 1)
-                assert got.closed and (got.queue_pops, got.revisions) == (0, 0), (calc.name, order)
+                assert got.closed and (got.queue_pops, got.revisions) == (changed is not None, 0), (calc.name, order)
+                assert got.network.cells == universal_net.cells, (calc.name, order)
         for seed in range(20):
             net = random_network(calc, 7, (0.2, 0.4)[seed % 2], seed=seed)
             ref = naive_closure(net)

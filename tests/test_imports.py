@@ -84,10 +84,21 @@ def _closure_runner() -> ast.FunctionDef:
     return next(node for node in tree.body if getattr(node, "name", None) == "closure_runner")
 
 
+def _counts_or_queues(node: ast.AST) -> bool:
+    """``revisions +=``, or ``.append`` or ``.extend`` of the queue."""
+    if isinstance(node, ast.AugAssign):
+        return getattr(node.target, "id", None) == "revisions"
+    return (isinstance(node, ast.Attribute) and node.attr in ("append", "extend")
+            and getattr(node.value, "id", None) == "queue")
+
+
 def test_only_write_stores_counts_trails_and_queues_in_the_closure():
-    # a certificate or a stats record hooks one routine, not a copy per pass
+    # a certificate or a stats record hooks one routine, not a copy per pass.
+    # Besides write, the session's split (restrict) and its undo store
+    # cells and trail them, but neither counts a revision or queues a pair
     closure = _closure_runner()
-    assert _scopes(closure, _writes, closure.name) == {"write"}
+    assert _scopes(closure, _writes, closure.name) == {"write", "restrict", "undo"}
+    assert _scopes(closure, _counts_or_queues, closure.name) == {"write"}
     settle = next(node for node in ast.walk(closure) if getattr(node, "name", None) == "settle")
     assert isinstance(settle.body[-1], ast.Return) and _calls("write")(settle.body[-1].value)
 
@@ -98,3 +109,23 @@ def test_closure_runner_has_one_loop_over_third_variables_per_pass():
     loops = [node for node in ast.walk(_closure_runner())
              if isinstance(node, ast.For) and getattr(node.target, "id", None) == "k"]
     assert len(loops) == 3
+
+
+def test_search_leaves_the_working_network_to_the_closure_session():
+    # the trail's layout is the closure's alone: the walk splits, closes and
+    # undoes through the session, and stores no cell of the working network
+    tree = ast.parse((PACKAGE / "search.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        names |= {getattr(node, field, None) for field in ("id", "arg", "attr", "name")}
+    assert not {name for name in names if isinstance(name, str) and "trail" in name}
+    assert "_undo" not in names
+    search = next(node for node in tree.body if getattr(node, "name", None) == "_search")
+    assert "undo" not in {arg.arg for arg in ast.walk(search.args) if isinstance(arg, ast.arg)}
+
+    def stores_cells(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                and "cells" in (getattr(node.value, "id", None), getattr(node.value, "attr", None)))
+
+    # the brute-force leaf of derive_completeness writes its own copy
+    assert _scopes(tree, stores_cells) == {"brute_force"}
