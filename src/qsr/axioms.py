@@ -33,15 +33,18 @@ calculi without a designated identity.
 One tally loop serves the whole battery: it tests each (lhs, rhs) evaluation
 against all three of the axiom's records (main, ⊆, ⊇; for PL main, PL-right,
 PL-left).  Only R10's ⊇ record needs a second evaluation, of its dual
-rotation.  ``check_axiom_composite`` and the base audit of R1, R3 and R8
-evaluate once per tuple.  The base audit of every other axiom reads rows of
-the tables, never ``compose_masks``: per base prefix ((r, s), r, or none for
-the unary axioms) one pair of rows holds (lhs, rhs) for every last base.
-R2, R5, R10 and PL pack a row into one int (``_Lanes``); R4, R9 and the
-unary axioms keep lists, cheaper to build there.  The rows of R7 and R9 live
-in ``qsr.core``, whose engine flags ``ra7_holds`` and ``ra9_holds`` are
-their verdicts.  Only a pair that can violate has its lanes tested, which
-gives the per-tuple counts and examples.
+rotation.  ``check_axiom_composite`` evaluates every axiom once per tuple.
+
+A composite relation is a set of base relations, and converse and
+composition extend to sets by union, so R1, R2, R3, R5 and R8 hold for every
+table (``REPRESENTATION_AXIOMS``): the base audit evaluates none of them.  It
+reads every other axiom from rows of the tables, never ``compose_masks``:
+per base prefix ((r, s), r, or none for the unary axioms) one pair of rows
+holds (lhs, rhs) for every last base.  R10 and PL pack a row into one int
+(``_Lanes``); R4, R9 and the unary axioms keep lists, cheaper to build
+there.  The rows of R7 and R9 live in ``qsr.core``, whose engine flags
+``ra7_holds`` and ``ra9_holds`` are their verdicts.  Only a pair that can
+violate has its lanes tested, which gives the per-tuple counts and examples.
 """
 
 from __future__ import annotations
@@ -67,6 +70,10 @@ MAIN_AXIOMS = (
 )
 
 NA_AXIOMS = ("R1", "R2", "R3", "R5", "R6", "R7", "R8", "R9", "R10")
+
+# the Boolean laws and distributivity over union: the set representation
+# guarantees them over base tuples, so the base audit evaluates none of them
+REPRESENTATION_AXIOMS = ("R1", "R2", "R3", "R5", "R8")
 
 
 class Classification(Enum):
@@ -215,7 +222,8 @@ class _Axiom:
     # R10: the ⊇ record tests lhs ⊆ rhs of this second evaluator
     sup_eval: Optional[Callable[[CalculusSpec, tuple[int, ...]], tuple]] = None
     # (lhs, rhs) rows, packed or lists, one pair per base prefix of arity - 1
-    # operands in product order; lane k of a pair is eval of (*prefix, {k})
+    # operands in product order; lane k of a pair is eval of (*prefix, {k}).
+    # None for the REPRESENTATION_AXIOMS, which the base audit skips
     rows: Optional[Callable[[CalculusSpec, _Lanes], Iterable[tuple]]] = None
     sup_rows: Optional[Callable[[CalculusSpec, _Lanes], Iterable[tuple]]] = None  # of sup_eval
 
@@ -228,14 +236,6 @@ def _r1(c, t):
 def _r2(c, t):
     r, s, u = t
     return r | (s | u), (r | s) | u
-
-
-def _r2_rows(c, lanes):
-    u = lanes.bases
-    rows = [lanes.ones << k for k in range(len(c.symbols))]  # {k} in every lane
-    for r in rows:
-        for s in rows:
-            yield r | (s | u), (r | s) | u
 
 
 def _r3(c, t):
@@ -266,13 +266,6 @@ def _r4_rows(c, lanes):
 def _r5(c, t):
     r, s, u = t
     return c.compose_masks(r | s, u), c.compose_masks(r, u) | c.compose_masks(s, u)
-
-
-def _r5_rows(c, lanes):
-    # the tables compose a mask bit by bit, so (r + s).u and r.u + s.u are
-    # both the union of the rows of r and s
-    for row_r, row_s in itertools.product(map(lanes.pack, c.composition_row), repeat=2):
-        yield row_r | row_s, row_r | row_s
 
 
 def _r6(c, t):
@@ -381,10 +374,10 @@ def _pl_rows(c, lanes):
 
 _AXIOMS: dict[str, _Axiom] = {
     "R1": _Axiom(2, False, _r1),
-    "R2": _Axiom(3, False, _r2, rows=_r2_rows),
+    "R2": _Axiom(3, False, _r2),
     "R3": _Axiom(2, False, _r3),
     "R4": _Axiom(3, False, _r4, rows=_r4_rows),
-    "R5": _Axiom(3, False, _r5, rows=_r5_rows),
+    "R5": _Axiom(3, False, _r5),
     "R6": _Axiom(1, True, _r6,
                  rows=lambda c, lanes: _identity_rows(c, lanes, list(zip(*c.composition_row)))),
     "R6l": _Axiom(1, True, _r6l, rows=lambda c, lanes: _identity_rows(c, lanes, c.composition_row)),
@@ -472,14 +465,14 @@ def _audit(spec: CalculusSpec, axiom: str, hits: Iterable[tuple], universe: int,
 
 def _base_audit(spec: CalculusSpec, axiom: str) -> list[AxiomRecord]:
     """All three records of ``axiom`` over the base-relation tuples."""
-    n, ax = len(spec.symbols), _AXIOMS[axiom]
-    hits = _row_hits(spec, axiom) if ax.rows else _tuple_hits(
-        spec, axiom, itertools.product([1 << i for i in range(n)], repeat=ax.arity))
-    return _audit(spec, axiom, hits, n ** ax.arity, lambda m: spec.symbols_of(m)[0])
+    hits = () if axiom in REPRESENTATION_AXIOMS else _row_hits(spec, axiom)
+    return _audit(spec, axiom, hits, len(spec.symbols) ** _AXIOMS[axiom].arity,
+                  lambda m: spec.symbols_of(m)[0])
 
 
 def check_axiom(spec: CalculusSpec, axiom_id: str) -> AxiomRecord:
-    """Evaluate one axiom (or one side, e.g. ``"R9⊆"``) over all base tuples."""
+    """One axiom's record (or one side's, e.g. ``"R9⊆"``) over all base tuples;
+    the ``REPRESENTATION_AXIOMS`` hold unevaluated, the others are read from rows."""
     axiom, k = _record_of(axiom_id)
     return _base_audit(spec, axiom)[k]
 

@@ -121,6 +121,9 @@ class CalculusSpec:
         self.symbols: tuple[str, ...] = tuple(symbols)
         if not self.symbols:
             raise CalculusError("a calculus needs at least one base relation")
+        for s in self.symbols:
+            if not isinstance(s, str):
+                raise CalculusError(f"relation symbol {s!r} is not a string")
         if len(set(self.symbols)) != len(self.symbols):
             raise CalculusError("base relation symbols must be pairwise distinct")
         self._index = {s: i for i, s in enumerate(self.symbols)}

@@ -261,6 +261,8 @@ def name_line(keyword: str, name: str, error: type[Exception] = NetworkError) ->
 def check_token(kind: str, token: str, error: type[Exception] = NetworkError,
                 forbidden: str = "#") -> str:
     """``token`` if files read it back as one token free of ``forbidden``; else raise ``error``."""
+    if not isinstance(token, str):
+        raise error(f"{kind} {token!r} is not a string")
     if token.split() != [token] or any(c in token for c in forbidden):
         shown = ", ".join(map(repr, forbidden))
         raise error(f"{kind} {token!r} does not fit the file formats: "

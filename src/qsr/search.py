@@ -66,8 +66,9 @@ def _smallest_cell(net: ConstraintNetwork, session: Any) -> Callable:
     """``decide``'s cell choice on ``net``, worked on through ``session``:
     the upper cells (i < j) in one set of cell indices per size.
 
-    The returned ``choose(depth)``, at a closed node below ``depth`` open
-    ones, first refiles the cells the session wrote since the parent chose,
+    The returned ``choose(depth, since)``, at a closed node below ``depth``
+    open ones whose parent's frame holds the session mark ``since`` (0 at
+    the root), first refiles the cells the session wrote since that mark,
     and those that choices below the parent refiled, which backtracking may
     have restored.  It returns the first cell of the smallest size above 1,
     ties to the lowest pair index, which is the lowest cell index.  The
@@ -83,16 +84,14 @@ def _smallest_cell(net: ConstraintNetwork, session: Any) -> Callable:
         for idx in range(i * n + i + 1, i * n + n):
             upper[idx] = 1
             by_size[filed[idx]].add(idx)
-    mark, written = session.mark, session.written
-    # by depth on the path: the mark of each open node, and the cells
-    # refiled when each node was chosen
-    marks: list[int] = []
+    written = session.written
+    # by depth on the path: the cells refiled when each open node was chosen
     moved: list[list[int]] = []
 
-    def choose(depth: int) -> Optional[tuple[int, int]]:
+    def choose(depth: int, since: int) -> Optional[tuple[int, int]]:
         groups = moved[depth:]
-        del moved[depth:], marks[depth:]
-        new = written(marks[-1] if depth else 0)
+        del moved[depth:]
+        new = written(since)
         moved.append(new)
         groups.append(new)
         for group in groups:
@@ -109,7 +108,6 @@ def _smallest_cell(net: ConstraintNetwork, session: Any) -> Callable:
                 if cells[idx].bit_count() < 2:
                     # a stale filing would split this cell forever
                     raise RuntimeError(f"cell {divmod(idx, n)} is filed under size {size}")
-                marks.append(mark())
                 return divmod(idx, n)
         return None
 
@@ -120,10 +118,11 @@ def _search(out: ClosureOutcome, session: Any, choose: Callable, leaf: Callable)
     """Depth-first split-and-close walk below the root closure ``out``,
     through ``session``, the closure session on ``out.network``.
 
-    ``choose(depth)`` names the pair (i, j), i < j, that a closed node below
-    ``depth`` open ones splits into the base relations of its cell, or None
-    at a leaf; ``leaf(network)`` gets a closed leaf.  Returns the first
-    leaf value that is not None, or None, with the number of nodes.
+    ``choose(depth, since)`` names the pair (i, j), i < j, that a closed
+    node below ``depth`` open ones, the parent's at mark ``since`` (0 at the
+    root), splits into the base relations of its cell, or None at a leaf;
+    ``leaf(network)`` gets a closed leaf.  Returns the first leaf value
+    that is not None, or None, with the number of nodes.
     """
     net = out.network
     cells = net.cells
@@ -136,7 +135,7 @@ def _search(out: ClosureOutcome, session: Any, choose: Callable, leaf: Callable)
     stack: list[list] = []
     while True:
         if closed:
-            cell = choose(len(stack))
+            cell = choose(len(stack), stack[-1][0] if stack else 0)
             if cell is None:
                 value = leaf(net)
                 if value is not None:
@@ -225,7 +224,8 @@ def derive_completeness(
 
     steps = [*pairs, None]  # the pair split at each depth, then a leaf
     root = a_closure(ConstraintNetwork(calculus, names))
-    counterexample, _ = _search(root, closure_runner(root.network), steps.__getitem__, brute_force)
+    counterexample, _ = _search(root, closure_runner(root.network), lambda depth, since: steps[depth],
+                                brute_force)
     if counterexample is None:
         return CompletenessResult("yes", total, None)
     # the leaves come in product order: count up to the counterexample's rank

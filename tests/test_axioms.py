@@ -219,9 +219,9 @@ def test_classify_records_equal_check_axiom(random_calculus):
 
 
 def test_classify_reads_triple_axioms_a_row_at_a_time(monkeypatch):
-    # R1, R3 and R8: one evaluator call per base tuple; every other
-    # axiom: |Rel| ** (arity - 1) row pairs of |Rel| lanes (R10 also those of
-    # its dual rotation) and no per-tuple call
+    # R1, R2, R3, R5 and R8 hold by the set representation: no evaluator
+    # call and no row.  Every other axiom: |Rel| ** (arity - 1) row pairs of
+    # |Rel| lanes (R10 also those of its dual rotation) and no per-tuple call
     calls, pairs = Counter(), Counter()
     spec = builtin("appendixB2")
     n = len(spec.symbols)
@@ -252,12 +252,19 @@ def test_classify_reads_triple_axioms_a_row_at_a_time(monkeypatch):
         if ax.sup_rows is not None:
             wrapped = dataclasses.replace(wrapped, sup_rows=counted_rows(aid + SUP, ax.sup_rows))
         monkeypatch.setitem(axioms._AXIOMS, aid, wrapped)
-    classify(spec)
-    per_tuple = {aid for aid, ax in axioms._AXIOMS.items() if ax.rows is None}
-    assert per_tuple == {"R1", "R3", "R8"}
-    assert calls == {aid: n ** axioms._AXIOMS[aid].arity for aid in per_tuple}
+    report = classify(spec)
+    assert {aid for aid, ax in axioms._AXIOMS.items() if ax.rows is None} == {"R1", "R2", "R3", "R5", "R8"}
+    assert calls == {}
     expected = {aid: n ** (ax.arity - 1) for aid, ax in axioms._AXIOMS.items() if ax.rows}
     assert pairs == {**expected, "R10" + SUP: n}
+    pairs.clear()
+    for aid in ("R1", "R2", "R3", "R5", "R8"):
+        for rid in (aid, aid + SUB, aid + SUP):
+            rec = check_axiom(spec, rid)
+            assert rec == report.records[rid]
+            assert (rec.holds, rec.violations, rec.universe, rec.examples) == (
+                True, 0, n ** axioms._AXIOMS[aid].arity, [])
+    assert calls == pairs == {}
 
 
 def _per_tuple_records(spec):
@@ -277,6 +284,12 @@ def test_row_audit_equals_the_per_tuple_audit(random_calculus, dihedral_group, c
     calcs = [builtin(name) for name in BUILTIN_NAMES]
     calcs += [random_calculus(rng, rng.randint(2, 5), f"rand{t}") for t in range(20)]
     calcs += [dihedral_group(5), cyclic_group(20)]
+    calcs += [
+        CalculusSpec("empty-converse", ["a", "b"], ["a"], {"a": ["a"], "b": []},
+                     {(x, y): ["b"] for x in "ab" for y in "ab"}),
+        CalculusSpec("empty-composition", ["a", "b", "c"], None, {"a": ["b"], "b": ["a"], "c": ["c"]},
+                     {(x, y): [] for x in "abc" for y in "abc"}),
+    ]
     failing = Counter()
     for spec in calcs:
         report = classify(spec)

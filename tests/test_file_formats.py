@@ -12,6 +12,7 @@ from qsr import (
     load_model,
     load_network,
     load_spec,
+    normalize,
     parse_model,
     parse_network,
     parse_spec,
@@ -307,6 +308,19 @@ def test_writers_refuse_calculus_names_that_files_cannot_carry(name):
     chain3 = builtin_model("pc1-chain3")
     with pytest.raises(NetworkError, match="calculus name .* does not fit the file formats"):
         FiniteInterpretation(calc, chain3.universe, chain3.phi).to_text()
+
+
+@pytest.mark.parametrize("build, error, kind", [
+    (lambda: ConstraintNetwork(pc1, [0, 1]), NetworkError, "variable name"),
+    (lambda: normalize(pc1, [(0, pc1.relation("<"), 1)]), NetworkError, "variable name"),
+    (lambda: FiniteInterpretation(pc1, [0, 1], {"<": [(0, 1)], "=": [(0, 0), (1, 1)], ">": [(1, 0)]}),
+     CalculusError, "universe element"),
+    # the only way to a spec that ``serialize`` would get with an int symbol
+    (lambda: _renamed_pc1("t", less=0), CalculusError, "relation symbol"),
+], ids=["network", "normalize", "model", "calculus"])
+def test_non_string_names_are_refused_with_the_callers_error(build, error, kind):
+    with pytest.raises(error, match=f"^{kind} 0 is not a string$"):
+        build()
 
 
 @pytest.mark.parametrize("symbol", ["a b", "a#b", "", "x:"])

@@ -538,7 +538,7 @@ def test_cell_choice_refuses_to_split_an_atomic_cell():
     choose = _smallest_cell(net, closure_runner(net))
     net.cells[0 * 4 + 1] = rcc5.mask_of(("DC",))
     with pytest.raises(RuntimeError, match=r"cell \(0, 1\) is filed under size 2"):
-        choose(0)
+        choose(0, 0)
 
 
 def _complete_dc_po(n):
