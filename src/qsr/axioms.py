@@ -42,9 +42,11 @@ reads every other axiom from rows of the tables, never ``compose_masks``:
 per base prefix ((r, s), r, or none for the unary axioms) one pair of rows
 holds (lhs, rhs) for every last base.  R10 and PL pack a row into one int
 (``_Lanes``); R4, R9 and the unary axioms keep lists, cheaper to build
-there.  The rows of R7 and R9 live in ``qsr.core``, whose engine flags
-``ra7_holds`` and ``ra9_holds`` are their verdicts.  Only a pair that can
-violate has its lanes tested, which gives the per-tuple counts and examples.
+there.  R4 first compares whole tables, (r.s).u against r.(s.u) over all r
+and u per base s, and reads its rows only where that fails.  The rows of R7
+and R9 live in ``qsr.core``, whose engine flags ``ra7_holds`` and
+``ra9_holds`` are their verdicts.  Only a pair that can violate has its
+lanes tested, which gives the per-tuple counts and examples.
 """
 
 from __future__ import annotations
@@ -253,10 +255,15 @@ def _r4_rows(c, lanes):
     table = c.composition_row
     masks = set(itertools.chain.from_iterable(table))
     # per table mask m: the row of m.{u} over the bases u, and the column of
-    # {r}.m over the bases r
+    # {r}.m over the bases r (a tuple, as zip's rows below)
     left = {m: _union_rows(table, m) for m in masks}
     columns = list(zip(*table))
-    right = {m: _union_rows(columns, m) for m in masks}
+    right = {m: tuple(_union_rows(columns, m)) for m in masks}
+    # per base s, the table of (r.s).u against that of r.(s.u), rows u and
+    # lanes r: where all are equal R4 holds and no row pair is read
+    if all(list(zip(*map(left.__getitem__, col_s))) == list(map(right.__getitem__, row_s))
+           for col_s, row_s in zip(columns, table)):
+        return
     for i, row_r in enumerate(table):
         r_dot = {m: col[i] for m, col in right.items()}  # m -> r.m
         for m, row_s in zip(row_r, table):
@@ -523,11 +530,14 @@ def check_axiom_composite(
 ) -> AxiomRecord:
     """Evaluate an axiom over composite (not just base) relation tuples.
 
-    Random sampling by default; ``exhaustive`` enumerates all composite
-    tuples when their count stays below ``limit`` (the space has
-    2**|Rel| ** arity elements, so this is for small calculi only).
+    Random sampling of ``samples`` tuples (at least 1) by default;
+    ``exhaustive`` enumerates all composite tuples when their count stays
+    below ``limit`` (the space has 2**|Rel| ** arity elements, so this is
+    for small calculi only).
     """
     axiom, k = _record_of(axiom_id)
+    if not exhaustive and samples < 1:
+        raise CalculusError(f"samples must be at least 1, got {samples}")
     ax = _AXIOMS[axiom]
     if ax.needs_id and spec.identity_mask is None:
         return AxiomRecord(axiom_id, holds=None, violations=0, universe=0)

@@ -503,12 +503,15 @@ def _union_of(row: tuple[int, ...], mask: int) -> int:
 
 
 def _union_rows(rows: list, mask: int) -> list[int]:
-    """Lane-wise union of ``rows[p]`` over the bits ``p`` of ``mask``, ``rows`` square."""
-    out = [0] * len(rows)
-    for p, row in enumerate(rows):
-        if mask >> p & 1:
-            out = list(map(or_, out, row))
-    return out
+    """Lane-wise union of ``rows[p]`` over the set bits ``p`` of ``mask``, ``rows`` square."""
+    low = mask & -mask  # the lowest set bit, 0 for an empty mask
+    out = rows[low.bit_length() - 1] if mask else [0] * len(rows)
+    mask ^= low
+    while mask:
+        low = mask & -mask
+        out = list(map(or_, out, rows[low.bit_length() - 1]))
+        mask ^= low
+    return list(out)
 
 
 def _r7_rows(spec: CalculusSpec) -> Iterator[tuple[list[int], list[int]]]:

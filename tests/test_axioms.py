@@ -151,6 +151,12 @@ def test_composite_exhaustive_mode():
     assert rec.holds is True
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_composite_sample_count_below_one_is_a_calculus_error(samples):
+    with pytest.raises(CalculusError, match=f"samples must be at least 1, got {samples}"):
+        check_axiom_composite(builtin("pc1"), "R4", samples=samples)
+
+
 def test_r10_composite_level_can_be_probed():
     # mirrors the audit default (base pairs only) but allows opting in
     rec = check_axiom_composite(builtin("rcc5"), "R10", samples=2_000, seed=1)
@@ -218,13 +224,12 @@ def test_classify_records_equal_check_axiom(random_calculus):
             assert rec == check_axiom(spec, aid), (spec.name, aid)
 
 
-def test_classify_reads_triple_axioms_a_row_at_a_time(monkeypatch):
+def test_classify_reads_triple_axioms_a_row_at_a_time(monkeypatch, cyclic_group):
     # R1, R2, R3, R5 and R8 hold by the set representation: no evaluator
     # call and no row.  Every other axiom: |Rel| ** (arity - 1) row pairs of
-    # |Rel| lanes (R10 also those of its dual rotation) and no per-tuple call
+    # |Rel| lanes (R10 also those of its dual rotation) and no per-tuple call,
+    # except R4, which reads its rows only where its whole-table check fails
     calls, pairs = Counter(), Counter()
-    spec = builtin("appendixB2")
-    n = len(spec.symbols)
 
     def counted(aid, evaluate):
         def wrapped(spec, masks):
@@ -252,13 +257,19 @@ def test_classify_reads_triple_axioms_a_row_at_a_time(monkeypatch):
         if ax.sup_rows is not None:
             wrapped = dataclasses.replace(wrapped, sup_rows=counted_rows(aid + SUP, ax.sup_rows))
         monkeypatch.setitem(axioms._AXIOMS, aid, wrapped)
-    report = classify(spec)
     assert {aid for aid, ax in axioms._AXIOMS.items() if ax.rows is None} == {"R1", "R2", "R3", "R5", "R8"}
-    assert calls == {}
-    expected = {aid: n ** (ax.arity - 1) for aid, ax in axioms._AXIOMS.items() if ax.rows}
-    assert pairs == {**expected, "R10" + SUP: n}
-    pairs.clear()
-    for aid in ("R1", "R2", "R3", "R5", "R8"):
+    # R4 fails on appendixB2 and holds on the relation algebras rcc5 and Z20
+    for spec, r4_holds in ((builtin("rcc5"), True), (cyclic_group(20), True), (builtin("appendixB2"), False)):
+        n = len(spec.symbols)
+        report = classify(spec)
+        assert report.records["R4"].holds is r4_holds
+        assert calls == {}
+        expected = {aid: n ** (ax.arity - 1) for aid, ax in axioms._AXIOMS.items() if ax.rows}
+        if r4_holds:
+            del expected["R4"]
+        assert pairs == {**expected, "R10" + SUP: n}, spec.name
+        pairs.clear()
+    for aid in ("R1", "R2", "R3", "R5", "R8"):  # on appendixB2, the loop's last spec
         for rid in (aid, aid + SUB, aid + SUP):
             rec = check_axiom(spec, rid)
             assert rec == report.records[rid]
