@@ -152,7 +152,11 @@ and popping it revises those.  The result equals the full closure: the
 greatest fixpoint below a network is unique.  ``restrict(i, j, b)`` makes
 the precondition true by construction: it sets the closed C[i][j] to a
 base relation b of it, cuts C[j][i] by conv(b) (the prologue would make
-the same cut, and count it), and runs from (i, j).  Refinement search
+the same cut, and count it), and runs from (i, j).  If C[i][j] already
+is b, it returns at once with no revision and no pop, and trails and
+writes nothing: every pair of the closed network is 2-consistent, so
+C[j][i] is within conv(b) already, and a run from an unchanged closed
+network revises nothing.  Refinement search
 sets up once per walk, closes each child with one ``restrict`` and
 backtracks with ``undo(mark)``, so a node pays for what its split
 propagates, not a set-up (as in GQR).
@@ -233,7 +237,8 @@ def closure_runner(work: ConstraintNetwork, queue_order: str = FIFO,
     the precondition of the module docstring.  It returns the emptied
     cell's pair (indices) or None, its revisions and queue pops, and starts
     from a worklist of its own.  ``restrict(i, j, bit)`` splits a closed
-    pair and runs from it, with run's result (module docstring).  Each cell
+    pair and runs from it, with run's result (module docstring); a split to
+    the cell's own relation runs nothing and returns (None, 0, 0).  Each cell
     write is trailed with the cell's old mask, so ``undo(mark)`` gives back
     the cells as they were at ``mark()``, after a closed and an
     inconsistent outcome alike; ``written(mark)`` names the cells written
@@ -544,6 +549,9 @@ def closure_runner(work: ConstraintNetwork, queue_order: str = FIFO,
     def restrict(i: int, j: int, bit: int) -> tuple[Optional[tuple[int, int]], int, int]:
         nonlocal trail
         ij = i * n + j
+        if cells[ij] == bit:
+            # the child is the closed parent: C[j][i] is within conv(bit)
+            return None, 0, 0
         ji = j * n + i
         trail += (ij, cells[ij], ji, cells[ji])
         cells[ij] = bit

@@ -34,7 +34,11 @@ and the greatest fixpoint below cl(P) ∧ A equals the one below P ∧ A, so
 a split that a closed cell excludes, like a prefix whose closure is
 inconsistent, has no atomic network below it that closes.  Brute force
 thus sees the atomic networks that close, in product order, and the count
-is the counterexample's rank in that order plus one, or all of them.
+is the counterexample's rank in that order plus one, or all of them.  A
+split to the one base relation a closed cell already holds is that cell's
+only child, and its ``restrict`` runs nothing.  Under R7 each closed leaf
+is its atomic network, as C[j][i] is conv(C[i][j]), so brute force reads
+it in place and only a counterexample is copied.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from typing import Any, Callable, Optional
 
 from .closure import ClosureOutcome, a_closure, closure_runner
 from .core import CalculusMismatchError, CalculusSpec
-from .models import FiniteInterpretation, brute_force_solve
+from .models import BudgetExceededError, FiniteInterpretation, brute_force_solve
 from .network import ConstraintNetwork
 
 
@@ -201,6 +205,10 @@ def derive_completeness(
     count: a calculus complete over its usual infinite universe can fail
     over a small finite one.  Pass ``flag == "yes"`` to ``decide`` as its
     ``acl_decides_atomic`` to use it.
+
+    ``budget`` bounds both the atomic networks and the valuations of one
+    brute force, |universe| ** n_vars; either count above it raises before
+    anything is closed (``ValueError`` and ``BudgetExceededError``).
     """
     if model.calculus is not calculus:
         raise CalculusMismatchError("model interprets a different calculus")
@@ -209,14 +217,22 @@ def derive_completeness(
     total = n_syms ** len(pairs)
     if total > budget:
         raise ValueError(f"{total} atomic networks exceed the budget of {budget}")
+    valuations = len(model.universe) ** n_vars
+    if valuations > budget:
+        raise BudgetExceededError(f"{valuations} valuations exceed the budget of {budget}")
 
     names = [f"x{k}" for k in range(n_vars)]
+    ra7 = calculus.flags.ra7_holds
 
     def brute_force(closed: ConstraintNetwork) -> Optional[ConstraintNetwork]:
         # every pair is split at a leaf, so C[i][j] holds its split.  Brute
         # force gets the atomic network itself: without R7 its closure can
-        # be tighter, and the model need not make closure sound.  The
-        # closure leaves the diagonal as built, so only C[j][i] is reset
+        # be tighter, and the model need not make closure sound.  Under R7
+        # the closed C[j][i] is conv(C[i][j]), so the leaf is that network
+        # and is copied only as the counterexample.  Otherwise a copy has
+        # C[j][i] reset; the closure leaves the diagonal as built
+        if ra7:
+            return closed.copy() if brute_force_solve(closed, model, budget=budget) is None else None
         atomic = closed.copy()
         for i, j in pairs:
             atomic.cells[j * n_vars + i] = calculus.converse_mask(atomic.cells[i * n_vars + j])

@@ -334,6 +334,35 @@ def test_trail_closes_in_place_like_the_pure_call_and_undoes_exactly(random_calc
     assert {(status, full, True) for status in ClosureStatus for full in (True, False)} <= seen
 
 
+def test_restrict_to_the_cells_own_relation_runs_nothing(cyclic_group):
+    # every pair of a closed network is 2-consistent, so a split of an
+    # atomic cell to its one relation leaves the network as it is: restrict
+    # trails, writes, revises and pops nothing, in either direction of the
+    # pair and with or without R7
+    from qsr import BUILTIN_NAMES
+
+    for calc in [builtin(name) for name in BUILTIN_NAMES] + [cyclic_group(10)]:
+        checked = 0
+        for seed in range(20):
+            out = a_closure(random_network(calc, 5, 0.8, seed=seed))
+            if not out.closed:
+                continue
+            work = out.network
+            before = list(work.cells)
+            session = closure_runner(work)
+            for i in range(5):
+                for j in range(5):
+                    cell = work.cells[i * 5 + j]
+                    if i == j or cell.bit_count() != 1:
+                        continue
+                    mark = session.mark()
+                    assert session.restrict(i, j, cell) == (None, 0, 0), (calc.name, seed, i, j)
+                    assert session.mark() == mark and session.written(mark) == []
+                    assert work.cells == before
+                    checked += 1
+        assert checked, calc.name
+
+
 def test_settle_reports_an_empty_cell_outside_the_changed_pair():
     # run((x, y)) presumes that every other cell is closed, but C[z][x]
     # is empty.  The pop of (x, y) empties C[x][z]; settle finds C[z][x]

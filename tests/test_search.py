@@ -6,6 +6,7 @@ import random
 import pytest
 
 from qsr import (
+    BudgetExceededError,
     CalculusMismatchError,
     CalculusSpec,
     ConstraintNetwork,
@@ -301,6 +302,9 @@ def test_derive_completeness_prunes_inconsistent_prefixes(monkeypatch):
     assert (result.flag, result.networks_checked) == ("yes", 59_049)
     assert brute_calls == 541
     assert len(closures) == 2_035
+    # 1,224 children split a cell that already is their base relation, and
+    # each of them is its closed parent: restrict runs nothing
+    assert sum(pops == 0 for *_, pops in closures[1:]) == 1_224
     # a split that the closed cell excludes is pruned, not closed
     assert all(bit != 0 for _, bit, *_ in closures[1:])
 
@@ -316,8 +320,11 @@ def test_derive_completeness_edge_cases(monkeypatch):
     closures = _node_closures(monkeypatch)
     with pytest.raises(ValueError):
         derive_completeness(pc1, chain3, n_vars=4, budget=728)
-    # the model's calculus is checked before anything is closed, not first
-    # by brute force at the first closed network
+    # 3 networks but 5 ** 2 valuations: the valuation budget is checked up
+    # front too, not first by brute force at the first closed network
+    with pytest.raises(BudgetExceededError):
+        derive_completeness(pc1, builtin_model("pc1-chain5"), n_vars=2, budget=10)
+    # the model's calculus is checked before anything is closed too
     with pytest.raises(CalculusMismatchError):
         derive_completeness(rcc5, chain3, n_vars=3)
     assert closures == []
